@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import corpus as corpus_mod
-from .corpus import TASK_CLASSES
 from .errors import ArgdissectError, DataError
 from .evaluation import (
     anova_scores,
@@ -23,7 +23,7 @@ from .evaluation import (
     randomize_contexts,
     strip_contexts,
 )
-from .features import CB, CI, FA, FAMILIES
+from .features import CB, CI, FA, MODEL_TYPES
 from .learn import TrainConfig
 from .pipeline import (
     RunConfig,
@@ -33,7 +33,9 @@ from .pipeline import (
     run_experiment,
     train_model,
     write_manifest,
+    write_report_tsv,
 )
+from .settings import from_text
 from .synth import SynthConfig, generate_corpus
 
 EXIT_OK = 0
@@ -50,103 +52,74 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_config_file(path) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read config file {path}: {exc}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{line_no}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
-_CONFIG_KEYS = (
-    "corpus_dir", "embeddings", "split", "out", "task", "model_type",
-    "families", "pairing_scope", "exclude_reverse", "c", "loss",
-    "max_epochs", "tolerance", "class_weighting", "seed", "eval_seed",
-    "significance_n",
-)
+# Config keys spelled differently from their RunConfig fields.
+_RENAMED = {"embeddings_path": "embeddings", "split_path": "split", "output_dir": "out"}
+
+
+def _setting_fields() -> dict:
+    """Config key -> field: RunConfig's fields, TrainConfig's in place of the nested one."""
+    keyed = {}
+    for f in fields(RunConfig):
+        if f.default_factory is TrainConfig:
+            keyed.update((sub.name, sub) for sub in fields(TrainConfig))
+        else:
+            keyed[_RENAMED.get(f.name, f.name)] = f
+    return keyed
+
+
+_SETTINGS = _setting_fields()
 
 
 def build_run_config(args) -> RunConfig:
-    merged: dict[str, str] = {}
+    """RunConfig from the config file and flags; only the keys given override defaults."""
+    given: dict[str, str] = {}
     if getattr(args, "config", None):
-        file_values = read_config_file(args.config)
-        unknown = set(file_values) - set(_CONFIG_KEYS)
+        given = read_config_file(args.config)
+        unknown = set(given) - set(_SETTINGS)
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-
-    def get(key, default=None):
-        return merged.get(key, default)
-
-    if not get("corpus_dir"):
-        raise DataError("corpus_dir is required (flag or config file)")
-    if not get("split"):
-        raise DataError("split file is required (flag or config file)")
-    families = get("families", "")
-    families_tuple = tuple(f for f in str(families).split(",") if f) if families else ()
-    for fam in families_tuple:
-        if fam not in FAMILIES:
-            raise DataError(f"unknown feature family: {fam}")
-    train_cfg = TrainConfig(
-        c=float(get("c", 1.0)),
-        loss=str(get("loss", "squared_hinge")),
-        max_epochs=int(get("max_epochs", 1000)),
-        tolerance=float(get("tolerance", 1e-4)),
-        class_weighting=str(get("class_weighting", "inverse_frequency")),
-        seed=int(get("seed", 0)),
-    )
-    model_type = str(get("model_type", FA))
-    if model_type not in (CB, CI, FA):
-        raise DataError(f"unknown model type: {model_type}")
-    task = str(get("task", "f"))
-    if task not in TASK_CLASSES:
-        raise DataError(f"unknown task: {task}")
-    return RunConfig(
-        corpus_dir=str(get("corpus_dir")),
-        embeddings_path=str(get("embeddings", "") or ""),
-        split_path=str(get("split")),
-        output_dir=str(get("out", "out")),
-        task=task,
-        model_type=model_type,
-        families=families_tuple,
-        pairing_scope=str(get("pairing_scope", "paragraph")),
-        exclude_reverse=str(get("exclude_reverse", "false")).lower() in ("1", "true", "yes"),
-        train=train_cfg,
-        eval_seed=int(get("eval_seed", 0)),
-        significance_n=int(get("significance_n", 0)),
-    )
+    for key in _SETTINGS:
+        if getattr(args, key, None) is not None:
+            given[key] = getattr(args, key)
+    values = {}
+    for key, text in given.items():
+        try:
+            values[_SETTINGS[key]] = from_text(text, _SETTINGS[key].default)
+        except ValueError as exc:
+            raise DataError(f"{key} = {text!r}: {exc}") from None
+    train_fields = fields(TrainConfig)
+    try:
+        return RunConfig(
+            train=TrainConfig(**{f.name: v for f, v in values.items() if f in train_fields}),
+            **{f.name: v for f, v in values.items() if f not in train_fields},
+        )
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--corpus-dir", dest="corpus_dir")
-    p.add_argument("--embeddings")
-    p.add_argument("--split")
-    p.add_argument("--out")
-    p.add_argument("--task", choices=sorted(TASK_CLASSES))
-    p.add_argument("--model-type", dest="model_type", choices=[CB, CI, FA])
-    p.add_argument("--families", help="comma-separated feature families")
-    p.add_argument("--pairing-scope", dest="pairing_scope",
-                   choices=["paragraph", "document"])
-    p.add_argument("--exclude-reverse", dest="exclude_reverse")
-    p.add_argument("--c")
-    p.add_argument("--loss", choices=["hinge", "squared_hinge"])
-    p.add_argument("--max-epochs", dest="max_epochs")
-    p.add_argument("--tolerance")
-    p.add_argument("--class-weighting", dest="class_weighting",
-                   choices=["none", "inverse_frequency"])
-    p.add_argument("--seed")
-    p.add_argument("--eval-seed", dest="eval_seed")
-    p.add_argument("--significance-n", dest="significance_n")
+    for key, f in _SETTINGS.items():
+        p.add_argument(
+            "--" + key.replace("_", "-"), dest=key, choices=f.metadata.get("choices")
+        )
 
 
 def cmd_ingest(args) -> int:
@@ -185,7 +158,7 @@ def cmd_robustness(args) -> int:
         transformed = strip_contexts(data.test_views)
 
     reports = {}
-    for model_type in (CB, CI, FA):
+    for model_type in MODEL_TYPES:
         model, registry, _, families = train_model(config, data, model_type)
         report, _ = evaluate_model(
             model, registry, transformed, data.classes, families, data.embedding_dim
@@ -198,7 +171,7 @@ def cmd_robustness(args) -> int:
     lines.append(header + f"{'d_macro':>12}")
     out_path = os.path.join(config.output_dir, f"robustness_{args.mode}.tsv")
     with open(out_path, "w", encoding="utf-8") as fh:
-        for model_type in (CB, CI, FA):
+        for model_type in MODEL_TYPES:
             report = reports[model_type]
             deltas = [report.f1(c) - baseline.f1(c) for c in data.classes]
             d_macro = report.macro_f1 - baseline.macro_f1
@@ -210,12 +183,7 @@ def cmd_robustness(args) -> int:
             for cls, d in zip(data.classes, deltas):
                 fh.write(f"{model_type}\t{cls}\t{d}\n")
             fh.write(f"{model_type}\tmacro\t{d_macro}\n")
-    write_manifest(
-        os.path.join(config.output_dir, "manifest.txt"),
-        config,
-        [config.split_path],
-        [out_path],
-    )
+    write_manifest(config, [out_path])
     print("\n".join(lines))
     print(f"delta table written to {out_path}")
     return EXIT_OK
@@ -241,12 +209,7 @@ def cmd_anova(args) -> int:
             for p in (50.0, 90.0, 99.0)
         )
         print(f"{ftype}: {marks}")
-    write_manifest(
-        os.path.join(config.output_dir, "manifest.txt"),
-        config,
-        [config.split_path],
-        [out_path],
-    )
+    write_manifest(config, [out_path])
     print(f"percentile curves written to {out_path}")
     return EXIT_OK
 
@@ -265,9 +228,8 @@ def cmd_baseline(args) -> int:
         )
     print(format_report(report, f"mfs baseline (predicts {label!r}), task {config.task}"))
     out_path = os.path.join(config.output_dir, "baseline.tsv")
-    from .pipeline import write_report_tsv
-
     write_report_tsv(out_path, report)
+    write_manifest(config, [out_path])
     print(f"report written to {out_path}")
     return EXIT_OK
 
@@ -286,21 +248,17 @@ def cmd_transform(args) -> int:
         with open(ann_path, "w", encoding="utf-8") as fh:
             fh.write(ann)
         outputs.extend([txt_path, ann_path])
-    write_manifest(
-        os.path.join(config.output_dir, "manifest.txt"), config, [], outputs[:8]
-    )
+    write_manifest(config, outputs)
     print(f"wrote {len(transformed)} transformed documents ({args.mode}) to {config.output_dir}")
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(
-        n_docs=args.docs,
-        sentences_per_doc=args.sentences,
-        marker_signal=args.marker_signal,
-        content_signal=args.content_signal,
-        seed=args.seed,
-    )
+    config = SynthConfig(**{
+        f.name: getattr(args, f.name)
+        for f in fields(SynthConfig)
+        if getattr(args, f.name, None) is not None
+    })
     doc_ids = generate_corpus(args.out, config)
     print(f"generated {len(doc_ids)} synthetic documents in {args.out}")
     return EXIT_OK
@@ -332,11 +290,9 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("synth")
     p.add_argument("--out", required=True)
-    p.add_argument("--docs", type=int, default=200)
-    p.add_argument("--sentences", type=int, default=6)
-    p.add_argument("--marker-signal", dest="marker_signal", type=float, default=0.95)
-    p.add_argument("--content-signal", dest="content_signal", type=float, default=0.75)
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(SynthConfig):
+        if "flag" in f.metadata:
+            p.add_argument(f.metadata["flag"], dest=f.name, type=type(f.default))
     p.set_defaults(fn=cmd_synth)
     return parser
 

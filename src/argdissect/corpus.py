@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .errors import DataError, IntegrityError, StandoffParseError
+from .settings import check_choices, choice
 
 SUPPORT = "support"
 ATTACK = "attack"
@@ -36,6 +37,9 @@ EAU_KINDS = ("MajorClaim", "Claim", "Premise")
 _REL_MAP = {"supports": SUPPORT, "attacks": ATTACK}
 
 MASK_TOKEN = "MASK"
+
+# Where none-labeled pairs of tasks g/l are drawn from; see PairingConfig.
+PAIRING_SCOPES = ("paragraph", "document")
 
 
 @dataclass(frozen=True)
@@ -105,12 +109,11 @@ class Corpus:
 class PairingConfig:
     """How unannotated (none-labeled) EAU pairs are generated for tasks g/l."""
 
-    scope: str = "paragraph"  # "paragraph" | "document"
+    scope: str = choice("paragraph", PAIRING_SCOPES)
     exclude_reverse: bool = False  # also drop (b, a) when (a, b) is annotated
 
     def __post_init__(self):
-        if self.scope not in ("paragraph", "document"):
-            raise ValueError(f"unknown pairing scope: {self.scope}")
+        check_choices(self)
 
 
 def paragraph_spans(text: str) -> tuple[tuple[int, int], ...]:
@@ -208,7 +211,8 @@ def parse_standoff(text_file, ann_file, doc_id: str = "doc") -> ParsedDoc:
     return ParsedDoc(document=document, eaus=tuple(eaus), relations=tuple(relations))
 
 
-def _paragraph_of(doc: Document, eau: EauSpan) -> int:
+def paragraph_of(doc: Document, eau: EauSpan) -> int:
+    """Index of the paragraph block holding the EAU's first character."""
     for i, (start, end) in enumerate(doc.paragraph_spans):
         if start <= eau.start < end:
             return i
@@ -227,7 +231,7 @@ def _candidate_pairs(parsed: ParsedDoc, pairing: PairingConfig):
     else:
         by_par: dict[int, list[str]] = {}
         for eau in parsed.eaus:
-            by_par.setdefault(_paragraph_of(parsed.document, eau), []).append(eau.id)
+            by_par.setdefault(paragraph_of(parsed.document, eau), []).append(eau.id)
         for ids in by_par.values():
             for a in ids:
                 for b in ids:

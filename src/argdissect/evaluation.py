@@ -15,6 +15,9 @@ from .features import CB, CI, EMPTY_CONTEXT, FeatureRegistry, InstanceView
 
 ANOVA_INF_SENTINEL = 1e12
 
+# Fewest permutations ``significance`` accepts; fewer give an unstable p.
+MIN_PERMUTATIONS = 100
+
 
 @dataclass
 class ConfusionMatrix:
@@ -46,7 +49,6 @@ class EvalReport:
     per_class: dict[str, ClassScores]
     macro_f1: float
     significance: list[dict] = field(default_factory=list)
-    robustness_deltas: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
     def f1(self, cls: str) -> float:
@@ -61,8 +63,6 @@ class EvalReport:
             rows.append(("f1", cls, s.f1))
             rows.append(("support", cls, s.support))
         rows.append(("macro_f1", "all", self.macro_f1))
-        for cls, delta in self.robustness_deltas.items():
-            rows.append(("delta_f1", cls, delta))
         for entry in self.significance:
             rows.append(("p_value", entry["baseline"], entry["p"]))
         return rows
@@ -129,8 +129,8 @@ def significance(
     Each permutation swaps the two systems' predictions per instance with
     probability 0.5; p = (#{|Δperm| >= |Δobs|} + 1) / (n + 1).
     """
-    if n < 100:
-        raise ArgdissectError("n < 100 permutations is unstable; use more")
+    if n < MIN_PERMUTATIONS:
+        raise ArgdissectError(f"n < {MIN_PERMUTATIONS} permutations is unstable; use more")
     if not (len(preds_a) == len(preds_b) == len(gold)):
         raise ArgdissectError("prediction lists are not aligned")
     idx = {c: i for i, c in enumerate(classes)}
@@ -272,8 +272,6 @@ def format_report(report: EvalReport, title: str = "evaluation") -> str:
             f"vs {entry['baseline']}: p = {entry['p']:.4g} "
             f"(n={entry['n_permutations']}, seed={entry['seed']})"
         )
-    for cls, delta in report.robustness_deltas.items():
-        lines.append(f"delta F1 {cls}: {delta:+.1f}")
     for note in report.notes:
         lines.append(f"note: {note}")
     return "\n".join(lines)

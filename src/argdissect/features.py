@@ -23,10 +23,21 @@ from .errors import ArgdissectError, MissingLayerError
 CB = "CB"
 CI = "CI"
 FA = "FA"
+MODEL_TYPES = (CB, CI, FA)
 
 SCOPE_TYPE = {"eau": CB, "ctx": CI, "both": FA}
 
 FAMILIES = ("lexical", "syntactic", "structural", "discourse", "embedding", "sentiment")
+
+# The annotation layer each family reads; every corpus has tokens.
+FAMILY_LAYER = {
+    "lexical": "tokens",
+    "syntactic": "trees",
+    "structural": "tokens",
+    "discourse": "discourse",
+    "embedding": "embeddings",
+    "sentiment": "sentiment",
+}
 
 _FAMILY_PREFIX = {
     "lexical": "lex",
@@ -173,9 +184,9 @@ class InstanceView:
 _SIDE_TAG = {"source": "src", "target": "tgt"}
 
 
-def _require(view: InstanceView, layer: str) -> None:
-    if layer not in view.layers:
-        raise MissingLayerError(layer)
+def _require(view: InstanceView, family: str) -> None:
+    if FAMILY_LAYER[family] not in view.layers:
+        raise MissingLayerError(FAMILY_LAYER[family])
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +207,7 @@ def extract_lexical(view: InstanceView, side: str):
 
 def extract_syntactic(view: InstanceView, side: str):
     """Binary production-rule indicators from the cut tree fragments."""
-    _require(view, "trees")
+    _require(view, "syntactic")
     sv = view.side(side)
     tag = _SIDE_TAG[side]
     cb = {f"syn:eau:{tag}:{r}": 1.0 for r in sorted(set(sv.content.rules))}
@@ -268,7 +279,7 @@ def _dense_block(prefix: str, vec: Optional[np.ndarray], dim: int) -> dict[str, 
 
 def extract_embedding(view: InstanceView, dim: int):
     """Summed word vectors per side and scope, plus source-target differences."""
-    _require(view, "embeddings")
+    _require(view, "embedding")
     cb: dict[str, float] = {}
     ci: dict[str, float] = {}
     fa: dict[str, float] = {}
@@ -350,16 +361,8 @@ def extract_sentiment(view: InstanceView):
 
 
 def default_families(view: InstanceView) -> tuple[str, ...]:
-    families = ["lexical", "structural"]
-    if "trees" in view.layers:
-        families.insert(1, "syntactic")
-    if "discourse" in view.layers:
-        families.append("discourse")
-    if "embeddings" in view.layers:
-        families.append("embedding")
-    if "sentiment" in view.layers:
-        families.append("sentiment")
-    return tuple(families)
+    """Every family whose annotation layer the view has."""
+    return tuple(f for f in FAMILIES if FAMILY_LAYER[f] in view.layers)
 
 
 def extract_all(
@@ -398,7 +401,7 @@ def assemble(
     embedding_dim: int = 0,
 ) -> SparseVector:
     """Sparse vector of the instance restricted to the model type's Φ slice."""
-    if model_type not in (CB, CI, FA):
+    if model_type not in MODEL_TYPES:
         raise ValueError(f"unknown model type: {model_type}")
     named = extract_all(view, families=families, embedding_dim=embedding_dim)
     out: SparseVector = {}

@@ -10,13 +10,14 @@ bit-identical.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import sparse as sp
 
 from .errors import ArgdissectError, ModelFormatError
 from .features import FeatureRegistry, SparseVector
+from .settings import check_choices, choice, from_text
 
 FORMAT_VERSION = 1
 
@@ -27,19 +28,19 @@ WEIGHTINGS = ("none", "inverse_frequency")
 @dataclass(frozen=True)
 class TrainConfig:
     c: float = 1.0
-    loss: str = "squared_hinge"
+    loss: str = choice("squared_hinge", LOSSES)
     max_epochs: int = 1000
     tolerance: float = 1e-4
-    class_weighting: str = "inverse_frequency"
+    class_weighting: str = choice("inverse_frequency", WEIGHTINGS)
     seed: int = 0
 
     def __post_init__(self):
-        if self.c <= 0 or self.tolerance <= 0 or self.max_epochs <= 0:
+        # written so that NaN fails too
+        if not (self.c > 0 and self.tolerance > 0 and self.max_epochs > 0):
             raise ValueError("c, tolerance and max_epochs must be positive")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss: {self.loss}")
-        if self.class_weighting not in WEIGHTINGS:
-            raise ValueError(f"unknown class weighting: {self.class_weighting}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        check_choices(self)
 
 
 @dataclass
@@ -221,19 +222,15 @@ def predict_all(model: LinearModel, vectors: list[SparseVector]) -> list[str]:
 
 
 def _model_body(model: LinearModel) -> str:
-    lines = []
     cfg = model.config
-    lines.append(f"task={model.task}")
-    lines.append(f"model_type={model.model_type}")
-    lines.append("classes=" + ",".join(model.classes))
-    lines.append(f"registry_id={model.registry_id}")
-    lines.append(f"n_features={model.n_features}")
-    lines.append(
-        "config="
-        f"c:{cfg.c!r},loss:{cfg.loss},max_epochs:{cfg.max_epochs},"
-        f"tolerance:{cfg.tolerance!r},class_weighting:{cfg.class_weighting},"
-        f"seed:{cfg.seed}"
-    )
+    lines = [
+        f"task={model.task}",
+        f"model_type={model.model_type}",
+        "classes=" + ",".join(model.classes),
+        f"registry_id={model.registry_id}",
+        f"n_features={model.n_features}",
+        "config=" + ",".join(f"{f.name}:{getattr(cfg, f.name)}" for f in fields(cfg)),
+    ]
     for cls in model.classes:
         w = model.weights[cls]
         for idx in np.nonzero(w)[0]:
@@ -268,36 +265,45 @@ def load_model(path) -> LinearModel:
     if actual != expected:
         raise ModelFormatError("checksum mismatch: file is corrupt or truncated")
 
+    try:
+        return _parse_model_body(body)
+    except KeyError as exc:
+        raise ModelFormatError(f"model file lacks {exc}") from None
+    except ValueError as exc:
+        raise ModelFormatError(f"malformed model file: {exc}") from None
+
+
+def _parse_model_body(body: str) -> LinearModel:
+    """The model in a checksum-verified body; KeyError or ValueError if malformed."""
     meta: dict[str, str] = {}
-    triplets: list[tuple[str, str, str]] = []
+    triplets: list[list[str]] = []
     for line in body.split("\n"):
-        if not line:
-            continue
         if "\t" in line:
-            cls, key, value = line.split("\t")
-            triplets.append((cls, key, value))
-        else:
-            k, v = line.split("=", 1)
-            meta[k] = v
+            triplets.append(line.split("\t"))
+        elif line:
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"not a key=value line: {line!r}")
+            meta[key] = value
 
     classes = tuple(meta["classes"].split(","))
     n_features = int(meta["n_features"])
     cfg_parts = dict(p.split(":", 1) for p in meta["config"].split(","))
     config = TrainConfig(
-        c=float(cfg_parts["c"]),
-        loss=cfg_parts["loss"],
-        max_epochs=int(cfg_parts["max_epochs"]),
-        tolerance=float(cfg_parts["tolerance"]),
-        class_weighting=cfg_parts["class_weighting"],
-        seed=int(cfg_parts["seed"]),
+        **{f.name: from_text(cfg_parts[f.name], f.default) for f in fields(TrainConfig)}
     )
     weights = {cls: np.zeros(n_features) for cls in classes}
     biases = {cls: 0.0 for cls in classes}
     for cls, key, value in triplets:
+        if cls not in weights:
+            raise ValueError(f"weight line for unknown class {cls!r}")
         if key == "bias":
             biases[cls] = float.fromhex(value)
-        else:
-            weights[cls][int(key)] = float.fromhex(value)
+            continue
+        idx = int(key)
+        if not 0 <= idx < n_features:
+            raise ValueError(f"feature index {idx} outside 0..{n_features - 1}")
+        weights[cls][idx] = float.fromhex(value)
     return LinearModel(
         classes=classes,
         weights=weights,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,17 +32,22 @@ from .corpus import (
     Corpus,
     CorpusSplit,
     EauSpan,
+    PAIRING_SCOPES,
     PairingConfig,
     ParsedDoc,
     RelationInstance,
     TASK_CLASSES,
+    paragraph_of,
     parse_standoff,
     split_corpus,
 )
 from .errors import DataError, MissingLayerError
-from .evaluation import EvalReport, f1_report, mfs_baseline, significance
+from .evaluation import MIN_PERMUTATIONS, EvalReport, f1_report, mfs_baseline, significance
 from .features import (
     FA,
+    FAMILIES,
+    FAMILY_LAYER,
+    MODEL_TYPES,
     ContentLayers,
     ContextLayers,
     FeatureRegistry,
@@ -50,9 +55,14 @@ from .features import (
     SideView,
     assemble,
     count_punct,
+    default_families,
 )
 from .learn import LinearModel, TrainConfig, predict_all, save_model, train
-from .treeops import content_rules, context_rules, crossing_rules, cut_tree, select_sentiment_nodes
+from .settings import check_choices, choice
+from .treeops import (
+    content_rules, context_rules, crossing_rules, cut_tree, range_disjoint, range_inside,
+    select_sentiment_nodes,
+)
 
 
 @dataclass
@@ -135,28 +145,6 @@ def load_corpus_dir(corpus_dir, embeddings_path=None, embedding_dim=None) -> Cor
     return CorpusBundle(corpus=corpus, bundles=bundles, embeddings=embeddings)
 
 
-def _span_inside(span, container) -> bool:
-    return container[0] <= span[0] and span[1] <= container[1]
-
-
-def _span_intersects(span, container) -> bool:
-    return span[0] < container[1] and container[0] < span[1]
-
-
-def _paragraph_stats(parsed: ParsedDoc, eau: EauSpan):
-    doc = parsed.document
-    par_idx = None
-    for i, (start, end) in enumerate(doc.paragraph_spans):
-        if start <= eau.start < end:
-            par_idx = i
-            break
-    if par_idx is None:
-        raise DataError(f"{doc.id}: EAU {eau.id} outside every paragraph")
-    units = [e for e in parsed.eaus if doc.paragraph_spans[par_idx][0] <= e.start < doc.paragraph_spans[par_idx][1]]
-    unit_index = units.index(eau)
-    return par_idx, unit_index, unit_index == 0, unit_index == len(units) - 1
-
-
 def build_side_view(
     bundle: DocBundle, eau: EauSpan, embeddings: Optional[EmbeddingTable]
 ) -> SideView:
@@ -174,7 +162,11 @@ def build_side_view(
     )
     following = len(alignment.context_tokens) - preceding
 
-    par_idx, unit_index, is_first, is_last = _paragraph_stats(bundle.parsed, eau)
+    doc = bundle.parsed.document
+    par_idx = paragraph_of(doc, eau)
+    par_start, par_end = doc.paragraph_spans[par_idx]
+    units = [e for e in bundle.parsed.eaus if par_start <= e.start < par_end]
+    unit_index = units.index(eau)
 
     c_rules: list[str] = []
     x_rules: list[str] = []
@@ -209,18 +201,16 @@ def build_side_view(
         region = (min(t.start for t in sent_tokens), max(t.end for t in sent_tokens))
         eau_span = (eau.start, eau.end)
         for rel in bundle.discourse:
-            if not (
-                _span_intersects(rel.arg1, region) or _span_intersects(rel.arg2, region)
-            ):
+            if range_disjoint(rel.arg1, region) and range_disjoint(rel.arg2, region):
                 continue
             pair = (rel.kind, rel.sense)
-            if _span_inside(rel.arg1, eau_span) and _span_inside(rel.arg2, eau_span):
+            if range_inside(rel.arg1, eau_span) and range_inside(rel.arg2, eau_span):
                 cb_disc.append(pair)
             elif (
-                _span_inside(rel.arg1, region)
-                and _span_inside(rel.arg2, region)
-                and not _span_intersects(rel.arg1, eau_span)
-                and not _span_intersects(rel.arg2, eau_span)
+                range_inside(rel.arg1, region)
+                and range_inside(rel.arg2, region)
+                and range_disjoint(rel.arg1, eau_span)
+                and range_disjoint(rel.arg2, eau_span)
             ):
                 ci_disc.append(pair)
             else:
@@ -256,8 +246,8 @@ def build_side_view(
         preceding_count=preceding,
         following_count=following,
         unit_index=unit_index,
-        is_first=is_first,
-        is_last=is_last,
+        is_first=unit_index == 0,
+        is_last=unit_index == len(units) - 1,
         paragraph_index=par_idx,
         embedding=emb_context,
     )
@@ -295,18 +285,32 @@ def build_views(
 
 @dataclass
 class RunConfig:
+    """Every setting of one experiment; each field is also a config key."""
+
     corpus_dir: str = ""
     embeddings_path: str = ""
     split_path: str = ""
     output_dir: str = "out"
-    task: str = "f"
-    model_type: str = FA
+    task: str = choice("f", TASK_CLASSES)
+    model_type: str = choice(FA, MODEL_TYPES)
     families: tuple[str, ...] = ()  # empty = all available
-    pairing_scope: str = "paragraph"
-    exclude_reverse: bool = False
+    pairing_scope: str = choice(PairingConfig.scope, PAIRING_SCOPES)
+    exclude_reverse: bool = PairingConfig.exclude_reverse
     train: TrainConfig = field(default_factory=TrainConfig)
     eval_seed: int = 0
     significance_n: int = 0  # 0 disables significance testing
+
+    def __post_init__(self):
+        if not (self.corpus_dir and self.split_path):
+            raise ValueError("corpus_dir and split_path must be set")
+        check_choices(self)
+        unknown = [f for f in self.families if f not in FAMILIES]
+        if unknown:
+            raise ValueError(f"unknown feature family: {','.join(unknown)}")
+        if self.eval_seed < 0:
+            raise ValueError("eval_seed must be non-negative")
+        if self.significance_n and self.significance_n < MIN_PERMUTATIONS:
+            raise ValueError(f"significance_n must be 0 or at least {MIN_PERMUTATIONS}")
 
     def pairing(self) -> PairingConfig:
         return PairingConfig(scope=self.pairing_scope, exclude_reverse=self.exclude_reverse)
@@ -352,20 +356,11 @@ def prepare(config: RunConfig) -> ExperimentData:
 
 
 def resolve_families(config: RunConfig, data: ExperimentData) -> tuple[str, ...]:
-    from .features import default_families
-
     if not config.families:
         return default_families(data.train_views[0])
-    layer_needs = {
-        "syntactic": "trees",
-        "discourse": "discourse",
-        "embedding": "embeddings",
-        "sentiment": "sentiment",
-    }
     for family in config.families:
-        needed = layer_needs.get(family)
-        if needed and needed not in data.bundle.layers:
-            raise MissingLayerError(f"{needed} (required by {family} features)")
+        if FAMILY_LAYER[family] not in data.bundle.layers:
+            raise MissingLayerError(f"{FAMILY_LAYER[family]} (required by {family} features)")
     return tuple(config.families)
 
 
@@ -419,34 +414,29 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path, config: RunConfig, inputs: list[str], outputs: list[str]) -> None:
-    lines = []
-    cfg = config.train
-    for key, value in (
-        ("corpus_dir", config.corpus_dir),
-        ("embeddings_path", config.embeddings_path),
-        ("split_path", config.split_path),
-        ("task", config.task),
-        ("model_type", config.model_type),
-        ("families", ",".join(config.families) or "auto"),
-        ("pairing_scope", config.pairing_scope),
-        ("exclude_reverse", config.exclude_reverse),
-        ("svm_c", cfg.c),
-        ("svm_loss", cfg.loss),
-        ("svm_max_epochs", cfg.max_epochs),
-        ("svm_tolerance", cfg.tolerance),
-        ("svm_class_weighting", cfg.class_weighting),
-        ("svm_seed", cfg.seed),
-        ("eval_seed", config.eval_seed),
-    ):
-        lines.append(f"{key} = {value}")
+def _setting_lines(config, prefix: str = ""):
+    """``key = value`` per field; nested configs' keys take the ``svm_`` prefix."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            yield from _setting_lines(value, "svm_")
+        elif isinstance(value, tuple):
+            yield f"{prefix}{f.name} = {','.join(value) or 'auto'}"
+        else:
+            yield f"{prefix}{f.name} = {value}"
+
+
+def write_manifest(config: RunConfig, outputs: list[str]) -> None:
+    """``manifest.txt`` in the output dir: every setting, then input and output hashes."""
+    lines = list(_setting_lines(config))
+    inputs = [config.split_path] + ([config.embeddings_path] if config.embeddings_path else [])
     for path_in in sorted(inputs):
         if os.path.isfile(path_in):
             lines.append(f"input {path_in} sha256={_sha256_file(path_in)}")
     for path_out in outputs:
         if os.path.isfile(path_out):
             lines.append(f"output {path_out} sha256={_sha256_file(path_out)}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(config.output_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -492,11 +482,7 @@ def run_experiment(config: RunConfig) -> EvalReport:
 
     model_path = os.path.join(config.output_dir, "model.txt")
     report_path = os.path.join(config.output_dir, "report.tsv")
-    manifest_path = os.path.join(config.output_dir, "manifest.txt")
     save_model(model, model_path)
     write_report_tsv(report_path, report)
-    inputs = [config.split_path]
-    if config.embeddings_path:
-        inputs.append(config.embeddings_path)
-    write_manifest(manifest_path, config, inputs, [model_path, report_path])
+    write_manifest(config, [model_path, report_path])
     return report

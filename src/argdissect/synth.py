@@ -14,7 +14,7 @@ runs without any external corpus.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,13 +35,15 @@ EMBED_DIM = 8
 
 @dataclass
 class SynthConfig:
-    n_docs: int = 200
-    sentences_per_doc: int = 6
-    marker_signal: float = 0.95
-    content_signal: float = 0.75
+    """Corpus shape and planted signals; ``flag`` names a field's ``synth`` option."""
+
+    n_docs: int = field(default=200, metadata={"flag": "--docs"})
+    sentences_per_doc: int = field(default=6, metadata={"flag": "--sentences"})
+    marker_signal: float = field(default=0.95, metadata={"flag": "--marker-signal"})
+    content_signal: float = field(default=0.75, metadata={"flag": "--content-signal"})
     support_share: float = 0.6
     train_share: float = 0.8
-    seed: int = 0
+    seed: int = field(default=0, metadata={"flag": "--seed"})
 
 
 def _flip(rng, label: str, agree_prob: float) -> str:

@@ -32,30 +32,20 @@ class CutMarker:
 
 
 @dataclass(frozen=True)
-class ContextNode:
-    """Context-forest node; children may be context nodes, leaves, or cut markers."""
-
-    label: str
-    children: tuple
-    token_start: int
-    token_end: int
-    sentiment: Optional[int] = None
-    is_leaf: bool = False
-
-
-@dataclass(frozen=True)
 class TreeCut:
     content_roots: tuple[TreeNode, ...]
-    context_forest: tuple  # ContextNode roots (empty when the EAU covers the tree)
+    context_forest: tuple  # rebuilt roots with cut markers; () when the EAU covers the tree
     cut_edges: tuple[tuple[str, str], ...]  # (parent label, severed child label)
 
 
-def _range_inside(node_range, eau_range) -> bool:
-    return eau_range[0] <= node_range[0] and node_range[1] <= eau_range[1]
+def range_inside(span, container) -> bool:
+    """Whether the half-open range ``span`` lies within ``container``."""
+    return container[0] <= span[0] and span[1] <= container[1]
 
 
-def _range_disjoint(node_range, eau_range) -> bool:
-    return node_range[1] <= eau_range[0] or eau_range[1] <= node_range[0]
+def range_disjoint(span, other) -> bool:
+    """Whether the half-open ranges share no position."""
+    return span[1] <= other[0] or other[1] <= span[0]
 
 
 def cut_tree(tree: ConstTree, eau_range: tuple[int, int]) -> TreeCut:
@@ -74,15 +64,15 @@ def cut_tree(tree: ConstTree, eau_range: tuple[int, int]) -> TreeCut:
 
     def rebuild(node: TreeNode, parent_label: str | None):
         """Return the context-forest counterpart of ``node`` (marker if severed)."""
-        if _range_inside(node.token_range, eau_range):
+        if range_inside(node.token_range, eau_range):
             content.append(node)
             if parent_label is not None:
                 cut_edges.append((parent_label, node.label))
             return CutMarker(node.label, node.token_start, node.token_end)
-        if node.is_leaf or _range_disjoint(node.token_range, eau_range):
+        if node.is_leaf or range_disjoint(node.token_range, eau_range):
             return node
         children = tuple(rebuild(c, node.label) for c in node.children)
-        return ContextNode(
+        return TreeNode(
             label=node.label,
             children=children,
             token_start=node.token_start,
@@ -128,7 +118,7 @@ def production_rules(fragment) -> Counter:
     yield terminal productions ``POS→word`` with the word lowercased.  Cut
     markers render as their label on the right-hand side.
     """
-    if isinstance(fragment, (TreeNode, ContextNode, CutMarker)):
+    if isinstance(fragment, (TreeNode, CutMarker)):
         fragment = (fragment,)
     rules: Counter = Counter()
     for node in fragment:
@@ -193,10 +183,10 @@ def select_sentiment_nodes(
     i, j = eau_range
     nodes = [n for n in tree.root.iter_nodes() if not n.is_leaf]
 
-    cb_candidates = [n for n in nodes if _range_inside(n.token_range, eau_range)]
+    cb_candidates = [n for n in nodes if range_inside(n.token_range, eau_range)]
     cb = _pick_highest(cb_candidates)
 
-    ci_candidates = [n for n in nodes if _range_disjoint(n.token_range, eau_range)]
+    ci_candidates = [n for n in nodes if range_disjoint(n.token_range, eau_range)]
     ci = _pick_highest(ci_candidates)
 
     # fa target: EAU plus all context of this tree, i.e. the full tree range
@@ -204,7 +194,7 @@ def select_sentiment_nodes(
     root_range = tree.root.token_range
     has_context = root_range != (i, j)
     target = root_range if has_context else (i, j)
-    fa_candidates = [n for n in nodes if _range_inside(target, n.token_range)]
+    fa_candidates = [n for n in nodes if range_inside(target, n.token_range)]
     fa = None
     if fa_candidates:
         # lowest = smallest token range

@@ -1,6 +1,10 @@
 import os
 
-from argdissect.cli import main
+import pytest
+
+from argdissect.cli import build_run_config, main, make_parser
+from argdissect.learn import TrainConfig
+from argdissect.pipeline import RunConfig
 
 
 def base_args(synth_dir, out):
@@ -59,6 +63,8 @@ def test_baseline(synth_dir, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "mfs baseline" in printed
     assert os.path.exists(os.path.join(out_dir, "baseline.tsv"))
+    manifest = open(os.path.join(out_dir, "manifest.txt")).read()
+    assert "baseline.tsv sha256=" in manifest
 
 
 def test_anova(synth_dir, tmp_path, capsys):
@@ -92,6 +98,8 @@ def test_robustness_randomized(synth_dir, tmp_path, capsys):
     args = ["robustness", "--mode", "randomized"] + base_args(synth_dir, out_dir)
     assert main(args) == 0
     assert os.path.exists(os.path.join(out_dir, "robustness_randomized.tsv"))
+    manifest = open(os.path.join(out_dir, "manifest.txt")).read()
+    assert "embeddings.txt sha256=" in manifest
 
 
 def test_transform(synth_dir, tmp_path, capsys):
@@ -105,6 +113,8 @@ def test_transform(synth_dir, tmp_path, capsys):
     anns = [f for f in os.listdir(out_dir) if f.endswith(".ann")]
     assert len(anns) == 20
     assert len(txts) == 20
+    manifest = open(os.path.join(out_dir, "manifest.txt")).read()
+    assert manifest.count("output ") == 40
 
 
 def test_empty_corpus_is_data_error(tmp_path, capsys):
@@ -149,3 +159,51 @@ def test_unknown_config_key_is_data_error(synth_dir, tmp_path, capsys):
     cfg.write_text("corpus_dir = x\nsplit = y\nbogus = 1\n")
     assert main(["ingest", "--config", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "--c abc",
+        "--tolerance x",
+        "--eval-seed z",
+        "--max-epochs 0",
+        "--seed -1",
+        "--significance-n 5",
+        "loss = bogus",
+        "pairing_scope = bogus",
+        "exclude_reverse = ture",
+        "families = lexical,bogus",
+    ],
+)
+def test_malformed_setting_is_data_error(synth_dir, tmp_path, capsys, setting):
+    """A bad flag value or config-file line fails before any model is trained."""
+    out_dir = tmp_path / "out"
+    args = ["run"] + base_args(synth_dir, str(out_dir))
+    if setting.startswith("--"):
+        args += setting.split()
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (out_dir / "model.txt").exists()
+
+
+def test_missing_config_file_is_data_error(tmp_path, capsys):
+    assert main(["ingest", "--config", str(tmp_path / "absent.cfg")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_config_values_are_typed_and_unset_keys_keep_defaults(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "corpus_dir = c\nsplit = s\nexclude_reverse = YES\n"
+        "families = lexical,structural\nc = 0.5\n"
+    )
+    config = build_run_config(make_parser().parse_args(["run", "--config", str(cfg)]))
+    assert config == RunConfig(
+        corpus_dir="c", split_path="s", exclude_reverse=True,
+        families=("lexical", "structural"), train=TrainConfig(c=0.5),
+    )

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -213,5 +215,42 @@ def test_load_detects_corruption(tmp_path):
 def test_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("hello\nworld\n")
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def _drop_line(prefix):
+    return lambda body: "".join(
+        line for line in body.splitlines(keepends=True) if not line.startswith(prefix)
+    )
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda body: body + "zzz\t0\t0x1.0p+0\n",  # weight for an unknown class
+        lambda body: body + "support\t2\t0x1.0p+0\n",  # index past n_features
+        lambda body: body + "support\t-1\t0x1.0p+0\n",  # negative index
+        lambda body: body + "support\t0\tnot-a-float\n",
+        lambda body: body.replace("n_features=2", "n_features=two"),
+        lambda body: body.replace("max_epochs:1000", "max_epochs:many"),
+        _drop_line("classes="),
+        _drop_line("n_features="),
+        _drop_line("config="),
+    ],
+    ids=[
+        "unknown-class", "index-too-large", "negative-index", "bad-weight",
+        "bad-n-features", "bad-config-value", "no-classes", "no-n-features", "no-config",
+    ],
+)
+def test_load_rejects_malformed_body_with_valid_checksum(tmp_path, edit):
+    vectors, labels, _ = separable_data()
+    model = train(vectors, labels, TrainConfig(), registry_of(2), ("support", "attack"))
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    header, _, body = path.read_text().split("\n", 2)
+    body = edit(body)
+    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path.write_text(f"{header}\nchecksum={checksum}\n{body}")
     with pytest.raises(ModelFormatError):
         load_model(path)

@@ -137,6 +137,8 @@ def test_run_experiment_writes_artifacts(synth_dir, tmp_path):
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "sha256=" in manifest
     assert "task = f" in manifest
+    assert "significance_n = 200" in manifest
+    assert f"output_dir = {tmp_path / 'out'}" in manifest
 
 
 def test_run_experiment_deterministic(synth_dir, tmp_path):
