@@ -20,13 +20,17 @@ from argdissect.synth import SynthConfig, generate_corpus
 
 
 def main():
-    workdir = tempfile.mkdtemp(prefix="argdissect-demo-")
+    with tempfile.TemporaryDirectory(prefix="argdissect-demo-") as workdir:
+        run(workdir)
+
+
+def run(workdir):
     corpus_dir = os.path.join(workdir, "corpus")
     generate_corpus(
         corpus_dir,
         SynthConfig(n_docs=120, marker_signal=0.95, content_signal=0.75, seed=0),
     )
-    print(f"synthetic corpus written to {corpus_dir}")
+    print(f"synthetic corpus written to {corpus_dir} (removed on exit)")
 
     config = RunConfig(
         corpus_dir=corpus_dir,

@@ -99,10 +99,8 @@ class EauAlignment:
     context_tokens: tuple[Token, ...]
 
 
-def parse_token_offsets(tsv, document_text: str, doc_id: str = "doc") -> list[Token]:
+def parse_token_offsets(tsv: str, document_text: str, doc_id: str = "doc") -> list[Token]:
     """Parse and validate the token-offset TSV against the document text."""
-    if isinstance(tsv, bytes):
-        tsv = tsv.decode("utf-8")
     tokens: list[Token] = []
     prev_key = None
     prev_end_in_sentence = -1
@@ -140,7 +138,9 @@ def parse_token_offsets(tsv, document_text: str, doc_id: str = "doc") -> list[To
 _LABEL_SENT_RE = re.compile(r"^(.*?)\|s=(\d)$")
 
 # Bracket escapes used by common treebank tooling.
-_LEAF_ESCAPES = {"-LRB-": "(", "-RRB-": ")", "-LSB-": "[", "-RSB-": "]"}
+_LEAF_ESCAPES = {
+    "-LRB-": "(", "-RRB-": ")", "-LSB-": "[", "-RSB-": "]", "-LCB-": "{", "-RCB-": "}",
+}
 
 
 def _tokenize_sexpr(line: str) -> list[str]:
@@ -219,11 +219,9 @@ def parse_bracketed_tree(
 
 
 def parse_trees_file(
-    content, tokens: list[Token], doc_id: str = "doc"
+    content: str, tokens: list[Token], doc_id: str = "doc"
 ) -> dict[int, ConstTree]:
     """Parse a one-tree-per-line file; line order follows sentence order."""
-    if isinstance(content, bytes):
-        content = content.decode("utf-8")
     by_sentence: dict[int, list[Token]] = {}
     for token in tokens:
         by_sentence.setdefault(token.sentence_idx, []).append(token)
@@ -245,11 +243,9 @@ _SPAN_PART_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
 
 def parse_discourse_file(
-    content, doc_length: int, doc_id: str = "doc"
+    content: str, doc_length: int, doc_id: str = "doc"
 ) -> list[DiscourseRelation]:
     """Parse the pipe-delimited discourse relation file."""
-    if isinstance(content, bytes):
-        content = content.decode("utf-8")
 
     def parse_span(part: str, line_no: int) -> tuple[int, int]:
         m = _SPAN_PART_RE.match(part)
@@ -279,10 +275,8 @@ def parse_discourse_file(
     return relations
 
 
-def load_embeddings(content, dim: int) -> EmbeddingTable:
+def load_embeddings(content: str, dim: int) -> EmbeddingTable:
     """Load a word-vector text file; duplicate words keep the last entry."""
-    if isinstance(content, bytes):
-        content = content.decode("utf-8")
     entries: dict[str, np.ndarray] = {}
     for line_no, line in enumerate(content.split("\n"), start=1):
         if not line.strip():

@@ -30,6 +30,7 @@ from .pipeline import (
     evaluate_model,
     load_corpus_dir,
     prepare,
+    read_text,
     run_experiment,
     train_model,
     write_manifest,
@@ -52,13 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_config_file(path) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from None
     values = {}
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -137,30 +137,27 @@ def paragraph_spans(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
-def _decode(data) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
-
-
 _SPAN_RE = re.compile(r"^(T\S+)\t(\S+) (\d+) (\d+)\t(.*)$", re.DOTALL)
 _REL_RE = re.compile(r"^(R\S+)\t(\S+) Arg1:(\S+) Arg2:(\S+)\s*$")
 _ATTR_RE = re.compile(r"^(A\S+)\t(\S+) (\S+) (\S+)\s*$")
 
 
-def parse_standoff(text_file, ann_file, doc_id: str = "doc") -> ParsedDoc:
+def parse_standoff(text: str, ann: str, doc_id: str = "doc") -> ParsedDoc:
     """Parse a (text, annotation) file pair into a document with EAUs and relations."""
-    text = _decode(text_file)
-    ann = _decode(ann_file)
     document = Document(id=doc_id, text=text, paragraph_spans=paragraph_spans(text))
 
-    eaus: list[EauSpan] = []
-    relations: list[tuple[str, str, str]] = []
+    eaus: dict[str, EauSpan] = {}
+    relations: dict[tuple[str, str], str] = {}
     stances: dict[str, str] = {}
+    ids: set[str] = set()
 
     for line_no, line in enumerate(ann.split("\n"), start=1):
         if not line.strip():
             continue
+        ann_id = line.split("\t", 1)[0]
+        if ann_id in ids:
+            raise IntegrityError(f"{doc_id}: duplicate annotation id {ann_id}")
+        ids.add(ann_id)
         tag = line[0]
         if tag == "T":
             m = _SPAN_RE.match(line)
@@ -179,7 +176,7 @@ def parse_standoff(text_file, ann_file, doc_id: str = "doc") -> ParsedDoc:
                     f"{doc_id}: surface mismatch for {tid}: "
                     f"annotation {surface!r} vs text {text[start:end]!r}"
                 )
-            eaus.append(EauSpan(id=tid, doc_id=doc_id, start=start, end=end, kind=kind))
+            eaus[tid] = EauSpan(id=tid, doc_id=doc_id, start=start, end=end, kind=kind)
         elif tag == "R":
             m = _REL_RE.match(line)
             if not m:
@@ -187,28 +184,37 @@ def parse_standoff(text_file, ann_file, doc_id: str = "doc") -> ParsedDoc:
             _, rel, arg1, arg2 = m.groups()
             if rel not in _REL_MAP:
                 raise StandoffParseError(f"unknown relation type {rel!r}", line_no)
-            relations.append((arg1, arg2, _REL_MAP[rel]))
+            if (arg1, arg2) in relations:
+                raise IntegrityError(f"{doc_id}: duplicate relation {arg1} -> {arg2}")
+            relations[arg1, arg2] = _REL_MAP[rel]
         elif tag == "A":
             m = _ATTR_RE.match(line)
             if not m:
                 raise StandoffParseError(f"malformed attribute line: {line!r}", line_no)
             _, _, target, value = m.groups()
+            if target in stances:
+                raise IntegrityError(f"{doc_id}: second stance for span {target}")
             stances[target] = value
         else:
             raise StandoffParseError(f"unknown line type: {line!r}", line_no)
 
-    known = {e.id for e in eaus}
-    for src, tgt, _ in relations:
-        for ref in (src, tgt):
-            if ref not in known:
+    for pair in relations:
+        for ref in pair:
+            if ref not in eaus:
                 raise IntegrityError(f"{doc_id}: relation references unknown span {ref}")
     for ref in stances:
-        if ref not in known:
+        if ref not in eaus:
             raise IntegrityError(f"{doc_id}: stance references unknown span {ref}")
 
-    eaus = [replace(e, stance=stances.get(e.id)) for e in eaus]
-    eaus.sort(key=lambda e: (e.start, e.end))
-    return ParsedDoc(document=document, eaus=tuple(eaus), relations=tuple(relations))
+    spans = sorted(
+        (replace(e, stance=stances.get(e.id)) for e in eaus.values()),
+        key=lambda e: (e.start, e.end),
+    )
+    return ParsedDoc(
+        document=document,
+        eaus=tuple(spans),
+        relations=tuple((src, tgt, label) for (src, tgt), label in relations.items()),
+    )
 
 
 def paragraph_of(doc: Document, eau: EauSpan) -> int:
@@ -375,9 +381,8 @@ def transform_corpus(corpus: Corpus, mode: str) -> dict[str, tuple[str, str]]:
     return {parsed.document.id: transform_doc(parsed, mode) for parsed in corpus}
 
 
-def split_corpus(corpus: Corpus, split_file) -> CorpusSplit:
+def split_corpus(corpus: Corpus, content: str) -> CorpusSplit:
     """Validate a two-column ``doc_id\\t{train|test}`` split file against the corpus."""
-    content = _decode(split_file)
     train: set[str] = set()
     test: set[str] = set()
     for line_no, line in enumerate(content.split("\n"), start=1):

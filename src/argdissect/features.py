@@ -3,7 +3,9 @@
 Every feature name is namespaced ``family:scope:side:payload`` where scope is
 one of ``eau`` (content-based), ``ctx`` (content-ignorant) or ``both``
 (full-access only), so a feature's type is recoverable from its name alone.
-The registry maps names to indices and freezes after the training pass.
+Each family extractor walks the view's sides and returns one dict of named
+features; the name is the only place the type is kept.  The registry maps
+names to indices and freezes after the training pass.
 
 Feature vectors are plain ``dict[int, float]`` with no explicit zeros.
 """
@@ -18,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .corpus import RelationInstance
-from .errors import ArgdissectError, MissingLayerError
+from .errors import MissingLayerError
 
 CB = "CB"
 CI = "CI"
@@ -92,9 +94,6 @@ class FeatureRegistry:
 
     def type_of(self, idx: int) -> str:
         return feature_type(self._names[idx])
-
-    def family_of(self, idx: int) -> str:
-        return feature_family(self._names[idx])
 
     def freeze(self) -> None:
         self.frozen = True
@@ -171,189 +170,141 @@ class InstanceView:
     target: Optional[SideView] = None
     layers: frozenset[str] = frozenset({"tokens"})
 
-    def side(self, which: str) -> SideView:
-        if which == "source":
-            return self.source
-        if which == "target":
-            if self.target is None:
-                raise ArgdissectError("instance has no target side")
-            return self.target
-        raise ValueError(f"unknown side: {which}")
-
-
-_SIDE_TAG = {"source": "src", "target": "tgt"}
-
-
-def _require(view: InstanceView, family: str) -> None:
-    if FAMILY_LAYER[family] not in view.layers:
-        raise MissingLayerError(FAMILY_LAYER[family])
+    @property
+    def sides(self) -> tuple[tuple[str, SideView], ...]:
+        """``(tag, side)`` pairs in name order: ``src``, then ``tgt`` if any."""
+        if self.target is None:
+            return (("src", self.source),)
+        return (("src", self.source), ("tgt", self.target))
 
 
 # --------------------------------------------------------------------------
-# Family extractors: each returns (cb, ci, fa) dicts keyed by feature name.
+# Family extractors: each returns one dict keyed by feature name, whose scope
+# field (eau / ctx / both) carries the feature's type.
 
 
-def extract_lexical(view: InstanceView, side: str):
+def extract_lexical(view: InstanceView) -> dict[str, float]:
     """Binary unigram indicators over EAU tokens, context tokens, and both bags."""
-    sv = view.side(side)
-    tag = _SIDE_TAG[side]
-    eau_bag = {t.lower() for t in sv.content.tokens}
-    ctx_bag = {t.lower() for t in sv.context.tokens}
-    cb = {f"lex:eau:{tag}:{w}": 1.0 for w in sorted(eau_bag)}
-    ci = {f"lex:ctx:{tag}:{w}": 1.0 for w in sorted(ctx_bag)}
-    fa = {f"lex:both:{tag}:{w}": 1.0 for w in sorted(eau_bag & ctx_bag)}
-    return cb, ci, fa
+    out = {}
+    for tag, sv in view.sides:
+        eau_bag = {t.lower() for t in sv.content.tokens}
+        ctx_bag = {t.lower() for t in sv.context.tokens}
+        for w in sorted(eau_bag):
+            out[f"lex:eau:{tag}:{w}"] = 1.0
+        for w in sorted(ctx_bag):
+            out[f"lex:ctx:{tag}:{w}"] = 1.0
+        for w in sorted(eau_bag & ctx_bag):
+            out[f"lex:both:{tag}:{w}"] = 1.0
+    return out
 
 
-def extract_syntactic(view: InstanceView, side: str):
+def extract_syntactic(view: InstanceView) -> dict[str, float]:
     """Binary production-rule indicators from the cut tree fragments."""
-    _require(view, "syntactic")
-    sv = view.side(side)
-    tag = _SIDE_TAG[side]
-    cb = {f"syn:eau:{tag}:{r}": 1.0 for r in sorted(set(sv.content.rules))}
-    ci = {f"syn:ctx:{tag}:{r}": 1.0 for r in sorted(set(sv.context.rules))}
-    fa = {f"syn:both:{tag}:{r}": 1.0 for r in sorted(set(sv.context.crossing_rules))}
-    return cb, ci, fa
+    out = {}
+    for tag, sv in view.sides:
+        for r in sorted(set(sv.content.rules)):
+            out[f"syn:eau:{tag}:{r}"] = 1.0
+        for r in sorted(set(sv.context.rules)):
+            out[f"syn:ctx:{tag}:{r}"] = 1.0
+        for r in sorted(set(sv.context.crossing_rules)):
+            out[f"syn:both:{tag}:{r}"] = 1.0
+    return out
 
 
-def extract_structural(view: InstanceView, side: str):
+def extract_structural(view: InstanceView) -> dict[str, float]:
     """Shallow position and count statistics.
 
     Statistics that need both the EAU and its surroundings (sentence length,
     EAU/sentence ratio) are full-access only; the content side keeps only
     what the span alone provides.
     """
-    sv = view.side(side)
-    tag = _SIDE_TAG[side]
-    content, ctx = sv.content, sv.context
-    cb = {}
-    if content.token_count:
-        cb[f"struct:eau:{tag}:token_count"] = float(content.token_count)
-    if content.punct_count:
-        cb[f"struct:eau:{tag}:punct_count"] = float(content.punct_count)
-    ci = {}
-    for key, value in (
-        ("preceding_tokens", ctx.preceding_count),
-        ("following_tokens", ctx.following_count),
-        ("unit_index", ctx.unit_index),
-        ("is_first", int(ctx.is_first)),
-        ("is_last", int(ctx.is_last)),
-        ("paragraph_index", ctx.paragraph_index),
-    ):
-        if value:
-            ci[f"struct:ctx:{tag}:{key}"] = float(value)
-    fa = {}
-    sentence_tokens = content.token_count + ctx.preceding_count + ctx.following_count
-    if sentence_tokens:
-        fa[f"struct:both:{tag}:sentence_tokens"] = float(sentence_tokens)
-        fa[f"struct:both:{tag}:eau_sentence_ratio"] = (
-            content.token_count / sentence_tokens
-        )
-    return cb, ci, fa
-
-
-def extract_discourse(view: InstanceView, side: str):
-    """Binary (kind, sense) indicators, split by where the relation lies."""
-    _require(view, "discourse")
-    sv = view.side(side)
-    tag = _SIDE_TAG[side]
-    cb = {f"disc:eau:{tag}:{k}:{s}": 1.0 for k, s in sorted(set(sv.content.discourse))}
-    ci = {f"disc:ctx:{tag}:{k}:{s}": 1.0 for k, s in sorted(set(sv.context.discourse))}
-    fa = {
-        f"disc:both:{tag}:{k}:{s}": 1.0
-        for k, s in sorted(set(sv.context.crossing_discourse))
-    }
-    return cb, ci, fa
-
-
-def _dense_block(prefix: str, vec: Optional[np.ndarray], dim: int) -> dict[str, float]:
     out = {}
-    if vec is None:
-        return out
-    for k in range(dim):
-        v = float(vec[k])
-        if v != 0.0:
-            out[f"{prefix}:{k:03d}"] = v
+    for tag, sv in view.sides:
+        content, ctx = sv.content, sv.context
+        for scope, key, value in (
+            ("eau", "token_count", content.token_count),
+            ("eau", "punct_count", content.punct_count),
+            ("ctx", "preceding_tokens", ctx.preceding_count),
+            ("ctx", "following_tokens", ctx.following_count),
+            ("ctx", "unit_index", ctx.unit_index),
+            ("ctx", "is_first", ctx.is_first),
+            ("ctx", "is_last", ctx.is_last),
+            ("ctx", "paragraph_index", ctx.paragraph_index),
+        ):
+            if value:
+                out[f"struct:{scope}:{tag}:{key}"] = float(value)
+        sentence_tokens = content.token_count + ctx.preceding_count + ctx.following_count
+        if sentence_tokens:
+            out[f"struct:both:{tag}:sentence_tokens"] = float(sentence_tokens)
+            out[f"struct:both:{tag}:eau_sentence_ratio"] = (
+                content.token_count / sentence_tokens
+            )
     return out
 
 
-def extract_embedding(view: InstanceView, dim: int):
-    """Summed word vectors per side and scope, plus source-target differences."""
-    _require(view, "embedding")
-    cb: dict[str, float] = {}
-    ci: dict[str, float] = {}
-    fa: dict[str, float] = {}
-
-    sides = [("src", view.source)]
-    if view.target is not None:
-        sides.append(("tgt", view.target))
-    for tag, sv in sides:
-        cb.update(_dense_block(f"emb:eau:{tag}", sv.content.embedding, dim))
-        ci.update(_dense_block(f"emb:ctx:{tag}", sv.context.embedding, dim))
-
-    if view.target is not None:
-        zero = np.zeros(dim)
-        src_c = view.source.content.embedding
-        tgt_c = view.target.content.embedding
-        diff_c = (src_c if src_c is not None else zero) - (
-            tgt_c if tgt_c is not None else zero
-        )
-        cb.update(_dense_block("emb:eau:diff", diff_c, dim))
-        src_x = view.source.context.embedding
-        tgt_x = view.target.context.embedding
-        diff_x = (src_x if src_x is not None else zero) - (
-            tgt_x if tgt_x is not None else zero
-        )
-        ci.update(_dense_block("emb:ctx:diff", diff_x, dim))
-    return cb, ci, fa
-
-
-def _one_hot(prefix: str, score: Optional[int]) -> dict[str, float]:
-    if score is None:
-        return {}
-    return {f"{prefix}:{score}": 1.0}
-
-
-def _one_hot_diff(prefix: str, a: Optional[int], b: Optional[int]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for k in range(1, 6):
-        v = (1.0 if a == k else 0.0) - (1.0 if b == k else 0.0)
-        if v != 0.0:
-            out[f"{prefix}:{k}"] = v
+def extract_discourse(view: InstanceView) -> dict[str, float]:
+    """Binary (kind, sense) indicators, split by where the relation lies."""
+    out = {}
+    for tag, sv in view.sides:
+        for k, s in sorted(set(sv.content.discourse)):
+            out[f"disc:eau:{tag}:{k}:{s}"] = 1.0
+        for k, s in sorted(set(sv.context.discourse)):
+            out[f"disc:ctx:{tag}:{k}:{s}"] = 1.0
+        for k, s in sorted(set(sv.context.crossing_discourse)):
+            out[f"disc:both:{tag}:{k}:{s}"] = 1.0
     return out
 
 
-def extract_sentiment(view: InstanceView):
-    """One-hot sentiment of the selected nodes per scope, plus difference blocks."""
-    _require(view, "sentiment")
-    cb: dict[str, float] = {}
-    ci: dict[str, float] = {}
-    fa: dict[str, float] = {}
-
-    sides = [("src", view.source)]
-    if view.target is not None:
-        sides.append(("tgt", view.target))
-    for tag, sv in sides:
-        cb.update(_one_hot(f"sent:eau:{tag}", sv.content.sentiment))
-        ci.update(_one_hot(f"sent:ctx:{tag}", sv.context.sentiment_ci))
-        fa.update(_one_hot(f"sent:both:{tag}", sv.context.sentiment_fa))
-
-    if view.target is not None:
-        src, tgt = view.source, view.target
-        cb.update(
-            _one_hot_diff("sent:eau:diff", src.content.sentiment, tgt.content.sentiment)
-        )
-        ci.update(
-            _one_hot_diff(
-                "sent:ctx:diff", src.context.sentiment_ci, tgt.context.sentiment_ci
+def extract_embedding(view: InstanceView, dim: int) -> dict[str, float]:
+    """Summed word vectors per scope and side, plus the source-target difference."""
+    out = {}
+    for scope, vectors in (
+        ("eau", [(tag, sv.content.embedding) for tag, sv in view.sides]),
+        ("ctx", [(tag, sv.context.embedding) for tag, sv in view.sides]),
+    ):
+        if view.target is not None:
+            zero = np.zeros(dim)
+            (_, src), (_, tgt) = vectors
+            vectors.append(
+                ("diff", (zero if src is None else src) - (zero if tgt is None else tgt))
             )
-        )
-        fa.update(
-            _one_hot_diff(
-                "sent:both:diff", src.context.sentiment_fa, tgt.context.sentiment_fa
-            )
-        )
-    return cb, ci, fa
+        for tag, vec in vectors:
+            if vec is None:
+                continue
+            for k in range(dim):
+                v = float(vec[k])
+                if v != 0.0:
+                    out[f"emb:{scope}:{tag}:{k:03d}"] = v
+    return out
+
+
+def extract_sentiment(view: InstanceView) -> dict[str, float]:
+    """One-hot sentiment of the selected nodes per scope and side, plus differences."""
+    out = {}
+    for scope, scores in (
+        ("eau", [(tag, sv.content.sentiment) for tag, sv in view.sides]),
+        ("ctx", [(tag, sv.context.sentiment_ci) for tag, sv in view.sides]),
+        ("both", [(tag, sv.context.sentiment_fa) for tag, sv in view.sides]),
+    ):
+        for tag, score in scores:
+            if score is not None:
+                out[f"sent:{scope}:{tag}:{score}"] = 1.0
+        if view.target is not None:
+            (_, src), (_, tgt) = scores
+            for k in range(1, 6):
+                v = (src == k) - (tgt == k)
+                if v:
+                    out[f"sent:{scope}:diff:{k}"] = float(v)
+    return out
+
+
+_EXTRACTORS = {
+    "lexical": extract_lexical,
+    "syntactic": extract_syntactic,
+    "structural": extract_structural,
+    "discourse": extract_discourse,
+    "sentiment": extract_sentiment,
+}
 
 
 # --------------------------------------------------------------------------
@@ -371,25 +322,14 @@ def extract_all(
     """Named features of every requested family, all scopes together."""
     if families is None:
         families = default_families(view)
-    sides = ["source"] if view.target is None else ["source", "target"]
     named: dict[str, float] = {}
     for family in families:
+        if FAMILY_LAYER[family] not in view.layers:
+            raise MissingLayerError(FAMILY_LAYER[family])
         if family == "embedding":
-            parts = [extract_embedding(view, embedding_dim)]
-        elif family == "sentiment":
-            parts = [extract_sentiment(view)]
+            named.update(extract_embedding(view, embedding_dim))
         else:
-            fn = {
-                "lexical": extract_lexical,
-                "syntactic": extract_syntactic,
-                "structural": extract_structural,
-                "discourse": extract_discourse,
-            }[family]
-            parts = [fn(view, side) for side in sides]
-        for cb, ci, fa in parts:
-            named.update(cb)
-            named.update(ci)
-            named.update(fa)
+            named.update(_EXTRACTORS[family](view))
     return named
 
 
@@ -412,23 +352,6 @@ def assemble(
         if idx is not None:
             out[idx] = value
     return out
-
-
-# --------------------------------------------------------------------------
-# Feature-matrix dump (plain text, for external tooling)
-
-
-def dump_matrix(path, registry: FeatureRegistry, vectors, labels) -> None:
-    """Write ``index\\tname\\ttype\\tfamily`` header lines, then sparse rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx in range(len(registry)):
-            name = registry.name(idx)
-            fh.write(
-                f"{idx}\t{name}\t{registry.type_of(idx)}\t{registry.family_of(idx)}\n"
-            )
-        for label, vec in zip(labels, vectors):
-            cells = " ".join(f"{i}:{vec[i]:g}" for i in sorted(vec))
-            fh.write(f"{label} {cells}\n".rstrip() + "\n")
 
 
 def count_punct(tokens) -> int:

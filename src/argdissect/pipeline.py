@@ -97,16 +97,24 @@ class CorpusBundle:
         return frozenset(layers)
 
 
-def _read(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def read_text(path) -> str:
+    """A UTF-8 text file's content; an unreadable file is a ``DataError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def load_corpus_dir(corpus_dir, embeddings_path=None, embedding_dim=None) -> CorpusBundle:
     """Load every ``<id>.txt``/``<id>.ann`` pair and whatever layers exist."""
+    try:
+        names = os.listdir(corpus_dir)
+    except OSError as exc:
+        raise DataError(f"cannot read corpus directory {corpus_dir}: {exc}") from None
     doc_ids = sorted(
         f.removesuffix(".txt")
-        for f in os.listdir(corpus_dir)
+        for f in names
         if f.endswith(".txt") and os.path.exists(
             os.path.join(corpus_dir, f.removesuffix(".txt") + ".ann")
         )
@@ -117,31 +125,30 @@ def load_corpus_dir(corpus_dir, embeddings_path=None, embedding_dim=None) -> Cor
     bundles = {}
     for doc_id in doc_ids:
         base = os.path.join(corpus_dir, doc_id)
-        parsed = parse_standoff(_read(base + ".txt"), _read(base + ".ann"), doc_id)
+        parsed = parse_standoff(read_text(base + ".txt"), read_text(base + ".ann"), doc_id)
         corpus.add(parsed)
         text = parsed.document.text
         tokens_path = base + ".tokens.tsv"
         if not os.path.exists(tokens_path):
             raise MissingLayerError(f"tokens ({tokens_path})")
-        tokens = parse_token_offsets(_read(tokens_path), text, doc_id)
+        tokens = parse_token_offsets(read_text(tokens_path), text, doc_id)
         trees = None
         if os.path.exists(base + ".trees"):
-            trees = parse_trees_file(_read(base + ".trees"), tokens, doc_id)
+            trees = parse_trees_file(read_text(base + ".trees"), tokens, doc_id)
         discourse = None
         if os.path.exists(base + ".discourse"):
             discourse = parse_discourse_file(
-                _read(base + ".discourse"), len(text), doc_id
+                read_text(base + ".discourse"), len(text), doc_id
             )
         bundles[doc_id] = DocBundle(
             parsed=parsed, tokens=tokens, trees=trees, discourse=discourse
         )
     embeddings = None
     if embeddings_path:
+        emb_text = read_text(embeddings_path)
         if embedding_dim is None:
-            with open(embeddings_path) as fh:
-                first = fh.readline().split(" ")
-            embedding_dim = len(first) - 1
-        embeddings = load_embeddings(_read(embeddings_path), embedding_dim)
+            embedding_dim = len(emb_text.split("\n", 1)[0].split(" ")) - 1
+        embeddings = load_embeddings(emb_text, embedding_dim)
     return CorpusBundle(corpus=corpus, bundles=bundles, embeddings=embeddings)
 
 
@@ -332,7 +339,7 @@ def prepare(config: RunConfig) -> ExperimentData:
     bundle = load_corpus_dir(
         config.corpus_dir, config.embeddings_path or None
     )
-    split = split_corpus(bundle.corpus, _read(config.split_path))
+    split = split_corpus(bundle.corpus, read_text(config.split_path))
     all_instances = corpus_mod.build_instances(
         bundle.corpus, config.task, config.pairing()
     )

@@ -66,6 +66,12 @@ def test_parse_tree_without_sentiment():
     assert not tree.has_sentiment
 
 
+def test_bracket_escapes_match_token_surfaces():
+    line = "(S (-LRB- -LRB-) (-LSB- -LSB-) (-LCB- -LCB-) (-RCB- -RCB-) (-RSB- -RSB-) (-RRB- -RRB-))"
+    tree = parse_bracketed_tree(line, toks("(", "[", "{", "}", "]", ")"))
+    assert len(tree.root.leaves()) == 6
+
+
 def test_unbalanced_brackets():
     with pytest.raises(StandoffParseError, match="bracket"):
         parse_bracketed_tree("(S (NP (NN dog))", toks("dog"))

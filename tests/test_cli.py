@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import pytest
 
@@ -194,6 +195,30 @@ def test_malformed_setting_is_data_error(synth_dir, tmp_path, capsys, setting):
 def test_missing_config_file_is_data_error(tmp_path, capsys):
     assert main(["ingest", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken", ["split", "embeddings", "corpus-dir", "tokens-encoding"])
+def test_unreadable_input_is_data_error(synth_dir, tmp_path, capsys, broken):
+    """A missing input file or directory, or a non-UTF-8 layer, exits 2 naming the path."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    args = {
+        "corpus-dir": str(corpus),
+        "split": str(corpus / "split.tsv"),
+        "embeddings": str(corpus / "embeddings.txt"),
+    }
+    if broken == "tokens-encoding":
+        bad = next(corpus.glob("*.tokens.tsv"))
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        culprit = str(bad)
+    else:
+        args[broken] = culprit = str(tmp_path / "absent")
+    argv = ["ingest", "--task", "f"]
+    for key, value in args.items():
+        argv += ["--" + key, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and culprit in err
 
 
 def test_config_values_are_typed_and_unset_keys_keep_defaults(tmp_path):

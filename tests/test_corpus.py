@@ -69,6 +69,28 @@ def test_malformed_line_reports_line_number():
         parse_standoff(TEXT, bad, doc_id="d1")
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["T1\tPremise 58 73\tsmoking relaxes", "R1\tattacks Arg1:T1 Arg2:T2", "A1\tStance T2 For"],
+)
+def test_duplicate_annotation_id_rejected(line):
+    ann_id = line.split("\t")[0]
+    with pytest.raises(IntegrityError, match=f"duplicate annotation id {ann_id}"):
+        parse_standoff(TEXT, ANN + line + "\n", doc_id="d1")
+
+
+def test_duplicate_relation_pair_rejected():
+    bad = ANN + "R2\tattacks Arg1:T2 Arg2:T1\n"
+    with pytest.raises(IntegrityError, match="duplicate relation T2 -> T1"):
+        parse_standoff(TEXT, bad, doc_id="d1")
+
+
+def test_second_stance_for_span_rejected():
+    bad = ANN + "A2\tStance T1 Against\n"
+    with pytest.raises(IntegrityError, match="second stance for span T1"):
+        parse_standoff(TEXT, bad, doc_id="d1")
+
+
 def test_span_out_of_bounds():
     bad = "T1\tClaim 24 900\tpeople\n"
     with pytest.raises(IntegrityError):

@@ -302,3 +302,100 @@ def test_assemble_drops_unseen_when_frozen():
 def test_assemble_rejects_unknown_model_type():
     with pytest.raises(ValueError):
         assemble(make_view(), "XX", FeatureRegistry())
+
+
+# ---------------------------------------------------------------------------
+# name order: registry indices, matrix columns and model files all follow it
+
+
+# Per family in FAMILIES order; per side, scope eau, ctx, both (lexical,
+# syntactic, structural, discourse); per scope, side src, tgt, diff
+# (embedding, sentiment).
+EXPECTED_ORDER = [
+    ('lex:eau:src:kills', 1.0),
+    ('lex:eau:src:smoking', 1.0),
+    ('lex:ctx:src:,', 1.0),
+    ('lex:ctx:src:.', 1.0),
+    ('lex:ctx:src:however', 1.0),
+    ('lex:ctx:src:smoking', 1.0),
+    ('lex:both:src:smoking', 1.0),
+    ('lex:eau:tgt:it', 1.0),
+    ('lex:eau:tgt:relaxes', 1.0),
+    ('lex:ctx:tgt:.', 1.0),
+    ('lex:ctx:tgt:yet', 1.0),
+    ('syn:eau:src:S→NP_VP', 1.0),
+    ('syn:ctx:src:ADVP→however', 1.0),
+    ("syn:both:src:S'→ADVP_,_S_.", 1.0),
+    ('struct:eau:src:token_count', 2.0),
+    ('struct:ctx:src:preceding_tokens', 2.0),
+    ('struct:ctx:src:following_tokens', 1.0),
+    ('struct:ctx:src:unit_index', 1.0),
+    ('struct:ctx:src:is_last', 1.0),
+    ('struct:both:src:sentence_tokens', 5.0),
+    ('struct:both:src:eau_sentence_ratio', 0.4),
+    ('struct:eau:tgt:token_count', 2.0),
+    ('struct:ctx:tgt:following_tokens', 1.0),
+    ('struct:ctx:tgt:is_first', 1.0),
+    ('struct:both:tgt:sentence_tokens', 3.0),
+    ('struct:both:tgt:eau_sentence_ratio', 2 / 3),
+    ('disc:eau:src:Implicit:Expansion', 1.0),
+    ('disc:ctx:src:Explicit:Comparison', 1.0),
+    ('disc:both:src:Explicit:Contingency', 1.0),
+    ('emb:eau:src:000', 1.0),
+    ('emb:eau:tgt:001', 2.0),
+    ('emb:eau:diff:000', 1.0),
+    ('emb:eau:diff:001', -2.0),
+    ('emb:ctx:src:000', 0.5),
+    ('emb:ctx:src:001', 0.25),
+    ('emb:ctx:diff:000', 0.5),
+    ('emb:ctx:diff:001', 0.25),
+    ('sent:eau:src:2', 1.0),
+    ('sent:eau:tgt:4', 1.0),
+    ('sent:eau:diff:2', 1.0),
+    ('sent:eau:diff:4', -1.0),
+    ('sent:ctx:src:3', 1.0),
+    ('sent:ctx:diff:3', 1.0),
+    ('sent:both:src:2', 1.0),
+    ('sent:both:diff:2', 1.0),
+]
+
+
+def test_extract_all_name_order_is_pinned():
+    source = SideView(
+        "T1",
+        ContentLayers(
+            tokens=("Smoking", "kills"),
+            rules=("S→NP_VP",),
+            discourse=(("Implicit", "Expansion"),),
+            sentiment=2,
+            embedding=np.array([1.0, 0.0]),
+        ),
+        ContextLayers(
+            tokens=("However", ",", "smoking", "."),
+            rules=("ADVP→however",),
+            crossing_rules=("S'→ADVP_,_S_.",),
+            discourse=(("Explicit", "Comparison"),),
+            crossing_discourse=(("Explicit", "Contingency"),),
+            sentiment_ci=3,
+            sentiment_fa=2,
+            preceding_count=2,
+            following_count=1,
+            unit_index=1,
+            is_last=True,
+            embedding=np.array([0.5, 0.25]),
+        ),
+    )
+    target = SideView(
+        "T2",
+        ContentLayers(tokens=("it", "relaxes"), sentiment=4, embedding=np.array([0.0, 2.0])),
+        ContextLayers(tokens=("Yet", "."), following_count=1, is_first=True),
+    )
+    view = InstanceView(
+        RelationInstance("T1", "T2", "attack", "f", "d"),
+        source,
+        target,
+        frozenset({"tokens", "trees", "discourse", "embeddings", "sentiment"}),
+    )
+    named = extract_all(view, embedding_dim=2)
+    assert list(named) == [name for name, _ in EXPECTED_ORDER]
+    assert named == dict(EXPECTED_ORDER)
