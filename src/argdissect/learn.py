@@ -1,4 +1,4 @@
-"""Linear SVM training by dual coordinate descent over sparse vectors.
+"""Linear SVM training by dual coordinate descent over feature vectors.
 
 One binary machine for 2-class tasks, one-vs-rest for 3-class.  The solver
 is the standard dual coordinate descent for L2-regularized hinge /
@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
-from scipy import sparse as sp
 
 from .errors import ArgdissectError, ModelFormatError
 from .features import FeatureRegistry, SparseVector
@@ -43,6 +43,12 @@ class TrainConfig:
         check_choices(self)
 
 
+@dataclass(frozen=True)
+class Convergence:
+    converged: bool  # the last epoch's max projected gradient met the tolerance
+    max_pg: float  # that epoch's max |projected gradient|
+
+
 @dataclass
 class LinearModel:
     classes: tuple[str, ...]
@@ -55,6 +61,8 @@ class LinearModel:
     n_features: int
     format_version: int = FORMAT_VERSION
     dual_objectives: dict[str, list[float]] = field(default_factory=dict)
+    # trained machines only: a binary model's second class mirrors the first
+    convergence: dict[str, Convergence] = field(default_factory=dict)
 
 
 def class_weights(labels: list[str], classes, weighting: str) -> dict[str, float]:
@@ -68,69 +76,106 @@ def class_weights(labels: list[str], classes, weighting: str) -> dict[str, float
     return {c: n / (k * counts[c]) if counts[c] else 1.0 for c in classes}
 
 
-def _to_csr(vectors: list[SparseVector], n_features: int) -> sp.csr_matrix:
-    """Sparse matrix with an appended constant column for the bias."""
-    data, indices, indptr = [], [], [0]
-    for vec in vectors:
-        for idx in sorted(vec):
-            indices.append(idx)
-            data.append(vec[idx])
-        indices.append(n_features)  # bias column
-        data.append(1.0)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.array(data), np.array(indices), np.array(indptr)),
-        shape=(len(vectors), n_features + 1),
+Row = tuple[np.ndarray | None, np.ndarray]  # (columns or None if dense, values)
+
+
+def _rows(vectors: list[SparseVector], n_features: int) -> list[Row]:
+    """Solver rows of the vectors, each with the bias column ``n_features`` appended.
+
+    Dense rows when nnz >= n*(d+1)/4: at that density one (n, d+1) array
+    takes at most twice the bytes of the sparse form (an 8 B index plus an
+    8 B value per nonzero), and a coordinate step on a dense row skips the
+    gather and the scatter of ``w[cols]``.
+    """
+    nnz = len(vectors) + sum(map(len, vectors))
+    dense = 4 * nnz >= len(vectors) * (n_features + 1)
+    return (_dense_rows if dense else _sparse_rows)(vectors, n_features)
+
+
+def _dense_rows(vectors: list[SparseVector], n_features: int) -> list[Row]:
+    """Views into one (n, d+1) array; ``cols`` is None."""
+    X = np.zeros((len(vectors), n_features + 1))
+    X[:, n_features] = 1.0
+    for x, vec in zip(X, vectors):
+        x[list(vec)] = list(vec.values())
+    return [(None, x) for x in X]
+
+
+def _sparse_rows(vectors: list[SparseVector], n_features: int) -> list[Row]:
+    """Pairs of views into one index array and one value array."""
+    nnz = len(vectors) + sum(map(len, vectors))
+    indices = np.fromiter(
+        chain.from_iterable((*vec, n_features) for vec in vectors), np.intp, nnz
     )
+    data = np.fromiter(
+        chain.from_iterable((*vec.values(), 1.0) for vec in vectors), float, nnz
+    )
+    ends = np.cumsum([len(vec) + 1 for vec in vectors]).tolist()
+    return [
+        (indices[lo:hi], data[lo:hi]) for lo, hi in zip([0] + ends, ends)
+    ]
 
 
-def _dcd_binary(X: sp.csr_matrix, y: np.ndarray, C_i: np.ndarray, loss: str,
+def _dcd_binary(rows: list[Row], d: int, y: np.ndarray, C_i: np.ndarray, loss: str,
                 tol: float, max_epochs: int, rng: np.random.Generator):
     """Dual coordinate descent for min 0.5||w||^2 + sum_i C_i * loss_i.
 
-    Returns (w, dual objective per epoch).  y in {-1, +1}.
+    ``rows`` come from ``_rows`` over ``d`` columns, y in {-1, +1}.  Returns
+    (w, dual objective per epoch, whether the last epoch's max projected
+    gradient met ``tol``, that max projected gradient).  The scalars are
+    Python floats: on rows of a few hundred entries numpy scalar arithmetic
+    would cost more than the dot product.
     """
-    n, d = X.shape
-    data, indices, indptr = X.data, X.indices, X.indptr
+    n = len(rows)
     if loss == "hinge":
-        D = np.zeros(n)
-        U = C_i.astype(float)
+        D_arr = np.zeros(n)
+        U = C_i.tolist()
     else:  # squared hinge
-        D = 1.0 / (2.0 * C_i)
-        U = np.full(n, np.inf)
-    row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
-    Qbar = row_sq + D
+        D_arr = 1.0 / (2.0 * C_i)
+        U = [float("inf")] * n
+    D = D_arr.tolist()
+    Qbar = [float(x.dot(x)) + D_i for (_, x), D_i in zip(rows, D)]
+    y = y.tolist()
 
-    alpha = np.zeros(n)
+    alpha = [0.0] * n
     w = np.zeros(d)
     duals = []
     for _ in range(max_epochs):
-        order = rng.permutation(n)
         max_pg = 0.0
-        for i in order:
-            lo, hi = indptr[i], indptr[i + 1]
-            cols = indices[lo:hi]
-            vals = data[lo:hi]
-            G = y[i] * float(w[cols] @ vals) - 1.0 + D[i] * alpha[i]
-            if alpha[i] == 0.0:
-                PG = min(G, 0.0)
-            elif alpha[i] == U[i]:
-                PG = max(G, 0.0)
+        for i in rng.permutation(n).tolist():
+            cols, x = rows[i]
+            a = alpha[i]
+            wx = float(x.dot(w) if cols is None else x.dot(w[cols]))
+            G = y[i] * wx - 1.0 + D[i] * a
+            if a == 0.0:
+                PG = G if G < 0.0 else 0.0
+            elif a == U[i]:
+                PG = G if G > 0.0 else 0.0
             else:
                 PG = G
-            if abs(PG) > max_pg:
-                max_pg = abs(PG)
-            if PG != 0.0:
-                a_new = min(max(alpha[i] - G / Qbar[i], 0.0), U[i])
-                delta = a_new - alpha[i]
-                if delta != 0.0:
-                    w[cols] += delta * y[i] * vals
+            if PG:
+                if abs(PG) > max_pg:
+                    max_pg = abs(PG)
+                a_new = a - G / Qbar[i]
+                if a_new < 0.0:
+                    a_new = 0.0
+                elif a_new > U[i]:
+                    a_new = U[i]
+                if a_new != a:
+                    step = (a_new - a) * y[i]
+                    if cols is None:
+                        w += step * x
+                    else:
+                        w[cols] += step * x
                     alpha[i] = a_new
-        dual = float(alpha.sum() - 0.5 * (w @ w) - 0.5 * float((D * alpha * alpha).sum()))
+        alpha_arr = np.array(alpha)
+        dual = float(
+            alpha_arr.sum() - 0.5 * (w @ w) - 0.5 * float((D_arr * alpha_arr * alpha_arr).sum())
+        )
         duals.append(dual)
         if max_pg < tol:
             break
-    return w, duals
+    return w, duals, max_pg < tol, max_pg
 
 
 def train(
@@ -153,13 +198,14 @@ def train(
         raise ArgdissectError(f"labels outside the class set: {sorted(unknown)}")
 
     n_features = len(registry)
-    X = _to_csr(vectors, n_features)
+    rows = _rows(vectors, n_features)
     cw = class_weights(labels, classes, config.class_weighting)
     y_arr = np.array(labels)
 
     weights: dict[str, np.ndarray] = {}
     biases: dict[str, float] = {}
     duals: dict[str, list[float]] = {}
+    convergence: dict[str, Convergence] = {}
 
     # Single binary machine for 2-class problems; one-vs-rest otherwise.
     machines = [classes[0]] if len(classes) == 2 else list(classes)
@@ -167,12 +213,14 @@ def train(
         y = np.where(y_arr == cls, 1.0, -1.0)
         C_i = np.array([config.c * cw[lab] for lab in labels])
         rng = np.random.default_rng(config.seed)
-        w_aug, dual_hist = _dcd_binary(
-            X, y, C_i, config.loss, config.tolerance, config.max_epochs, rng
+        w_aug, dual_hist, converged, max_pg = _dcd_binary(
+            rows, n_features + 1, y, C_i, config.loss, config.tolerance,
+            config.max_epochs, rng,
         )
         weights[cls] = w_aug[:n_features].copy()
         biases[cls] = float(w_aug[n_features])
         duals[cls] = dual_hist
+        convergence[cls] = Convergence(converged, max_pg)
     if len(classes) == 2:
         weights[classes[1]] = -weights[classes[0]]
         biases[classes[1]] = -biases[classes[0]]
@@ -188,6 +236,7 @@ def train(
         config=config,
         n_features=n_features,
         dual_objectives=duals,
+        convergence=convergence,
     )
 
 

@@ -3,14 +3,16 @@
 A corpus directory holds, per document: ``<id>.txt``, ``<id>.ann``, and
 optionally ``<id>.tokens.tsv``, ``<id>.trees``, ``<id>.discourse``; plus a
 corpus-level split file and embedding table.  ``run_experiment`` wires
-ingest -> align -> registry freeze -> extract -> train -> evaluate and
-writes a manifest with content hashes so runs are reproducible.
+ingest -> align -> registry freeze -> extract -> train -> evaluate, writes
+each solver machine's convergence, and writes a manifest with content hashes
+so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
@@ -455,6 +457,22 @@ def write_report_tsv(path, report: EvalReport) -> None:
             fh.write(f"note\t-\t{note}\n")
 
 
+def write_solver_tsv(path, model: LinearModel) -> list[str]:
+    """One row per trained machine; returns the classes of the unconverged ones."""
+    unconverged = []
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("model_type\tclass\tepochs\tmax_epochs\tconverged\tmax_pg\tdual\n")
+        for cls, fit in model.convergence.items():
+            duals = model.dual_objectives[cls]
+            fh.write(
+                f"{model.model_type}\t{cls}\t{len(duals)}\t{model.config.max_epochs}\t"
+                f"{str(fit.converged).lower()}\t{fit.max_pg}\t{duals[-1]}\n"
+            )
+            if not fit.converged:
+                unconverged.append(cls)
+    return unconverged
+
+
 def run_experiment(config: RunConfig) -> EvalReport:
     """Full ingest -> train -> evaluate run with artifacts in the output dir."""
     os.makedirs(config.output_dir, exist_ok=True)
@@ -489,7 +507,16 @@ def run_experiment(config: RunConfig) -> EvalReport:
 
     model_path = os.path.join(config.output_dir, "model.txt")
     report_path = os.path.join(config.output_dir, "report.tsv")
+    solver_path = os.path.join(config.output_dir, "solver.tsv")
     save_model(model, model_path)
     write_report_tsv(report_path, report)
-    write_manifest(config, [model_path, report_path])
+    unconverged = write_solver_tsv(solver_path, model)
+    if unconverged:
+        print(
+            f"warning: {len(unconverged)} of {len(model.convergence)} solver machines "
+            f"({', '.join(unconverged)}) stopped at the {config.train.max_epochs}-epoch "
+            f"cap without converging; see {solver_path}",
+            file=sys.stderr,
+        )
+    write_manifest(config, [model_path, report_path, solver_path])
     return report

@@ -1,5 +1,8 @@
 import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +58,55 @@ def test_run_writes_artifacts(synth_dir, tmp_path, capsys):
     assert "macro F1:" in printed
     for name in ("model.txt", "report.tsv", "manifest.txt"):
         assert os.path.exists(os.path.join(out_dir, name))
+
+
+def read_solver_rows(out_dir):
+    lines = open(os.path.join(out_dir, "solver.tsv")).read().splitlines()
+    header = lines[0].split("\t")
+    assert header == [
+        "model_type", "class", "epochs", "max_epochs", "converged", "max_pg", "dual",
+    ]
+    return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+
+
+def test_run_writes_solver_convergence(synth_dir, tmp_path, capsys):
+    out_dir = str(tmp_path / "out")
+    args = ["run"] + base_args(synth_dir, out_dir) + ["--task", "g", "--max-epochs", "3"]
+    assert main(args) == 0
+    rows = read_solver_rows(out_dir)
+    assert [r["class"] for r in rows] == ["support", "attack", "none"]
+    for row in rows:
+        assert row["model_type"] == "FA"
+        assert (row["epochs"], row["max_epochs"], row["converged"]) == ("3", "3", "false")
+        assert float(row["max_pg"]) >= 1e-4 and float(row["dual"]) > 0.0
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1 and "3 of 3 solver machines" in err
+    manifest = open(os.path.join(out_dir, "manifest.txt")).read()
+    assert "solver.tsv sha256=" in manifest
+
+
+def test_converged_run_does_not_warn(synth_dir, tmp_path, capsys):
+    out_dir = str(tmp_path / "out")
+    args = ["run"] + base_args(synth_dir, out_dir) + ["--task", "f", "--tolerance", "2"]
+    assert main(args) == 0
+    [row] = read_solver_rows(out_dir)  # a 2-class task trains one machine
+    assert row["converged"] == "true" and int(row["epochs"]) < 200
+    assert "warning" not in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    """The package needs only numpy: importing the CLI must not pull in scipy."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, argdissect.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_baseline(synth_dir, tmp_path, capsys):

@@ -115,6 +115,46 @@ def test_significance_seeded_and_bounded():
     assert 0.0 < p1 <= 1.0
 
 
+def per_permutation_significance(preds_a, preds_b, gold, classes, n, seed):
+    """Reference: one ``rng.random(m)`` draw and one scalar macro F1 per permutation."""
+    idx = {c: i for i, c in enumerate(classes)}
+    a, b, g = (np.array([idx[p] for p in ps]) for ps in (preds_a, preds_b, gold))
+
+    def macro_f1(pred):
+        f1s = np.empty(len(classes))
+        for c in range(len(classes)):
+            tp = np.count_nonzero((pred == c) & (g == c))
+            denom = np.count_nonzero(pred == c) + np.count_nonzero(g == c)
+            f1s[c] = 2.0 * tp / denom if denom else 0.0
+        return float(f1s.mean())
+
+    obs = abs(macro_f1(a) - macro_f1(b))
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n):
+        mask = rng.random(len(g)) < 0.5
+        if abs(macro_f1(np.where(mask, b, a)) - macro_f1(np.where(mask, a, b))) >= obs:
+            hits += 1
+    return (hits + 1) / (n + 1)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_significance_matches_per_permutation_loop(case):
+    """The blocked test gives the reference's p exactly, partial last block included."""
+    rng = np.random.default_rng(100 + case)
+    classes = ("a", "b", "c")[: 2 + case % 2]
+    m = int(rng.integers(20, 200))
+    n = (100, 130, 1000)[case % 3]
+    gold = rng.choice(classes, m).tolist()
+    # two systems of similar skill, so p lands mid-range
+    preds_a = [g if rng.random() < 0.6 else str(rng.choice(classes)) for g in gold]
+    preds_b = [g if rng.random() < 0.6 else str(rng.choice(classes)) for g in gold]
+    seed = int(rng.integers(1000))
+    expected = per_permutation_significance(preds_a, preds_b, gold, classes, n, seed)
+    assert 0.05 < expected < 0.95
+    assert significance(preds_a, preds_b, gold, classes, n=n, seed=seed) == expected
+
+
 def test_significance_requires_enough_permutations():
     with pytest.raises(ArgdissectError, match="100"):
         significance(["a"], ["a"], ["a"], ("a", "b"), n=50)

@@ -9,6 +9,10 @@ from argdissect.features import FeatureRegistry
 from argdissect.learn import (
     LinearModel,
     TrainConfig,
+    _dcd_binary,
+    _dense_rows,
+    _rows,
+    _sparse_rows,
     class_weights,
     load_model,
     predict,
@@ -125,6 +129,85 @@ def test_three_class_one_vs_rest():
     )
     assert set(model.weights) == {"support", "attack", "none"}
     assert predict_all(model, vectors) == labels
+
+
+# ---------------------------------------------------------------------------
+# solver rows: dense and sparse
+
+
+def random_problem(seed, n=60, d=12, density=0.3):
+    """Sparse vectors, labels in {-1, +1} and per-instance C of a random problem."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < density)
+    y = np.where(X @ rng.normal(size=d) + 0.3 * rng.normal(size=n) > 0, 1.0, -1.0)
+    C_i = np.where(y > 0, 1.0, 2.5)
+    return dense_to_sparse(X.tolist()), y, C_i
+
+
+def test_rows_follow_density():
+    vectors, _, _ = random_problem(0, density=0.6)
+    assert all(cols is None for cols, _ in _rows(vectors, 12))
+    vectors, _, _ = random_problem(0, d=400, density=0.02)
+    rows = _rows(vectors, 400)
+    assert all(cols is not None for cols, _ in rows)
+    # the bias column is appended to every row
+    assert all(cols[-1] == 400 and x[-1] == 1.0 for cols, x in rows)
+
+
+@pytest.mark.parametrize("loss", ["hinge", "squared_hinge"])
+def test_sparse_and_dense_rows_train_the_same_weights(loss):
+    vectors, y, C_i = random_problem(3)
+    w = {}
+    for make in (_dense_rows, _sparse_rows):
+        w[make], duals, _, _ = _dcd_binary(
+            make(vectors, 12), 13, y, C_i, loss, 1e-4, 50, np.random.default_rng(4)
+        )
+    assert len(duals) > 1
+    assert np.max(np.abs(w[_dense_rows] - w[_sparse_rows])) <= 1e-12 * np.max(
+        np.abs(w[_dense_rows])
+    )
+
+
+@pytest.mark.parametrize("make_rows", [_dense_rows, _sparse_rows])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_converged_dcd_reaches_the_lbfgs_primal_optimum(make_rows, seed):
+    """Independent oracle: a converged DCD run attains the squared-hinge primal minimum."""
+    vectors, y, C_i = random_problem(seed)
+    max_epochs = 20000
+    w, duals, converged, max_pg = _dcd_binary(
+        make_rows(vectors, 12), 13, y, C_i, "squared_hinge", 1e-9, max_epochs,
+        np.random.default_rng(seed),
+    )
+    assert converged and max_pg < 1e-9 and len(duals) < max_epochs
+
+    X = np.array([[vec.get(j, 0.0) for j in range(12)] + [1.0] for vec in vectors])
+
+    def primal(v):
+        slack = np.maximum(0.0, 1.0 - y * (X @ v))
+        value = 0.5 * v @ v + C_i @ slack**2
+        return value, v - 2.0 * X.T @ (C_i * slack * y)
+
+    res = minimize(primal, np.zeros(13), jac=True, method="L-BFGS-B",
+                   options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 10000})
+    assert res.success
+    assert primal(w)[0] == pytest.approx(res.fun, rel=1e-6)
+    # strong duality at the optimum: the last dual objective meets the primal
+    assert duals[-1] == pytest.approx(res.fun, rel=1e-6)
+
+
+def test_train_reports_convergence_per_machine():
+    vectors, labels, _ = separable_data()
+    model = train(vectors, labels, TrainConfig(tolerance=1e-8, max_epochs=5000),
+                  registry_of(2), ("support", "attack"))
+    assert list(model.convergence) == ["support"]  # one machine, mirrored for attack
+    fit = model.convergence["support"]
+    assert fit.converged and fit.max_pg < 1e-8
+    assert len(model.dual_objectives["support"]) < 5000
+
+    capped = train(vectors, labels, TrainConfig(tolerance=1e-8, max_epochs=1),
+                   registry_of(2), ("support", "attack"))
+    assert not capped.convergence["support"].converged
+    assert capped.convergence["support"].max_pg >= 1e-8
 
 
 def test_class_weights_balanced_is_unit():
