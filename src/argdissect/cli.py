@@ -35,6 +35,7 @@ from .pipeline import (
     train_model,
     write_manifest,
     write_report_tsv,
+    write_solver_tsv,
 )
 from .settings import from_text
 from .synth import SynthConfig, generate_corpus
@@ -154,12 +155,14 @@ def cmd_robustness(args) -> int:
         transformed = strip_contexts(data.test_views)
 
     reports = {}
+    models = []
     for model_type in MODEL_TYPES:
         model, registry, _, families = train_model(config, data, model_type)
         report, _ = evaluate_model(
             model, registry, transformed, data.classes, families, data.embedding_dim
         )
         reports[model_type] = report
+        models.append(model)
 
     baseline = reports[CB]
     lines = [f"robustness ({args.mode} mode), task {config.task}"]
@@ -179,7 +182,9 @@ def cmd_robustness(args) -> int:
             for cls, d in zip(data.classes, deltas):
                 fh.write(f"{model_type}\t{cls}\t{d}\n")
             fh.write(f"{model_type}\tmacro\t{d_macro}\n")
-    write_manifest(config, [out_path])
+    solver_path = os.path.join(config.output_dir, "solver.tsv")
+    write_solver_tsv(solver_path, models)
+    write_manifest(config, [out_path, solver_path])
     print("\n".join(lines))
     print(f"delta table written to {out_path}")
     return EXIT_OK
@@ -190,7 +195,7 @@ def cmd_anova(args) -> int:
     data = prepare(config)
     os.makedirs(config.output_dir, exist_ok=True)
     # FA registry exposes the CB and CI slices side by side
-    _, registry, X_train, _ = train_model(config, data, FA)
+    model, registry, X_train, _ = train_model(config, data, FA)
     labels = [v.instance.label for v in data.train_views]
     curve = anova_scores(X_train, labels, registry)
     out_path = os.path.join(config.output_dir, "anova.tsv")
@@ -205,7 +210,9 @@ def cmd_anova(args) -> int:
             for p in (50.0, 90.0, 99.0)
         )
         print(f"{ftype}: {marks}")
-    write_manifest(config, [out_path])
+    solver_path = os.path.join(config.output_dir, "solver.tsv")
+    write_solver_tsv(solver_path, [model])
+    write_manifest(config, [out_path, solver_path])
     print(f"percentile curves written to {out_path}")
     return EXIT_OK
 

@@ -1,15 +1,24 @@
-"""Linear SVM training by dual coordinate descent over feature vectors.
+"""Linear SVM training over feature vectors.
 
-One binary machine for 2-class tasks, one-vs-rest for 3-class.  The solver
-is the standard dual coordinate descent for L2-regularized hinge /
-squared-hinge loss; the bias is learned through an augmented constant
-feature.  Training order is driven solely by the seed, so retraining is
-bit-identical.
+One binary machine for 2-class tasks, one-vs-rest for 3-class, each
+minimising the L2-regularized hinge or squared-hinge loss; the bias is
+learned through an augmented constant feature.
+
+A squared-hinge machine is solved exactly in the primal by a finite
+Newton method (``_newton_sqhinge``).  Dual coordinate descent (DCD) then
+starts from the dual point of that solution, alpha_i = 2 C_i max(0,
+1 - y_i w.x_i), and checks every coordinate's projected gradient there:
+this certificate is the first epoch and the first dual objective.  Only
+if it fails do epochs of coordinate ascent follow.  A hinge machine is
+trained by plain DCD from zero.  ``max_epochs`` caps the DCD epochs, the
+certificate included, never the Newton steps.  The coordinate order is
+driven solely by the seed, so retraining is bit-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from itertools import chain
 
@@ -47,6 +56,7 @@ class TrainConfig:
 class Convergence:
     converged: bool  # the last epoch's max projected gradient met the tolerance
     max_pg: float  # that epoch's max |projected gradient|
+    newton_iterations: int  # primal Newton steps before the DCD epochs; 0 for hinge
 
 
 @dataclass
@@ -78,8 +88,73 @@ def class_weights(labels: list[str], classes, weighting: str) -> dict[str, float
 
 Row = tuple[np.ndarray | None, np.ndarray]  # (columns or None if dense, values)
 
+NEWTON_MAX_ITERATIONS = 100
+HESSIAN_BLOCK_ROWS = 64  # bounds the temporaries of a Hessian update to 64 x D
+CG_RTOL = 1e-10  # relative residual at which conjugate gradient ends a Newton step
 
-def _rows(vectors: list[SparseVector], n_features: int) -> list[Row]:
+
+class _DenseRows:
+    """Solver rows as one (n, D) array, the bias column last."""
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.shape = X.shape
+        self.stored = X.size  # entries held
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """X v"""
+        return self.X @ v
+
+    def tdot(self, u: np.ndarray) -> np.ndarray:
+        """X^T u"""
+        return u @ self.X
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        """The given rows as a dense (len(rows), D) array."""
+        return self.X[rows]
+
+    def views(self) -> list[Row]:
+        """Per-row views for coordinate descent; ``cols`` is None."""
+        return [(None, x) for x in self.X]
+
+
+class _SparseRows:
+    """Solver rows in compressed sparse row form, the bias column last."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, d: int):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.lengths = np.diff(indptr)
+        self.shape = (len(indptr) - 1, d)
+        self.stored = len(data)
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        # every row holds its bias entry, so no reduceat segment is empty
+        return np.add.reduceat(self.data * v[self.indices], self.indptr[:-1])
+
+    def tdot(self, u: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            self.indices, np.repeat(u, self.lengths) * self.data, self.shape[1]
+        )
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        B = np.zeros((len(rows), self.shape[1]))
+        for b, i in enumerate(rows.tolist()):
+            lo, hi = self.indptr[i], self.indptr[i + 1]
+            B[b, self.indices[lo:hi]] = self.data[lo:hi]
+        return B
+
+    def views(self) -> list[Row]:
+        """Per-row pairs of views into the index and the value array."""
+        bounds = self.indptr.tolist()
+        return [
+            (self.indices[lo:hi], self.data[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+
+SolverRows = _DenseRows | _SparseRows
+
+
+def _rows(vectors: list[SparseVector], n_features: int) -> SolverRows:
     """Solver rows of the vectors, each with the bias column ``n_features`` appended.
 
     Dense rows when nnz >= n*(d+1)/4: at that density one (n, d+1) array
@@ -92,17 +167,15 @@ def _rows(vectors: list[SparseVector], n_features: int) -> list[Row]:
     return (_dense_rows if dense else _sparse_rows)(vectors, n_features)
 
 
-def _dense_rows(vectors: list[SparseVector], n_features: int) -> list[Row]:
-    """Views into one (n, d+1) array; ``cols`` is None."""
+def _dense_rows(vectors: list[SparseVector], n_features: int) -> _DenseRows:
     X = np.zeros((len(vectors), n_features + 1))
     X[:, n_features] = 1.0
     for x, vec in zip(X, vectors):
         x[list(vec)] = list(vec.values())
-    return [(None, x) for x in X]
+    return _DenseRows(X)
 
 
-def _sparse_rows(vectors: list[SparseVector], n_features: int) -> list[Row]:
-    """Pairs of views into one index array and one value array."""
+def _sparse_rows(vectors: list[SparseVector], n_features: int) -> _SparseRows:
     nnz = len(vectors) + sum(map(len, vectors))
     indices = np.fromiter(
         chain.from_iterable((*vec, n_features) for vec in vectors), np.intp, nnz
@@ -110,37 +183,189 @@ def _sparse_rows(vectors: list[SparseVector], n_features: int) -> list[Row]:
     data = np.fromiter(
         chain.from_iterable((*vec.values(), 1.0) for vec in vectors), float, nnz
     )
-    ends = np.cumsum([len(vec) + 1 for vec in vectors]).tolist()
-    return [
-        (indices[lo:hi], data[lo:hi]) for lo, hi in zip([0] + ends, ends)
-    ]
+    indptr = np.zeros(len(vectors) + 1, np.intp)
+    np.cumsum([len(vec) + 1 for vec in vectors], out=indptr[1:])
+    return _SparseRows(indptr, indices, data, n_features + 1)
 
 
-def _dcd_binary(rows: list[Row], d: int, y: np.ndarray, C_i: np.ndarray, loss: str,
-                tol: float, max_epochs: int, rng: np.random.Generator):
+def _update_hessian(H: np.ndarray, X: SolverRows, C_i: np.ndarray,
+                    active: np.ndarray, was_active: np.ndarray) -> None:
+    """Move ``H`` = I + 2 X_I^T diag(C_I) X_I from the set ``was_active`` to ``active``.
+
+    Only the rows whose membership changed are added or subtracted, in
+    blocks of at most ``HESSIAN_BLOCK_ROWS``; from ``np.eye`` and an empty
+    ``was_active`` this builds the Hessian.
+    """
+    changed = np.flatnonzero(active != was_active)
+    weights = np.where(active[changed], 2.0, -2.0) * C_i[changed]
+    for lo in range(0, len(changed), HESSIAN_BLOCK_ROWS):
+        B = X.block(changed[lo:lo + HESSIAN_BLOCK_ROWS])
+        H += (B.T * weights[lo:lo + HESSIAN_BLOCK_ROWS]) @ B
+
+
+def _hessian_at_zero(X: SolverRows, C_i: np.ndarray) -> np.ndarray | None:
+    """I + 2 X^T diag(C) X, or None when D^2 > the stored row entries.
+
+    At w = 0 every row is active, so this is the generalized Hessian of
+    every one-vs-rest machine's first Newton step.  None selects conjugate
+    gradient in ``_newton_sqhinge``.
+    """
+    n, D = X.shape
+    if D * D > X.stored:
+        return None
+    H = np.eye(D)
+    _update_hessian(H, X, C_i, np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+    return H
+
+
+def _conjugate_gradient(hess_vec, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve H s = b for symmetric positive definite H given only ``hess_vec``.
+
+    Returns s and whether the residual fell to ``CG_RTOL`` of ||b|| within
+    len(b) steps.
+    """
+    s = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = r @ r
+    stop = CG_RTOL**2 * rr
+    for _ in range(len(b)):
+        if rr <= stop:
+            break
+        Hp = hess_vec(p)
+        step = rr / (p @ Hp)
+        s += step * p
+        r -= step * Hp
+        rr, rr_old = r @ r, rr
+        p = r + (rr / rr_old) * p
+    return s, rr <= stop
+
+
+def _line_search(slack: np.ndarray, q: np.ndarray, C_i: np.ndarray,
+                 ws: float, ss: float) -> tuple[float, bool]:
+    """Exact minimiser t of f(w + t s) along a descent step s.
+
+    ``slack`` = 1 - y X w and ``q`` = y X s, so row i's slack at t is
+    slack_i - t q_i, and df/dt = ws + t ss - 2 sum_i C_i q_i (slack_i - t q_i)_+
+    is piecewise linear and non-decreasing in t, with a knot where a row
+    enters or leaves the active set.  Returns t and whether it lies before
+    the first knot, i.e. the active set at w + t s is that at w.
+    """
+    active = slack > 0.0
+    A = ss + 2.0 * (C_i[active] @ q[active] ** 2)
+    B = ws - 2.0 * (C_i[active] @ (q[active] * slack[active]))
+    leaving = active & (q > 0.0)
+    entering = ~active & (q < 0.0)
+    knots = np.flatnonzero(leaving | entering)
+    at = slack[knots] / q[knots]
+    order = np.argsort(at, kind="stable")
+    knots, at = knots[order], at[order]
+    sign = np.where(entering[knots], 2.0, -2.0) * C_i[knots]
+    A_piece = np.concatenate(([A], A + np.cumsum(sign * q[knots] ** 2)))
+    B_piece = np.concatenate(([B], B - np.cumsum(sign * q[knots] * slack[knots])))
+    # df/dt at each knot, from the piece to its left; the first non-negative
+    # value closes the piece holding the root
+    past = np.flatnonzero(A_piece[:-1] * at + B_piece[:-1] >= 0.0)
+    piece = past[0] if past.size else len(at)
+    return float(-B_piece[piece] / A_piece[piece]), piece == 0
+
+
+def _newton_sqhinge(X: SolverRows, y: np.ndarray, C_i: np.ndarray,
+                    H0: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """Minimise 0.5||w||^2 + sum_i C_i max(0, 1 - y_i w.x_i)^2; returns (w, Newton steps).
+
+    The modified finite Newton method (Keerthi & DeCoste, JMLR 2005; the
+    primal of LIBLINEAR ``-s 2``).  A step solves the generalized Hessian
+    system (I + 2 X_I^T diag(C_I) X_I) s = -grad over the active set
+    I = {i : y_i w.x_i < 1}, then minimises exactly along s.  Given ``H0``
+    from ``_hessian_at_zero`` (left unmodified) the system is solved
+    directly, on a copy updated by the rows that entered or left I;
+    otherwise by conjugate gradient on Hessian-vector products.  It stops
+    when the line minimum of a solved step keeps the active set, as that
+    step minimised the quadratic piece holding the optimum, or when a step
+    no longer lowers the objective (rounding), or after
+    ``NEWTON_MAX_ITERATIONS`` steps.
+    """
+    n, D = X.shape
+    H = None if H0 is None else H0.copy()
+    in_H = np.ones(n, dtype=bool)
+    w = np.zeros(D)
+    slack = np.ones(n)
+    objective = float(C_i.sum())
+    for step in range(1, NEWTON_MAX_ITERATIONS + 1):
+        active = slack > 0.0
+        C_act = np.where(active, C_i, 0.0)
+        grad = w - 2.0 * X.tdot(C_act * slack * y)
+        if not grad.any():
+            return w, step - 1
+        if H is not None:
+            _update_hessian(H, X, C_i, active, in_H)
+            in_H = active
+            s, solved = np.linalg.solve(H, -grad), True
+        else:
+            s, solved = _conjugate_gradient(
+                lambda v: v + 2.0 * X.tdot(C_act * X.dot(v)), -grad
+            )
+        q = y * X.dot(s)
+        t, kept = _line_search(slack, q, C_i, float(w @ s), float(s @ s))
+        w += t * s
+        slack -= t * q
+        previous, objective = objective, 0.5 * float(w @ w) + float(
+            C_i @ np.maximum(slack, 0.0) ** 2
+        )
+        if (kept and solved) or objective >= previous:
+            return w, step
+    return w, NEWTON_MAX_ITERATIONS
+
+
+def _dcd_binary(X: SolverRows, y: np.ndarray, C_i: np.ndarray, loss: str, tol: float,
+                max_epochs: int, rng: np.random.Generator, alpha: np.ndarray | None = None):
     """Dual coordinate descent for min 0.5||w||^2 + sum_i C_i * loss_i.
 
-    ``rows`` come from ``_rows`` over ``d`` columns, y in {-1, +1}.  Returns
-    (w, dual objective per epoch, whether the last epoch's max projected
-    gradient met ``tol``, that max projected gradient).  The scalars are
-    Python floats: on rows of a few hundred entries numpy scalar arithmetic
-    would cost more than the dot product.
+    ``X`` comes from ``_rows``, y in {-1, +1}.  From ``alpha`` = None it
+    starts at zero.  Given a warm start ``alpha`` (w = sum_i alpha_i y_i x_i)
+    it first computes every coordinate's projected gradient there, vectorized:
+    the certificate, the first epoch and the first dual objective; epochs of
+    coordinate ascent follow only if it fails.  Returns (w, dual objective per
+    epoch, whether the last epoch's max projected gradient met ``tol``, that
+    max projected gradient).  In the coordinate loop the scalars are Python
+    floats: on rows of a few hundred entries numpy scalar arithmetic would
+    cost more than the dot product.
     """
-    n = len(rows)
+    n = X.shape[0]
     if loss == "hinge":
         D_arr = np.zeros(n)
-        U = C_i.tolist()
+        U_arr = C_i
     else:  # squared hinge
         D_arr = 1.0 / (2.0 * C_i)
-        U = [float("inf")] * n
+        U_arr = np.full(n, float("inf"))
+
+    def dual(alpha_arr, w):
+        return float(
+            alpha_arr.sum() - 0.5 * (w @ w) - 0.5 * float((D_arr * alpha_arr * alpha_arr).sum())
+        )
+
+    duals = []
+    if alpha is None:
+        alpha = np.zeros(n)
+        w = np.zeros(X.shape[1])
+    else:
+        w = X.tdot(alpha * y)
+        G = y * X.dot(w) - 1.0 + D_arr * alpha
+        PG = np.where(alpha == 0.0, np.minimum(G, 0.0),
+                      np.where(alpha == U_arr, np.maximum(G, 0.0), G))
+        max_pg = float(np.abs(PG).max())
+        duals.append(dual(alpha, w))
+        if max_pg < tol or max_epochs == 1:
+            return w, duals, max_pg < tol, max_pg
+
+    rows = X.views()
     D = D_arr.tolist()
+    U = U_arr.tolist()
     Qbar = [float(x.dot(x)) + D_i for (_, x), D_i in zip(rows, D)]
     y = y.tolist()
-
-    alpha = [0.0] * n
-    w = np.zeros(d)
-    duals = []
-    for _ in range(max_epochs):
+    alpha = alpha.tolist()
+    for _ in range(max_epochs - len(duals)):
         max_pg = 0.0
         for i in rng.permutation(n).tolist():
             cols, x = rows[i]
@@ -168,11 +393,7 @@ def _dcd_binary(rows: list[Row], d: int, y: np.ndarray, C_i: np.ndarray, loss: s
                     else:
                         w[cols] += step * x
                     alpha[i] = a_new
-        alpha_arr = np.array(alpha)
-        dual = float(
-            alpha_arr.sum() - 0.5 * (w @ w) - 0.5 * float((D_arr * alpha_arr * alpha_arr).sum())
-        )
-        duals.append(dual)
+        duals.append(dual(np.array(alpha), w))
         if max_pg < tol:
             break
     return w, duals, max_pg < tol, max_pg
@@ -198,9 +419,11 @@ def train(
         raise ArgdissectError(f"labels outside the class set: {sorted(unknown)}")
 
     n_features = len(registry)
-    rows = _rows(vectors, n_features)
+    X = _rows(vectors, n_features)
     cw = class_weights(labels, classes, config.class_weighting)
+    C_i = np.array([config.c * cw[lab] for lab in labels])
     y_arr = np.array(labels)
+    H0 = _hessian_at_zero(X, C_i) if config.loss == "squared_hinge" else None
 
     weights: dict[str, np.ndarray] = {}
     biases: dict[str, float] = {}
@@ -211,16 +434,18 @@ def train(
     machines = [classes[0]] if len(classes) == 2 else list(classes)
     for cls in machines:
         y = np.where(y_arr == cls, 1.0, -1.0)
-        C_i = np.array([config.c * cw[lab] for lab in labels])
-        rng = np.random.default_rng(config.seed)
+        alpha, newton_iterations = None, 0
+        if config.loss == "squared_hinge":
+            w_opt, newton_iterations = _newton_sqhinge(X, y, C_i, H0)
+            alpha = 2.0 * C_i * np.maximum(0.0, 1.0 - y * X.dot(w_opt))
         w_aug, dual_hist, converged, max_pg = _dcd_binary(
-            rows, n_features + 1, y, C_i, config.loss, config.tolerance,
-            config.max_epochs, rng,
+            X, y, C_i, config.loss, config.tolerance, config.max_epochs,
+            np.random.default_rng(config.seed), alpha,
         )
         weights[cls] = w_aug[:n_features].copy()
         biases[cls] = float(w_aug[n_features])
         duals[cls] = dual_hist
-        convergence[cls] = Convergence(converged, max_pg)
+        convergence[cls] = Convergence(converged, max_pg, newton_iterations)
     if len(classes) == 2:
         weights[classes[1]] = -weights[classes[0]]
         biases[classes[1]] = -biases[classes[0]]
@@ -318,12 +543,15 @@ def load_model(path) -> LinearModel:
         return _parse_model_body(body)
     except KeyError as exc:
         raise ModelFormatError(f"model file lacks {exc}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from None
 
 
 def _parse_model_body(body: str) -> LinearModel:
-    """The model in a checksum-verified body; KeyError or ValueError if malformed."""
+    """The model in a checksum-verified body.
+
+    Raises KeyError, ValueError or OverflowError if the body is malformed.
+    """
     meta: dict[str, str] = {}
     triplets: list[list[str]] = []
     for line in body.split("\n"):
@@ -343,16 +571,19 @@ def _parse_model_body(body: str) -> LinearModel:
     )
     weights = {cls: np.zeros(n_features) for cls in classes}
     biases = {cls: 0.0 for cls in classes}
-    for cls, key, value in triplets:
+    for cls, key, text in triplets:
         if cls not in weights:
             raise ValueError(f"weight line for unknown class {cls!r}")
+        value = float.fromhex(text)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite weight {text!r} for {cls} {key}")
         if key == "bias":
-            biases[cls] = float.fromhex(value)
+            biases[cls] = value
             continue
         idx = int(key)
         if not 0 <= idx < n_features:
             raise ValueError(f"feature index {idx} outside 0..{n_features - 1}")
-        weights[cls][idx] = float.fromhex(value)
+        weights[cls][idx] = value
     return LinearModel(
         classes=classes,
         weights=weights,

@@ -43,7 +43,7 @@ from .corpus import (
     parse_standoff,
     split_corpus,
 )
-from .errors import DataError, MissingLayerError
+from .errors import DataError, IntegrityError, MissingLayerError
 from .evaluation import MIN_PERMUTATIONS, EvalReport, f1_report, mfs_baseline, significance
 from .features import (
     FA,
@@ -127,7 +127,16 @@ def load_corpus_dir(corpus_dir, embeddings_path=None, embedding_dim=None) -> Cor
     bundles = {}
     for doc_id in doc_ids:
         base = os.path.join(corpus_dir, doc_id)
-        parsed = parse_standoff(read_text(base + ".txt"), read_text(base + ".ann"), doc_id)
+        try:
+            parsed = parse_standoff(read_text(base + ".txt"), read_text(base + ".ann"), doc_id)
+        except IntegrityError as exc:
+            with open(base + ".txt", "rb") as fh:
+                if b"\r\n" not in fh.read():
+                    raise
+            raise IntegrityError(
+                f"{exc} ({base}.txt has CRLF line endings, which are read as LF: "
+                "annotation offsets that count the CR do not match the text)"
+            ) from None
         corpus.add(parsed)
         text = parsed.document.text
         tokens_path = base + ".tokens.tsv"
@@ -457,20 +466,31 @@ def write_report_tsv(path, report: EvalReport) -> None:
             fh.write(f"note\t-\t{note}\n")
 
 
-def write_solver_tsv(path, model: LinearModel) -> list[str]:
-    """One row per trained machine; returns the classes of the unconverged ones."""
+def write_solver_tsv(path, models: list[LinearModel]) -> None:
+    """One row per trained machine of each model, and one stderr warning if any hit the cap."""
     unconverged = []
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model_type\tclass\tepochs\tmax_epochs\tconverged\tmax_pg\tdual\n")
-        for cls, fit in model.convergence.items():
-            duals = model.dual_objectives[cls]
-            fh.write(
-                f"{model.model_type}\t{cls}\t{len(duals)}\t{model.config.max_epochs}\t"
-                f"{str(fit.converged).lower()}\t{fit.max_pg}\t{duals[-1]}\n"
-            )
-            if not fit.converged:
-                unconverged.append(cls)
-    return unconverged
+        fh.write(
+            "model_type\tclass\tnewton_iterations\tepochs\tmax_epochs\tconverged\t"
+            "max_pg\tdual\n"
+        )
+        for model in models:
+            for cls, fit in model.convergence.items():
+                duals = model.dual_objectives[cls]
+                fh.write(
+                    f"{model.model_type}\t{cls}\t{fit.newton_iterations}\t{len(duals)}\t"
+                    f"{model.config.max_epochs}\t{str(fit.converged).lower()}\t"
+                    f"{fit.max_pg}\t{duals[-1]}\n"
+                )
+                if not fit.converged:
+                    unconverged.append(f"{model.model_type} {cls}")
+    if unconverged:
+        print(
+            f"warning: {len(unconverged)} of {sum(len(m.convergence) for m in models)} "
+            f"solver machines ({', '.join(unconverged)}) stopped at the "
+            f"{models[0].config.max_epochs}-epoch cap without converging; see {path}",
+            file=sys.stderr,
+        )
 
 
 def run_experiment(config: RunConfig) -> EvalReport:
@@ -510,13 +530,6 @@ def run_experiment(config: RunConfig) -> EvalReport:
     solver_path = os.path.join(config.output_dir, "solver.tsv")
     save_model(model, model_path)
     write_report_tsv(report_path, report)
-    unconverged = write_solver_tsv(solver_path, model)
-    if unconverged:
-        print(
-            f"warning: {len(unconverged)} of {len(model.convergence)} solver machines "
-            f"({', '.join(unconverged)}) stopped at the {config.train.max_epochs}-epoch "
-            f"cap without converging; see {solver_path}",
-            file=sys.stderr,
-        )
+    write_solver_tsv(solver_path, [model])
     write_manifest(config, [model_path, report_path, solver_path])
     return report

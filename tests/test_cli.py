@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -64,19 +65,23 @@ def read_solver_rows(out_dir):
     lines = open(os.path.join(out_dir, "solver.tsv")).read().splitlines()
     header = lines[0].split("\t")
     assert header == [
-        "model_type", "class", "epochs", "max_epochs", "converged", "max_pg", "dual",
+        "model_type", "class", "newton_iterations", "epochs", "max_epochs", "converged",
+        "max_pg", "dual",
     ]
     return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
 
 
 def test_run_writes_solver_convergence(synth_dir, tmp_path, capsys):
+    # hinge: plain DCD from zero, which the epoch cap stops
     out_dir = str(tmp_path / "out")
-    args = ["run"] + base_args(synth_dir, out_dir) + ["--task", "g", "--max-epochs", "3"]
+    args = ["run"] + base_args(synth_dir, out_dir) + [
+        "--task", "g", "--loss", "hinge", "--max-epochs", "3",
+    ]
     assert main(args) == 0
     rows = read_solver_rows(out_dir)
     assert [r["class"] for r in rows] == ["support", "attack", "none"]
     for row in rows:
-        assert row["model_type"] == "FA"
+        assert row["model_type"] == "FA" and row["newton_iterations"] == "0"
         assert (row["epochs"], row["max_epochs"], row["converged"]) == ("3", "3", "false")
         assert float(row["max_pg"]) >= 1e-4 and float(row["dual"]) > 0.0
     err = capsys.readouterr().err
@@ -92,6 +97,35 @@ def test_converged_run_does_not_warn(synth_dir, tmp_path, capsys):
     [row] = read_solver_rows(out_dir)  # a 2-class task trains one machine
     assert row["converged"] == "true" and int(row["epochs"]) < 200
     assert "warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, machines",
+    [(["anova"], ["FA support"]),
+     (["robustness", "--mode", "randomized"], ["CB support", "CI support", "FA support"])],
+    ids=["anova", "robustness"],
+)
+def test_every_trained_model_writes_solver_convergence(synth_dir, tmp_path, capsys,
+                                                       command, machines):
+    out_dir = str(tmp_path / "out")
+    # squared hinge: the Newton solution passes its certificate in one epoch
+    assert main(command + base_args(synth_dir, out_dir) + ["--max-epochs", "1"]) == 0
+    rows = read_solver_rows(out_dir)
+    assert [f"{r['model_type']} {r['class']}" for r in rows] == machines
+    for row in rows:
+        assert int(row["newton_iterations"]) > 0
+        assert (row["epochs"], row["converged"]) == ("1", "true")
+    assert "warning" not in capsys.readouterr().err
+    manifest = open(os.path.join(out_dir, "manifest.txt")).read()
+    assert "solver.tsv sha256=" in manifest
+
+    # hinge stops at the one-epoch cap, and the command warns once
+    args = command + base_args(synth_dir, out_dir) + ["--loss", "hinge", "--max-epochs", "1"]
+    assert main(args) == 0
+    assert all(r["converged"] == "false" for r in read_solver_rows(out_dir))
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert f"{len(machines)} of {len(machines)} solver machines" in err
 
 
 def test_cli_import_leaves_scipy_out():
@@ -271,6 +305,28 @@ def test_unreadable_input_is_data_error(synth_dir, tmp_path, capsys, broken):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "data error" in err and culprit in err
+
+
+def test_crlf_offsets_error_names_the_line_endings(synth_dir, tmp_path, capsys):
+    """A .txt with CRLF endings whose .ann offsets count the CR exits 2 saying so."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    ann = next(corpus.glob("*.ann"))
+    txt = ann.with_suffix(".txt")
+    text = txt.read_text()
+    txt.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+
+    def shifted(match):  # one more offset per line ending before the position
+        start, end = int(match[2]), int(match[3])
+        start, end = start + text[:start].count("\n"), end + text[:end].count("\n")
+        return f"{match[1]} {start} {end}"
+
+    ann.write_text(re.sub(r"(?m)^(T\S+\t\S+) (\d+) (\d+)", shifted, ann.read_text()))
+    argv = ["ingest", "--task", "f", "--corpus-dir", str(corpus),
+            "--split", str(corpus / "split.tsv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "CRLF line endings" in err and str(txt) in err
 
 
 def test_config_values_are_typed_and_unset_keys_keep_defaults(tmp_path):

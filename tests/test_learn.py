@@ -1,18 +1,28 @@
 import hashlib
+import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize, minimize_scalar
 
 from argdissect.errors import ArgdissectError, ModelFormatError
 from argdissect.features import FeatureRegistry
 from argdissect.learn import (
+    NEWTON_MAX_ITERATIONS,
     LinearModel,
     TrainConfig,
     _dcd_binary,
     _dense_rows,
+    _hessian_at_zero,
+    _line_search,
+    _newton_sqhinge,
     _rows,
     _sparse_rows,
+    _update_hessian,
     class_weights,
     load_model,
     predict,
@@ -146,9 +156,9 @@ def random_problem(seed, n=60, d=12, density=0.3):
 
 def test_rows_follow_density():
     vectors, _, _ = random_problem(0, density=0.6)
-    assert all(cols is None for cols, _ in _rows(vectors, 12))
+    assert all(cols is None for cols, _ in _rows(vectors, 12).views())
     vectors, _, _ = random_problem(0, d=400, density=0.02)
-    rows = _rows(vectors, 400)
+    rows = _rows(vectors, 400).views()
     assert all(cols is not None for cols, _ in rows)
     # the bias column is appended to every row
     assert all(cols[-1] == 400 and x[-1] == 1.0 for cols, x in rows)
@@ -160,7 +170,7 @@ def test_sparse_and_dense_rows_train_the_same_weights(loss):
     w = {}
     for make in (_dense_rows, _sparse_rows):
         w[make], duals, _, _ = _dcd_binary(
-            make(vectors, 12), 13, y, C_i, loss, 1e-4, 50, np.random.default_rng(4)
+            make(vectors, 12), y, C_i, loss, 1e-4, 50, np.random.default_rng(4)
         )
     assert len(duals) > 1
     assert np.max(np.abs(w[_dense_rows] - w[_sparse_rows])) <= 1e-12 * np.max(
@@ -175,36 +185,149 @@ def test_converged_dcd_reaches_the_lbfgs_primal_optimum(make_rows, seed):
     vectors, y, C_i = random_problem(seed)
     max_epochs = 20000
     w, duals, converged, max_pg = _dcd_binary(
-        make_rows(vectors, 12), 13, y, C_i, "squared_hinge", 1e-9, max_epochs,
+        make_rows(vectors, 12), y, C_i, "squared_hinge", 1e-9, max_epochs,
         np.random.default_rng(seed),
     )
     assert converged and max_pg < 1e-9 and len(duals) < max_epochs
 
-    X = np.array([[vec.get(j, 0.0) for j in range(12)] + [1.0] for vec in vectors])
+    optimum = lbfgs_primal_optimum(dense_matrix(vectors, 12), y, C_i)
+    assert primal(dense_matrix(vectors, 12), y, C_i, w) == pytest.approx(optimum, rel=1e-6)
+    # strong duality at the optimum: the last dual objective meets the primal
+    assert duals[-1] == pytest.approx(optimum, rel=1e-6)
 
-    def primal(v):
+
+def dense_matrix(vectors, d):
+    return np.array([[vec.get(j, 0.0) for j in range(d)] + [1.0] for vec in vectors])
+
+
+def primal(X, y, C_i, w):
+    return 0.5 * w @ w + C_i @ np.maximum(0.0, 1.0 - y * (X @ w)) ** 2
+
+
+def lbfgs_primal_optimum(X, y, C_i):
+    """Independent oracle: the squared-hinge primal minimum found by L-BFGS-B."""
+
+    def value_and_grad(v):
         slack = np.maximum(0.0, 1.0 - y * (X @ v))
-        value = 0.5 * v @ v + C_i @ slack**2
-        return value, v - 2.0 * X.T @ (C_i * slack * y)
+        return 0.5 * v @ v + C_i @ slack**2, v - 2.0 * X.T @ (C_i * slack * y)
 
-    res = minimize(primal, np.zeros(13), jac=True, method="L-BFGS-B",
+    res = minimize(value_and_grad, np.zeros(X.shape[1]), jac=True, method="L-BFGS-B",
                    options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 10000})
     assert res.success
-    assert primal(w)[0] == pytest.approx(res.fun, rel=1e-6)
-    # strong duality at the optimum: the last dual objective meets the primal
-    assert duals[-1] == pytest.approx(res.fun, rel=1e-6)
+    return res.fun
+
+
+def rank_deficient_problem(seed, d, density):
+    """A random problem over d + 2 columns, rank-deficient like the benchmark's
+    matrices: column d duplicates column 0, and column d + 1 is 6 on every row,
+    collinear with the bias."""
+    vectors, y, C_i = random_problem(seed, n=80, d=d, density=density)
+    for vec in vectors:
+        if 0 in vec:
+            vec[d] = vec[0]
+        vec[d + 1] = 6.0
+    return vectors, y, C_i
+
+
+@pytest.mark.parametrize(
+    "make_rows, d, density", [(_dense_rows, 12, 0.3), (_sparse_rows, 150, 0.05)],
+    ids=["dense-direct", "sparse-cg"],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_newton_reaches_the_lbfgs_primal_optimum(make_rows, d, density, seed):
+    vectors, y, C_i = rank_deficient_problem(seed, d, density)
+    X = make_rows(vectors, d + 2)
+    H0 = _hessian_at_zero(X, C_i)
+    # the dense rows take the direct solve, the sparse ones conjugate gradient
+    assert (H0 is None) == (make_rows is _sparse_rows)
+    w, steps = _newton_sqhinge(X, y, C_i, H0)
+    assert 0 < steps < NEWTON_MAX_ITERATIONS
+    Xd = dense_matrix(vectors, d + 2)
+    assert primal(Xd, y, C_i, w) == pytest.approx(lbfgs_primal_optimum(Xd, y, C_i), rel=1e-6)
+
+
+@pytest.mark.parametrize("q_scale, kept", [(1.0, False), (1e-3, True)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_line_search_finds_the_exact_minimum(seed, q_scale, kept):
+    """f(w + t s) - f(w) = t w.s + t^2 s.s / 2 + sum_i C_i (slack_i - t q_i)_+^2 - const."""
+    rng = np.random.default_rng(seed)
+    slack, C_i = rng.normal(size=50), rng.random(50) + 0.1
+    q = q_scale * rng.normal(size=50)
+    ss = 2.0
+    active = slack > 0
+    ws = -5.0 + 2.0 * C_i[active] @ (q[active] * slack[active])  # df/dt = -5 at t = 0
+
+    def f(t):
+        return t * ws + 0.5 * t * t * ss + C_i @ np.maximum(0.0, slack - t * q) ** 2
+
+    t, same_active_set = _line_search(slack, q, C_i, ws, ss)
+    oracle = minimize_scalar(f, bounds=(0.0, 100.0), method="bounded",
+                             options={"xatol": 1e-12})
+    assert t == pytest.approx(oracle.x, abs=1e-6) and f(t) <= oracle.fun + 1e-12
+    assert same_active_set == kept == np.array_equal(active, slack - t * q > 0)
+
+
+@pytest.mark.parametrize("make_rows", [_dense_rows, _sparse_rows])
+def test_incremental_hessian_matches_a_rebuild(make_rows):
+    n = 200  # more rows than one accumulation block
+    vectors, _, C_i = random_problem(5, n=n)
+    X = make_rows(vectors, 12)
+    Xd = dense_matrix(vectors, 12)
+    rng = np.random.default_rng(0)
+    H, was_active = np.eye(13), np.zeros(n, dtype=bool)
+    for _ in range(6):
+        active = rng.random(n) < 0.6
+        _update_hessian(H, X, C_i, active, was_active)
+        was_active = active
+        rebuilt = np.eye(13) + 2.0 * (Xd[active].T * C_i[active]) @ Xd[active]
+        assert np.abs(H - rebuilt).max() <= 1e-10 * np.abs(rebuilt).max()
+
+
+def test_converged_newton_certifies_in_one_pass():
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(90, 5))
+    labels = [("support", "attack", "none")[k] for k in np.argmax(rows[:, :3], axis=1)]
+    model = train(dense_to_sparse(rows.tolist()), labels, TrainConfig(), registry_of(5),
+                  ("support", "attack", "none"))
+    X = dense_matrix(dense_to_sparse(rows.tolist()), 5)
+    C_i = np.array([class_weights(labels, model.classes, "inverse_frequency")[lab]
+                    for lab in labels])
+    for cls in model.classes:
+        fit = model.convergence[cls]
+        assert fit.converged and fit.newton_iterations > 0
+        [dual] = model.dual_objectives[cls]
+        y = np.where(np.array(labels) == cls, 1.0, -1.0)
+        w = np.append(model.weights[cls], model.biases[cls])
+        assert dual == pytest.approx(primal(X, y, C_i, w), rel=1e-9)
+
+
+def test_failed_certificate_continues_with_dual_ascent():
+    vectors, y, C_i = random_problem(4)
+    X = _dense_rows(vectors, 12)
+    w, _ = _newton_sqhinge(X, y, C_i, _hessian_at_zero(X, C_i))
+    alpha = 2.0 * C_i * np.maximum(0.0, 1.0 - y * X.dot(w))
+    alpha[: len(alpha) // 2] *= 0.5  # off the optimum
+    _, duals, converged, max_pg = _dcd_binary(
+        X, y, C_i, "squared_hinge", 1e-9, 5000, np.random.default_rng(0), alpha
+    )
+    assert converged and max_pg < 1e-9 and len(duals) > 2
+    assert all(later >= earlier - 1e-12 for earlier, later in zip(duals, duals[1:]))
+    assert duals[-1] == pytest.approx(primal(dense_matrix(vectors, 12), y, C_i, w), rel=1e-9)
 
 
 def test_train_reports_convergence_per_machine():
+    # hinge: plain DCD from zero, which the epoch cap can stop
     vectors, labels, _ = separable_data()
-    model = train(vectors, labels, TrainConfig(tolerance=1e-8, max_epochs=5000),
+    model = train(vectors, labels,
+                  TrainConfig(loss="hinge", tolerance=1e-8, max_epochs=5000),
                   registry_of(2), ("support", "attack"))
     assert list(model.convergence) == ["support"]  # one machine, mirrored for attack
     fit = model.convergence["support"]
     assert fit.converged and fit.max_pg < 1e-8
     assert len(model.dual_objectives["support"]) < 5000
 
-    capped = train(vectors, labels, TrainConfig(tolerance=1e-8, max_epochs=1),
+    capped = train(vectors, labels,
+                   TrainConfig(loss="hinge", tolerance=1e-8, max_epochs=1),
                    registry_of(2), ("support", "attack"))
     assert not capped.convergence["support"].converged
     assert capped.convergence["support"].max_pg >= 1e-8
@@ -320,20 +443,85 @@ def _drop_line(prefix):
         _drop_line("classes="),
         _drop_line("n_features="),
         _drop_line("config="),
+        lambda body: body + "support\t0\tnan\n",
+        lambda body: re.sub(r"(?m)^(support\tbias\t).*$", r"\1inf", body),
+        lambda body: body + "support\t1\t0x1p+1024\n",  # overflows a double
     ],
     ids=[
         "unknown-class", "index-too-large", "negative-index", "bad-weight",
         "bad-n-features", "bad-config-value", "no-classes", "no-n-features", "no-config",
+        "nan-weight", "inf-bias", "overflowing-weight",
     ],
 )
 def test_load_rejects_malformed_body_with_valid_checksum(tmp_path, edit):
-    vectors, labels, _ = separable_data()
-    model = train(vectors, labels, TrainConfig(), registry_of(2), ("support", "attack"))
     path = tmp_path / "model.txt"
-    save_model(model, path)
-    header, _, body = path.read_text().split("\n", 2)
-    body = edit(body)
-    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    path.write_text(f"{header}\nchecksum={checksum}\n{body}")
+    write_with_checksum(path, edit(valid_model_text()[1]))
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def valid_model_text():
+    """(header line, body) of a saved two-class model."""
+    vectors, labels, _ = separable_data()
+    model = train(vectors, labels, TrainConfig(), registry_of(2), ("support", "attack"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        save_model(model, path)
+        with open(path, encoding="utf-8") as fh:
+            header, _, body = fh.read().split("\n", 2)
+    return header, body
+
+
+def write_with_checksum(path, body, header="argdissect-model v1"):
+    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{header}\nchecksum={checksum}\n{body}")
+
+
+# A value field may become any float's hex form (nan and inf included), a
+# spelling float.fromhex may or may not take, or any short text.
+_VALUES = st.one_of(
+    st.floats().map(float.hex),
+    st.sampled_from(["nan", "-inf", "Infinity", "0x1p+1024", "1e999", "0x", ""]),
+    st.text(max_size=8),
+)
+# Single-character edits: they change n_features, which sizes the weight
+# arrays, by at most one digit each.
+_EDITS = st.one_of(
+    st.tuples(st.just("value"), st.integers(0, 99), _VALUES),
+    st.tuples(st.just("insert"), st.integers(0, 10**4), st.characters(codec="utf-8")),
+    st.tuples(st.just("delete"), st.integers(0, 10**4), st.just("")),
+)
+
+
+def _apply(body, edit):
+    kind, where, text = edit
+    if kind == "value":
+        lines = body.split("\n")
+        weight_lines = [k for k, line in enumerate(lines) if line.count("\t") == 2]
+        if weight_lines:
+            k = weight_lines[where % len(weight_lines)]
+            lines[k] = lines[k].rsplit("\t", 1)[0] + "\t" + text
+        return "\n".join(lines)
+    where %= len(body) + 1
+    return body[:where] + text + body[where + (kind == "delete"):]
+
+
+_HEADER, _BODY = valid_model_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(_EDITS, min_size=1, max_size=3))
+def test_load_model_fuzz_raises_format_error_or_returns_finite_values(edits):
+    body = _BODY
+    for edit in edits:
+        body = _apply(body, edit)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        write_with_checksum(path, body, _HEADER)
+        try:
+            model = load_model(path)
+        except ModelFormatError:
+            return
+    assert all(np.isfinite(w).all() for w in model.weights.values())
+    assert all(math.isfinite(b) for b in model.biases.values())
