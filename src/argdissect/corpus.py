@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
-from .errors import DataError, IntegrityError, StandoffParseError
+from .errors import DataError, IntegrityError, OffsetError, StandoffParseError
 from .settings import check_choices, choice
 
 SUPPORT = "support"
@@ -168,11 +168,11 @@ def parse_standoff(text: str, ann: str, doc_id: str = "doc") -> ParsedDoc:
             if kind not in EAU_KINDS:
                 raise StandoffParseError(f"unknown EAU kind {kind!r}", line_no)
             if not (0 <= start < end <= len(text)):
-                raise IntegrityError(
+                raise OffsetError(
                     f"{doc_id}: span {tid} [{start},{end}) outside document bounds"
                 )
             if text[start:end] != surface:
-                raise IntegrityError(
+                raise OffsetError(
                     f"{doc_id}: surface mismatch for {tid}: "
                     f"annotation {surface!r} vs text {text[start:end]!r}"
                 )

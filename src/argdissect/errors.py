@@ -27,6 +27,10 @@ class IntegrityError(DataError):
     """Cross-reference or surface-text mismatch between files."""
 
 
+class OffsetError(IntegrityError):
+    """A span's offsets fall outside its text or select other text than its surface."""
+
+
 class AlignmentError(DataError):
     """Annotation layers do not line up (tree leaves vs. tokens, EAU vs. tokens)."""
 

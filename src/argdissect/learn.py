@@ -5,14 +5,17 @@ minimising the L2-regularized hinge or squared-hinge loss; the bias is
 learned through an augmented constant feature.
 
 A squared-hinge machine is solved exactly in the primal by a finite
-Newton method (``_newton_sqhinge``).  Dual coordinate descent (DCD) then
-starts from the dual point of that solution, alpha_i = 2 C_i max(0,
-1 - y_i w.x_i), and checks every coordinate's projected gradient there:
-this certificate is the first epoch and the first dual objective.  Only
-if it fails do epochs of coordinate ascent follow.  A hinge machine is
-trained by plain DCD from zero.  ``max_epochs`` caps the DCD epochs, the
-certificate included, never the Newton steps.  The coordinate order is
-driven solely by the seed, so retraining is bit-identical.
+Newton method (``_newton_sqhinge``) whenever its D x D Hessian, D the
+number of columns with the bias, holds no more entries than the solver
+rows do.  Dual coordinate descent (DCD) then starts from the dual point
+of that solution, alpha_i = 2 C_i max(0, 1 - y_i w.x_i), and checks every
+coordinate's projected gradient there: this certificate is the first
+epoch and the first dual objective.  Only if it fails do epochs of
+coordinate ascent follow.  A hinge machine, and a squared-hinge machine
+over a feature space too wide for the Hessian, is trained by plain DCD
+from zero.  ``max_epochs`` caps the DCD epochs, the certificate
+included, never the Newton steps.  The coordinate order is driven solely
+by the seed, so retraining is bit-identical.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class TrainConfig:
 class Convergence:
     converged: bool  # the last epoch's max projected gradient met the tolerance
     max_pg: float  # that epoch's max |projected gradient|
-    newton_iterations: int  # primal Newton steps before the DCD epochs; 0 for hinge
+    newton_iterations: int  # primal Newton steps before the DCD epochs; 0 for plain DCD
 
 
 @dataclass
@@ -90,7 +93,6 @@ Row = tuple[np.ndarray | None, np.ndarray]  # (columns or None if dense, values)
 
 NEWTON_MAX_ITERATIONS = 100
 HESSIAN_BLOCK_ROWS = 64  # bounds the temporaries of a Hessian update to 64 x D
-CG_RTOL = 1e-10  # relative residual at which conjugate gradient ends a Newton step
 
 
 class _DenseRows:
@@ -203,44 +205,6 @@ def _update_hessian(H: np.ndarray, X: SolverRows, C_i: np.ndarray,
         H += (B.T * weights[lo:lo + HESSIAN_BLOCK_ROWS]) @ B
 
 
-def _hessian_at_zero(X: SolverRows, C_i: np.ndarray) -> np.ndarray | None:
-    """I + 2 X^T diag(C) X, or None when D^2 > the stored row entries.
-
-    At w = 0 every row is active, so this is the generalized Hessian of
-    every one-vs-rest machine's first Newton step.  None selects conjugate
-    gradient in ``_newton_sqhinge``.
-    """
-    n, D = X.shape
-    if D * D > X.stored:
-        return None
-    H = np.eye(D)
-    _update_hessian(H, X, C_i, np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
-    return H
-
-
-def _conjugate_gradient(hess_vec, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve H s = b for symmetric positive definite H given only ``hess_vec``.
-
-    Returns s and whether the residual fell to ``CG_RTOL`` of ||b|| within
-    len(b) steps.
-    """
-    s = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = r @ r
-    stop = CG_RTOL**2 * rr
-    for _ in range(len(b)):
-        if rr <= stop:
-            break
-        Hp = hess_vec(p)
-        step = rr / (p @ Hp)
-        s += step * p
-        r -= step * Hp
-        rr, rr_old = r @ r, rr
-        p = r + (rr / rr_old) * p
-    return s, rr <= stop
-
-
 def _line_search(slack: np.ndarray, q: np.ndarray, C_i: np.ndarray,
                  ws: float, ss: float) -> tuple[float, bool]:
     """Exact minimiser t of f(w + t s) along a descent step s.
@@ -270,42 +234,33 @@ def _line_search(slack: np.ndarray, q: np.ndarray, C_i: np.ndarray,
     return float(-B_piece[piece] / A_piece[piece]), piece == 0
 
 
-def _newton_sqhinge(X: SolverRows, y: np.ndarray, C_i: np.ndarray,
-                    H0: np.ndarray | None) -> tuple[np.ndarray, int]:
+def _newton_sqhinge(X: SolverRows, y: np.ndarray, C_i: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimise 0.5||w||^2 + sum_i C_i max(0, 1 - y_i w.x_i)^2; returns (w, Newton steps).
 
     The modified finite Newton method (Keerthi & DeCoste, JMLR 2005; the
     primal of LIBLINEAR ``-s 2``).  A step solves the generalized Hessian
     system (I + 2 X_I^T diag(C_I) X_I) s = -grad over the active set
-    I = {i : y_i w.x_i < 1}, then minimises exactly along s.  Given ``H0``
-    from ``_hessian_at_zero`` (left unmodified) the system is solved
-    directly, on a copy updated by the rows that entered or left I;
-    otherwise by conjugate gradient on Hessian-vector products.  It stops
-    when the line minimum of a solved step keeps the active set, as that
-    step minimised the quadratic piece holding the optimum, or when a step
-    no longer lowers the objective (rounding), or after
-    ``NEWTON_MAX_ITERATIONS`` steps.
+    I = {i : y_i w.x_i < 1} directly, then minimises exactly along s.  The
+    Hessian is built at the first step and then updated only by the rows
+    that entered or left I.  It stops when the line minimum keeps the
+    active set, as that step minimised the quadratic piece holding the
+    optimum, or when a step no longer lowers the objective (rounding), or
+    after ``NEWTON_MAX_ITERATIONS`` steps.
     """
     n, D = X.shape
-    H = None if H0 is None else H0.copy()
-    in_H = np.ones(n, dtype=bool)
+    H = np.eye(D)
+    in_H = np.zeros(n, dtype=bool)
     w = np.zeros(D)
     slack = np.ones(n)
     objective = float(C_i.sum())
     for step in range(1, NEWTON_MAX_ITERATIONS + 1):
         active = slack > 0.0
-        C_act = np.where(active, C_i, 0.0)
-        grad = w - 2.0 * X.tdot(C_act * slack * y)
+        grad = w - 2.0 * X.tdot(np.where(active, C_i * slack * y, 0.0))
         if not grad.any():
             return w, step - 1
-        if H is not None:
-            _update_hessian(H, X, C_i, active, in_H)
-            in_H = active
-            s, solved = np.linalg.solve(H, -grad), True
-        else:
-            s, solved = _conjugate_gradient(
-                lambda v: v + 2.0 * X.tdot(C_act * X.dot(v)), -grad
-            )
+        _update_hessian(H, X, C_i, active, in_H)
+        in_H = active
+        s = np.linalg.solve(H, -grad)
         q = y * X.dot(s)
         t, kept = _line_search(slack, q, C_i, float(w @ s), float(s @ s))
         w += t * s
@@ -313,7 +268,7 @@ def _newton_sqhinge(X: SolverRows, y: np.ndarray, C_i: np.ndarray,
         previous, objective = objective, 0.5 * float(w @ w) + float(
             C_i @ np.maximum(slack, 0.0) ** 2
         )
-        if (kept and solved) or objective >= previous:
+        if kept or objective >= previous:
             return w, step
     return w, NEWTON_MAX_ITERATIONS
 
@@ -423,7 +378,10 @@ def train(
     cw = class_weights(labels, classes, config.class_weighting)
     C_i = np.array([config.c * cw[lab] for lab in labels])
     y_arr = np.array(labels)
-    H0 = _hessian_at_zero(X, C_i) if config.loss == "squared_hinge" else None
+    D = X.shape[1]
+    # the Newton step solves a D x D system; on a feature space wide enough
+    # that it outgrows the rows themselves, DCD from zero serves instead
+    newton = config.loss == "squared_hinge" and D * D <= X.stored
 
     weights: dict[str, np.ndarray] = {}
     biases: dict[str, float] = {}
@@ -435,8 +393,8 @@ def train(
     for cls in machines:
         y = np.where(y_arr == cls, 1.0, -1.0)
         alpha, newton_iterations = None, 0
-        if config.loss == "squared_hinge":
-            w_opt, newton_iterations = _newton_sqhinge(X, y, C_i, H0)
+        if newton:
+            w_opt, newton_iterations = _newton_sqhinge(X, y, C_i)
             alpha = 2.0 * C_i * np.maximum(0.0, 1.0 - y * X.dot(w_opt))
         w_aug, dual_hist, converged, max_pg = _dcd_binary(
             X, y, C_i, config.loss, config.tolerance, config.max_epochs,

@@ -43,7 +43,7 @@ from .corpus import (
     parse_standoff,
     split_corpus,
 )
-from .errors import DataError, IntegrityError, MissingLayerError
+from .errors import DataError, MissingLayerError, OffsetError
 from .evaluation import MIN_PERMUTATIONS, EvalReport, f1_report, mfs_baseline, significance
 from .features import (
     FA,
@@ -129,11 +129,11 @@ def load_corpus_dir(corpus_dir, embeddings_path=None, embedding_dim=None) -> Cor
         base = os.path.join(corpus_dir, doc_id)
         try:
             parsed = parse_standoff(read_text(base + ".txt"), read_text(base + ".ann"), doc_id)
-        except IntegrityError as exc:
+        except OffsetError as exc:
             with open(base + ".txt", "rb") as fh:
                 if b"\r\n" not in fh.read():
                     raise
-            raise IntegrityError(
+            raise OffsetError(
                 f"{exc} ({base}.txt has CRLF line endings, which are read as LF: "
                 "annotation offsets that count the CR do not match the text)"
             ) from None

@@ -10,6 +10,7 @@ import pytest
 from argdissect.cli import build_run_config, main, make_parser
 from argdissect.learn import TrainConfig
 from argdissect.pipeline import RunConfig
+from argdissect.synth import SynthConfig, generate_corpus
 
 
 def base_args(synth_dir, out):
@@ -99,17 +100,26 @@ def test_converged_run_does_not_warn(synth_dir, tmp_path, capsys):
     assert "warning" not in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def tall_synth_dir(tmp_path_factory):
+    """A corpus with more training rows than feature columns in every slice,
+    so that squared-hinge machines take the Newton solve."""
+    out = tmp_path_factory.mktemp("synth") / "corpus"
+    generate_corpus(str(out), SynthConfig(n_docs=60, seed=7))
+    return str(out)
+
+
 @pytest.mark.parametrize(
     "command, machines",
     [(["anova"], ["FA support"]),
      (["robustness", "--mode", "randomized"], ["CB support", "CI support", "FA support"])],
     ids=["anova", "robustness"],
 )
-def test_every_trained_model_writes_solver_convergence(synth_dir, tmp_path, capsys,
+def test_every_trained_model_writes_solver_convergence(tall_synth_dir, tmp_path, capsys,
                                                        command, machines):
     out_dir = str(tmp_path / "out")
     # squared hinge: the Newton solution passes its certificate in one epoch
-    assert main(command + base_args(synth_dir, out_dir) + ["--max-epochs", "1"]) == 0
+    assert main(command + base_args(tall_synth_dir, out_dir) + ["--max-epochs", "1"]) == 0
     rows = read_solver_rows(out_dir)
     assert [f"{r['model_type']} {r['class']}" for r in rows] == machines
     for row in rows:
@@ -120,7 +130,7 @@ def test_every_trained_model_writes_solver_convergence(synth_dir, tmp_path, caps
     assert "solver.tsv sha256=" in manifest
 
     # hinge stops at the one-epoch cap, and the command warns once
-    args = command + base_args(synth_dir, out_dir) + ["--loss", "hinge", "--max-epochs", "1"]
+    args = command + base_args(tall_synth_dir, out_dir) + ["--loss", "hinge", "--max-epochs", "1"]
     assert main(args) == 0
     assert all(r["converged"] == "false" for r in read_solver_rows(out_dir))
     err = capsys.readouterr().err
@@ -327,6 +337,22 @@ def test_crlf_offsets_error_names_the_line_endings(synth_dir, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "CRLF line endings" in err and str(txt) in err
+
+
+def test_crlf_hint_is_kept_to_offset_errors(synth_dir, tmp_path, capsys):
+    """In a CRLF file, an error that offsets cannot cause does not blame line endings."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    ann = next(corpus.glob("*.ann"))
+    txt = ann.with_suffix(".txt")
+    txt.write_bytes(txt.read_bytes().replace(b"\n", b"\r\n"))
+    first = ann.read_text().split("\n", 1)[0]
+    ann.write_text(ann.read_text() + first + "\n")
+    argv = ["ingest", "--task", "f", "--corpus-dir", str(corpus),
+            "--split", str(corpus / "split.tsv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "duplicate annotation id" in err and "CRLF" not in err
 
 
 def test_config_values_are_typed_and_unset_keys_keep_defaults(tmp_path):

@@ -13,11 +13,11 @@ from argdissect.errors import ArgdissectError, ModelFormatError
 from argdissect.features import FeatureRegistry
 from argdissect.learn import (
     NEWTON_MAX_ITERATIONS,
+    Convergence,
     LinearModel,
     TrainConfig,
     _dcd_binary,
     _dense_rows,
-    _hessian_at_zero,
     _line_search,
     _newton_sqhinge,
     _rows,
@@ -229,21 +229,32 @@ def rank_deficient_problem(seed, d, density):
     return vectors, y, C_i
 
 
-@pytest.mark.parametrize(
-    "make_rows, d, density", [(_dense_rows, 12, 0.3), (_sparse_rows, 150, 0.05)],
-    ids=["dense-direct", "sparse-cg"],
-)
+@pytest.mark.parametrize("make_rows", [_dense_rows, _sparse_rows])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_newton_reaches_the_lbfgs_primal_optimum(make_rows, d, density, seed):
-    vectors, y, C_i = rank_deficient_problem(seed, d, density)
-    X = make_rows(vectors, d + 2)
-    H0 = _hessian_at_zero(X, C_i)
-    # the dense rows take the direct solve, the sparse ones conjugate gradient
-    assert (H0 is None) == (make_rows is _sparse_rows)
-    w, steps = _newton_sqhinge(X, y, C_i, H0)
+def test_newton_reaches_the_lbfgs_primal_optimum(make_rows, seed):
+    vectors, y, C_i = rank_deficient_problem(seed, 12, 0.3)
+    w, steps = _newton_sqhinge(make_rows(vectors, 14), y, C_i)
     assert 0 < steps < NEWTON_MAX_ITERATIONS
-    Xd = dense_matrix(vectors, d + 2)
+    Xd = dense_matrix(vectors, 14)
     assert primal(Xd, y, C_i, w) == pytest.approx(lbfgs_primal_optimum(Xd, y, C_i), rel=1e-6)
+
+
+def test_wide_feature_space_trains_by_dcd_from_zero():
+    """Where the D x D Hessian outgrows the rows, squared hinge is plain DCD, as before Newton."""
+    d = 150
+    vectors, y, C_i = random_problem(6, n=80, d=d, density=0.05)
+    X = _rows(vectors, d)
+    assert (d + 1) ** 2 > X.stored
+    labels = ["support" if v > 0 else "attack" for v in y]
+    config = TrainConfig(class_weighting="none", max_epochs=50)
+    model = train(vectors, labels, config, registry_of(d), ("support", "attack"))
+    w, duals, converged, max_pg = _dcd_binary(
+        X, y, np.ones(len(y)), "squared_hinge", config.tolerance, 50,
+        np.random.default_rng(config.seed),
+    )
+    assert model.convergence["support"] == Convergence(converged, max_pg, 0)
+    assert model.dual_objectives["support"] == duals
+    assert np.array_equal(np.append(model.weights["support"], model.biases["support"]), w)
 
 
 @pytest.mark.parametrize("q_scale, kept", [(1.0, False), (1e-3, True)])
@@ -304,7 +315,7 @@ def test_converged_newton_certifies_in_one_pass():
 def test_failed_certificate_continues_with_dual_ascent():
     vectors, y, C_i = random_problem(4)
     X = _dense_rows(vectors, 12)
-    w, _ = _newton_sqhinge(X, y, C_i, _hessian_at_zero(X, C_i))
+    w, _ = _newton_sqhinge(X, y, C_i)
     alpha = 2.0 * C_i * np.maximum(0.0, 1.0 - y * X.dot(w))
     alpha[: len(alpha) // 2] *= 0.5  # off the optimum
     _, duals, converged, max_pg = _dcd_binary(
