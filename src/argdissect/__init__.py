@@ -24,7 +24,7 @@ from .corpus import (
     split_corpus,
     transform_corpus,
 )
-from .features import CB, CI, FA, FeatureRegistry, InstanceView, assemble
+from .features import CB, CI, FA, FeatureRegistry, InstanceView, assemble, extract_matrix
 from .learn import LinearModel, TrainConfig, load_model, predict, save_model, train
 from .evaluation import (
     anova_scores,

@@ -275,13 +275,28 @@ def parse_discourse_file(
     return relations
 
 
-def load_embeddings(content: str, dim: int) -> EmbeddingTable:
-    """Load a word-vector text file; duplicate words keep the last entry."""
+def load_embeddings(content: str, dim: int | None = None) -> EmbeddingTable:
+    """Load a word-vector text file; duplicate words keep the last entry.
+
+    Trailing whitespace on a line is ignored, as the word2vec tool writes a
+    space after each component.  A first line of two integers whose second
+    equals the next line's component count is a word2vec ``<count> <dim>``
+    header and is skipped.  Without ``dim`` the dimension is the component
+    count of the first entry.
+    """
+    lines = [
+        (line_no, line.rstrip().split(" "))
+        for line_no, line in enumerate(content.split("\n"), start=1)
+        if line.strip()
+    ]
+    if len(lines) > 1 and len(lines[0][1]) == 2 and all(
+        f.isdecimal() for f in lines[0][1]
+    ) and int(lines[0][1][1]) == len(lines[1][1]) - 1:
+        lines = lines[1:]
+    if dim is None:
+        dim = len(lines[0][1]) - 1 if lines else 0
     entries: dict[str, np.ndarray] = {}
-    for line_no, line in enumerate(content.split("\n"), start=1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split(" ")
+    for line_no, parts in lines:
         if len(parts) != dim + 1:
             raise StandoffParseError(
                 f"expected {dim} vector components, got {len(parts) - 1}", line_no
@@ -289,7 +304,9 @@ def load_embeddings(content: str, dim: int) -> EmbeddingTable:
         try:
             vec = np.array([float(v) for v in parts[1:]])
         except ValueError:
-            raise StandoffParseError(f"non-numeric vector component in {line!r}", line_no)
+            raise StandoffParseError(
+                f"non-numeric vector component in {' '.join(parts)!r}", line_no
+            )
         entries[parts[0]] = vec
     return EmbeddingTable(dimension=dim, entries=entries)
 

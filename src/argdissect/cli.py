@@ -33,6 +33,7 @@ from .pipeline import (
     read_text,
     run_experiment,
     train_model,
+    write_features_tsv,
     write_manifest,
     write_report_tsv,
     write_solver_tsv,
@@ -155,14 +156,14 @@ def cmd_robustness(args) -> int:
         transformed = strip_contexts(data.test_views)
 
     reports = {}
-    models = []
+    trained = []
     for model_type in MODEL_TYPES:
         model, registry, _, families = train_model(config, data, model_type)
         report, _ = evaluate_model(
             model, registry, transformed, data.classes, families, data.embedding_dim
         )
         reports[model_type] = report
-        models.append(model)
+        trained.append((model, registry))
 
     baseline = reports[CB]
     lines = [f"robustness ({args.mode} mode), task {config.task}"]
@@ -183,8 +184,10 @@ def cmd_robustness(args) -> int:
                 fh.write(f"{model_type}\t{cls}\t{d}\n")
             fh.write(f"{model_type}\tmacro\t{d_macro}\n")
     solver_path = os.path.join(config.output_dir, "solver.tsv")
-    write_solver_tsv(solver_path, models)
-    write_manifest(config, [out_path, solver_path])
+    features_path = os.path.join(config.output_dir, "features.tsv")
+    write_solver_tsv(solver_path, [model for model, _ in trained])
+    write_features_tsv(features_path, trained)
+    write_manifest(config, [out_path, solver_path, features_path])
     print("\n".join(lines))
     print(f"delta table written to {out_path}")
     return EXIT_OK
@@ -211,8 +214,10 @@ def cmd_anova(args) -> int:
         )
         print(f"{ftype}: {marks}")
     solver_path = os.path.join(config.output_dir, "solver.tsv")
+    features_path = os.path.join(config.output_dir, "features.tsv")
     write_solver_tsv(solver_path, [model])
-    write_manifest(config, [out_path, solver_path])
+    write_features_tsv(features_path, [(model, registry)])
+    write_manifest(config, [out_path, solver_path, features_path])
     print(f"percentile curves written to {out_path}")
     return EXIT_OK
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ArgdissectError, DataError
-from .features import CB, CI, EMPTY_CONTEXT, FeatureRegistry, InstanceView
+from .features import CB, CI, EMPTY_CONTEXT, FeatureRegistry, InstanceView, vectors_to_matrix
 
 ANOVA_INF_SENTINEL = 1e12
 
@@ -241,15 +241,15 @@ def anova_f_scores(X: np.ndarray, labels) -> np.ndarray:
 
 
 def anova_scores(
-    vectors, labels, registry: FeatureRegistry, percentile_step: int = 1
+    X, labels, registry: FeatureRegistry, percentile_step: int = 1
 ) -> AnovaCurve:
-    """F scores over the registry's features plus CB/CI percentile curves."""
-    n_features = len(registry)
-    X = np.zeros((len(vectors), n_features))
-    for row, vec in enumerate(vectors):
-        for idx, val in vec.items():
-            X[row, idx] = val
-    f = anova_f_scores(X, labels)
+    """F scores over the registry's features plus CB/CI percentile curves.
+
+    ``X`` is a feature matrix over the registry, or a list of sparse vectors.
+    """
+    if isinstance(X, list):
+        X = vectors_to_matrix(X, len(registry))
+    f = anova_f_scores(X if isinstance(X, np.ndarray) else X.toarray(), labels)
     percentiles = np.arange(0, 101, percentile_step, dtype=float)
     curves = {}
     for ftype in (CB, CI):

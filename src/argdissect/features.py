@@ -3,11 +3,15 @@
 Every feature name is namespaced ``family:scope:side:payload`` where scope is
 one of ``eau`` (content-based), ``ctx`` (content-ignorant) or ``both``
 (full-access only), so a feature's type is recoverable from its name alone.
-Each family extractor walks the view's sides and returns one dict of named
-features; the name is the only place the type is kept.  The registry maps
-names to indices and freezes after the training pass.
+Each family extractor reads one side of a view and returns its named
+features per scope; the name is the only place the type is kept.  The
+registry maps names to indices and freezes after the training pass.
 
-Feature vectors are plain ``dict[int, float]`` with no explicit zeros.
+``extract_matrix`` extracts a batch of views into one sparse matrix over the
+registry, extracting each side shared by several views once; the CB and CI
+slices of an FA matrix are its column views (``FeatureRegistry.columns_of``).
+A single view's features are also available as a name dict (``extract_all``)
+and as a ``dict[int, float]`` vector (``assemble``).
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ from __future__ import annotations
 import hashlib
 import string
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Optional
 
 import numpy as np
 
 from .corpus import RelationInstance
-from .errors import MissingLayerError
+from .errors import ArgdissectError, MissingLayerError
 
 CB = "CB"
 CI = "CI"
@@ -28,6 +33,7 @@ FA = "FA"
 MODEL_TYPES = (CB, CI, FA)
 
 SCOPE_TYPE = {"eau": CB, "ctx": CI, "both": FA}
+TAGS = ("src", "tgt")  # the side tags of a feature name
 
 FAMILIES = ("lexical", "syntactic", "structural", "discourse", "embedding", "sentiment")
 
@@ -106,6 +112,20 @@ class FeatureRegistry:
     def indices_of_type(self, ftype: str) -> list[int]:
         return [i for i, n in enumerate(self._names) if feature_type(n) == ftype]
 
+    def columns_of(self, model_type: str) -> np.ndarray:
+        """Mask of the model type's Φ slice: the CB or CI columns, or all for FA."""
+        return np.array(
+            [model_type == FA or feature_type(n) == model_type for n in self._names], bool
+        )
+
+    def subset(self, columns: np.ndarray) -> FeatureRegistry:
+        """A frozen registry of the masked names, in the same order."""
+        sub = FeatureRegistry()
+        for name in compress(self._names, columns):
+            sub.index(name)
+        sub.freeze()
+        return sub
+
 
 # --------------------------------------------------------------------------
 # Instance views
@@ -179,132 +199,167 @@ class InstanceView:
 
 
 # --------------------------------------------------------------------------
-# Family extractors: each returns one dict keyed by feature name, whose scope
-# field (eau / ctx / both) carries the feature's type.
+# Per-side extractors.  Each returns one side's features under its tag as
+# ``{scope: {name: value}}``, scopes in the order eau, ctx, both.  The
+# embedding and sentiment families also have a per-pair block, the source
+# minus target difference, computed from the sides' values in
+# ``_pair_values``.
 
 
-def extract_lexical(view: InstanceView) -> dict[str, float]:
+def _indicators(prefix: str, tag: str, **payloads) -> dict[str, dict[str, float]]:
+    return {
+        scope: {f"{prefix}:{scope}:{tag}:{p}": 1.0 for p in items}
+        for scope, items in payloads.items()
+    }
+
+
+def _lexical(sv: SideView, tag: str) -> dict[str, dict[str, float]]:
     """Binary unigram indicators over EAU tokens, context tokens, and both bags."""
-    out = {}
-    for tag, sv in view.sides:
-        eau_bag = {t.lower() for t in sv.content.tokens}
-        ctx_bag = {t.lower() for t in sv.context.tokens}
-        for w in sorted(eau_bag):
-            out[f"lex:eau:{tag}:{w}"] = 1.0
-        for w in sorted(ctx_bag):
-            out[f"lex:ctx:{tag}:{w}"] = 1.0
-        for w in sorted(eau_bag & ctx_bag):
-            out[f"lex:both:{tag}:{w}"] = 1.0
-    return out
+    eau_bag = {t.lower() for t in sv.content.tokens}
+    ctx_bag = {t.lower() for t in sv.context.tokens}
+    return _indicators(
+        "lex", tag, eau=sorted(eau_bag), ctx=sorted(ctx_bag), both=sorted(eau_bag & ctx_bag)
+    )
 
 
-def extract_syntactic(view: InstanceView) -> dict[str, float]:
+def _syntactic(sv: SideView, tag: str) -> dict[str, dict[str, float]]:
     """Binary production-rule indicators from the cut tree fragments."""
-    out = {}
-    for tag, sv in view.sides:
-        for r in sorted(set(sv.content.rules)):
-            out[f"syn:eau:{tag}:{r}"] = 1.0
-        for r in sorted(set(sv.context.rules)):
-            out[f"syn:ctx:{tag}:{r}"] = 1.0
-        for r in sorted(set(sv.context.crossing_rules)):
-            out[f"syn:both:{tag}:{r}"] = 1.0
-    return out
+    return _indicators(
+        "syn", tag,
+        eau=sorted(set(sv.content.rules)),
+        ctx=sorted(set(sv.context.rules)),
+        both=sorted(set(sv.context.crossing_rules)),
+    )
 
 
-def extract_structural(view: InstanceView) -> dict[str, float]:
+def _discourse(sv: SideView, tag: str) -> dict[str, dict[str, float]]:
+    """Binary (kind, sense) indicators, split by where the relation lies."""
+    eau, ctx, both = (
+        [f"{k}:{s}" for k, s in sorted(set(relations))]
+        for relations in (
+            sv.content.discourse, sv.context.discourse, sv.context.crossing_discourse
+        )
+    )
+    return _indicators("disc", tag, eau=eau, ctx=ctx, both=both)
+
+
+def _structural(sv: SideView, tag: str) -> dict[str, dict[str, float]]:
     """Shallow position and count statistics.
 
     Statistics that need both the EAU and its surroundings (sentence length,
     EAU/sentence ratio) are full-access only; the content side keeps only
     what the span alone provides.
     """
-    out = {}
-    for tag, sv in view.sides:
-        content, ctx = sv.content, sv.context
-        for scope, key, value in (
-            ("eau", "token_count", content.token_count),
-            ("eau", "punct_count", content.punct_count),
-            ("ctx", "preceding_tokens", ctx.preceding_count),
-            ("ctx", "following_tokens", ctx.following_count),
-            ("ctx", "unit_index", ctx.unit_index),
-            ("ctx", "is_first", ctx.is_first),
-            ("ctx", "is_last", ctx.is_last),
-            ("ctx", "paragraph_index", ctx.paragraph_index),
-        ):
-            if value:
-                out[f"struct:{scope}:{tag}:{key}"] = float(value)
-        sentence_tokens = content.token_count + ctx.preceding_count + ctx.following_count
-        if sentence_tokens:
-            out[f"struct:both:{tag}:sentence_tokens"] = float(sentence_tokens)
-            out[f"struct:both:{tag}:eau_sentence_ratio"] = (
-                content.token_count / sentence_tokens
-            )
-    return out
-
-
-def extract_discourse(view: InstanceView) -> dict[str, float]:
-    """Binary (kind, sense) indicators, split by where the relation lies."""
-    out = {}
-    for tag, sv in view.sides:
-        for k, s in sorted(set(sv.content.discourse)):
-            out[f"disc:eau:{tag}:{k}:{s}"] = 1.0
-        for k, s in sorted(set(sv.context.discourse)):
-            out[f"disc:ctx:{tag}:{k}:{s}"] = 1.0
-        for k, s in sorted(set(sv.context.crossing_discourse)):
-            out[f"disc:both:{tag}:{k}:{s}"] = 1.0
-    return out
-
-
-def extract_embedding(view: InstanceView, dim: int) -> dict[str, float]:
-    """Summed word vectors per scope and side, plus the source-target difference."""
-    out = {}
-    for scope, vectors in (
-        ("eau", [(tag, sv.content.embedding) for tag, sv in view.sides]),
-        ("ctx", [(tag, sv.context.embedding) for tag, sv in view.sides]),
+    content, ctx = sv.content, sv.context
+    out: dict[str, dict[str, float]] = {"eau": {}, "ctx": {}, "both": {}}
+    for scope, key, value in (
+        ("eau", "token_count", content.token_count),
+        ("eau", "punct_count", content.punct_count),
+        ("ctx", "preceding_tokens", ctx.preceding_count),
+        ("ctx", "following_tokens", ctx.following_count),
+        ("ctx", "unit_index", ctx.unit_index),
+        ("ctx", "is_first", ctx.is_first),
+        ("ctx", "is_last", ctx.is_last),
+        ("ctx", "paragraph_index", ctx.paragraph_index),
     ):
-        if view.target is not None:
-            zero = np.zeros(dim)
-            (_, src), (_, tgt) = vectors
-            vectors.append(
-                ("diff", (zero if src is None else src) - (zero if tgt is None else tgt))
-            )
-        for tag, vec in vectors:
-            if vec is None:
-                continue
-            for k in range(dim):
-                v = float(vec[k])
-                if v != 0.0:
-                    out[f"emb:{scope}:{tag}:{k:03d}"] = v
+        if value:
+            out[scope][f"struct:{scope}:{tag}:{key}"] = float(value)
+    sentence_tokens = content.token_count + ctx.preceding_count + ctx.following_count
+    if sentence_tokens:
+        out["both"][f"struct:both:{tag}:sentence_tokens"] = float(sentence_tokens)
+        out["both"][f"struct:both:{tag}:eau_sentence_ratio"] = (
+            content.token_count / sentence_tokens
+        )
     return out
 
 
-def extract_sentiment(view: InstanceView) -> dict[str, float]:
-    """One-hot sentiment of the selected nodes per scope and side, plus differences."""
-    out = {}
-    for scope, scores in (
-        ("eau", [(tag, sv.content.sentiment) for tag, sv in view.sides]),
-        ("ctx", [(tag, sv.context.sentiment_ci) for tag, sv in view.sides]),
-        ("both", [(tag, sv.context.sentiment_fa) for tag, sv in view.sides]),
-    ):
-        for tag, score in scores:
-            if score is not None:
-                out[f"sent:{scope}:{tag}:{score}"] = 1.0
-        if view.target is not None:
-            (_, src), (_, tgt) = scores
-            for k in range(1, 6):
-                v = (src == k) - (tgt == k)
-                if v:
-                    out[f"sent:{scope}:diff:{k}"] = float(v)
-    return out
-
-
-_EXTRACTORS = {
-    "lexical": extract_lexical,
-    "syntactic": extract_syntactic,
-    "structural": extract_structural,
-    "discourse": extract_discourse,
-    "sentiment": extract_sentiment,
+_SIDE_EXTRACTORS = {
+    "lexical": _lexical, "syntactic": _syntactic,
+    "structural": _structural, "discourse": _discourse,
 }
+
+# Families with a source-target difference block: per scope, the side value
+# it is taken from.  Embeddings are summed word vectors; a sentiment is one
+# score, one-hot over SENTIMENT_SCORES.
+_PAIRED = {
+    "embedding": {
+        "eau": lambda sv: sv.content.embedding,
+        "ctx": lambda sv: sv.context.embedding,
+    },
+    "sentiment": {
+        "eau": lambda sv: sv.content.sentiment,
+        "ctx": lambda sv: sv.context.sentiment_ci,
+        "both": lambda sv: sv.context.sentiment_fa,
+    },
+}
+SENTIMENT_SCORES = (1, 2, 3, 4, 5)
+
+
+def _side_blocks(
+    sv: SideView, tag: str, families, embedding_dim: int
+) -> dict[tuple[str, str], dict[str, float]]:
+    """One side's features under ``tag``, keyed by (family, scope)."""
+    blocks = {}
+    for family in families:
+        if family == "embedding":
+            for scope, value_of in _PAIRED[family].items():
+                vec = value_of(sv)
+                blocks[family, scope] = {} if vec is None else {
+                    f"emb:{scope}:{tag}:{k:03d}": v
+                    for k, v in enumerate(vec[:embedding_dim].tolist())
+                    if v != 0.0
+                }
+        elif family == "sentiment":
+            for scope, value_of in _PAIRED[family].items():
+                score = value_of(sv)
+                blocks[family, scope] = (
+                    {} if score is None else {f"sent:{scope}:{tag}:{score}": 1.0}
+                )
+        else:
+            for scope, named in _SIDE_EXTRACTORS[family](sv, tag).items():
+                blocks[family, scope] = named
+    return blocks
+
+
+def _pair_names(family: str, scope: str, embedding_dim: int) -> list[str]:
+    """Names of a difference block's columns."""
+    if family == "embedding":
+        return [f"emb:{scope}:diff:{k:03d}" for k in range(embedding_dim)]
+    return [f"sent:{scope}:diff:{k}" for k in SENTIMENT_SCORES]
+
+
+def _pair_values(family: str, scope: str, sides, embedding_dim: int) -> np.ndarray:
+    """Per side, the vector the difference block subtracts; zeros for a missing value."""
+    value_of = _PAIRED[family][scope]
+    if family == "embedding":
+        out = np.zeros((len(sides), embedding_dim))
+        for row, sv in zip(out, sides):
+            vec = value_of(sv)
+            if vec is not None:
+                row[:] = vec[:embedding_dim]
+        return out
+    out = np.zeros((len(sides), len(SENTIMENT_SCORES)))
+    for row, sv in zip(out, sides):
+        score = value_of(sv)
+        if score in SENTIMENT_SCORES:
+            row[SENTIMENT_SCORES.index(score)] = 1.0
+    return out
+
+
+def _blocks_in_order(families):
+    """(family, scope, tag) of every block of a paired view, in name order.
+
+    A view without a target has empty ``tgt`` and ``diff`` blocks.
+    """
+    for family in families:
+        if family in _PAIRED:
+            for scope in _PAIRED[family]:
+                for tag in ("src", "tgt", "diff"):
+                    yield family, scope, tag
+        else:
+            for tag in TAGS:
+                for scope in SCOPE_TYPE:
+                    yield family, scope, tag
 
 
 # --------------------------------------------------------------------------
@@ -320,17 +375,9 @@ def extract_all(
     view: InstanceView, families=None, embedding_dim: int = 0
 ) -> dict[str, float]:
     """Named features of every requested family, all scopes together."""
-    if families is None:
-        families = default_families(view)
-    named: dict[str, float] = {}
-    for family in families:
-        if FAMILY_LAYER[family] not in view.layers:
-            raise MissingLayerError(FAMILY_LAYER[family])
-        if family == "embedding":
-            named.update(extract_embedding(view, embedding_dim))
-        else:
-            named.update(_EXTRACTORS[family](view))
-    return named
+    registry = FeatureRegistry()
+    X = extract_matrix([view], registry, families, embedding_dim)
+    return {registry.name(c): v for c, v in zip(X.indices.tolist(), X.data.tolist())}
 
 
 def assemble(
@@ -352,6 +399,215 @@ def assemble(
         if idx is not None:
             out[idx] = value
     return out
+
+
+# --------------------------------------------------------------------------
+# Feature matrices
+
+
+@dataclass(frozen=True)
+class CsrMatrix:
+    """Compressed sparse rows: row i holds the columns
+    ``indices[indptr[i]:indptr[i + 1]]`` and the values at the same
+    positions of ``data``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_cols: int
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.n_cols
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        X = np.zeros(self.shape)
+        X[self.row_ids(), self.indices] = self.data
+        return X
+
+    def columns(self, mask: np.ndarray) -> CsrMatrix:
+        """The masked columns, renumbered in order; entry order is kept."""
+        renumbered = np.where(mask, np.cumsum(mask) - 1, -1)[self.indices]
+        kept = renumbered >= 0
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(np.bincount(self.row_ids()[kept], minlength=len(self)), out=indptr[1:])
+        return CsrMatrix(indptr, renumbered[kept], self.data[kept], int(np.count_nonzero(mask)))
+
+
+FeatureMatrix = np.ndarray | CsrMatrix
+
+
+def as_matrix(X: CsrMatrix) -> FeatureMatrix:
+    """``X`` as a dense array when nnz >= n*(d+1)/4, else ``X`` itself.
+
+    The counts include the bias column a linear model appends: at that
+    density one (n, d+1) array takes at most twice the bytes of the sparse
+    form (an 8 B index plus an 8 B value per nonzero), and a coordinate step
+    on a dense row skips the gather and the scatter of ``w[cols]``.
+    """
+    n, d = X.shape
+    return X.toarray() if 4 * (len(X.data) + n) >= n * (d + 1) else X
+
+
+def vectors_to_matrix(vectors: list[SparseVector], n_cols: int) -> FeatureMatrix:
+    """The matrix whose rows are ``vectors``, whose indices must lie in 0..n_cols-1."""
+    nnz = sum(map(len, vectors))
+    indices = np.fromiter(chain.from_iterable(vectors), np.intp, nnz)
+    outside = indices[(indices < 0) | (indices >= n_cols)]
+    if len(outside):
+        raise ArgdissectError(f"feature index {outside[0]} outside the model's registry")
+    indptr = np.zeros(len(vectors) + 1, np.intp)
+    np.cumsum([len(v) for v in vectors], out=indptr[1:])
+    data = np.fromiter(chain.from_iterable(v.values() for v in vectors), float, nnz)
+    return as_matrix(CsrMatrix(indptr, indices, data, n_cols))
+
+
+def extract_matrix(
+    views: list[InstanceView],
+    registry: FeatureRegistry,
+    families=None,
+    embedding_dim: int = 0,
+    model_type: str = FA,
+) -> CsrMatrix:
+    """The views' features in the model type's Φ slice, one row each.
+
+    Row i holds what ``assemble(views[i], model_type, registry, ...)``
+    returns, in the same order.  Each distinct side object is extracted
+    once per tag, and only the difference blocks are computed per row.  An
+    open registry registers new names in the order a pass of ``assemble``
+    over the views would; a frozen one counts each occurrence of an
+    unknown name in ``dropped_unseen``.
+    """
+    if model_type not in MODEL_TYPES:
+        raise ValueError(f"unknown model type: {model_type}")
+    if families is None:
+        families = default_families(views[0]) if views else ()
+    for layers in {view.layers for view in views}:
+        for family in families:
+            if FAMILY_LAYER[family] not in layers:
+                raise MissingLayerError(FAMILY_LAYER[family])
+    blocks = [
+        b for b in _blocks_in_order(families)
+        if model_type == FA or SCOPE_TYPE[b[1]] == model_type
+    ]
+    n = len(views)
+    # sides[t] holds each distinct side under tag t once, in order of first
+    # appearance at first_row[t]; ids[t, i] is row i's side, or -1
+    sides, first_row, seen = ([], []), ([], []), ({}, {})
+    ids = np.full((2, n), -1, np.intp)
+    for i, view in enumerate(views):
+        for t, (_, sv) in enumerate(view.sides):
+            ids[t, i] = j = seen[t].setdefault(id(sv), len(sides[t]))
+            if j == len(sides[t]):
+                sides[t].append(sv)
+                first_row[t].append(i)
+    paired = ids[1] >= 0
+    diffs = {}
+    for family, scope, tag in blocks:
+        if tag == "diff":
+            diff = diffs[family, scope] = np.zeros(
+                (n, len(_pair_names(family, scope, embedding_dim)))
+            )
+            diff[paired] = (
+                _pair_values(family, scope, sides[0], embedding_dim)[ids[0, paired]]
+                - _pair_values(family, scope, sides[1], embedding_dim)[ids[1, paired]]
+            )
+
+    # The pool holds each side's blocks once, as segments (tag, side, block),
+    # then the nonzero difference entries row by row, one segment per (row,
+    # block).  Names are held as provisional ids into ``pids``, in order of
+    # first extraction.  seg_of[i, b] is the segment of row i's block b; -1,
+    # an empty segment, if it has none.
+    pids: dict[str, int] = {}
+    pool_pids: list[np.ndarray] = []
+    pool_vals: list[np.ndarray] = []
+    seg_lens: list[int] = []
+    seg_of = np.full((n, len(blocks)), -1, np.intp)
+    for t, tag in enumerate(TAGS):
+        tag_blocks = [b for b, (_, _, btag) in enumerate(blocks) if btag == tag]
+        keys = [blocks[b][:2] for b in tag_blocks]
+        seg_of[:, tag_blocks] = np.where(
+            ids[t, :, None] >= 0,
+            len(seg_lens) + ids[t, :, None] * len(keys) + np.arange(len(keys)),
+            -1,
+        )
+        for sv in sides[t]:
+            by_block = _side_blocks(sv, tag, families, embedding_dim)
+            named = [by_block[key] for key in keys]
+            pool_pids.append(np.array(
+                [pids.setdefault(name, len(pids)) for block in named for name in block], np.intp
+            ))
+            pool_vals.append(np.array([v for block in named for v in block.values()], float))
+            seg_lens.extend(map(len, named))
+    diff_firsts = {}
+    for b, (family, scope, tag) in enumerate(blocks):
+        if tag == "diff":
+            diff = diffs[family, scope]
+            block_pids = np.array([
+                pids.setdefault(name, len(pids))
+                for name in _pair_names(family, scope, embedding_dim)
+            ], np.intp)
+            rows, ks = np.nonzero(diff)
+            pool_pids.append(block_pids[ks])
+            pool_vals.append(diff[rows, ks])
+            seg_of[:, b] = len(seg_lens) + np.arange(n)
+            seg_lens.extend(np.count_nonzero(diff, axis=1).tolist())
+            # the row where each column is first nonzero
+            nonzero = diff != 0.0
+            firsts = diff_firsts[b] = {}
+            for k in np.flatnonzero(nonzero.any(axis=0)).tolist():
+                firsts.setdefault(int(nonzero[:, k].argmax()), []).append(block_pids[k])
+    seg_lens.append(0)
+    pool_pids, pool_vals = np.concatenate(pool_pids), np.concatenate(pool_vals)
+    seg_lens = np.array(seg_lens)
+    seg_starts = np.cumsum(seg_lens) - seg_lens
+
+    if not registry.frozen:
+        # A name first occurs in the row where its side first appears under
+        # its tag, or where its difference column is first nonzero; within a
+        # row, blocks come in name order.
+        names = list(pids)
+        new_side = np.zeros((2, n), bool)
+        for t in (0, 1):
+            new_side[t, first_row[t]] = True
+        rows = set(first_row[0]) | set(first_row[1])
+        rows.update(*diff_firsts.values())
+        for i in sorted(rows):
+            for b, (_, _, tag) in enumerate(blocks):
+                if tag == "diff":
+                    new = diff_firsts[b].get(i, ())
+                elif new_side[TAGS.index(tag)][i]:
+                    lo = seg_starts[seg_of[i, b]]
+                    new = pool_pids[lo:lo + seg_lens[seg_of[i, b]]].tolist()
+                else:
+                    continue
+                for p in new:
+                    registry.index(names[p])
+
+    column = registry._index.get
+    cols = np.fromiter((column(name, -1) for name in pids), np.intp, len(pids))[pool_pids]
+    known = cols >= 0
+    unseen = np.bincount(
+        np.repeat(np.arange(len(seg_lens)), seg_lens)[~known], minlength=len(seg_lens)
+    )
+    registry.dropped_unseen += int(unseen[seg_of].sum())
+
+    # gather: row i is its blocks' segments of the pool of known names, in block order
+    seg_lens = seg_lens - unseen
+    lens = seg_lens[seg_of].ravel()
+    starts = (np.cumsum(seg_lens) - seg_lens)[seg_of].ravel()
+    ends = np.cumsum(lens)
+    pos = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if len(ends) else 0)
+    indptr = np.zeros(n + 1, np.intp)
+    np.cumsum(lens.reshape(n, len(blocks)).sum(axis=1), out=indptr[1:])
+    return CsrMatrix(indptr, cols[known][pos], pool_vals[known][pos], len(registry))
 
 
 def count_punct(tokens) -> int:

@@ -23,12 +23,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain
 
 import numpy as np
 
 from .errors import ArgdissectError, ModelFormatError
-from .features import FeatureRegistry, SparseVector
+from .features import FeatureMatrix, FeatureRegistry, SparseVector, vectors_to_matrix
 from .settings import check_choices, choice, from_text
 
 FORMAT_VERSION = 1
@@ -156,38 +155,18 @@ class _SparseRows:
 SolverRows = _DenseRows | _SparseRows
 
 
-def _rows(vectors: list[SparseVector], n_features: int) -> SolverRows:
-    """Solver rows of the vectors, each with the bias column ``n_features`` appended.
-
-    Dense rows when nnz >= n*(d+1)/4: at that density one (n, d+1) array
-    takes at most twice the bytes of the sparse form (an 8 B index plus an
-    8 B value per nonzero), and a coordinate step on a dense row skips the
-    gather and the scatter of ``w[cols]``.
-    """
-    nnz = len(vectors) + sum(map(len, vectors))
-    dense = 4 * nnz >= len(vectors) * (n_features + 1)
-    return (_dense_rows if dense else _sparse_rows)(vectors, n_features)
-
-
-def _dense_rows(vectors: list[SparseVector], n_features: int) -> _DenseRows:
-    X = np.zeros((len(vectors), n_features + 1))
-    X[:, n_features] = 1.0
-    for x, vec in zip(X, vectors):
-        x[list(vec)] = list(vec.values())
-    return _DenseRows(X)
-
-
-def _sparse_rows(vectors: list[SparseVector], n_features: int) -> _SparseRows:
-    nnz = len(vectors) + sum(map(len, vectors))
-    indices = np.fromiter(
-        chain.from_iterable((*vec, n_features) for vec in vectors), np.intp, nnz
+def _solver_rows(X: FeatureMatrix) -> SolverRows:
+    """Solver rows of the feature matrix, in its form, with a bias column of ones appended."""
+    n, d = X.shape
+    if isinstance(X, np.ndarray):
+        return _DenseRows(np.hstack([X, np.ones((n, 1))]))
+    ends = X.indptr[1:]
+    return _SparseRows(
+        X.indptr + np.arange(n + 1),
+        np.insert(X.indices, ends, d),
+        np.insert(X.data, ends, 1.0),
+        d + 1,
     )
-    data = np.fromiter(
-        chain.from_iterable((*vec.values(), 1.0) for vec in vectors), float, nnz
-    )
-    indptr = np.zeros(len(vectors) + 1, np.intp)
-    np.cumsum([len(vec) + 1 for vec in vectors], out=indptr[1:])
-    return _SparseRows(indptr, indices, data, n_features + 1)
 
 
 def _update_hessian(H: np.ndarray, X: SolverRows, C_i: np.ndarray,
@@ -277,7 +256,7 @@ def _dcd_binary(X: SolverRows, y: np.ndarray, C_i: np.ndarray, loss: str, tol: f
                 max_epochs: int, rng: np.random.Generator, alpha: np.ndarray | None = None):
     """Dual coordinate descent for min 0.5||w||^2 + sum_i C_i * loss_i.
 
-    ``X`` comes from ``_rows``, y in {-1, +1}.  From ``alpha`` = None it
+    ``X`` comes from ``_solver_rows``, y in {-1, +1}.  From ``alpha`` = None it
     starts at zero.  Given a warm start ``alpha`` (w = sum_i alpha_i y_i x_i)
     it first computes every coordinate's projected gradient there, vectorized:
     the certificate, the first epoch and the first dual objective; epochs of
@@ -355,7 +334,7 @@ def _dcd_binary(X: SolverRows, y: np.ndarray, C_i: np.ndarray, loss: str, tol: f
 
 
 def train(
-    vectors: list[SparseVector],
+    X: FeatureMatrix | list[SparseVector],
     labels: list[str],
     config: TrainConfig,
     registry: FeatureRegistry,
@@ -363,8 +342,12 @@ def train(
     model_type: str = "FA",
     task: str = "f",
 ) -> LinearModel:
-    """Train a linear model over the frozen registry's feature space."""
-    if not vectors:
+    """Train a linear model over the frozen registry's feature space.
+
+    ``X`` has one column per registry name; a list of sparse vectors is
+    converted to that matrix first.
+    """
+    if not len(X):
         raise ArgdissectError("empty training set")
     present = set(labels)
     if len(present) < 2:
@@ -374,7 +357,14 @@ def train(
         raise ArgdissectError(f"labels outside the class set: {sorted(unknown)}")
 
     n_features = len(registry)
-    X = _rows(vectors, n_features)
+    if isinstance(X, list):
+        X = vectors_to_matrix(X, n_features)
+    if X.shape != (len(labels), n_features):
+        raise ArgdissectError(
+            f"feature matrix of shape {X.shape} for {len(labels)} labels "
+            f"and {n_features} registry features"
+        )
+    X = _solver_rows(X)
     cw = class_weights(labels, classes, config.class_weighting)
     C_i = np.array([config.c * cw[lab] for lab in labels])
     y_arr = np.array(labels)
@@ -423,30 +413,34 @@ def train(
     )
 
 
-def decision_scores(model: LinearModel, vector: SparseVector) -> dict[str, float]:
-    scores = {}
-    for cls in model.classes:
-        w = model.weights[cls]
-        s = model.biases[cls]
-        for idx, val in vector.items():
-            if idx >= model.n_features:
-                raise ArgdissectError(
-                    f"feature index {idx} outside the model's registry"
-                )
-            s += w[idx] * val
-        scores[cls] = s
-    return scores
+def decision_values(model: LinearModel, X: FeatureMatrix | list[SparseVector]) -> np.ndarray:
+    """X @ W + b: one row per instance, one column per class."""
+    if isinstance(X, list):
+        X = vectors_to_matrix(X, model.n_features)
+    if X.shape[1] != model.n_features:
+        raise ArgdissectError(
+            f"feature matrix has {X.shape[1]} columns, the model's registry "
+            f"{model.n_features}"
+        )
+    W = np.column_stack([model.weights[c] for c in model.classes])
+    b = np.array([model.biases[c] for c in model.classes])
+    if isinstance(X, np.ndarray):
+        return X @ W + b
+    rows = X.row_ids()
+    return np.column_stack([
+        np.bincount(rows, X.data * w[X.indices], len(X)) for w in W.T
+    ]) + b
+
+
+def predict_all(model: LinearModel, X: FeatureMatrix | list[SparseVector]) -> list[str]:
+    """Argmax of the per-class decision values; ties go to the earlier class."""
+    return [model.classes[k] for k in np.argmax(decision_values(model, X), axis=1).tolist()]
 
 
 def predict(model: LinearModel, vector: SparseVector) -> tuple[str, dict[str, float]]:
-    """Argmax of the per-class decision values; ties go to the earlier class."""
-    scores = decision_scores(model, vector)
-    best = max(model.classes, key=lambda c: (scores[c], -model.classes.index(c)))
-    return best, scores
-
-
-def predict_all(model: LinearModel, vectors: list[SparseVector]) -> list[str]:
-    return [predict(model, v)[0] for v in vectors]
+    """The label and per-class decision values of one sparse vector."""
+    scores = decision_values(model, [vector])[0]
+    return model.classes[int(np.argmax(scores))], dict(zip(model.classes, scores.tolist()))
 
 
 # --------------------------------------------------------------------------

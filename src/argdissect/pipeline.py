@@ -52,12 +52,16 @@ from .features import (
     MODEL_TYPES,
     ContentLayers,
     ContextLayers,
+    CsrMatrix,
+    FeatureMatrix,
     FeatureRegistry,
     InstanceView,
     SideView,
-    assemble,
+    assemble,  # noqa: F401  (kept importable here: tracing tools wrap pipeline's names)
+    as_matrix,
     count_punct,
     default_families,
+    extract_matrix,
 )
 from .learn import LinearModel, TrainConfig, predict_all, save_model, train
 from .settings import check_choices, choice
@@ -156,10 +160,7 @@ def load_corpus_dir(corpus_dir, embeddings_path=None, embedding_dim=None) -> Cor
         )
     embeddings = None
     if embeddings_path:
-        emb_text = read_text(embeddings_path)
-        if embedding_dim is None:
-            embedding_dim = len(emb_text.split("\n", 1)[0].split(" ")) - 1
-        embeddings = load_embeddings(emb_text, embedding_dim)
+        embeddings = load_embeddings(read_text(embeddings_path), embedding_dim)
     return CorpusBundle(corpus=corpus, bundles=bundles, embeddings=embeddings)
 
 
@@ -344,6 +345,20 @@ class ExperimentData:
     test_views: list[InstanceView]
     classes: tuple[str, ...]
     embedding_dim: int
+    _train_features: dict = field(default_factory=dict, repr=False)
+
+    def train_features(self, families: tuple[str, ...]) -> tuple[FeatureRegistry, CsrMatrix]:
+        """The training views' FA registry, frozen, and their FA rows over it.
+
+        Extracted on the first call for ``families`` and kept: every model
+        type trains on a column view of the same rows.
+        """
+        if families not in self._train_features:
+            registry = FeatureRegistry()
+            X = extract_matrix(self.train_views, registry, families, self.embedding_dim)
+            registry.freeze()
+            self._train_features[families] = registry, X
+        return self._train_features[families]
 
 
 def prepare(config: RunConfig) -> ExperimentData:
@@ -384,16 +399,19 @@ def resolve_families(config: RunConfig, data: ExperimentData) -> tuple[str, ...]
 
 def train_model(
     config: RunConfig, data: ExperimentData, model_type: str | None = None
-) -> tuple[LinearModel, FeatureRegistry, list, tuple[str, ...]]:
-    """Registry construction + training; returns (model, registry, X_train, families)."""
+) -> tuple[LinearModel, FeatureRegistry, FeatureMatrix, tuple[str, ...]]:
+    """Training on the model type's columns of the training features.
+
+    Returns (model, registry, X_train, families): the CB and CI registries
+    are the FA registry's names of that type, in the same order.
+    """
     model_type = model_type or config.model_type
     families = resolve_families(config, data)
-    registry = FeatureRegistry()
-    X_train = [
-        assemble(v, model_type, registry, families, data.embedding_dim)
-        for v in data.train_views
-    ]
-    registry.freeze()
+    registry, X_train = data.train_features(families)
+    if model_type != FA:
+        columns = registry.columns_of(model_type)
+        registry, X_train = registry.subset(columns), X_train.columns(columns)
+    X_train = as_matrix(X_train)
     y_train = [v.instance.label for v in data.train_views]
     model = train(
         X_train,
@@ -415,11 +433,8 @@ def evaluate_model(
     families,
     embedding_dim: int,
 ) -> tuple[EvalReport, list[str]]:
-    X = [
-        assemble(v, model.model_type, registry, families, embedding_dim)
-        for v in views
-    ]
-    preds = predict_all(model, X)
+    X = extract_matrix(views, registry, families, embedding_dim, model.model_type)
+    preds = predict_all(model, as_matrix(X))
     gold = [v.instance.label for v in views]
     return f1_report(preds, gold, classes), preds
 
@@ -493,6 +508,14 @@ def write_solver_tsv(path, models: list[LinearModel]) -> None:
         )
 
 
+def write_features_tsv(path, trained: list[tuple[LinearModel, FeatureRegistry]]) -> None:
+    """Per trained model: its Φ type, registry width and test features dropped as unseen."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("model_type\tn_features\tdropped_unseen\n")
+        for model, registry in trained:
+            fh.write(f"{model.model_type}\t{len(registry)}\t{registry.dropped_unseen}\n")
+
+
 def run_experiment(config: RunConfig) -> EvalReport:
     """Full ingest -> train -> evaluate run with artifacts in the output dir."""
     os.makedirs(config.output_dir, exist_ok=True)
@@ -528,8 +551,10 @@ def run_experiment(config: RunConfig) -> EvalReport:
     model_path = os.path.join(config.output_dir, "model.txt")
     report_path = os.path.join(config.output_dir, "report.tsv")
     solver_path = os.path.join(config.output_dir, "solver.tsv")
+    features_path = os.path.join(config.output_dir, "features.tsv")
     save_model(model, model_path)
     write_report_tsv(report_path, report)
     write_solver_tsv(solver_path, [model])
-    write_manifest(config, [model_path, report_path, solver_path])
+    write_features_tsv(features_path, [(model, registry)])
+    write_manifest(config, [model_path, report_path, solver_path, features_path])
     return report

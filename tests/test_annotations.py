@@ -1,3 +1,6 @@
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from argdissect.annotations import (
 )
 from argdissect.corpus import EauSpan
 from argdissect.errors import AlignmentError, IntegrityError, StandoffParseError
+from argdissect.pipeline import load_corpus_dir
 
 from conftest import SMOKE_TEXT, SMOKE_EAU_CHARS
 
@@ -220,3 +224,44 @@ def test_align_eau_across_two_sentences():
     ctx_ids = {(t.sentence_idx, t.token_idx) for t in alignment.context_tokens}
     assert eau_ids | ctx_ids == all_ids
     assert eau_ids & ctx_ids == set()
+
+
+def test_load_embeddings_ignores_trailing_whitespace_and_infers_dim():
+    # the word2vec tool writes a space after each component
+    text = "\n  \n, 0.5 -1.25 \nthe 2 3\t\n"
+    table = load_embeddings(text)
+    assert table.dimension == 2
+    assert np.array_equal(table.entries[","], [0.5, -1.25])
+    assert np.array_equal(table.entries["the"], [2.0, 3.0])
+    assert load_embeddings(text, dim=2).entries.keys() == table.entries.keys()
+
+
+def test_corpus_with_trailing_space_embeddings_loads(synth_dir, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    emb = corpus / "embeddings.txt"
+    clean = load_corpus_dir(synth_dir, os.path.join(synth_dir, "embeddings.txt"))
+    emb.write_text("".join(line + " \n" for line in emb.read_text().splitlines()))
+    spaced = load_corpus_dir(str(corpus), str(emb))
+    assert spaced.embeddings.dimension == clean.embeddings.dimension
+    assert all(
+        np.array_equal(spaced.embeddings.entries[w], v)
+        for w, v in clean.embeddings.entries.items()
+    )
+
+
+def test_load_embeddings_skips_word2vec_header():
+    table = load_embeddings("2 3\na 1 2 3\nb 4 5 6\n")
+    assert table.dimension == 3 and sorted(table.entries) == ["a", "b"]
+    assert sorted(load_embeddings("2 3\na 1 2 3\nb 4 5 6\n", dim=3).entries) == ["a", "b"]
+
+
+@pytest.mark.parametrize("text, words", [
+    # 1-dimensional: "1 5" is a word and its component, since 5 != 1
+    ("1 5\n2 0.5\n", ["1", "2"]),
+    # two fields but not both integers: an entry
+    ("cat 2\ndog 0.5\n", ["cat", "dog"]),
+])
+def test_load_embeddings_keeps_a_first_line_that_is_an_entry(text, words):
+    table = load_embeddings(text)
+    assert table.dimension == 1 and sorted(table.entries) == words

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from argdissect.cli import build_run_config, main, make_parser
-from argdissect.learn import TrainConfig
-from argdissect.pipeline import RunConfig
+from argdissect.features import FeatureRegistry
+from argdissect.learn import LinearModel, TrainConfig
+from argdissect.pipeline import RunConfig, write_features_tsv
 from argdissect.synth import SynthConfig, generate_corpus
 
 
@@ -366,3 +367,39 @@ def test_config_values_are_typed_and_unset_keys_keep_defaults(tmp_path):
         corpus_dir="c", split_path="s", exclude_reverse=True,
         families=("lexical", "structural"), train=TrainConfig(c=0.5),
     )
+
+
+@pytest.mark.parametrize("command, model_types", [
+    (["run", "--task", "g"], ["FA"]),
+    (["robustness", "--mode", "randomized"], ["CB", "CI", "FA"]),
+    (["anova"], ["FA"]),
+])
+def test_features_tsv_lists_each_model_registry(synth_dir, tmp_path, capsys, command,
+                                                model_types):
+    out_dir = str(tmp_path / "out")
+    assert main(command + base_args(synth_dir, out_dir)) == 0
+    with open(os.path.join(out_dir, "features.tsv")) as fh:
+        header, *rows = [line.split("\t") for line in fh.read().splitlines()]
+    assert header == ["model_type", "n_features", "dropped_unseen"]
+    assert [r[0] for r in rows] == model_types
+    assert all(int(r[1]) > 0 and int(r[2]) >= 0 for r in rows)
+    assert "features.tsv sha256=" in open(os.path.join(out_dir, "manifest.txt")).read()
+    if command[0] == "run":
+        model_text = open(os.path.join(out_dir, "model.txt")).read()
+        assert f"n_features={rows[0][1]}\n" in model_text
+    if command[0] == "robustness":
+        widths = {r[0]: int(r[1]) for r in rows}
+        assert widths["CB"] + widths["CI"] < widths["FA"]
+
+
+def test_features_tsv_counts_test_features_dropped_as_unseen(tmp_path):
+    registry = FeatureRegistry()
+    registry.index("lex:eau:src:seen")
+    registry.freeze()
+    for name in ("lex:eau:src:new", "lex:eau:src:new", "lex:eau:src:seen"):
+        registry.index(name)
+    model = LinearModel(("a", "b"), {}, {}, registry.registry_id, "CB", "f", TrainConfig(), 1)
+    write_features_tsv(tmp_path / "features.tsv", [(model, registry)])
+    assert (tmp_path / "features.tsv").read_text().splitlines() == [
+        "model_type\tn_features\tdropped_unseen", "CB\t1\t2",
+    ]

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -12,14 +13,19 @@ from argdissect.features import (
     ContentLayers,
     ContextLayers,
     EMPTY_CONTEXT,
+    CsrMatrix,
     FeatureRegistry,
     InstanceView,
     SideView,
+    as_matrix,
     assemble,
     extract_all,
+    extract_matrix,
     feature_family,
     feature_type,
 )
+from argdissect.evaluation import randomize_contexts, strip_contexts
+from argdissect.pipeline import RunConfig, prepare
 
 
 def make_view(
@@ -399,3 +405,131 @@ def test_extract_all_name_order_is_pinned():
     named = extract_all(view, embedding_dim=2)
     assert list(named) == [name for name, _ in EXPECTED_ORDER]
     assert named == dict(EXPECTED_ORDER)
+
+
+# ---------------------------------------------------------------------------
+# batch extraction against the per-instance path
+
+
+_PREPARED = {}
+
+
+def prepared(synth_dir, task):
+    """The 20-document synthetic corpus's views for ``task``, prepared once."""
+    if task not in _PREPARED:
+        _PREPARED[task] = prepare(RunConfig(
+            corpus_dir=synth_dir,
+            split_path=os.path.join(synth_dir, "split.tsv"),
+            embeddings_path=os.path.join(synth_dir, "embeddings.txt"),
+            task=task,
+        ))
+    return _PREPARED[task]
+
+
+def assert_rows_equal(X, vectors, n_cols):
+    """``X`` holds the vectors' entries: in dict order when sparse, and dense
+    exactly when the density rule (nnz with the bias >= n(d+1)/4) says so."""
+    n = len(vectors)
+    nnz = sum(map(len, vectors))
+    assert X.shape == (n, n_cols)
+    if 4 * (nnz + n) >= n * (n_cols + 1):
+        dense = np.zeros((n, n_cols))
+        for row, vec in zip(dense, vectors):
+            row[list(vec)] = list(vec.values())
+        assert isinstance(X, np.ndarray) and np.array_equal(X, dense)
+    else:
+        assert isinstance(X, CsrMatrix)
+        rows = [
+            list(zip(X.indices[lo:hi].tolist(), X.data[lo:hi].tolist()))
+            for lo, hi in zip(X.indptr[:-1], X.indptr[1:])
+        ]
+        assert rows == [list(vec.items()) for vec in vectors]
+
+
+@pytest.mark.parametrize("task", ["f", "g"])
+@pytest.mark.parametrize("model_type", [CB, CI, FA])
+@pytest.mark.parametrize("families", [
+    None, ("lexical", "embedding", "sentiment"), ("lexical", "syntactic"),
+])
+def test_extract_matrix_matches_per_instance_assembly(synth_dir, task, model_type, families):
+    data = prepared(synth_dir, task)
+    dim = data.embedding_dim
+    oracle, registry = FeatureRegistry(), FeatureRegistry()
+    expected = [assemble(v, model_type, oracle, families, dim) for v in data.train_views]
+    X = as_matrix(extract_matrix(data.train_views, registry, families, dim, model_type))
+    assert [registry.name(i) for i in range(len(registry))] == [
+        oracle.name(i) for i in range(len(oracle))
+    ]
+    assert_rows_equal(X, expected, len(registry))
+    assert registry.dropped_unseen == oracle.dropped_unseen == 0
+
+    # a registry frozen after one training row leaves test names unseen;
+    # transformed views share no sides
+    oracle, registry = FeatureRegistry(), FeatureRegistry()
+    for reg in (oracle, registry):
+        for v in data.train_views[:1]:
+            assemble(v, model_type, reg, families, dim)
+        reg.freeze()
+    for views in (
+        data.test_views,
+        randomize_contexts(data.test_views, seed=3),
+        strip_contexts(data.test_views),
+    ):
+        expected = [assemble(v, model_type, oracle, families, dim) for v in views]
+        X = as_matrix(extract_matrix(views, registry, families, dim, model_type))
+        assert_rows_equal(X, expected, len(registry))
+        assert registry.dropped_unseen == oracle.dropped_unseen > 0
+
+
+def test_extraction_column_views_are_the_typed_slices(synth_dir):
+    data = prepared(synth_dir, "g")
+    registry = FeatureRegistry()
+    X = extract_matrix(data.train_views, registry, None, data.embedding_dim)
+    registry.freeze()
+    for model_type in (CB, CI):
+        oracle = FeatureRegistry()
+        expected = [
+            assemble(v, model_type, oracle, None, data.embedding_dim)
+            for v in data.train_views
+        ]
+        columns = registry.columns_of(model_type)
+        sub = registry.subset(columns)
+        assert sub.registry_id == oracle.registry_id and sub.frozen
+        assert_rows_equal(as_matrix(X.columns(columns)), expected, len(oracle))
+
+
+def test_sparse_rows_of_shared_sides_match_per_instance_assembly():
+    """A wide vocabulary gives CSR rows; sides are shared, some views unpaired."""
+    rng = np.random.default_rng(4)
+    words = [f"w{k}" for k in range(300)]
+    sides = [
+        SideView(
+            f"T{j}",
+            ContentLayers(tokens=tuple(rng.choice(words, 4))),
+            ContextLayers(tokens=tuple(rng.choice(words, 3)), unit_index=j % 3),
+        )
+        for j in range(12)
+    ]
+    views = []
+    for k in range(40):
+        a, b = rng.integers(12, size=2)
+        target = sides[b] if k % 5 else None
+        inst = RelationInstance(f"T{a}", target and f"T{b}", "support", "f", "d")
+        views.append(InstanceView(inst, sides[a], target))
+    for model_type in (CB, CI, FA):
+        oracle, registry = FeatureRegistry(), FeatureRegistry()
+        expected = [assemble(v, model_type, oracle) for v in views]
+        X = as_matrix(extract_matrix(views, registry, model_type=model_type))
+        assert isinstance(X, CsrMatrix)
+        assert registry.registry_id == oracle.registry_id
+        assert_rows_equal(X, expected, len(registry))
+
+
+def test_extract_matrix_rejects_unknown_model_type():
+    with pytest.raises(ValueError):
+        extract_matrix([make_view()], FeatureRegistry(), model_type="XX")
+
+
+def test_extract_matrix_requires_the_family_layer():
+    with pytest.raises(MissingLayerError):
+        extract_matrix([make_view()], FeatureRegistry(), families=("syntactic",))

@@ -10,18 +10,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from argdissect.errors import ArgdissectError, ModelFormatError
-from argdissect.features import FeatureRegistry
+from argdissect.features import CsrMatrix, FeatureRegistry, vectors_to_matrix
 from argdissect.learn import (
     NEWTON_MAX_ITERATIONS,
     Convergence,
     LinearModel,
     TrainConfig,
     _dcd_binary,
-    _dense_rows,
     _line_search,
     _newton_sqhinge,
-    _rows,
-    _sparse_rows,
+    _solver_rows,
     _update_hessian,
     class_weights,
     load_model,
@@ -42,6 +40,26 @@ def registry_of(n):
 
 def dense_to_sparse(rows):
     return [{j: v for j, v in enumerate(row) if v != 0.0} for row in rows]
+
+
+def csr_of(vectors, d):
+    indptr = np.cumsum([0] + [len(vec) for vec in vectors])
+    indices = np.array([j for vec in vectors for j in vec], np.intp)
+    data = np.array([v for vec in vectors for v in vec.values()], float)
+    return CsrMatrix(indptr, indices, data, d)
+
+
+def _rows(vectors, d):
+    """Solver rows as ``train`` builds them: dense or sparse by density."""
+    return _solver_rows(vectors_to_matrix(vectors, d))
+
+
+def _dense_rows(vectors, d):
+    return _solver_rows(csr_of(vectors, d).toarray())
+
+
+def _sparse_rows(vectors, d):
+    return _solver_rows(csr_of(vectors, d))
 
 
 def separable_data():

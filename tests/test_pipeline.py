@@ -1,12 +1,16 @@
 import os
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from argdissect import cli, features, pipeline
 from argdissect.annotations import Token, parse_bracketed_tree
 from argdissect.corpus import parse_standoff
 from argdissect.errors import MissingLayerError
-from argdissect.features import CB, CI, FA
-from argdissect.learn import TrainConfig
+from argdissect.evaluation import randomize_contexts
+from argdissect.features import CB, CI, FA, FeatureRegistry, assemble
+from argdissect.learn import TrainConfig, decision_values, predict_all, save_model, train
 from argdissect.pipeline import (
     DocBundle,
     RunConfig,
@@ -14,6 +18,7 @@ from argdissect.pipeline import (
     evaluate_model,
     load_corpus_dir,
     prepare,
+    resolve_families,
     run_experiment,
     train_model,
 )
@@ -169,3 +174,105 @@ def test_unseen_test_features_are_dropped(synth_dir, tmp_path):
         model, registry, data.test_views, data.classes, families, data.embedding_dim
     )
     assert len(registry) == before
+
+
+# ---------------------------------------------------------------------------
+# one extraction, column views
+
+
+def loop_scores(model, vectors):
+    """Per-instance decision values, bias plus w[idx] * value in entry order,
+    and the sum of the magnitudes of their terms."""
+    scores = np.zeros((len(vectors), len(model.classes)))
+    scales = np.zeros_like(scores)
+    for i, vec in enumerate(vectors):
+        for k, cls in enumerate(model.classes):
+            w = model.weights[cls]
+            scores[i, k], scales[i, k] = model.biases[cls], abs(model.biases[cls])
+            for idx, val in vec.items():
+                scores[i, k] += w[idx] * val
+                scales[i, k] += abs(w[idx] * val)
+    return scores, scales
+
+
+@pytest.mark.parametrize("task", ["f", "g"])
+@pytest.mark.parametrize("settings", [
+    {},  # every slice dense
+    {"embeddings_path": "", "families": ("lexical", "syntactic")},  # CB rows sparse
+])
+def test_slice_models_match_models_trained_from_typed_vectors(
+    synth_dir, tmp_path, task, settings
+):
+    config = run_config(synth_dir, str(tmp_path), task=task, **settings)
+    data = prepare(config)
+    families = resolve_families(config, data)
+    labels = [v.instance.label for v in data.train_views]
+    for model_type in (CB, CI, FA):
+        model, registry, X, _ = train_model(config, data, model_type)
+        oracle = FeatureRegistry()
+        vectors = [
+            assemble(v, model_type, oracle, families, data.embedding_dim)
+            for v in data.train_views
+        ]
+        oracle.freeze()
+        expected = train(vectors, labels, config.train, oracle, data.classes,
+                         model_type=model_type, task=task)
+        assert len(X) == len(vectors) and X.shape[1] == len(oracle)
+        assert model.registry_id == expected.registry_id
+        for cls in data.classes:
+            assert np.array_equal(model.weights[cls], expected.weights[cls])
+            assert model.biases[cls] == expected.biases[cls]
+        save_model(model, tmp_path / "slice.txt")
+        save_model(expected, tmp_path / "vectors.txt")
+        assert (tmp_path / "slice.txt").read_bytes() == (tmp_path / "vectors.txt").read_bytes()
+
+        # matrix prediction is the per-instance loop's, on standard and
+        # transformed test views
+        for views in (data.test_views, randomize_contexts(data.test_views, seed=1)):
+            test_vectors = [
+                assemble(v, model_type, oracle, families, data.embedding_dim) for v in views
+            ]
+            _, preds = evaluate_model(
+                model, registry, views, data.classes, families, data.embedding_dim
+            )
+            scores, scales = loop_scores(model, test_vectors)
+            # X @ W + b sums in another order: equal up to rounding
+            values = decision_values(model, test_vectors)
+            assert np.all(np.abs(values - scores) <= 1e-12 * scales)
+            assert preds == [model.classes[k] for k in np.argmax(scores, axis=1)]
+            assert predict_all(model, test_vectors) == preds
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["robustness", "--mode", "randomized"], ["anova"],
+])
+def test_each_train_side_is_extracted_once(synth_dir, tmp_path, monkeypatch, command):
+    calls = Counter()
+    extract_side = features._side_blocks
+
+    def counting(sv, tag, *args):
+        calls[id(sv), tag] += 1
+        return extract_side(sv, tag, *args)
+
+    prepared = []
+    original_prepare = pipeline.prepare
+
+    def keep(config):
+        prepared.append(original_prepare(config))
+        return prepared[-1]
+
+    monkeypatch.setattr(features, "_side_blocks", counting)
+    monkeypatch.setattr(cli, "prepare", keep)
+    monkeypatch.setattr(pipeline, "prepare", keep)
+    assert cli.main(command + [
+        "--corpus-dir", synth_dir,
+        "--split", os.path.join(synth_dir, "split.tsv"),
+        "--embeddings", os.path.join(synth_dir, "embeddings.txt"),
+        "--out", str(tmp_path),
+        "--task", "g",
+        "--max-epochs", "200",
+    ]) == 0
+    [data] = prepared
+    train_sides = {(id(sv), tag) for v in data.train_views for tag, sv in v.sides}
+    assert len(train_sides) < 2 * len(data.train_views)  # sides are shared
+    assert all(calls[key] == 1 for key in train_sides)
