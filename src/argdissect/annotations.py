@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -63,8 +64,9 @@ class ConstTree:
     sentence_idx: int
     root: TreeNode
 
-    @property
+    @cached_property
     def has_sentiment(self) -> bool:
+        """Whether any node carries a sentiment score; the tree is walked once."""
         return any(n.sentiment is not None for n in self.root.iter_nodes())
 
 
@@ -143,6 +145,14 @@ _LEAF_ESCAPES = {
 }
 
 
+# Deepest node nesting a tree line may have.  Trees are walked recursively
+# after parsing (``TreeNode.iter_nodes``, ``treeops._rebuild``,
+# ``treeops._rules_of``), one frame per level, below whatever frames the
+# caller already holds; 500 keeps those walks well under Python's default
+# recursion limit of 1000, and natural-language parses are far shallower.
+MAX_TREE_DEPTH = 500
+
+
 def _tokenize_sexpr(line: str) -> list[str]:
     return re.findall(r"\(|\)|[^\s()]+", line)
 
@@ -150,20 +160,30 @@ def _tokenize_sexpr(line: str) -> list[str]:
 def parse_bracketed_tree(
     line: str, tokens_of_sentence: list[Token], doc_id: str = "doc", sentence_idx: int = 0
 ) -> ConstTree:
-    """Parse one bracketed tree line and align its leaves to the sentence tokens."""
-    items = _tokenize_sexpr(line)
-    pos = 0
-    leaf_counter = [0]
+    """Parse one bracketed tree line and align its leaves to the sentence tokens.
 
-    def parse_node() -> TreeNode:
-        nonlocal pos
-        if pos >= len(items):
-            raise StandoffParseError("unbalanced brackets: unexpected end of line")
+    The line is read left to right with an explicit stack of open nodes, so
+    parsing builds no recursive closure and no reference cycle.  Nesting
+    deeper than ``MAX_TREE_DEPTH`` is rejected.
+    """
+    items = _tokenize_sexpr(line)
+    if not items:
+        raise StandoffParseError("unbalanced brackets: unexpected end of line")
+    leaves: list[TreeNode] = []
+    # the open nodes, outermost first: (label, sentiment, children so far)
+    stack: list[tuple[str, Optional[int], list[TreeNode]]] = []
+    root: Optional[TreeNode] = None
+    pos = 0
+    while pos < len(items):
         item = items[pos]
+        pos += 1
+        if root is not None:
+            raise StandoffParseError("unbalanced brackets: trailing material")
         if item == "(":
-            pos += 1
             if pos >= len(items) or items[pos] in ("(", ")"):
                 raise StandoffParseError("expected node label after '('")
+            if len(stack) == MAX_TREE_DEPTH:
+                raise StandoffParseError(f"tree nested deeper than {MAX_TREE_DEPTH} levels")
             raw_label = items[pos]
             pos += 1
             m = _LABEL_SENT_RE.match(raw_label)
@@ -173,36 +193,37 @@ def parse_bracketed_tree(
                     raise StandoffParseError(f"sentiment score out of range: {sentiment}")
             else:
                 label, sentiment = raw_label, None
-            children = []
-            while pos < len(items) and items[pos] != ")":
-                children.append(parse_node())
-            if pos >= len(items):
-                raise StandoffParseError("unbalanced brackets: missing ')'")
-            pos += 1  # consume ')'
+            stack.append((label, sentiment, []))
+            continue
+        if item == ")":
+            if not stack:
+                raise StandoffParseError("unbalanced brackets: unexpected ')'")
+            label, sentiment, children = stack.pop()
             if not children:
                 raise StandoffParseError(f"node {label!r} has no children")
-            return TreeNode(
+            node = TreeNode(
                 label=label,
                 children=tuple(children),
                 token_start=children[0].token_start,
                 token_end=children[-1].token_end,
                 sentiment=sentiment,
             )
-        if item == ")":
-            raise StandoffParseError("unbalanced brackets: unexpected ')'")
-        # terminal
-        pos += 1
-        idx = leaf_counter[0]
-        leaf_counter[0] += 1
-        return TreeNode(
-            label=item, children=(), token_start=idx, token_end=idx + 1, is_leaf=True
-        )
+        else:  # terminal
+            node = TreeNode(
+                label=item,
+                children=(),
+                token_start=len(leaves),
+                token_end=len(leaves) + 1,
+                is_leaf=True,
+            )
+            leaves.append(node)
+        if stack:
+            stack[-1][2].append(node)
+        else:
+            root = node
+    if root is None:
+        raise StandoffParseError("unbalanced brackets: missing ')'")
 
-    root = parse_node()
-    if pos != len(items):
-        raise StandoffParseError("unbalanced brackets: trailing material")
-
-    leaves = root.leaves()
     if len(leaves) != len(tokens_of_sentence):
         raise AlignmentError(
             f"{doc_id} sentence {sentence_idx}: tree has {len(leaves)} leaves "

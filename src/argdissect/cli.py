@@ -9,6 +9,7 @@ given on the command line win.  Exit codes: 0 ok, 1 usage, 2 data error,
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import fields
@@ -311,6 +312,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    # The pipeline builds no reference cycles, so the cyclic collector would
+    # only spend time scanning the objects a command allocates; it is paused
+    # for the command and the caller's setting is restored afterwards.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except DataError as exc:
@@ -322,6 +328,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -529,6 +529,9 @@ def extract_matrix(
     pool_pids: list[np.ndarray] = []
     pool_vals: list[np.ndarray] = []
     seg_lens: list[int] = []
+    # the row where each segment first appears, and its block
+    seg_rows: list[np.ndarray] = []
+    seg_blocks: list[np.ndarray] = []
     seg_of = np.full((n, len(blocks)), -1, np.intp)
     for t, tag in enumerate(TAGS):
         tag_blocks = [b for b, (_, _, btag) in enumerate(blocks) if btag == tag]
@@ -546,7 +549,8 @@ def extract_matrix(
             ))
             pool_vals.append(np.array([v for block in named for v in block.values()], float))
             seg_lens.extend(map(len, named))
-    diff_firsts = {}
+        seg_rows.append(np.repeat(np.array(first_row[t], np.intp), len(keys)))
+        seg_blocks.append(np.tile(np.array(tag_blocks, np.intp), len(sides[t])))
     for b, (family, scope, tag) in enumerate(blocks):
         if tag == "diff":
             diff = diffs[family, scope]
@@ -559,37 +563,31 @@ def extract_matrix(
             pool_vals.append(diff[rows, ks])
             seg_of[:, b] = len(seg_lens) + np.arange(n)
             seg_lens.extend(np.count_nonzero(diff, axis=1).tolist())
-            # the row where each column is first nonzero
-            nonzero = diff != 0.0
-            firsts = diff_firsts[b] = {}
-            for k in np.flatnonzero(nonzero.any(axis=0)).tolist():
-                firsts.setdefault(int(nonzero[:, k].argmax()), []).append(block_pids[k])
+            seg_rows.append(np.arange(n))
+            seg_blocks.append(np.full(n, b))
     seg_lens.append(0)
     pool_pids, pool_vals = np.concatenate(pool_pids), np.concatenate(pool_vals)
     seg_lens = np.array(seg_lens)
-    seg_starts = np.cumsum(seg_lens) - seg_lens
 
     if not registry.frozen:
         # A name first occurs in the row where its side first appears under
         # its tag, or where its difference column is first nonzero; within a
-        # row, blocks come in name order.
+        # row, blocks come in name order, and within a block, entries in
+        # segment order.  An entry's key is its place in that order, and a
+        # name's first occurrence is the least key among its entries.
+        order = np.lexsort((np.concatenate(seg_blocks), np.concatenate(seg_rows)))
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(len(order))
+        seg_starts = np.cumsum(seg_lens[:-1]) - seg_lens[:-1]
+        entry_keys = np.repeat(ranks * int(seg_lens.max()) - seg_starts, seg_lens[:-1])
+        entry_keys += np.arange(len(entry_keys))
+        never = np.iinfo(np.intp).max
+        first = np.full(len(pids), never)
+        np.minimum.at(first, pool_pids, entry_keys)
         names = list(pids)
-        new_side = np.zeros((2, n), bool)
-        for t in (0, 1):
-            new_side[t, first_row[t]] = True
-        rows = set(first_row[0]) | set(first_row[1])
-        rows.update(*diff_firsts.values())
-        for i in sorted(rows):
-            for b, (_, _, tag) in enumerate(blocks):
-                if tag == "diff":
-                    new = diff_firsts[b].get(i, ())
-                elif new_side[TAGS.index(tag)][i]:
-                    lo = seg_starts[seg_of[i, b]]
-                    new = pool_pids[lo:lo + seg_lens[seg_of[i, b]]].tolist()
-                else:
-                    continue
-                for p in new:
-                    registry.index(names[p])
+        # names of difference columns that are zero in every row never occur
+        for p in np.argsort(first)[:np.count_nonzero(first < never)].tolist():
+            registry.index(names[p])
 
     column = registry._index.get
     cols = np.fromiter((column(name, -1) for name in pids), np.intp, len(pids))[pool_pids]

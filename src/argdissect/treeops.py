@@ -48,6 +48,32 @@ def range_disjoint(span, other) -> bool:
     return span[1] <= other[0] or other[1] <= span[0]
 
 
+def _rebuild(node: TreeNode, parent_label: str | None, eau_range: tuple[int, int],
+             content: list[TreeNode], cut_edges: list[tuple[str, str]]):
+    """The context-forest counterpart of ``node`` (a marker if severed).
+
+    Severed subtrees are appended to ``content`` and their (parent label,
+    label) edges to ``cut_edges``.
+    """
+    if range_inside(node.token_range, eau_range):
+        content.append(node)
+        if parent_label is not None:
+            cut_edges.append((parent_label, node.label))
+        return CutMarker(node.label, node.token_start, node.token_end)
+    if node.is_leaf or range_disjoint(node.token_range, eau_range):
+        return node
+    children = []
+    for child in node.children:  # a loop, not a generator: one frame per level
+        children.append(_rebuild(child, node.label, eau_range, content, cut_edges))
+    return TreeNode(
+        label=node.label,
+        children=tuple(children),
+        token_start=node.token_start,
+        token_end=node.token_end,
+        sentiment=node.sentiment,
+    )
+
+
 def cut_tree(tree: ConstTree, eau_range: tuple[int, int]) -> TreeCut:
     """Divide a tree into content subtrees (inside ``eau_range``) and context."""
     i, j = eau_range
@@ -61,26 +87,7 @@ def cut_tree(tree: ConstTree, eau_range: tuple[int, int]) -> TreeCut:
 
     content: list[TreeNode] = []
     cut_edges: list[tuple[str, str]] = []
-
-    def rebuild(node: TreeNode, parent_label: str | None):
-        """Return the context-forest counterpart of ``node`` (marker if severed)."""
-        if range_inside(node.token_range, eau_range):
-            content.append(node)
-            if parent_label is not None:
-                cut_edges.append((parent_label, node.label))
-            return CutMarker(node.label, node.token_start, node.token_end)
-        if node.is_leaf or range_disjoint(node.token_range, eau_range):
-            return node
-        children = tuple(rebuild(c, node.label) for c in node.children)
-        return TreeNode(
-            label=node.label,
-            children=children,
-            token_start=node.token_start,
-            token_end=node.token_end,
-            sentiment=node.sentiment,
-        )
-
-    rebuilt = rebuild(root, None)
+    rebuilt = _rebuild(root, None, eau_range, content, cut_edges)
     if isinstance(rebuilt, CutMarker):
         forest: tuple = ()
     else:
@@ -130,21 +137,21 @@ def _has_marker_child(node) -> bool:
     return any(isinstance(c, CutMarker) for c in getattr(node, "children", ()))
 
 
+def _crossing_rules_of(node, rules: Counter) -> None:
+    if isinstance(node, CutMarker) or getattr(node, "is_leaf", False):
+        return
+    if _has_marker_child(node):
+        rhs = "_".join(_child_label(c) for c in node.children)
+        rules[f"{node.label}→{rhs}"] += 1
+    for child in node.children:
+        _crossing_rules_of(child, rules)
+
+
 def crossing_rules(cut: TreeCut) -> Counter:
     """Rules of context nodes whose right-hand side mentions a severed subtree."""
     rules: Counter = Counter()
-
-    def walk(node):
-        if isinstance(node, CutMarker) or getattr(node, "is_leaf", False):
-            return
-        if _has_marker_child(node):
-            rhs = "_".join(_child_label(c) for c in node.children)
-            rules[f"{node.label}→{rhs}"] += 1
-        for child in node.children:
-            walk(child)
-
     for root in cut.context_forest:
-        walk(root)
+        _crossing_rules_of(root, rules)
     return rules
 
 

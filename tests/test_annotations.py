@@ -4,8 +4,11 @@ import shutil
 import numpy as np
 import pytest
 
+from argdissect import annotations
 from argdissect.annotations import (
+    MAX_TREE_DEPTH,
     Token,
+    TreeNode,
     align_eau,
     load_embeddings,
     parse_bracketed_tree,
@@ -96,6 +99,105 @@ def test_token_ranges_bottom_up():
     np_node, vp_node = tree.root.children
     assert np_node.token_range == (0, 2)
     assert vp_node.token_range == (2, 3)
+
+
+def recursive_parse(line):
+    """The recursive-descent tree parser the explicit-stack one replaced:
+    the root node and its leaves, or the first ``StandoffParseError``."""
+    items = annotations._tokenize_sexpr(line)
+    pos = 0
+    leaves = []
+
+    def parse_node():
+        nonlocal pos
+        if pos >= len(items):
+            raise StandoffParseError("unbalanced brackets: unexpected end of line")
+        item = items[pos]
+        pos += 1
+        if item == ")":
+            raise StandoffParseError("unbalanced brackets: unexpected ')'")
+        if item != "(":
+            leaf = TreeNode(item, (), len(leaves), len(leaves) + 1, is_leaf=True)
+            leaves.append(leaf)
+            return leaf
+        if pos >= len(items) or items[pos] in ("(", ")"):
+            raise StandoffParseError("expected node label after '('")
+        m = annotations._LABEL_SENT_RE.match(items[pos])
+        pos += 1
+        label, sentiment = (m.group(1), int(m.group(2))) if m else (items[pos - 1], None)
+        if sentiment is not None and not 1 <= sentiment <= 5:
+            raise StandoffParseError(f"sentiment score out of range: {sentiment}")
+        children = []
+        while pos < len(items) and items[pos] != ")":
+            children.append(parse_node())
+        if pos >= len(items):
+            raise StandoffParseError("unbalanced brackets: missing ')'")
+        pos += 1
+        if not children:
+            raise StandoffParseError(f"node {label!r} has no children")
+        return TreeNode(label, tuple(children), children[0].token_start,
+                        children[-1].token_end, sentiment)
+
+    root = parse_node()
+    if pos != len(items):
+        raise StandoffParseError("unbalanced brackets: trailing material")
+    return root, leaves
+
+
+def test_parser_matches_the_recursive_parser_on_a_corpus(synth_dir):
+    lines = []
+    for name in sorted(os.listdir(synth_dir)):
+        if name.endswith(".trees"):
+            with open(os.path.join(synth_dir, name), encoding="utf-8") as fh:
+                lines.extend(line for line in fh.read().split("\n") if line.strip())
+    assert len(lines) > 100
+    for line in lines:
+        root, leaves = recursive_parse(line)
+        tree = parse_bracketed_tree(line, toks(*(leaf.label for leaf in leaves)))
+        assert tree.root == root
+        assert tree.has_sentiment == any(n.sentiment is not None for n in root.iter_nodes())
+
+
+@pytest.mark.parametrize("line", [
+    "", "(", "()", "(S", "(S )", ")", "(S (NN a)) b", "(S (NN a)))", "(S (NN a)) (T b)",
+    "((S a))", "(S|s=7 (NN a))", "(S|s=0 a)", "(S (NN a) (", "a (S b)", "(S (NN a) ())",
+])
+def test_parser_raises_what_the_recursive_parser_raised(line):
+    with pytest.raises(StandoffParseError) as expected:
+        recursive_parse(line)
+    with pytest.raises(StandoffParseError) as raised:
+        parse_bracketed_tree(line, toks("a"))
+    assert str(raised.value) == str(expected.value)
+
+
+def test_a_bare_word_line_is_a_leaf_root():
+    tree = parse_bracketed_tree("dog", toks("dog"))
+    assert tree.root == recursive_parse("dog")[0] and tree.root.is_leaf
+
+
+def test_tree_nesting_is_bounded():
+    def nested(depth):
+        return "(X " * depth + "w" + ")" * depth
+
+    deepest = parse_bracketed_tree(nested(MAX_TREE_DEPTH), toks("w"))
+    assert len(list(deepest.root.iter_nodes())) == MAX_TREE_DEPTH + 1
+    with pytest.raises(StandoffParseError, match=f"deeper than {MAX_TREE_DEPTH}"):
+        parse_bracketed_tree(nested(MAX_TREE_DEPTH + 1), toks("w"))
+
+
+def test_has_sentiment_walks_the_tree_once(monkeypatch):
+    tree = parse_bracketed_tree("(S (NP|s=2 (NN dog)))", toks("dog"))
+    walks = []
+    iter_nodes = TreeNode.iter_nodes
+
+    def counted(node):
+        if node is tree.root:
+            walks.append(node)
+        return iter_nodes(node)
+
+    monkeypatch.setattr(TreeNode, "iter_nodes", counted)
+    assert tree.has_sentiment and tree.has_sentiment
+    assert len(walks) == 1
 
 
 def test_trees_file_sentence_order():

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import os
 import pathlib
 import re
@@ -7,7 +9,10 @@ import sys
 
 import pytest
 
+from argdissect import cli, pipeline
+from argdissect.annotations import MAX_TREE_DEPTH
 from argdissect.cli import build_run_config, main, make_parser
+from argdissect.errors import DataError
 from argdissect.features import FeatureRegistry
 from argdissect.learn import LinearModel, TrainConfig
 from argdissect.pipeline import RunConfig, write_features_tsv
@@ -403,3 +408,117 @@ def test_features_tsv_counts_test_features_dropped_as_unseen(tmp_path):
     assert (tmp_path / "features.tsv").read_text().splitlines() == [
         "model_type\tn_features\tdropped_unseen", "CB\t1\t2",
     ]
+
+
+def _nesting(line):
+    depth = deepest = 0
+    for ch in line:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _wrap_trees(corpus, depth):
+    """Nest every tree line of the corpus's first document ``depth`` levels deep."""
+    trees = sorted(corpus.glob("*.trees"))[0]
+    lines = []
+    for line in trees.read_text().splitlines():
+        extra = depth - _nesting(line)
+        lines.append("(X " * extra + line + ")" * extra)
+    trees.write_text("\n".join(lines) + "\n")
+
+
+def test_deep_tree_line_is_a_data_error(synth_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    _wrap_trees(corpus, 1200)
+    argv = ["ingest", "--task", "f", "--corpus-dir", str(corpus),
+            "--split", str(corpus / "split.tsv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"deeper than {MAX_TREE_DEPTH} levels" in err
+
+
+def test_trees_at_the_depth_bound_run(synth_dir, tmp_path, capsys):
+    """The recursive walks over a tree of the deepest accepted nesting stay
+    under the recursion limit: cuts, rules and sentiment nodes."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    _wrap_trees(corpus, MAX_TREE_DEPTH)
+    assert main(["run", "--task", "g"] + base_args(str(corpus), str(tmp_path / "out"))) == 0
+
+
+@pytest.fixture(scope="module")
+def corpora_10_30(tmp_path_factory):
+    dirs = []
+    for docs in (10, 30):
+        out = tmp_path_factory.mktemp(f"synth{docs}") / "corpus"
+        generate_corpus(str(out), SynthConfig(n_docs=docs, seed=5))
+        dirs.append(str(out))
+    return dirs
+
+
+def _garbage_of(argv):
+    """Exit code and the objects left in reference cycles by ``main(argv)``,
+    run with the collector disabled."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = main(argv)
+        gc.collect()
+        return code, list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--task", "g"],
+    ["robustness", "--mode", "randomized", "--task", "f"],
+    ["anova", "--task", "g"],
+])
+def test_commands_leave_no_cycles_that_grow_with_the_corpus(corpora_10_30, tmp_path, capsys,
+                                                            command):
+    """The cyclic collector is paused during a command, so whatever the
+    command leaves in reference cycles stays until the next collection;
+    that must not depend on the corpus size, nor hold corpus data (only the
+    argument parsers, which argparse builds with cycles, may be there)."""
+    small, large = (command + base_args(c, str(tmp_path / "out")) for c in corpora_10_30)
+    _garbage_of(small)  # first-call work (imports, caches) is not measured
+    counts = []
+    for argv in (small, large):
+        code, garbage = _garbage_of(argv)
+        assert code == 0
+        ours = [o for o in garbage if type(o).__module__.startswith("argdissect")]
+        assert all(isinstance(o, argparse.ArgumentParser) for o in ours)
+        counts.append(len(garbage))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("failure, code", [
+    (None, 0), (DataError("broken input"), 2), (RuntimeError("bug"), 3),
+])
+def test_main_pauses_the_collector_and_restores_the_callers_state(
+    synth_dir, monkeypatch, capsys, enabled, failure, code
+):
+    seen = []
+
+    def prepare(config):
+        seen.append(gc.isenabled())
+        if failure is not None:
+            raise failure
+        return pipeline.prepare(config)
+
+    monkeypatch.setattr(cli, "prepare", prepare)
+    argv = ["ingest", "--task", "f", "--corpus-dir", synth_dir,
+            "--split", os.path.join(synth_dir, "split.tsv")]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert seen == [False]

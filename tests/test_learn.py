@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
+from argdissect import learn
 from argdissect.errors import ArgdissectError, ModelFormatError
 from argdissect.features import CsrMatrix, FeatureRegistry, vectors_to_matrix
 from argdissect.learn import (
@@ -297,16 +298,24 @@ def test_line_search_finds_the_exact_minimum(seed, q_scale, kept):
 
 
 @pytest.mark.parametrize("make_rows", [_dense_rows, _sparse_rows])
-def test_incremental_hessian_matches_a_rebuild(make_rows):
-    n = 200  # more rows than one accumulation block
+def test_incremental_hessian_matches_a_rebuild(make_rows, monkeypatch):
+    n = 200
+    # blocks of 16 rows x 13 columns, so every update spans several blocks
+    monkeypatch.setattr(learn, "HESSIAN_BLOCK_BYTES", 2 * 8 * 13 * 16 + 100)
     vectors, _, C_i = random_problem(5, n=n)
     X = make_rows(vectors, 12)
+    blocks = []
+    block = X.block
+    monkeypatch.setattr(X, "block", lambda rows: blocks.append(len(rows)) or block(rows))
     Xd = dense_matrix(vectors, 12)
     rng = np.random.default_rng(0)
     H, was_active = np.eye(13), np.zeros(n, dtype=bool)
     for _ in range(6):
         active = rng.random(n) < 0.6
+        blocks.clear()
         _update_hessian(H, X, C_i, active, was_active)
+        changed = int(np.count_nonzero(active != was_active))
+        assert sum(blocks) == changed and blocks[:-1] == [16] * (len(blocks) - 1)
         was_active = active
         rebuilt = np.eye(13) + 2.0 * (Xd[active].T * C_i[active]) @ Xd[active]
         assert np.abs(H - rebuilt).max() <= 1e-10 * np.abs(rebuilt).max()
