@@ -229,7 +229,9 @@ def anova_f_scores(X: np.ndarray, labels) -> np.ndarray:
         Xc = X[labels == c]
         mc = Xc.mean(axis=0)
         ssb += Xc.shape[0] * (mc - grand_mean) ** 2
-        ssw += ((Xc - mc) ** 2).sum(axis=0)
+        Xc -= mc  # Xc is a copy: square the deviations in place
+        np.square(Xc, out=Xc)
+        ssw += Xc.sum(axis=0)
     dfb = len(classes) - 1
     dfw = n - len(classes)
     msb = ssb / dfb

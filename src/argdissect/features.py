@@ -3,8 +3,10 @@
 Every feature name is namespaced ``family:scope:side:payload`` where scope is
 one of ``eau`` (content-based), ``ctx`` (content-ignorant) or ``both``
 (full-access only), so a feature's type is recoverable from its name alone.
-Each family extractor reads one side of a view and returns its named
-features per scope; the name is the only place the type is kept.  The
+Each family reads one side of a view: the lexical, syntactic, structural
+and discourse extractors return its named features per scope, and the
+embedding and sentiment families one numeric array row per side and scope,
+named by column.  The name is the only place the type is kept.  The
 registry maps names to indices and freezes after the training pass.
 
 ``extract_matrix`` extracts a batch of views into one sparse matrix over the
@@ -47,16 +49,6 @@ FAMILY_LAYER = {
     "sentiment": "sentiment",
 }
 
-_FAMILY_PREFIX = {
-    "lexical": "lex",
-    "syntactic": "syn",
-    "structural": "struct",
-    "discourse": "disc",
-    "embedding": "emb",
-    "sentiment": "sent",
-}
-_PREFIX_FAMILY = {v: k for k, v in _FAMILY_PREFIX.items()}
-
 SparseVector = dict[int, float]
 
 
@@ -64,10 +56,6 @@ def feature_type(name: str) -> str:
     """The Φ type of a feature, recovered from its namespaced name."""
     scope = name.split(":", 2)[1]
     return SCOPE_TYPE[scope]
-
-
-def feature_family(name: str) -> str:
-    return _PREFIX_FAMILY[name.split(":", 1)[0]]
 
 
 class FeatureRegistry:
@@ -97,9 +85,6 @@ class FeatureRegistry:
 
     def name(self, idx: int) -> str:
         return self._names[idx]
-
-    def type_of(self, idx: int) -> str:
-        return feature_type(self._names[idx])
 
     def freeze(self) -> None:
         self.frozen = True
@@ -199,11 +184,12 @@ class InstanceView:
 
 
 # --------------------------------------------------------------------------
-# Per-side extractors.  Each returns one side's features under its tag as
+# Per-side extractors of the lexical, syntactic, structural and discourse
+# families.  Each returns one side's features under its tag as
 # ``{scope: {name: value}}``, scopes in the order eau, ctx, both.  The
-# embedding and sentiment families also have a per-pair block, the source
-# minus target difference, computed from the sides' values in
-# ``_pair_values``.
+# embedding and sentiment families are numeric instead: ``_pair_values``
+# gives one array row per side, whose nonzeros are the side's block, and the
+# source minus target difference of two rows is the pair's block.
 
 
 def _indicators(prefix: str, tag: str, **payloads) -> dict[str, dict[str, float]]:
@@ -295,41 +281,24 @@ _PAIRED = {
 SENTIMENT_SCORES = (1, 2, 3, 4, 5)
 
 
-def _side_blocks(
-    sv: SideView, tag: str, families, embedding_dim: int
-) -> dict[tuple[str, str], dict[str, float]]:
-    """One side's features under ``tag``, keyed by (family, scope)."""
-    blocks = {}
-    for family in families:
-        if family == "embedding":
-            for scope, value_of in _PAIRED[family].items():
-                vec = value_of(sv)
-                blocks[family, scope] = {} if vec is None else {
-                    f"emb:{scope}:{tag}:{k:03d}": v
-                    for k, v in enumerate(vec[:embedding_dim].tolist())
-                    if v != 0.0
-                }
-        elif family == "sentiment":
-            for scope, value_of in _PAIRED[family].items():
-                score = value_of(sv)
-                blocks[family, scope] = (
-                    {} if score is None else {f"sent:{scope}:{tag}:{score}": 1.0}
-                )
-        else:
-            for scope, named in _SIDE_EXTRACTORS[family](sv, tag).items():
-                blocks[family, scope] = named
-    return blocks
+def _side_blocks(sv: SideView, tag: str, families) -> dict[tuple[str, str], dict[str, float]]:
+    """One side's named features under ``tag``, keyed by (family, scope)."""
+    return {
+        (family, scope): named
+        for family in families if family not in _PAIRED
+        for scope, named in _SIDE_EXTRACTORS[family](sv, tag).items()
+    }
 
 
-def _pair_names(family: str, scope: str, embedding_dim: int) -> list[str]:
-    """Names of a difference block's columns."""
+def _pair_names(family: str, scope: str, tag: str, embedding_dim: int) -> list[str]:
+    """Names of the columns of a ``_pair_values`` array under ``tag``."""
     if family == "embedding":
-        return [f"emb:{scope}:diff:{k:03d}" for k in range(embedding_dim)]
-    return [f"sent:{scope}:diff:{k}" for k in SENTIMENT_SCORES]
+        return [f"emb:{scope}:{tag}:{k:03d}" for k in range(embedding_dim)]
+    return [f"sent:{scope}:{tag}:{k}" for k in SENTIMENT_SCORES]
 
 
 def _pair_values(family: str, scope: str, sides, embedding_dim: int) -> np.ndarray:
-    """Per side, the vector the difference block subtracts; zeros for a missing value."""
+    """Per side, the family's values in the scope; zeros for a missing value."""
     value_of = _PAIRED[family][scope]
     if family == "embedding":
         out = np.zeros((len(sides), embedding_dim))
@@ -480,10 +449,11 @@ def extract_matrix(
 
     Row i holds what ``assemble(views[i], model_type, registry, ...)``
     returns, in the same order.  Each distinct side object is extracted
-    once per tag, and only the difference blocks are computed per row.  An
-    open registry registers new names in the order a pass of ``assemble``
-    over the views would; a frozen one counts each occurrence of an
-    unknown name in ``dropped_unseen``.
+    once per tag: into name dicts by the per-side extractors, and into one
+    row of each ``_pair_values`` array.  Only the difference blocks are
+    computed per row, from those arrays.  An open registry registers new
+    names in the order a pass of ``assemble`` over the views would; a frozen
+    one counts each occurrence of an unknown name in ``dropped_unseen``.
     """
     if model_type not in MODEL_TYPES:
         raise ValueError(f"unknown model type: {model_type}")
@@ -498,94 +468,84 @@ def extract_matrix(
         if model_type == FA or SCOPE_TYPE[b[1]] == model_type
     ]
     n = len(views)
-    # sides[t] holds each distinct side under tag t once, in order of first
-    # appearance at first_row[t]; ids[t, i] is row i's side, or -1
-    sides, first_row, seen = ([], []), ([], []), ({}, {})
-    ids = np.full((2, n), -1, np.intp)
+    # sides[tag] holds each distinct side under the tag once, in order of
+    # first appearance; ids[tag][i] is row i's side, or -1
+    sides, seen = {tag: [] for tag in TAGS}, {tag: {} for tag in TAGS}
+    ids = {tag: np.full(n, -1, np.intp) for tag in TAGS}
     for i, view in enumerate(views):
-        for t, (_, sv) in enumerate(view.sides):
-            ids[t, i] = j = seen[t].setdefault(id(sv), len(sides[t]))
-            if j == len(sides[t]):
-                sides[t].append(sv)
-                first_row[t].append(i)
-    paired = ids[1] >= 0
-    diffs = {}
-    for family, scope, tag in blocks:
-        if tag == "diff":
-            diff = diffs[family, scope] = np.zeros(
-                (n, len(_pair_names(family, scope, embedding_dim)))
-            )
-            diff[paired] = (
-                _pair_values(family, scope, sides[0], embedding_dim)[ids[0, paired]]
-                - _pair_values(family, scope, sides[1], embedding_dim)[ids[1, paired]]
-            )
+        for tag, sv in view.sides:
+            ids[tag][i] = j = seen[tag].setdefault(id(sv), len(sides[tag]))
+            if j == len(sides[tag]):
+                sides[tag].append(sv)
+    paired = ids["tgt"] >= 0
 
-    # The pool holds each side's blocks once, as segments (tag, side, block),
-    # then the nonzero difference entries row by row, one segment per (row,
-    # block).  Names are held as provisional ids into ``pids``, in order of
-    # first extraction.  seg_of[i, b] is the segment of row i's block b; -1,
-    # an empty segment, if it has none.
+    # The pool holds each side's named blocks once, as segments (tag, side,
+    # block), converted side by side so that one side's name dicts are alive
+    # at a time; then the numeric blocks block by block: one segment per
+    # side for a src or tgt block, one per row for a diff block.  Segment 0
+    # is empty.  Names are held as provisional ids into ``pids``.
+    # seg_of[i, b] is the segment of row i's block b.
     pids: dict[str, int] = {}
-    pool_pids: list[np.ndarray] = []
-    pool_vals: list[np.ndarray] = []
-    seg_lens: list[int] = []
-    # the row where each segment first appears, and its block
-    seg_rows: list[np.ndarray] = []
-    seg_blocks: list[np.ndarray] = []
-    seg_of = np.full((n, len(blocks)), -1, np.intp)
-    for t, tag in enumerate(TAGS):
-        tag_blocks = [b for b, (_, _, btag) in enumerate(blocks) if btag == tag]
-        keys = [blocks[b][:2] for b in tag_blocks]
+    pool_pids, pool_vals, seg_lens = [np.empty(0, np.intp)], [np.empty(0)], [0]
+    seg_of = np.zeros((n, len(blocks)), np.intp)
+    for tag in TAGS:
+        tag_blocks = [
+            b for b, (family, _, btag) in enumerate(blocks)
+            if btag == tag and family not in _PAIRED
+        ]
+        seg = ids[tag][:, None]
         seg_of[:, tag_blocks] = np.where(
-            ids[t, :, None] >= 0,
-            len(seg_lens) + ids[t, :, None] * len(keys) + np.arange(len(keys)),
-            -1,
+            seg >= 0, len(seg_lens) + seg * len(tag_blocks) + np.arange(len(tag_blocks)), 0
         )
-        for sv in sides[t]:
-            by_block = _side_blocks(sv, tag, families, embedding_dim)
-            named = [by_block[key] for key in keys]
+        for sv in sides[tag]:
+            by_block = _side_blocks(sv, tag, families)
+            named = [by_block[blocks[b][:2]] for b in tag_blocks]
             pool_pids.append(np.array(
                 [pids.setdefault(name, len(pids)) for block in named for name in block], np.intp
             ))
             pool_vals.append(np.array([v for block in named for v in block.values()], float))
             seg_lens.extend(map(len, named))
-        seg_rows.append(np.repeat(np.array(first_row[t], np.intp), len(keys)))
-        seg_blocks.append(np.tile(np.array(tag_blocks, np.intp), len(sides[t])))
+    side_values = {}
     for b, (family, scope, tag) in enumerate(blocks):
-        if tag == "diff":
-            diff = diffs[family, scope]
-            block_pids = np.array([
-                pids.setdefault(name, len(pids))
-                for name in _pair_names(family, scope, embedding_dim)
-            ], np.intp)
-            rows, ks = np.nonzero(diff)
-            pool_pids.append(block_pids[ks])
-            pool_vals.append(diff[rows, ks])
-            seg_of[:, b] = len(seg_lens) + np.arange(n)
-            seg_lens.extend(np.count_nonzero(diff, axis=1).tolist())
-            seg_rows.append(np.arange(n))
-            seg_blocks.append(np.full(n, b))
-    seg_lens.append(0)
+        if family not in _PAIRED:
+            continue
+        seg = np.arange(n) if tag == "diff" else ids[tag]
+        seg_of[:, b] = np.where(seg >= 0, len(seg_lens) + seg, 0)
+        if tag == "diff":  # the scope's src and tgt blocks come first
+            src, tgt = side_values[family, scope, "src"], side_values[family, scope, "tgt"]
+            values = np.zeros((n, src.shape[1]))
+            values[paired] = src[ids["src"][paired]] - tgt[ids["tgt"][paired]]
+        else:
+            values = side_values[family, scope, tag] = _pair_values(
+                family, scope, sides[tag], embedding_dim
+            )
+        columns = np.array([
+            pids.setdefault(name, len(pids))
+            for name in _pair_names(family, scope, tag, embedding_dim)
+        ], np.intp)
+        rows, ks = np.nonzero(values)
+        pool_pids.append(columns[ks])
+        pool_vals.append(values[rows, ks])
+        seg_lens.extend(np.count_nonzero(values, axis=1).tolist())
     pool_pids, pool_vals = np.concatenate(pool_pids), np.concatenate(pool_vals)
     seg_lens = np.array(seg_lens)
 
     if not registry.frozen:
-        # A name first occurs in the row where its side first appears under
-        # its tag, or where its difference column is first nonzero; within a
-        # row, blocks come in name order, and within a block, entries in
-        # segment order.  An entry's key is its place in that order, and a
-        # name's first occurrence is the least key among its entries.
-        order = np.lexsort((np.concatenate(seg_blocks), np.concatenate(seg_rows)))
-        ranks = np.empty_like(order)
-        ranks[order] = np.arange(len(order))
-        seg_starts = np.cumsum(seg_lens[:-1]) - seg_lens[:-1]
-        entry_keys = np.repeat(ranks * int(seg_lens.max()) - seg_starts, seg_lens[:-1])
+        # A name is registered where it first occurs: rows in order, a row's
+        # blocks in name order, a block's entries in segment order.  So a
+        # segment ranks by its first position in seg_of, an entry's key is
+        # its place in that order, and a name's first occurrence is the
+        # least key among its entries.
+        ranks = np.full(len(seg_lens), seg_of.size)
+        np.minimum.at(ranks, seg_of.ravel(), np.arange(seg_of.size))
+        seg_starts = np.cumsum(seg_lens) - seg_lens
+        entry_keys = np.repeat(ranks * int(seg_lens.max()) - seg_starts, seg_lens)
         entry_keys += np.arange(len(entry_keys))
         never = np.iinfo(np.intp).max
         first = np.full(len(pids), never)
         np.minimum.at(first, pool_pids, entry_keys)
         names = list(pids)
-        # names of difference columns that are zero in every row never occur
+        # names of columns that are zero in every row never occur
         for p in np.argsort(first)[:np.count_nonzero(first < never)].tolist():
             registry.index(names[p])
 
@@ -602,7 +562,7 @@ def extract_matrix(
     lens = seg_lens[seg_of].ravel()
     starts = (np.cumsum(seg_lens) - seg_lens)[seg_of].ravel()
     ends = np.cumsum(lens)
-    pos = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if len(ends) else 0)
+    pos = np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
     indptr = np.zeros(n + 1, np.intp)
     np.cumsum(lens.reshape(n, len(blocks)).sum(axis=1), out=indptr[1:])
     return CsrMatrix(indptr, cols[known][pos], pool_vals[known][pos], len(registry))

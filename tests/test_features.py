@@ -21,7 +21,6 @@ from argdissect.features import (
     assemble,
     extract_all,
     extract_matrix,
-    feature_family,
     feature_type,
 )
 from argdissect.evaluation import randomize_contexts, strip_contexts
@@ -55,12 +54,6 @@ def test_feature_type_from_name():
     assert feature_type("lex:eau:src:smoke") == CB
     assert feature_type("lex:ctx:src:however") == CI
     assert feature_type("syn:both:src:S'→ADVP_,_S") == FA
-
-
-def test_feature_family_from_name():
-    assert feature_family("lex:eau:src:smoke") == "lexical"
-    assert feature_family("struct:ctx:src:unit_index") == "structural"
-    assert feature_family("emb:eau:diff:003") == "embedding"
 
 
 def test_registry_roundtrip_and_freeze():
@@ -164,7 +157,7 @@ def test_typed_slices_partition_fa():
     fa = assemble(view, FA, reg, families=("lexical", "structural"))
     cb = assemble(view, CB, reg, families=("lexical", "structural"))
     ci = assemble(view, CI, reg, families=("lexical", "structural"))
-    both = {i for i in fa if reg.type_of(i) == FA}
+    both = {i for i in fa if feature_type(reg.name(i)) == FA}
     assert set(cb) | set(ci) | both == set(fa)
     assert set(cb) & set(ci) == set()
 
@@ -439,11 +432,15 @@ def assert_rows_equal(X, vectors, n_cols):
         assert isinstance(X, np.ndarray) and np.array_equal(X, dense)
     else:
         assert isinstance(X, CsrMatrix)
-        rows = [
-            list(zip(X.indices[lo:hi].tolist(), X.data[lo:hi].tolist()))
-            for lo, hi in zip(X.indptr[:-1], X.indptr[1:])
-        ]
-        assert rows == [list(vec.items()) for vec in vectors]
+        assert csr_rows(X) == [list(vec.items()) for vec in vectors]
+
+
+def csr_rows(X):
+    """Each row's (column, value) entries, in stored order."""
+    return [
+        list(zip(X.indices[lo:hi].tolist(), X.data[lo:hi].tolist()))
+        for lo, hi in zip(X.indptr[:-1], X.indptr[1:])
+    ]
 
 
 @pytest.mark.parametrize("task", ["f", "g"])
@@ -523,6 +520,70 @@ def test_sparse_rows_of_shared_sides_match_per_instance_assembly():
         assert isinstance(X, CsrMatrix)
         assert registry.registry_id == oracle.registry_id
         assert_rows_equal(X, expected, len(registry))
+
+
+def test_numeric_blocks_of_shared_sides_match_per_view_assembly():
+    """Shared sides carry embeddings (one all zero, one missing) and sentiment
+    scores (some missing); one view in five has no target."""
+    rng = np.random.default_rng(5)
+    words = [f"w{k}" for k in range(30)]
+    vectors = [rng.normal(size=3) for _ in range(6)] + [np.zeros(3), None]
+
+    def score():
+        return None if rng.random() < 0.3 else int(rng.integers(1, 6))
+
+    sides = [
+        SideView(
+            f"T{j}",
+            ContentLayers(
+                tokens=tuple(rng.choice(words, 3)), sentiment=score(), embedding=vectors[j]
+            ),
+            ContextLayers(
+                tokens=tuple(rng.choice(words, 2)),
+                sentiment_ci=score(),
+                sentiment_fa=score(),
+                unit_index=j % 3,
+                embedding=vectors[-1 - j],
+            ),
+        )
+        for j in range(len(vectors))
+    ]
+    layers = frozenset({"tokens", "embeddings", "sentiment"})
+    views = []
+    for k in range(40):
+        a, b = rng.integers(len(sides), size=2)
+        target = sides[b] if k % 5 else None
+        inst = RelationInstance(f"T{a}", target and f"T{b}", "support", "f", "d")
+        views.append(InstanceView(inst, sides[a], target, layers))
+    for model_type in (CB, CI, FA):
+        oracle, registry = FeatureRegistry(), FeatureRegistry()
+        expected = [assemble(v, model_type, oracle, embedding_dim=3) for v in views]
+        X = extract_matrix(views, registry, embedding_dim=3, model_type=model_type)
+        assert [registry.name(i) for i in range(len(registry))] == [
+            oracle.name(i) for i in range(len(oracle))
+        ]
+        assert csr_rows(X) == [list(vec.items()) for vec in expected]
+
+        # frozen after four views, the rest drop unseen names
+        oracle, registry = FeatureRegistry(), FeatureRegistry()
+        for reg in (oracle, registry):
+            for v in views[:4]:
+                assemble(v, model_type, reg, embedding_dim=3)
+            reg.freeze()
+        expected = [assemble(v, model_type, oracle, embedding_dim=3) for v in views]
+        X = extract_matrix(views, registry, embedding_dim=3, model_type=model_type)
+        assert csr_rows(X) == [list(vec.items()) for vec in expected]
+        assert registry.dropped_unseen == oracle.dropped_unseen > 0
+
+
+@pytest.mark.parametrize("families", [None, ("lexical", "embedding", "sentiment")])
+def test_extract_matrix_of_no_views_is_empty(families):
+    registry = FeatureRegistry()
+    registry.index("lex:eau:src:x")
+    X = extract_matrix([], registry, families, embedding_dim=2)
+    assert X.shape == (0, 1)
+    assert X.indptr.tolist() == [0] and len(X.indices) == len(X.data) == 0
+    assert len(registry) == 1 and registry.dropped_unseen == 0
 
 
 def test_extract_matrix_rejects_unknown_model_type():

@@ -247,12 +247,17 @@ def test_slice_models_match_models_trained_from_typed_vectors(
     ["run"], ["robustness", "--mode", "randomized"], ["anova"],
 ])
 def test_each_train_side_is_extracted_once(synth_dir, tmp_path, monkeypatch, command):
-    calls = Counter()
-    extract_side = features._side_blocks
+    calls, value_calls = Counter(), Counter()
+    extract_side, pair_values = features._side_blocks, features._pair_values
 
     def counting(sv, tag, *args):
         calls[id(sv), tag] += 1
         return extract_side(sv, tag, *args)
+
+    def counting_values(family, scope, sides, *args):
+        for sv in sides:
+            value_calls[family, scope, id(sv)] += 1
+        return pair_values(family, scope, sides, *args)
 
     prepared = []
     original_prepare = pipeline.prepare
@@ -262,6 +267,7 @@ def test_each_train_side_is_extracted_once(synth_dir, tmp_path, monkeypatch, com
         return prepared[-1]
 
     monkeypatch.setattr(features, "_side_blocks", counting)
+    monkeypatch.setattr(features, "_pair_values", counting_values)
     monkeypatch.setattr(cli, "prepare", keep)
     monkeypatch.setattr(pipeline, "prepare", keep)
     assert cli.main(command + [
@@ -276,3 +282,11 @@ def test_each_train_side_is_extracted_once(synth_dir, tmp_path, monkeypatch, com
     train_sides = {(id(sv), tag) for v in data.train_views for tag, sv in v.sides}
     assert len(train_sides) < 2 * len(data.train_views)  # sides are shared
     assert all(calls[key] == 1 for key in train_sides)
+    # a side's numeric values are computed once per (family, scope, tag)
+    tags_of = Counter(sv_id for sv_id, _ in train_sides)
+    paired = {(family, scope) for family, scope, _ in value_calls}
+    assert paired == {(f, scope) for f, scopes in features._PAIRED.items() for scope in scopes}
+    assert all(
+        value_calls[family, scope, sv_id] == n_tags
+        for family, scope in paired for sv_id, n_tags in tags_of.items()
+    )
