@@ -6,7 +6,8 @@ NLP tooling; this module only parses, validates, and aligns them.
 File formats:
   tokens     TSV ``sentence_idx\\ttoken_idx\\tstart\\tend\\tsurface``
   trees      one bracketed tree per line, node syntax ``(LABEL|s=k child ...)``
-             where the optional ``|s=k`` suffix carries a sentiment score 1..5
+             where the optional ``|s=k`` suffix carries a sentiment score 1..5;
+             any other text after ``|s=`` is an error
   discourse  pipe-delimited ``kind|sense|a..b|c..d|e..f`` (connective span optional)
   embeddings text lines ``word v1 ... v_dim``
 """
@@ -137,7 +138,7 @@ def parse_token_offsets(tsv: str, document_text: str, doc_id: str = "doc") -> li
     return tokens
 
 
-_LABEL_SENT_RE = re.compile(r"^(.*?)\|s=(\d)$")
+_LABEL_SENT_RE = re.compile(r"^(.*?)\|s=([0-9])$")
 
 # Bracket escapes used by common treebank tooling.
 _LEAF_ESCAPES = {
@@ -146,8 +147,8 @@ _LEAF_ESCAPES = {
 
 
 # Deepest node nesting a tree line may have.  Trees are walked recursively
-# after parsing (``TreeNode.iter_nodes``, ``treeops._rebuild``,
-# ``treeops._rules_of``), one frame per level, below whatever frames the
+# after parsing (``TreeNode.iter_nodes``, ``treeops._Walk.cut``,
+# ``treeops._subtree_rules``), one frame per level, below whatever frames the
 # caller already holds; 500 keeps those walks well under Python's default
 # recursion limit of 1000, and natural-language parses are far shallower.
 MAX_TREE_DEPTH = 500
@@ -191,6 +192,10 @@ def parse_bracketed_tree(
                 label, sentiment = m.group(1), int(m.group(2))
                 if not 1 <= sentiment <= 5:
                     raise StandoffParseError(f"sentiment score out of range: {sentiment}")
+            elif "|s=" in raw_label:
+                raise StandoffParseError(
+                    f"malformed sentiment suffix in label {raw_label!r}: expected |s=1 to |s=5"
+                )
             else:
                 label, sentiment = raw_label, None
             stack.append((label, sentiment, []))
@@ -303,7 +308,8 @@ def load_embeddings(content: str, dim: int | None = None) -> EmbeddingTable:
     space after each component.  A first line of two integers whose second
     equals the next line's component count is a word2vec ``<count> <dim>``
     header and is skipped.  Without ``dim`` the dimension is the component
-    count of the first entry.
+    count of the first entry.  A non-finite component (``nan``, ``inf``, or
+    a value beyond a double's range) is an error.
     """
     lines = [
         (line_no, line.rstrip().split(" "))
@@ -327,6 +333,10 @@ def load_embeddings(content: str, dim: int | None = None) -> EmbeddingTable:
         except ValueError:
             raise StandoffParseError(
                 f"non-numeric vector component in {' '.join(parts)!r}", line_no
+            )
+        if not np.isfinite(vec).all():
+            raise StandoffParseError(
+                f"non-finite vector component in {' '.join(parts)!r}", line_no
             )
         entries[parts[0]] = vec
     return EmbeddingTable(dimension=dim, entries=entries)

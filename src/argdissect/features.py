@@ -4,14 +4,16 @@ Every feature name is namespaced ``family:scope:side:payload`` where scope is
 one of ``eau`` (content-based), ``ctx`` (content-ignorant) or ``both``
 (full-access only), so a feature's type is recoverable from its name alone.
 Each family reads one side of a view: the lexical, syntactic, structural
-and discourse extractors return its named features per scope, and the
-embedding and sentiment families one numeric array row per side and scope,
-named by column.  The name is the only place the type is kept.  The
-registry maps names to indices and freezes after the training pass.
+and discourse extractors return its feature values per scope, keyed by
+payload, and the embedding and sentiment families one numeric array row per
+side and scope, one column per payload.  The name is the only place the type
+is kept.  The registry maps names to indices and freezes after the training
+pass.
 
 ``extract_matrix`` extracts a batch of views into one sparse matrix over the
-registry, extracting each side shared by several views once; the CB and CI
-slices of an FA matrix are its column views (``FeatureRegistry.columns_of``).
+registry, extracting each side shared by several views once, and formats
+each feature name once per distinct payload; the CB and CI slices of an FA
+matrix are its column views (``FeatureRegistry.columns_of``).
 A single view's features are also available as a name dict (``extract_all``)
 and as a ``dict[int, float]`` vector (``assemble``).
 """
@@ -38,6 +40,16 @@ SCOPE_TYPE = {"eau": CB, "ctx": CI, "both": FA}
 TAGS = ("src", "tgt")  # the side tags of a feature name
 
 FAMILIES = ("lexical", "syntactic", "structural", "discourse", "embedding", "sentiment")
+
+# The name prefix of each family's features
+_FAMILY_PREFIX = {
+    "lexical": "lex",
+    "syntactic": "syn",
+    "structural": "struct",
+    "discourse": "disc",
+    "embedding": "emb",
+    "sentiment": "sent",
+}
 
 # The annotation layer each family reads; every corpus has tokens.
 FAMILY_LAYER = {
@@ -185,40 +197,35 @@ class InstanceView:
 
 # --------------------------------------------------------------------------
 # Per-side extractors of the lexical, syntactic, structural and discourse
-# families.  Each returns one side's features under its tag as
-# ``{scope: {name: value}}``, scopes in the order eau, ctx, both.  The
-# embedding and sentiment families are numeric instead: ``_pair_values``
-# gives one array row per side, whose nonzeros are the side's block, and the
-# source minus target difference of two rows is the pair's block.
+# families.  Each returns one side's features as ``{scope: {payload:
+# value}}``, scopes in the order eau, ctx, both; a feature's name is
+# ``prefix:scope:tag:payload`` under the side's tag.  The embedding and
+# sentiment families are numeric instead: ``_pair_values`` gives one array
+# row per side, whose nonzeros are the side's block, and the source minus
+# target difference of two rows is the pair's block.
 
 
-def _indicators(prefix: str, tag: str, **payloads) -> dict[str, dict[str, float]]:
-    return {
-        scope: {f"{prefix}:{scope}:{tag}:{p}": 1.0 for p in items}
-        for scope, items in payloads.items()
-    }
+def _indicators(**payloads) -> dict[str, dict[str, float]]:
+    return {scope: dict.fromkeys(items, 1.0) for scope, items in payloads.items()}
 
 
-def _lexical(sv: SideView, tag: str) -> dict[str, dict[str, float]]:
+def _lexical(sv: SideView) -> dict[str, dict[str, float]]:
     """Binary unigram indicators over EAU tokens, context tokens, and both bags."""
     eau_bag = {t.lower() for t in sv.content.tokens}
     ctx_bag = {t.lower() for t in sv.context.tokens}
-    return _indicators(
-        "lex", tag, eau=sorted(eau_bag), ctx=sorted(ctx_bag), both=sorted(eau_bag & ctx_bag)
-    )
+    return _indicators(eau=sorted(eau_bag), ctx=sorted(ctx_bag), both=sorted(eau_bag & ctx_bag))
 
 
-def _syntactic(sv: SideView, tag: str) -> dict[str, dict[str, float]]:
+def _syntactic(sv: SideView) -> dict[str, dict[str, float]]:
     """Binary production-rule indicators from the cut tree fragments."""
     return _indicators(
-        "syn", tag,
         eau=sorted(set(sv.content.rules)),
         ctx=sorted(set(sv.context.rules)),
         both=sorted(set(sv.context.crossing_rules)),
     )
 
 
-def _discourse(sv: SideView, tag: str) -> dict[str, dict[str, float]]:
+def _discourse(sv: SideView) -> dict[str, dict[str, float]]:
     """Binary (kind, sense) indicators, split by where the relation lies."""
     eau, ctx, both = (
         [f"{k}:{s}" for k, s in sorted(set(relations))]
@@ -226,10 +233,10 @@ def _discourse(sv: SideView, tag: str) -> dict[str, dict[str, float]]:
             sv.content.discourse, sv.context.discourse, sv.context.crossing_discourse
         )
     )
-    return _indicators("disc", tag, eau=eau, ctx=ctx, both=both)
+    return _indicators(eau=eau, ctx=ctx, both=both)
 
 
-def _structural(sv: SideView, tag: str) -> dict[str, dict[str, float]]:
+def _structural(sv: SideView) -> dict[str, dict[str, float]]:
     """Shallow position and count statistics.
 
     Statistics that need both the EAU and its surroundings (sentence length,
@@ -249,13 +256,11 @@ def _structural(sv: SideView, tag: str) -> dict[str, dict[str, float]]:
         ("ctx", "paragraph_index", ctx.paragraph_index),
     ):
         if value:
-            out[scope][f"struct:{scope}:{tag}:{key}"] = float(value)
+            out[scope][key] = float(value)
     sentence_tokens = content.token_count + ctx.preceding_count + ctx.following_count
     if sentence_tokens:
-        out["both"][f"struct:both:{tag}:sentence_tokens"] = float(sentence_tokens)
-        out["both"][f"struct:both:{tag}:eau_sentence_ratio"] = (
-            content.token_count / sentence_tokens
-        )
+        out["both"]["sentence_tokens"] = float(sentence_tokens)
+        out["both"]["eau_sentence_ratio"] = content.token_count / sentence_tokens
     return out
 
 
@@ -281,20 +286,20 @@ _PAIRED = {
 SENTIMENT_SCORES = (1, 2, 3, 4, 5)
 
 
-def _side_blocks(sv: SideView, tag: str, families) -> dict[tuple[str, str], dict[str, float]]:
-    """One side's named features under ``tag``, keyed by (family, scope)."""
+def _side_blocks(sv: SideView, families) -> dict[tuple[str, str], dict[str, float]]:
+    """One side's feature values by payload, keyed by (family, scope)."""
     return {
-        (family, scope): named
+        (family, scope): values
         for family in families if family not in _PAIRED
-        for scope, named in _SIDE_EXTRACTORS[family](sv, tag).items()
+        for scope, values in _SIDE_EXTRACTORS[family](sv).items()
     }
 
 
-def _pair_names(family: str, scope: str, tag: str, embedding_dim: int) -> list[str]:
-    """Names of the columns of a ``_pair_values`` array under ``tag``."""
+def _pair_payloads(family: str, embedding_dim: int) -> list[str]:
+    """Payloads of the columns of a ``_pair_values`` array."""
     if family == "embedding":
-        return [f"emb:{scope}:{tag}:{k:03d}" for k in range(embedding_dim)]
-    return [f"sent:{scope}:{tag}:{k}" for k in SENTIMENT_SCORES]
+        return [f"{k:03d}" for k in range(embedding_dim)]
+    return [str(k) for k in SENTIMENT_SCORES]
 
 
 def _pair_values(family: str, scope: str, sides, embedding_dim: int) -> np.ndarray:
@@ -449,11 +454,13 @@ def extract_matrix(
 
     Row i holds what ``assemble(views[i], model_type, registry, ...)``
     returns, in the same order.  Each distinct side object is extracted
-    once per tag: into name dicts by the per-side extractors, and into one
-    row of each ``_pair_values`` array.  Only the difference blocks are
-    computed per row, from those arrays.  An open registry registers new
-    names in the order a pass of ``assemble`` over the views would; a frozen
-    one counts each occurrence of an unknown name in ``dropped_unseen``.
+    once by the per-side extractors, whichever tags it appears under, and
+    into one row of each ``_pair_values`` array per tag.  Only the
+    difference blocks are computed per row, from those arrays.  Each name is
+    formatted once, when its payload is new to its family and scope.  An
+    open registry registers new names in the order a pass of ``assemble``
+    over the views would; a frozen one counts each occurrence of an unknown
+    name in ``dropped_unseen``.
     """
     if model_type not in MODEL_TYPES:
         raise ValueError(f"unknown model type: {model_type}")
@@ -479,32 +486,61 @@ def extract_matrix(
                 sides[tag].append(sv)
     paired = ids["tgt"] >= 0
 
-    # The pool holds each side's named blocks once, as segments (tag, side,
-    # block), converted side by side so that one side's name dicts are alive
-    # at a time; then the numeric blocks block by block: one segment per
-    # side for a src or tgt block, one per row for a diff block.  Segment 0
-    # is empty.  Names are held as provisional ids into ``pids``.
-    # seg_of[i, b] is the segment of row i's block b.
-    pids: dict[str, int] = {}
-    pool_pids, pool_vals, seg_lens = [np.empty(0, np.intp)], [np.empty(0)], [0]
+    # The pool holds each side's named blocks once per tag, as segments
+    # (tag, side, block), converted side by side so that one side's payload
+    # dicts are alive at a time; then the numeric blocks block by block: one
+    # segment per side for a src or tgt block, one per row for a diff block.
+    # Segment 0 is empty.  seg_of[i, b] is the segment of row i's block b,
+    # and seg_block[s] the block of segment s.  An entry holds its payload's
+    # number in ``payloads`` of the block's (family, scope), which the src,
+    # tgt and diff blocks share; a numeric block's payload number is its
+    # column.
+    payloads: dict[tuple[str, str], dict[str, int]] = {
+        (family, scope): {
+            p: k for k, p in enumerate(_pair_payloads(family, embedding_dim))
+        } if family in _PAIRED else {}
+        for family, scope, _ in blocks
+    }
+    pool_ids, pool_vals, seg_lens, seg_block = [np.empty(0, np.intp)], [np.empty(0)], [0], [0]
     seg_of = np.zeros((n, len(blocks)), np.intp)
+    extracted = {}  # id(side) -> its segments, kept from its src to its tgt pass
     for tag in TAGS:
         tag_blocks = [
             b for b, (family, _, btag) in enumerate(blocks)
             if btag == tag and family not in _PAIRED
         ]
+        numbering = [payloads[blocks[b][:2]] for b in tag_blocks]
         seg = ids[tag][:, None]
         seg_of[:, tag_blocks] = np.where(
             seg >= 0, len(seg_lens) + seg * len(tag_blocks) + np.arange(len(tag_blocks)), 0
         )
         for sv in sides[tag]:
-            by_block = _side_blocks(sv, tag, families)
-            named = [by_block[blocks[b][:2]] for b in tag_blocks]
-            pool_pids.append(np.array(
-                [pids.setdefault(name, len(pids)) for block in named for name in block], np.intp
-            ))
-            pool_vals.append(np.array([v for block in named for v in block.values()], float))
-            seg_lens.extend(map(len, named))
+            segments = extracted.pop(id(sv), None)
+            if segments is None:
+                by_block = _side_blocks(sv, families)
+                named = [by_block[blocks[b][:2]] for b in tag_blocks]
+                segments = (
+                    np.array([
+                        number.setdefault(p, len(number))
+                        for number, block in zip(numbering, named) for p in block
+                    ], np.intp),
+                    np.array([v for block in named for v in block.values()], float),
+                    [len(block) for block in named],
+                )
+                if tag == "src" and id(sv) in seen["tgt"]:
+                    extracted[id(sv)] = segments
+            pool_ids.append(segments[0])
+            pool_vals.append(segments[1])
+            seg_lens.extend(segments[2])
+            seg_block.extend(tag_blocks)
+    # pid: a name's place in ``names``, the blocks' names in block order
+    names = [
+        f"{_FAMILY_PREFIX[family]}:{scope}:{tag}:{p}"
+        for family, scope, tag in blocks for p in payloads[family, scope]
+    ]
+    offsets = np.cumsum([0] + [len(payloads[b[:2]]) for b in blocks])
+    pool_pids = [np.concatenate(pool_ids) + np.repeat(offsets[seg_block], seg_lens)]
+    del pool_ids, seg_block  # the per-side pieces would stay alive to the gather's peak
     side_values = {}
     for b, (family, scope, tag) in enumerate(blocks):
         if family not in _PAIRED:
@@ -519,12 +555,8 @@ def extract_matrix(
             values = side_values[family, scope, tag] = _pair_values(
                 family, scope, sides[tag], embedding_dim
             )
-        columns = np.array([
-            pids.setdefault(name, len(pids))
-            for name in _pair_names(family, scope, tag, embedding_dim)
-        ], np.intp)
         rows, ks = np.nonzero(values)
-        pool_pids.append(columns[ks])
+        pool_pids.append(offsets[b] + ks)
         pool_vals.append(values[rows, ks])
         seg_lens.extend(np.count_nonzero(values, axis=1).tolist())
     pool_pids, pool_vals = np.concatenate(pool_pids), np.concatenate(pool_vals)
@@ -542,15 +574,14 @@ def extract_matrix(
         entry_keys = np.repeat(ranks * int(seg_lens.max()) - seg_starts, seg_lens)
         entry_keys += np.arange(len(entry_keys))
         never = np.iinfo(np.intp).max
-        first = np.full(len(pids), never)
+        first = np.full(len(names), never)
         np.minimum.at(first, pool_pids, entry_keys)
-        names = list(pids)
         # names of columns that are zero in every row never occur
         for p in np.argsort(first)[:np.count_nonzero(first < never)].tolist():
             registry.index(names[p])
 
     column = registry._index.get
-    cols = np.fromiter((column(name, -1) for name in pids), np.intp, len(pids))[pool_pids]
+    cols = np.fromiter((column(name, -1) for name in names), np.intp, len(names))[pool_pids]
     known = cols >= 0
     unseen = np.bincount(
         np.repeat(np.arange(len(seg_lens)), seg_lens)[~known], minlength=len(seg_lens)

@@ -65,9 +65,9 @@ from .features import (
 )
 from .learn import LinearModel, TrainConfig, predict_all, save_model, train
 from .settings import check_choices, choice
-from .treeops import (
-    content_rules, context_rules, crossing_rules, cut_tree, range_disjoint, range_inside,
-    select_sentiment_nodes,
+from .treeops import cut_tree, range_disjoint, range_inside
+from .treeops import (  # noqa: F401  (kept importable here: tracing tools wrap pipeline's names)
+    content_rules, context_rules, crossing_rules, select_sentiment_nodes,
 )
 
 
@@ -199,14 +199,12 @@ def build_side_view(
             ]
             rng = (min(in_sent), max(in_sent) + 1)
             cut = cut_tree(tree, rng)
-            c_rules.extend(sorted(content_rules(cut).elements()))
-            x_rules.extend(sorted(context_rules(cut).elements()))
-            cross.extend(sorted(crossing_rules(cut).elements()))
+            for out, rules in zip((c_rules, x_rules, cross), cut.rules):
+                out.extend(sorted(rules))
             if k == 0 and tree.has_sentiment:
-                nodes = select_sentiment_nodes(tree, rng)
-                sent_cb = nodes["cb"].sentiment if nodes["cb"] else None
-                sent_ci = nodes["ci"].sentiment if nodes["ci"] else None
-                sent_fa = nodes["fa"].sentiment if nodes["fa"] else None
+                sent_cb, sent_ci, sent_fa = (
+                    node.sentiment if node else None for node in cut.sentiment_nodes
+                )
 
     cb_disc: list[tuple[str, str]] = []
     ci_disc: list[tuple[str, str]] = []

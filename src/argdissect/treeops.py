@@ -1,18 +1,22 @@
 """Tree surgery under an EAU boundary: cutting, production rules, sentiment nodes.
 
-``cut_tree`` splits a constituency tree into the maximal subtrees fully
-inside the EAU token range (content) and the remaining forest (context).
-Severed children are kept in the context forest as cut markers carrying the
-original label, so the parent rule at the cut stays extractable; rules that
-mention a cut marker are the boundary-crossing rules and are reported
-separately by ``crossing_rules``.
+``cut_tree`` walks a constituency tree once.  The maximal subtrees fully
+inside the EAU token range are the content; the remaining forest is the
+context, in which each severed child is kept as a cut marker carrying its
+original label.  The same walk writes each production rule once, into one
+of three lists: the rules of content subtrees, the boundary-crossing rules
+of context nodes with a severed child (the marker renders as its raw
+label), and the rules of every other context node.  It also picks the
+sentiment-bearing nodes of the CB, CI and FA views.  ``content_rules``,
+``context_rules``, ``crossing_rules`` and ``select_sentiment_nodes`` read
+that one result.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .annotations import ConstTree, TreeNode
 from .errors import DataError, MissingLayerError
@@ -20,11 +24,17 @@ from .errors import DataError, MissingLayerError
 
 @dataclass(frozen=True)
 class CutMarker:
-    """Stand-in for a severed content subtree inside the context forest."""
+    """Stand-in for a severed content subtree inside the context forest.
+
+    It has no children and is no leaf, so a rule naming it keeps its raw
+    label and it yields no rule of its own.
+    """
 
     label: str
     token_start: int
     token_end: int
+    children: ClassVar[tuple] = ()
+    is_leaf: ClassVar[bool] = False
 
     @property
     def token_range(self) -> tuple[int, int]:
@@ -36,6 +46,8 @@ class TreeCut:
     content_roots: tuple[TreeNode, ...]
     context_forest: tuple  # rebuilt roots with cut markers; () when the EAU covers the tree
     cut_edges: tuple[tuple[str, str], ...]  # (parent label, severed child label)
+    rules: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]  # content, context, crossing
+    sentiment_nodes: tuple[Optional[TreeNode], ...]  # the cb, ci and fa nodes, or None
 
 
 def range_inside(span, container) -> bool:
@@ -48,34 +60,75 @@ def range_disjoint(span, other) -> bool:
     return span[1] <= other[0] or other[1] <= span[0]
 
 
-def _rebuild(node: TreeNode, parent_label: str | None, eau_range: tuple[int, int],
-             content: list[TreeNode], cut_edges: list[tuple[str, str]]):
-    """The context-forest counterpart of ``node`` (a marker if severed).
+def _rule(node) -> str:
+    """``LHS→RHS1_RHS2_...``: leaves render lowercased, markers as their label."""
+    return f"{node.label}→" + "_".join(
+        [c.label.lower() if c.is_leaf else c.label for c in node.children]
+    )
 
-    Severed subtrees are appended to ``content`` and their (parent label,
-    label) edges to ``cut_edges``.
-    """
-    if range_inside(node.token_range, eau_range):
-        content.append(node)
-        if parent_label is not None:
-            cut_edges.append((parent_label, node.label))
-        return CutMarker(node.label, node.token_start, node.token_end)
-    if node.is_leaf or range_disjoint(node.token_range, eau_range):
-        return node
-    children = []
-    for child in node.children:  # a loop, not a generator: one frame per level
-        children.append(_rebuild(child, node.label, eau_range, content, cut_edges))
-    return TreeNode(
-        label=node.label,
-        children=tuple(children),
-        token_start=node.token_start,
-        token_end=node.token_end,
-        sentiment=node.sentiment,
+
+def _subtree_rules(node, rules: list[str]) -> None:
+    """Append the rule of each internal node of the subtree, in preorder."""
+    if node.children:
+        rules.append(_rule(node))
+        for child in node.children:
+            _subtree_rules(child, rules)
+
+
+class _Walk:
+    """What one ``cut_tree`` walk collects; its node lists fill in preorder."""
+
+    def __init__(self, eau_range: tuple[int, int]):
+        self.start, self.end = eau_range
+        self.content: list[TreeNode] = []  # maximal subtrees inside the range
+        self.outside: list[TreeNode] = []  # maximal subtrees disjoint from it
+        self.cut_edges: list[tuple[str, str]] = []
+        self.rules: tuple[list[str], list[str], list[str]] = ([], [], [])
+
+    def cut(self, node: TreeNode, parent_label: str | None):
+        """The context-forest counterpart of ``node``: a marker if severed."""
+        if self.start <= node.token_start and node.token_end <= self.end:
+            self.content.append(node)
+            if parent_label is not None:
+                self.cut_edges.append((parent_label, node.label))
+            _subtree_rules(node, self.rules[0])
+            return CutMarker(node.label, node.token_start, node.token_end)
+        if node.is_leaf or node.token_end <= self.start or self.end <= node.token_start:
+            self.outside.append(node)
+            _subtree_rules(node, self.rules[1])
+            return node
+        children = []
+        for child in node.children:  # a loop, not a generator: one frame per level
+            children.append(self.cut(child, node.label))
+        rebuilt = TreeNode(
+            label=node.label,
+            children=tuple(children),
+            token_start=node.token_start,
+            token_end=node.token_end,
+            sentiment=node.sentiment,
+        )
+        crossing = any(type(c) is CutMarker for c in children)
+        self.rules[2 if crossing else 1].append(_rule(rebuilt))
+        return rebuilt
+
+
+def _pick_highest(candidates: list[TreeNode]) -> Optional[TreeNode]:
+    """The non-leaf with the largest token range; ties go to the first."""
+    return min(
+        (n for n in candidates if not n.is_leaf),
+        key=lambda n: n.token_start - n.token_end,
+        default=None,
     )
 
 
 def cut_tree(tree: ConstTree, eau_range: tuple[int, int]) -> TreeCut:
-    """Divide a tree into content subtrees (inside ``eau_range``) and context."""
+    """Divide a tree into content subtrees (inside ``eau_range``) and context.
+
+    The sentiment nodes are the highest non-leaf content root (cb), the
+    highest non-leaf maximal subtree outside the range (ci), and the root,
+    which spans the EAU and all of its context in the sentence (fa; None
+    for a leaf root).
+    """
     i, j = eau_range
     root = tree.root
     if i >= j:
@@ -84,38 +137,19 @@ def cut_tree(tree: ConstTree, eau_range: tuple[int, int]) -> TreeCut:
         raise DataError(
             f"EAU range {eau_range} outside tree range {root.token_range}"
         )
-
-    content: list[TreeNode] = []
-    cut_edges: list[tuple[str, str]] = []
-    rebuilt = _rebuild(root, None, eau_range, content, cut_edges)
-    if isinstance(rebuilt, CutMarker):
-        forest: tuple = ()
-    else:
-        forest = (rebuilt,)
+    walk = _Walk(eau_range)
+    rebuilt = walk.cut(root, None)
     return TreeCut(
-        content_roots=tuple(content),
-        context_forest=forest,
-        cut_edges=tuple(cut_edges),
+        content_roots=tuple(walk.content),
+        context_forest=() if isinstance(rebuilt, CutMarker) else (rebuilt,),
+        cut_edges=tuple(walk.cut_edges),
+        rules=tuple(tuple(rules) for rules in walk.rules),
+        sentiment_nodes=(
+            _pick_highest(walk.content),
+            _pick_highest(walk.outside),
+            None if root.is_leaf else root,
+        ),
     )
-
-
-def _child_label(child) -> str:
-    if getattr(child, "is_leaf", False):
-        return child.label.lower()
-    return child.label
-
-
-def _rules_of(node, rules: Counter) -> None:
-    if isinstance(node, CutMarker) or getattr(node, "is_leaf", False):
-        return
-    children = node.children
-    if len(children) == 1 and getattr(children[0], "is_leaf", False):
-        rules[f"{node.label}→{children[0].label.lower()}"] += 1
-        return
-    rhs = "_".join(_child_label(c) for c in children)
-    rules[f"{node.label}→{rhs}"] += 1
-    for child in children:
-        _rules_of(child, rules)
 
 
 def production_rules(fragment) -> Counter:
@@ -127,86 +161,31 @@ def production_rules(fragment) -> Counter:
     """
     if isinstance(fragment, (TreeNode, CutMarker)):
         fragment = (fragment,)
-    rules: Counter = Counter()
+    rules: list[str] = []
     for node in fragment:
-        _rules_of(node, rules)
-    return rules
+        _subtree_rules(node, rules)
+    return Counter(rules)
 
 
-def _has_marker_child(node) -> bool:
-    return any(isinstance(c, CutMarker) for c in getattr(node, "children", ()))
+def content_rules(cut: TreeCut) -> Counter:
+    """Rules of the content subtrees."""
+    return Counter(cut.rules[0])
 
 
-def _crossing_rules_of(node, rules: Counter) -> None:
-    if isinstance(node, CutMarker) or getattr(node, "is_leaf", False):
-        return
-    if _has_marker_child(node):
-        rhs = "_".join(_child_label(c) for c in node.children)
-        rules[f"{node.label}→{rhs}"] += 1
-    for child in node.children:
-        _crossing_rules_of(child, rules)
+def context_rules(cut: TreeCut) -> Counter:
+    """Rules of the context nodes, boundary-crossing rules excluded."""
+    return Counter(cut.rules[1])
 
 
 def crossing_rules(cut: TreeCut) -> Counter:
     """Rules of context nodes whose right-hand side mentions a severed subtree."""
-    rules: Counter = Counter()
-    for root in cut.context_forest:
-        _crossing_rules_of(root, rules)
-    return rules
-
-
-def context_rules(cut: TreeCut) -> Counter:
-    """Context-forest rules with the boundary-crossing rules removed."""
-    rules = production_rules(cut.context_forest)
-    rules.subtract(crossing_rules(cut))
-    return +rules
-
-
-def content_rules(cut: TreeCut) -> Counter:
-    return production_rules(cut.content_roots)
-
-
-def _pick_highest(candidates: list[TreeNode]) -> Optional[TreeNode]:
-    """Largest token range wins; ties broken by leftmost start."""
-    if not candidates:
-        return None
-    return min(
-        candidates,
-        key=lambda n: (-(n.token_end - n.token_start), n.token_start),
-    )
+    return Counter(cut.rules[2])
 
 
 def select_sentiment_nodes(
     tree: ConstTree, eau_range: tuple[int, int]
 ) -> dict[str, Optional[TreeNode]]:
-    """Select the sentiment-bearing nodes for the CB, CI and FA views.
-
-    cb: the highest node inside the EAU range (exact-span node when one exists).
-    ci: the highest node fully outside the EAU range.
-    fa: the lowest node covering EAU range and context together.
-    """
+    """The sentiment-bearing nodes of the CB, CI and FA views (see ``cut_tree``)."""
     if not tree.has_sentiment:
         raise MissingLayerError("sentiment")
-    i, j = eau_range
-    nodes = [n for n in tree.root.iter_nodes() if not n.is_leaf]
-
-    cb_candidates = [n for n in nodes if range_inside(n.token_range, eau_range)]
-    cb = _pick_highest(cb_candidates)
-
-    ci_candidates = [n for n in nodes if range_disjoint(n.token_range, eau_range)]
-    ci = _pick_highest(ci_candidates)
-
-    # fa target: EAU plus all context of this tree, i.e. the full tree range
-    # when context exists, otherwise just the EAU range.
-    root_range = tree.root.token_range
-    has_context = root_range != (i, j)
-    target = root_range if has_context else (i, j)
-    fa_candidates = [n for n in nodes if range_inside(target, n.token_range)]
-    fa = None
-    if fa_candidates:
-        # lowest = smallest token range
-        fa = min(
-            fa_candidates,
-            key=lambda n: (n.token_end - n.token_start, n.token_start),
-        )
-    return {"cb": cb, "ci": ci, "fa": fa}
+    return dict(zip(("cb", "ci", "fa"), cut_tree(tree, eau_range).sentiment_nodes))

@@ -73,6 +73,24 @@ def test_parse_tree_without_sentiment():
     assert not tree.has_sentiment
 
 
+@pytest.mark.parametrize("score", [1, 2, 3, 4, 5])
+def test_sentiment_suffix_accepts_scores_one_to_five(score):
+    tree = parse_bracketed_tree(f"(S|s={score} (NN dog))", toks("dog"))
+    assert tree.root.label == "S" and tree.root.sentiment == score
+
+
+@pytest.mark.parametrize("label", [
+    "S|s=10", "S|s=", "S|s=x", "S|s=3x", "S|s=-1", "S|s=3.0", "S|s=3|s=",
+    "S|s=\u0663",  # ARABIC-INDIC DIGIT THREE, a decimal digit outside ASCII
+    "S|s=\uff13",  # FULLWIDTH DIGIT THREE
+])
+def test_malformed_sentiment_suffix_is_a_parse_error(label):
+    with pytest.raises(StandoffParseError, match="malformed sentiment suffix"):
+        parse_bracketed_tree(f"({label} (NN dog))", toks("dog"))
+    with pytest.raises(StandoffParseError, match="malformed sentiment suffix"):
+        parse_bracketed_tree(f"(S (NP (NN dog)) ({label} (NN cat)))", toks("dog", "cat"))
+
+
 def test_bracket_escapes_match_token_surfaces():
     line = "(S (-LRB- -LRB-) (-LSB- -LSB-) (-LCB- -LCB-) (-RCB- -RCB-) (-RSB- -RSB-) (-RRB- -RRB-))"
     tree = parse_bracketed_tree(line, toks("(", "[", "{", "}", "]", ")"))
@@ -243,6 +261,12 @@ def test_load_embeddings_basic():
 def test_load_embeddings_wrong_length():
     with pytest.raises(StandoffParseError, match="line 2"):
         load_embeddings("a 0.1 0.2\nb 0.1 0.2 0.3\n", dim=2)
+
+
+@pytest.mark.parametrize("component", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_load_embeddings_rejects_non_finite_components(component):
+    with pytest.raises(StandoffParseError, match="line 2: non-finite vector component"):
+        load_embeddings(f"a 0.1 0.2\nb 0.1 {component}\nc 0.3 0.4\n")
 
 
 def test_load_embeddings_duplicate_last_wins():

@@ -439,6 +439,36 @@ def test_deep_tree_line_is_a_data_error(synth_dir, tmp_path, capsys):
     assert "data error" in err and f"deeper than {MAX_TREE_DEPTH} levels" in err
 
 
+def _break_first_sentiment_suffix(corpus):
+    trees = sorted(corpus.glob("*.trees"))[0]
+    text = trees.read_text(encoding="utf-8")
+    assert "(S|s=3 " in text
+    trees.write_text(text.replace("(S|s=3 ", "(S|s=10 ", 1), encoding="utf-8")
+
+
+def _put_nan_in_an_embedding(corpus):
+    path = corpus / "embeddings.txt"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    word, first, *rest = lines[1].split(" ")
+    lines[1] = " ".join([word, "nan", *rest])
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_break_first_sentiment_suffix, "malformed sentiment suffix in label 'S|s=10'"),
+    (_put_nan_in_an_embedding, "line 2: non-finite vector component"),
+])
+def test_malformed_layer_value_is_a_data_error(synth_dir, tmp_path, capsys, corrupt, message):
+    """A corpus with one bad value is rejected, not loaded without the layer
+    (a bad sentiment suffix) or trained on nan (a bad embedding)."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    corrupt(corpus)
+    assert main(["run", "--task", "g"] + base_args(str(corpus), str(tmp_path / "out"))) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err
+
+
 def test_trees_at_the_depth_bound_run(synth_dir, tmp_path, capsys):
     """The recursive walks over a tree of the deepest accepted nesting stay
     under the recursion limit: cuts, rules and sentiment nodes."""

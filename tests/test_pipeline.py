@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from argdissect import cli, features, pipeline
-from argdissect.annotations import Token, parse_bracketed_tree
-from argdissect.corpus import parse_standoff
+from argdissect.annotations import Token, align_eau, parse_bracketed_tree
+from argdissect.corpus import build_instances, parse_standoff
 from argdissect.errors import MissingLayerError
 from argdissect.evaluation import randomize_contexts
 from argdissect.features import CB, CI, FA, FeatureRegistry, assemble
@@ -98,6 +98,37 @@ def run_config(synth_dir, out_dir, **kw):
     )
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def test_build_views_cuts_each_side_sentence_once(synth_dir, monkeypatch):
+    """All tree work of ``build_views`` happens inside ``pipeline.cut_tree``, one
+    call per (side, covering sentence), so a span around it times all of it."""
+    bundle = load_corpus_dir(synth_dir)
+    instances = build_instances(bundle.corpus, "g")
+    cuts = Counter()
+    cut_tree = pipeline.cut_tree
+
+    def counting(tree, eau_range):
+        cuts[tree.doc_id, tree.sentence_idx, eau_range] += 1
+        return cut_tree(tree, eau_range)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("build_views reads rules and sentiment nodes from the cut")
+
+    monkeypatch.setattr(pipeline, "cut_tree", counting)
+    for reader in ("content_rules", "context_rules", "crossing_rules", "select_sentiment_nodes"):
+        monkeypatch.setattr(pipeline, reader, unused)
+    pipeline.build_views(bundle, instances)
+    sides = {(i.doc_id, e) for i in instances for e in (i.source, i.target) if e}
+    expected = Counter()
+    for doc_id, eau_id in sides:
+        doc = bundle.bundles[doc_id]
+        alignment = align_eau(doc.parsed.eau_by_id(eau_id), doc.tokens)
+        for s_idx in alignment.covering_sentence_idxs:
+            in_sent = [t.token_idx for t in alignment.eau_tokens if t.sentence_idx == s_idx]
+            expected[doc_id, s_idx, (min(in_sent), max(in_sent) + 1)] += 1
+    assert sum(expected.values()) >= len(sides) > 0
+    assert cuts == expected
 
 
 def test_load_corpus_dir_layers(synth_dir):
@@ -250,9 +281,9 @@ def test_each_train_side_is_extracted_once(synth_dir, tmp_path, monkeypatch, com
     calls, value_calls = Counter(), Counter()
     extract_side, pair_values = features._side_blocks, features._pair_values
 
-    def counting(sv, tag, *args):
-        calls[id(sv), tag] += 1
-        return extract_side(sv, tag, *args)
+    def counting(sv, *args):
+        calls[id(sv)] += 1
+        return extract_side(sv, *args)
 
     def counting_values(family, scope, sides, *args):
         for sv in sides:
@@ -281,7 +312,8 @@ def test_each_train_side_is_extracted_once(synth_dir, tmp_path, monkeypatch, com
     [data] = prepared
     train_sides = {(id(sv), tag) for v in data.train_views for tag, sv in v.sides}
     assert len(train_sides) < 2 * len(data.train_views)  # sides are shared
-    assert all(calls[key] == 1 for key in train_sides)
+    # once per side object, whichever tags it appears under
+    assert all(calls[sv_id] == 1 for sv_id, _ in train_sides)
     # a side's numeric values are computed once per (family, scope, tag)
     tags_of = Counter(sv_id for sv_id, _ in train_sides)
     paired = {(family, scope) for family, scope, _ in value_calls}
