@@ -25,7 +25,7 @@ from .corpus import (
     transform_corpus,
 )
 from .features import CB, CI, FA, FeatureRegistry, InstanceView, assemble, extract_matrix
-from .learn import LinearModel, TrainConfig, load_model, predict, save_model, train
+from .learn import LinearModel, TrainConfig, load_model, save_model, train
 from .evaluation import (
     anova_scores,
     f1_report,

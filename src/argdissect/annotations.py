@@ -117,6 +117,9 @@ def parse_token_offsets(tsv: str, document_text: str, doc_id: str = "doc") -> li
             sent_idx, tok_idx, start, end = (int(p) for p in parts[:4])
         except ValueError:
             raise StandoffParseError(f"non-integer field in {line!r}", line_no)
+        if not 0 <= start <= end <= len(document_text):
+            raise StandoffParseError(f"token offsets {start}..{end} of {doc_id} outside "
+                                     f"its text [0,{len(document_text)}]", line_no)
         surface = parts[4]
         key = (sent_idx, tok_idx)
         if prev_key is not None and key <= prev_key:

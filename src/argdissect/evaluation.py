@@ -11,9 +11,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ArgdissectError, DataError
-from .features import CB, CI, EMPTY_CONTEXT, FeatureRegistry, InstanceView, vectors_to_matrix
+from .features import CB, CI, EMPTY_CONTEXT, CsrMatrix, FeatureRegistry, InstanceView
 
 ANOVA_INF_SENTINEL = 1e12
+
+ANOVA_PERCENTILES = np.arange(0, 101, dtype=float)  # the ANOVA curves' grid
+ANOVA_PERCENTILES.flags.writeable = False  # every AnovaCurve shares it
 
 # Fewest permutations ``significance`` accepts; fewer give an unstable p.
 MIN_PERMUTATIONS = 100
@@ -202,7 +205,7 @@ def strip_contexts(views: list[InstanceView]) -> list[InstanceView]:
 @dataclass
 class AnovaCurve:
     f_scores: np.ndarray  # per feature index
-    percentiles: np.ndarray  # the percentile grid, 0..100
+    percentiles: np.ndarray  # ANOVA_PERCENTILES
     curves: dict[str, np.ndarray]  # type -> F value at each percentile
 
 
@@ -242,25 +245,18 @@ def anova_f_scores(X: np.ndarray, labels) -> np.ndarray:
     return np.minimum(f, ANOVA_INF_SENTINEL)
 
 
-def anova_scores(
-    X, labels, registry: FeatureRegistry, percentile_step: int = 1
-) -> AnovaCurve:
-    """F scores over the registry's features plus CB/CI percentile curves.
-
-    ``X`` is a feature matrix over the registry, or a list of sparse vectors.
-    """
-    if isinstance(X, list):
-        X = vectors_to_matrix(X, len(registry))
-    f = anova_f_scores(X if isinstance(X, np.ndarray) else X.toarray(), labels)
-    percentiles = np.arange(0, 101, percentile_step, dtype=float)
+def anova_scores(X: CsrMatrix, labels, registry: FeatureRegistry) -> AnovaCurve:
+    """F scores of the matrix's columns, the registry's features, plus CB/CI
+    curves over ``ANOVA_PERCENTILES``."""
+    f = anova_f_scores(X.toarray(), labels)
     curves = {}
     for ftype in (CB, CI):
         idxs = registry.indices_of_type(ftype)
         if idxs:
-            curves[ftype] = np.percentile(f[idxs], percentiles)
+            curves[ftype] = np.percentile(f[idxs], ANOVA_PERCENTILES)
         else:
-            curves[ftype] = np.zeros_like(percentiles)
-    return AnovaCurve(f_scores=f, percentiles=percentiles, curves=curves)
+            curves[ftype] = np.zeros_like(ANOVA_PERCENTILES)
+    return AnovaCurve(f_scores=f, percentiles=ANOVA_PERCENTILES, curves=curves)
 
 
 def format_report(report: EvalReport, title: str = "evaluation") -> str:

@@ -10,10 +10,11 @@ side and scope, one column per payload.  The name is the only place the type
 is kept.  The registry maps names to indices and freezes after the training
 pass.
 
-``extract_matrix`` extracts a batch of views into one sparse matrix over the
+``extract_matrix`` extracts a batch of views into one ``CsrMatrix`` over the
 registry, extracting each side shared by several views once, and formats
 each feature name once per distinct payload; the CB and CI slices of an FA
-matrix are its column views (``FeatureRegistry.columns_of``).
+matrix are its column views (``FeatureRegistry.columns_of``).  Other modules
+take feature matrices only in this form; ``learn`` decides when to densify.
 A single view's features are also available as a name dict (``extract_all``)
 and as a ``dict[int, float]`` vector (``assemble``).
 """
@@ -23,13 +24,13 @@ from __future__ import annotations
 import hashlib
 import string
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import Optional
 
 import numpy as np
 
 from .corpus import RelationInstance
-from .errors import ArgdissectError, MissingLayerError
+from .errors import MissingLayerError
 
 CB = "CB"
 CI = "CI"
@@ -60,8 +61,6 @@ FAMILY_LAYER = {
     "embedding": "embeddings",
     "sentiment": "sentiment",
 }
-
-SparseVector = dict[int, float]
 
 
 def feature_type(name: str) -> str:
@@ -360,12 +359,12 @@ def assemble(
     registry: FeatureRegistry,
     families=None,
     embedding_dim: int = 0,
-) -> SparseVector:
+) -> dict[int, float]:
     """Sparse vector of the instance restricted to the model type's Φ slice."""
     if model_type not in MODEL_TYPES:
         raise ValueError(f"unknown model type: {model_type}")
     named = extract_all(view, families=families, embedding_dim=embedding_dim)
-    out: SparseVector = {}
+    out: dict[int, float] = {}
     for name, value in named.items():
         if model_type != FA and feature_type(name) != model_type:
             continue
@@ -413,34 +412,6 @@ class CsrMatrix:
         indptr = np.zeros_like(self.indptr)
         np.cumsum(np.bincount(self.row_ids()[kept], minlength=len(self)), out=indptr[1:])
         return CsrMatrix(indptr, renumbered[kept], self.data[kept], int(np.count_nonzero(mask)))
-
-
-FeatureMatrix = np.ndarray | CsrMatrix
-
-
-def as_matrix(X: CsrMatrix) -> FeatureMatrix:
-    """``X`` as a dense array when nnz >= n*(d+1)/4, else ``X`` itself.
-
-    The counts include the bias column a linear model appends: at that
-    density one (n, d+1) array takes at most twice the bytes of the sparse
-    form (an 8 B index plus an 8 B value per nonzero), and a coordinate step
-    on a dense row skips the gather and the scatter of ``w[cols]``.
-    """
-    n, d = X.shape
-    return X.toarray() if 4 * (len(X.data) + n) >= n * (d + 1) else X
-
-
-def vectors_to_matrix(vectors: list[SparseVector], n_cols: int) -> FeatureMatrix:
-    """The matrix whose rows are ``vectors``, whose indices must lie in 0..n_cols-1."""
-    nnz = sum(map(len, vectors))
-    indices = np.fromiter(chain.from_iterable(vectors), np.intp, nnz)
-    outside = indices[(indices < 0) | (indices >= n_cols)]
-    if len(outside):
-        raise ArgdissectError(f"feature index {outside[0]} outside the model's registry")
-    indptr = np.zeros(len(vectors) + 1, np.intp)
-    np.cumsum([len(v) for v in vectors], out=indptr[1:])
-    data = np.fromiter(chain.from_iterable(v.values() for v in vectors), float, nnz)
-    return as_matrix(CsrMatrix(indptr, indices, data, n_cols))
 
 
 def extract_matrix(

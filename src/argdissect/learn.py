@@ -1,4 +1,5 @@
-"""Linear SVM training over feature vectors.
+"""Linear SVM training over a ``CsrMatrix``, one column per registry name;
+``_dense`` alone decides when the solver's rows and prediction densify it.
 
 One binary machine for 2-class tasks, one-vs-rest for 3-class, each
 minimising the L2-regularized hinge or squared-hinge loss; the bias is
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ArgdissectError, ModelFormatError
-from .features import FeatureMatrix, FeatureRegistry, SparseVector, vectors_to_matrix
+from .features import CsrMatrix, FeatureRegistry
 from .settings import check_choices, choice, from_text
 
 FORMAT_VERSION = 1
@@ -98,13 +99,24 @@ NEWTON_MAX_ITERATIONS = 100
 HESSIAN_BLOCK_BYTES = 1 << 19
 
 
+def _dense(X: CsrMatrix) -> bool:
+    """Whether nnz >= n(d+1)/4, the bias column counted: then one (n, d+1) array
+    takes at most twice the bytes of the sparse form (8 B index + 8 B value per
+    nonzero), and a coordinate step on a dense row skips gathering ``w[cols]``."""
+    n, d = X.shape
+    return 4 * (len(X.data) + n) >= n * (d + 1)
+
+
 class _DenseRows:
     """Solver rows as one (n, D) array, the bias column last."""
 
-    def __init__(self, X: np.ndarray):
-        self.X = X
-        self.shape = X.shape
-        self.stored = X.size  # entries held
+    def __init__(self, X: CsrMatrix):
+        n, d = X.shape
+        self.X = np.zeros((n, d + 1))
+        self.X[X.row_ids(), X.indices] = X.data
+        self.X[:, d] = 1.0
+        self.shape = self.X.shape
+        self.stored = self.X.size  # entries held
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         """X v"""
@@ -126,11 +138,15 @@ class _DenseRows:
 class _SparseRows:
     """Solver rows in compressed sparse row form, the bias column last."""
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, d: int):
-        self.indptr, self.indices, self.data = indptr, indices, data
-        self.lengths = np.diff(indptr)
-        self.shape = (len(indptr) - 1, d)
-        self.stored = len(data)
+    def __init__(self, X: CsrMatrix):
+        n, d = X.shape
+        ends = X.indptr[1:]
+        self.indptr = X.indptr + np.arange(n + 1)
+        self.indices = np.insert(X.indices, ends, d)
+        self.data = np.insert(X.data, ends, 1.0)
+        self.lengths = np.diff(self.indptr)
+        self.shape = (n, d + 1)
+        self.stored = len(self.data)
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         # every row holds its bias entry, so no reduceat segment is empty
@@ -159,18 +175,9 @@ class _SparseRows:
 SolverRows = _DenseRows | _SparseRows
 
 
-def _solver_rows(X: FeatureMatrix) -> SolverRows:
-    """Solver rows of the feature matrix, in its form, with a bias column of ones appended."""
-    n, d = X.shape
-    if isinstance(X, np.ndarray):
-        return _DenseRows(np.hstack([X, np.ones((n, 1))]))
-    ends = X.indptr[1:]
-    return _SparseRows(
-        X.indptr + np.arange(n + 1),
-        np.insert(X.indices, ends, d),
-        np.insert(X.data, ends, 1.0),
-        d + 1,
-    )
+def _solver_rows(X: CsrMatrix) -> SolverRows:
+    """Solver rows in the form ``_dense`` picks, with a bias column of ones appended."""
+    return _DenseRows(X) if _dense(X) else _SparseRows(X)
 
 
 def _update_hessian(H: np.ndarray, X: SolverRows, C_i: np.ndarray,
@@ -339,7 +346,7 @@ def _dcd_binary(X: SolverRows, y: np.ndarray, C_i: np.ndarray, loss: str, tol: f
 
 
 def train(
-    X: FeatureMatrix | list[SparseVector],
+    X: CsrMatrix,
     labels: list[str],
     config: TrainConfig,
     registry: FeatureRegistry,
@@ -349,8 +356,7 @@ def train(
 ) -> LinearModel:
     """Train a linear model over the frozen registry's feature space.
 
-    ``X`` has one column per registry name; a list of sparse vectors is
-    converted to that matrix first.
+    ``X`` has one row per label and one column per registry name.
     """
     if not len(X):
         raise ArgdissectError("empty training set")
@@ -362,8 +368,6 @@ def train(
         raise ArgdissectError(f"labels outside the class set: {sorted(unknown)}")
 
     n_features = len(registry)
-    if isinstance(X, list):
-        X = vectors_to_matrix(X, n_features)
     if X.shape != (len(labels), n_features):
         raise ArgdissectError(
             f"feature matrix of shape {X.shape} for {len(labels)} labels "
@@ -418,10 +422,8 @@ def train(
     )
 
 
-def decision_values(model: LinearModel, X: FeatureMatrix | list[SparseVector]) -> np.ndarray:
+def decision_values(model: LinearModel, X: CsrMatrix) -> np.ndarray:
     """X @ W + b: one row per instance, one column per class."""
-    if isinstance(X, list):
-        X = vectors_to_matrix(X, model.n_features)
     if X.shape[1] != model.n_features:
         raise ArgdissectError(
             f"feature matrix has {X.shape[1]} columns, the model's registry "
@@ -429,23 +431,17 @@ def decision_values(model: LinearModel, X: FeatureMatrix | list[SparseVector]) -
         )
     W = np.column_stack([model.weights[c] for c in model.classes])
     b = np.array([model.biases[c] for c in model.classes])
-    if isinstance(X, np.ndarray):
-        return X @ W + b
+    if _dense(X):
+        return X.toarray() @ W + b
     rows = X.row_ids()
     return np.column_stack([
         np.bincount(rows, X.data * w[X.indices], len(X)) for w in W.T
     ]) + b
 
 
-def predict_all(model: LinearModel, X: FeatureMatrix | list[SparseVector]) -> list[str]:
+def predict_all(model: LinearModel, X: CsrMatrix) -> list[str]:
     """Argmax of the per-class decision values; ties go to the earlier class."""
     return [model.classes[k] for k in np.argmax(decision_values(model, X), axis=1).tolist()]
-
-
-def predict(model: LinearModel, vector: SparseVector) -> tuple[str, dict[str, float]]:
-    """The label and per-class decision values of one sparse vector."""
-    scores = decision_values(model, [vector])[0]
-    return model.classes[int(np.argmax(scores))], dict(zip(model.classes, scores.tolist()))
 
 
 # --------------------------------------------------------------------------

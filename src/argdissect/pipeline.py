@@ -53,12 +53,10 @@ from .features import (
     ContentLayers,
     ContextLayers,
     CsrMatrix,
-    FeatureMatrix,
     FeatureRegistry,
     InstanceView,
     SideView,
     assemble,  # noqa: F401  (kept importable here: tracing tools wrap pipeline's names)
-    as_matrix,
     count_punct,
     default_families,
     extract_matrix,
@@ -397,7 +395,7 @@ def resolve_families(config: RunConfig, data: ExperimentData) -> tuple[str, ...]
 
 def train_model(
     config: RunConfig, data: ExperimentData, model_type: str | None = None
-) -> tuple[LinearModel, FeatureRegistry, FeatureMatrix, tuple[str, ...]]:
+) -> tuple[LinearModel, FeatureRegistry, CsrMatrix, tuple[str, ...]]:
     """Training on the model type's columns of the training features.
 
     Returns (model, registry, X_train, families): the CB and CI registries
@@ -409,7 +407,6 @@ def train_model(
     if model_type != FA:
         columns = registry.columns_of(model_type)
         registry, X_train = registry.subset(columns), X_train.columns(columns)
-    X_train = as_matrix(X_train)
     y_train = [v.instance.label for v in data.train_views]
     model = train(
         X_train,
@@ -432,7 +429,7 @@ def evaluate_model(
     embedding_dim: int,
 ) -> tuple[EvalReport, list[str]]:
     X = extract_matrix(views, registry, families, embedding_dim, model.model_type)
-    preds = predict_all(model, as_matrix(X))
+    preds = predict_all(model, X)
     gold = [v.instance.label for v in views]
     return f1_report(preds, gold, classes), preds
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from argdissect.annotations import Token, parse_bracketed_tree
+from argdissect.features import CsrMatrix
 from argdissect.synth import SynthConfig, generate_corpus
 
 # Shared fixture: "However, people should not smoke." with the EAU covering
@@ -22,6 +23,15 @@ SMOKE_TREE = (
 )
 SMOKE_EAU_CHARS = (9, 32)
 SMOKE_EAU_TOKENS = (2, 6)
+
+
+def csr_of(vectors, n_cols):
+    """The ``CsrMatrix`` whose rows are the ``{column: value}`` dicts, entries in dict order."""
+    indptr = np.cumsum([0] + [len(vec) for vec in vectors]).astype(np.intp)
+    indices = np.array([j for vec in vectors for j in vec], np.intp)
+    data = np.array([v for vec in vectors for v in vec.values()], float)
+    assert np.all((0 <= indices) & (indices < n_cols)), "column outside the matrix"
+    return CsrMatrix(indptr, indices, data, n_cols)
 
 
 @pytest.fixture

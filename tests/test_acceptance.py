@@ -26,7 +26,7 @@ from argdissect.synth import SynthConfig, generate_corpus
 from argdissect.treeops import context_rules, cut_tree
 from argdissect.cli import main as cli_main
 
-from conftest import SMOKE_EAU_TOKENS, random_tree
+from conftest import SMOKE_EAU_TOKENS, csr_of, random_tree
 
 
 def report_pass(criterion: str) -> None:
@@ -164,18 +164,18 @@ def test_criterion_5_learner_sanity():
         np.arange(100)[:, None] < 50, [2.5, 0.0], [-2.5, 0.0]
     )
     labels = ["a"] * 50 + ["b"] * 50
-    vectors = [{0: float(p[0]), 1: float(p[1])} for p in points]
+    X = csr_of([{0: float(p[0]), 1: float(p[1])} for p in points], 2)
     reg = FeatureRegistry()
     reg.index("lex:eau:src:x0")
     reg.index("lex:eau:src:x1")
     reg.freeze()
 
-    m1 = train(vectors, labels, TrainConfig(seed=1), reg, ("a", "b"))
-    assert predict_all(m1, vectors) == labels
+    m1 = train(X, labels, TrainConfig(seed=1), reg, ("a", "b"))
+    assert predict_all(m1, X) == labels
     duals = m1.dual_objectives["a"]
     assert all(b >= a - 1e-9 for a, b in zip(duals, duals[1:]))
 
-    m2 = train(vectors, labels, TrainConfig(seed=1), reg, ("a", "b"))
+    m2 = train(X, labels, TrainConfig(seed=1), reg, ("a", "b"))
     assert np.array_equal(m1.weights["a"], m2.weights["a"])
     assert m1.biases["a"] == m2.biases["a"]
     assert time.time() - start < 5.0
@@ -199,7 +199,7 @@ def test_criterion_6_anova_oracle():
         vectors = [
             {j: float(X[r, j]) for j in range(d)} for r in range(X.shape[0])
         ]
-        curve = anova_scores(vectors, labels, reg)
+        curve = anova_scores(csr_of(vectors, d), labels, reg)
 
         # scalar brute-force oracle
         n = X.shape[0]
@@ -250,16 +250,16 @@ def test_criterion_8_round_trips(tmp_path):
     rng = np.random.default_rng(31)
     rows = rng.normal(size=(100, 8))
     labels = ["a" if r[:4].sum() > r[4:].sum() else "b" for r in rows]
-    vectors = [{j: float(v) for j, v in enumerate(r) if v != 0.0} for r in rows]
+    X = csr_of([{j: float(v) for j, v in enumerate(r) if v != 0.0} for r in rows], 8)
     reg = FeatureRegistry()
     for j in range(8):
         reg.index(f"lex:eau:src:w{j}")
     reg.freeze()
-    model = train(vectors, labels, TrainConfig(seed=5), reg, ("a", "b"))
+    model = train(X, labels, TrainConfig(seed=5), reg, ("a", "b"))
     path = tmp_path / "model.txt"
     save_model(model, path)
     loaded = load_model(path)
-    assert predict_all(loaded, vectors) == predict_all(model, vectors)
+    assert predict_all(loaded, X) == predict_all(model, X)
     assert time.time() - start < 10.0
     report_pass("criterion 8: transform and model round trips preserve behavior")
 

@@ -45,6 +45,24 @@ def test_token_overlap():
         parse_token_offsets(tsv, "However, x", "d")
 
 
+@pytest.mark.parametrize("line, offsets", [
+    ("0\t0\t-5\t-1\tworl", "-5..-1"),  # negative: the slice reads from the end
+    ("0\t0\t7\t3\t", "7..3"),  # end before start: the slice is empty
+    ("0\t0\t8\t20\trld", "8..20"),  # end past the text: the slice is cut short
+])
+def test_token_offsets_outside_the_text_are_rejected(line, offsets):
+    """Each line's slice of the text equals its surface, so only the bounds catch it."""
+    with pytest.raises(StandoffParseError, match=rf"^line 1: token offsets {offsets} of d "
+                       r"outside its text \[0,11\]$"):
+        parse_token_offsets(line + "\n", "hello world", "d")
+
+
+def test_token_offsets_may_touch_both_ends_of_the_text():
+    tokens = parse_token_offsets("0\t0\t0\t0\t\n0\t1\t0\t11\thello world\n",
+                                 "hello world", "d")
+    assert [(t.start, t.end) for t in tokens] == [(0, 0), (0, 11)]
+
+
 # ---------------------------------------------------------------------------
 # bracketed trees
 

@@ -469,6 +469,24 @@ def test_malformed_layer_value_is_a_data_error(synth_dir, tmp_path, capsys, corr
     assert "data error" in err and message in err
 
 
+def test_token_offsets_outside_the_text_are_a_data_error(synth_dir, tmp_path, capsys):
+    """A first token given negative offsets still slices its surface out of the
+    text, and used to load; it is rejected, naming the line."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    tokens = sorted(corpus.glob("*.tokens.tsv"))[0]
+    n = len(tokens.with_name(tokens.name.replace(".tokens.tsv", ".txt")).read_text("utf-8"))
+    first, rest = tokens.read_text(encoding="utf-8").split("\n", 1)
+    sent, tok, start, end, surface = first.split("\t")
+    assert start == "0"
+    tokens.write_text(f"{sent}\t{tok}\t{-n}\t{int(end) - n}\t{surface}\n{rest}", "utf-8")
+    argv = ["ingest", "--task", "f", "--corpus-dir", str(corpus),
+            "--split", str(corpus / "split.tsv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"line 1: token offsets {-n}..{int(end) - n} of" in err
+
+
 def test_trees_at_the_depth_bound_run(synth_dir, tmp_path, capsys):
     """The recursive walks over a tree of the deepest accepted nesting stay
     under the recursion limit: cuts, rules and sentiment nodes."""

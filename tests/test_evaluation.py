@@ -26,6 +26,8 @@ from argdissect.features import (
     SideView,
 )
 
+from conftest import csr_of
+
 
 def test_f1_report_hand_computed():
     gold = ["a", "a", "a", "b", "b"]
@@ -260,7 +262,7 @@ def test_anova_scores_percentile_curves():
         }
         vectors.append(vec)
         labels.append(label)
-    curve = anova_scores(vectors, labels, reg)
+    curve = anova_scores(csr_of(vectors, 3), labels, reg)
     assert curve.percentiles[0] == 0.0 and curve.percentiles[-1] == 100.0
     for ftype in (CB, CI):
         vals = curve.curves[ftype]

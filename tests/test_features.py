@@ -17,13 +17,13 @@ from argdissect.features import (
     FeatureRegistry,
     InstanceView,
     SideView,
-    as_matrix,
     assemble,
     extract_all,
     extract_matrix,
     feature_type,
 )
 from argdissect.evaluation import randomize_contexts, strip_contexts
+from argdissect.learn import _dense
 from argdissect.pipeline import RunConfig, prepare
 
 
@@ -420,19 +420,9 @@ def prepared(synth_dir, task):
 
 
 def assert_rows_equal(X, vectors, n_cols):
-    """``X`` holds the vectors' entries: in dict order when sparse, and dense
-    exactly when the density rule (nnz with the bias >= n(d+1)/4) says so."""
-    n = len(vectors)
-    nnz = sum(map(len, vectors))
-    assert X.shape == (n, n_cols)
-    if 4 * (nnz + n) >= n * (n_cols + 1):
-        dense = np.zeros((n, n_cols))
-        for row, vec in zip(dense, vectors):
-            row[list(vec)] = list(vec.values())
-        assert isinstance(X, np.ndarray) and np.array_equal(X, dense)
-    else:
-        assert isinstance(X, CsrMatrix)
-        assert csr_rows(X) == [list(vec.items()) for vec in vectors]
+    """``X`` holds the vectors' entries, each row's in dict order."""
+    assert isinstance(X, CsrMatrix) and X.shape == (len(vectors), n_cols)
+    assert csr_rows(X) == [list(vec.items()) for vec in vectors]
 
 
 def csr_rows(X):
@@ -453,7 +443,7 @@ def test_extract_matrix_matches_per_instance_assembly(synth_dir, task, model_typ
     dim = data.embedding_dim
     oracle, registry = FeatureRegistry(), FeatureRegistry()
     expected = [assemble(v, model_type, oracle, families, dim) for v in data.train_views]
-    X = as_matrix(extract_matrix(data.train_views, registry, families, dim, model_type))
+    X = extract_matrix(data.train_views, registry, families, dim, model_type)
     assert [registry.name(i) for i in range(len(registry))] == [
         oracle.name(i) for i in range(len(oracle))
     ]
@@ -473,7 +463,7 @@ def test_extract_matrix_matches_per_instance_assembly(synth_dir, task, model_typ
         strip_contexts(data.test_views),
     ):
         expected = [assemble(v, model_type, oracle, families, dim) for v in views]
-        X = as_matrix(extract_matrix(views, registry, families, dim, model_type))
+        X = extract_matrix(views, registry, families, dim, model_type)
         assert_rows_equal(X, expected, len(registry))
         assert registry.dropped_unseen == oracle.dropped_unseen > 0
 
@@ -492,11 +482,12 @@ def test_extraction_column_views_are_the_typed_slices(synth_dir):
         columns = registry.columns_of(model_type)
         sub = registry.subset(columns)
         assert sub.registry_id == oracle.registry_id and sub.frozen
-        assert_rows_equal(as_matrix(X.columns(columns)), expected, len(oracle))
+        assert_rows_equal(X.columns(columns), expected, len(oracle))
 
 
 def test_sparse_rows_of_shared_sides_match_per_instance_assembly():
-    """A wide vocabulary gives CSR rows; sides are shared, some views unpaired."""
+    """A wide vocabulary gives rows the learner keeps sparse; sides are shared,
+    some views unpaired."""
     rng = np.random.default_rng(4)
     words = [f"w{k}" for k in range(300)]
     sides = [
@@ -516,8 +507,8 @@ def test_sparse_rows_of_shared_sides_match_per_instance_assembly():
     for model_type in (CB, CI, FA):
         oracle, registry = FeatureRegistry(), FeatureRegistry()
         expected = [assemble(v, model_type, oracle) for v in views]
-        X = as_matrix(extract_matrix(views, registry, model_type=model_type))
-        assert isinstance(X, CsrMatrix)
+        X = extract_matrix(views, registry, model_type=model_type)
+        assert not _dense(X)
         assert registry.registry_id == oracle.registry_id
         assert_rows_equal(X, expected, len(registry))
 

@@ -11,24 +11,29 @@ from scipy.optimize import minimize, minimize_scalar
 
 from argdissect import learn
 from argdissect.errors import ArgdissectError, ModelFormatError
-from argdissect.features import CsrMatrix, FeatureRegistry, vectors_to_matrix
+from argdissect.features import FeatureRegistry
 from argdissect.learn import (
     NEWTON_MAX_ITERATIONS,
     Convergence,
     LinearModel,
     TrainConfig,
+    _DenseRows,
+    _SparseRows,
     _dcd_binary,
+    _dense,
     _line_search,
     _newton_sqhinge,
     _solver_rows,
     _update_hessian,
     class_weights,
+    decision_values,
     load_model,
-    predict,
     predict_all,
     save_model,
     train,
 )
+
+from conftest import csr_of
 
 
 def registry_of(n):
@@ -43,24 +48,17 @@ def dense_to_sparse(rows):
     return [{j: v for j, v in enumerate(row) if v != 0.0} for row in rows]
 
 
-def csr_of(vectors, d):
-    indptr = np.cumsum([0] + [len(vec) for vec in vectors])
-    indices = np.array([j for vec in vectors for j in vec], np.intp)
-    data = np.array([v for vec in vectors for v in vec.values()], float)
-    return CsrMatrix(indptr, indices, data, d)
-
-
 def _rows(vectors, d):
     """Solver rows as ``train`` builds them: dense or sparse by density."""
-    return _solver_rows(vectors_to_matrix(vectors, d))
+    return _solver_rows(csr_of(vectors, d))
 
 
 def _dense_rows(vectors, d):
-    return _solver_rows(csr_of(vectors, d).toarray())
+    return _DenseRows(csr_of(vectors, d))
 
 
 def _sparse_rows(vectors, d):
-    return _solver_rows(csr_of(vectors, d))
+    return _SparseRows(csr_of(vectors, d))
 
 
 def separable_data():
@@ -73,19 +71,19 @@ def separable_data():
         [0.1, 1.0],
     ]
     labels = ["support", "support", "support", "attack", "attack", "attack"]
-    return dense_to_sparse(rows), labels, rows
+    return csr_of(dense_to_sparse(rows), 2), labels, rows
 
 
 def test_separable_data_fit_perfectly():
-    vectors, labels, _ = separable_data()
+    X, labels, _ = separable_data()
     reg = registry_of(2)
-    model = train(vectors, labels, TrainConfig(), reg, ("support", "attack"))
-    assert predict_all(model, vectors) == labels
+    model = train(X, labels, TrainConfig(), reg, ("support", "attack"))
+    assert predict_all(model, X) == labels
 
 
 def test_binary_machine_is_antisymmetric():
-    vectors, labels, _ = separable_data()
-    model = train(vectors, labels, TrainConfig(), registry_of(2), ("support", "attack"))
+    X, labels, _ = separable_data()
+    model = train(X, labels, TrainConfig(), registry_of(2), ("support", "attack"))
     assert np.array_equal(model.weights["attack"], -model.weights["support"])
     assert model.biases["attack"] == -model.biases["support"]
 
@@ -93,10 +91,10 @@ def test_binary_machine_is_antisymmetric():
 def test_weights_match_primal_oracle():
     # Independent check: minimize the primal squared-hinge objective directly
     # (bias folded in as a regularized constant feature) and compare.
-    vectors, labels, rows = separable_data()
+    X_train, labels, rows = separable_data()
     config = TrainConfig(c=1.0, loss="squared_hinge", class_weighting="none",
                          tolerance=1e-8, max_epochs=5000)
-    model = train(vectors, labels, config, registry_of(2), ("support", "attack"))
+    model = train(X_train, labels, config, registry_of(2), ("support", "attack"))
 
     X = np.array([r + [1.0] for r in rows])
     y = np.array([1.0 if lab == "support" else -1.0 for lab in labels])
@@ -112,18 +110,18 @@ def test_weights_match_primal_oracle():
 
 
 def test_hinge_loss_also_separates():
-    vectors, labels, _ = separable_data()
+    X, labels, _ = separable_data()
     config = TrainConfig(loss="hinge")
-    model = train(vectors, labels, config, registry_of(2), ("support", "attack"))
-    assert predict_all(model, vectors) == labels
+    model = train(X, labels, config, registry_of(2), ("support", "attack"))
+    assert predict_all(model, X) == labels
 
 
 def test_dual_objective_non_decreasing():
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(40, 6))
     labels = ["a" if r[0] + 0.3 * r[1] > 0 else "b" for r in rows]
-    vectors = dense_to_sparse(rows.tolist())
-    model = train(vectors, labels, TrainConfig(), registry_of(6), ("a", "b"))
+    X = csr_of(dense_to_sparse(rows.tolist()), 6)
+    model = train(X, labels, TrainConfig(), registry_of(6), ("a", "b"))
     duals = model.dual_objectives["a"]
     assert len(duals) >= 1
     for earlier, later in zip(duals, duals[1:]):
@@ -134,10 +132,10 @@ def test_training_is_seed_deterministic():
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(30, 4))
     labels = ["a" if r.sum() > 0 else "b" for r in rows]
-    vectors = dense_to_sparse(rows.tolist())
+    X = csr_of(dense_to_sparse(rows.tolist()), 4)
     reg = registry_of(4)
-    m1 = train(vectors, labels, TrainConfig(seed=3), reg, ("a", "b"))
-    m2 = train(vectors, labels, TrainConfig(seed=3), reg, ("a", "b"))
+    m1 = train(X, labels, TrainConfig(seed=3), reg, ("a", "b"))
+    m2 = train(X, labels, TrainConfig(seed=3), reg, ("a", "b"))
     assert np.array_equal(m1.weights["a"], m2.weights["a"])
     assert m1.biases["a"] == m2.biases["a"]
 
@@ -152,12 +150,12 @@ def test_three_class_one_vs_rest():
         [0.0, 0.1, 2.5],
     ]
     labels = ["support", "support", "attack", "attack", "none", "none"]
-    vectors = dense_to_sparse(rows)
+    X = csr_of(dense_to_sparse(rows), 3)
     model = train(
-        vectors, labels, TrainConfig(), registry_of(3), ("support", "attack", "none")
+        X, labels, TrainConfig(), registry_of(3), ("support", "attack", "none")
     )
     assert set(model.weights) == {"support", "attack", "none"}
-    assert predict_all(model, vectors) == labels
+    assert predict_all(model, X) == labels
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +179,50 @@ def test_rows_follow_density():
     assert all(cols is not None for cols, _ in rows)
     # the bias column is appended to every row
     assert all(cols[-1] == 400 and x[-1] == 1.0 for cols, x in rows)
+
+
+def random_fill(n, d, nnz, seed):
+    """An (n, d) array with nnz nonzeros at random cells."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((n, d))
+    X.flat[rng.permutation(n * d)[:nnz]] = rng.random(nnz) + 0.5
+    return X
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (4, 7), (10, 39), (20, 1)])
+def test_solver_rows_are_dense_exactly_when_the_density_rule_holds(n, d):
+    """Dense when nnz + n >= n(d+1)/4, the bias column counted; every nnz is tried."""
+    for nnz in range(n * d + 1):
+        dense = random_fill(n, d, nnz, seed=nnz)
+        X = csr_of(dense_to_sparse(dense.tolist()), d)
+        rows = _solver_rows(X)
+        rule = 4 * (nnz + n) >= n * (d + 1)
+        assert isinstance(rows, _DenseRows) == _dense(X) == rule
+        assert isinstance(rows, _SparseRows) != rule
+        # either form holds the matrix with the bias column of ones last
+        assert np.array_equal(rows.block(np.arange(n)), np.hstack([dense, np.ones((n, 1))]))
+
+
+@pytest.mark.parametrize("nnz", [30, 200])  # sparse and dense by the rule at 40 x 20
+def test_decision_values_are_x_w_plus_b_in_either_form(nnz):
+    dense = random_fill(40, 20, nnz, seed=1)
+    X = csr_of(dense_to_sparse(dense.tolist()), 20)
+    rng = np.random.default_rng(2)
+    model = LinearModel(
+        classes=("a", "b", "c"),
+        weights={c: rng.normal(size=20) for c in "abc"},
+        biases={c: float(rng.normal()) for c in "abc"},
+        registry_id="x", model_type="FA", task="g", config=TrainConfig(), n_features=20,
+    )
+    W = np.column_stack([model.weights[c] for c in "abc"])
+    b = np.array([model.biases[c] for c in "abc"])
+    expected = dense @ W + b
+    values = decision_values(model, X)
+    assert _dense(X) == (nnz == 200)
+    if _dense(X):
+        assert np.array_equal(values, expected)
+    else:  # summed in another order: equal up to rounding
+        assert np.allclose(values, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("loss", ["hinge", "squared_hinge"])
@@ -266,7 +308,7 @@ def test_wide_feature_space_trains_by_dcd_from_zero():
     assert (d + 1) ** 2 > X.stored
     labels = ["support" if v > 0 else "attack" for v in y]
     config = TrainConfig(class_weighting="none", max_epochs=50)
-    model = train(vectors, labels, config, registry_of(d), ("support", "attack"))
+    model = train(csr_of(vectors, d), labels, config, registry_of(d), ("support", "attack"))
     w, duals, converged, max_pg = _dcd_binary(
         X, y, np.ones(len(y)), "squared_hinge", config.tolerance, 50,
         np.random.default_rng(config.seed),
@@ -325,8 +367,8 @@ def test_converged_newton_certifies_in_one_pass():
     rng = np.random.default_rng(8)
     rows = rng.normal(size=(90, 5))
     labels = [("support", "attack", "none")[k] for k in np.argmax(rows[:, :3], axis=1)]
-    model = train(dense_to_sparse(rows.tolist()), labels, TrainConfig(), registry_of(5),
-                  ("support", "attack", "none"))
+    model = train(csr_of(dense_to_sparse(rows.tolist()), 5), labels, TrainConfig(),
+                  registry_of(5), ("support", "attack", "none"))
     X = dense_matrix(dense_to_sparse(rows.tolist()), 5)
     C_i = np.array([class_weights(labels, model.classes, "inverse_frequency")[lab]
                     for lab in labels])
@@ -355,8 +397,8 @@ def test_failed_certificate_continues_with_dual_ascent():
 
 def test_train_reports_convergence_per_machine():
     # hinge: plain DCD from zero, which the epoch cap can stop
-    vectors, labels, _ = separable_data()
-    model = train(vectors, labels,
+    X, labels, _ = separable_data()
+    model = train(X, labels,
                   TrainConfig(loss="hinge", tolerance=1e-8, max_epochs=5000),
                   registry_of(2), ("support", "attack"))
     assert list(model.convergence) == ["support"]  # one machine, mirrored for attack
@@ -364,7 +406,7 @@ def test_train_reports_convergence_per_machine():
     assert fit.converged and fit.max_pg < 1e-8
     assert len(model.dual_objectives["support"]) < 5000
 
-    capped = train(vectors, labels,
+    capped = train(X, labels,
                    TrainConfig(loss="hinge", tolerance=1e-8, max_epochs=1),
                    registry_of(2), ("support", "attack"))
     assert not capped.convergence["support"].converged
@@ -393,26 +435,29 @@ def test_predict_tie_goes_to_earlier_class():
         config=TrainConfig(),
         n_features=2,
     )
-    label, scores = predict(model, {0: 1.0})
+    X = csr_of([{0: 1.0}], 2)
+    [label] = predict_all(model, X)
+    scores = dict(zip(model.classes, decision_values(model, X)[0]))
     assert label == "support"
     assert scores["support"] == scores["attack"]
 
 
 def test_predict_rejects_out_of_registry_index():
-    vectors, labels, _ = separable_data()
-    model = train(vectors, labels, TrainConfig(), registry_of(2), ("support", "attack"))
+    X, labels, _ = separable_data()
+    model = train(X, labels, TrainConfig(), registry_of(2), ("support", "attack"))
     with pytest.raises(ArgdissectError, match="registry"):
-        predict(model, {99: 1.0})
+        predict_all(model, csr_of([{99: 1.0}], 100))
 
 
 def test_train_input_validation():
     reg = registry_of(2)
     with pytest.raises(ArgdissectError, match="empty"):
-        train([], [], TrainConfig(), reg, ("a", "b"))
+        train(csr_of([], 2), [], TrainConfig(), reg, ("a", "b"))
+    two_rows = csr_of([{0: 1.0}, {1: 1.0}], 2)
     with pytest.raises(ArgdissectError, match="single class"):
-        train([{0: 1.0}, {1: 1.0}], ["a", "a"], TrainConfig(), reg, ("a", "b"))
+        train(two_rows, ["a", "a"], TrainConfig(), reg, ("a", "b"))
     with pytest.raises(ArgdissectError, match="outside"):
-        train([{0: 1.0}, {1: 1.0}], ["a", "z"], TrainConfig(), reg, ("a", "b"))
+        train(two_rows, ["a", "z"], TrainConfig(), reg, ("a", "b"))
 
 
 def test_train_config_validation():
@@ -429,8 +474,8 @@ def test_train_config_validation():
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):
-    vectors, labels, _ = separable_data()
-    model = train(vectors, labels, TrainConfig(seed=2), registry_of(2),
+    X, labels, _ = separable_data()
+    model = train(X, labels, TrainConfig(seed=2), registry_of(2),
                   ("support", "attack"), model_type="CB", task="f")
     path = tmp_path / "model.txt"
     save_model(model, path)
@@ -442,12 +487,12 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert loaded.config == model.config
     assert loaded.registry_id == model.registry_id
     assert loaded.model_type == "CB"
-    assert predict_all(loaded, vectors) == predict_all(model, vectors)
+    assert predict_all(loaded, X) == predict_all(model, X)
 
 
 def test_load_detects_corruption(tmp_path):
-    vectors, labels, _ = separable_data()
-    model = train(vectors, labels, TrainConfig(), registry_of(2), ("support", "attack"))
+    X, labels, _ = separable_data()
+    model = train(X, labels, TrainConfig(), registry_of(2), ("support", "attack"))
     path = tmp_path / "model.txt"
     save_model(model, path)
     text = path.read_text()
@@ -500,8 +545,8 @@ def test_load_rejects_malformed_body_with_valid_checksum(tmp_path, edit):
 
 def valid_model_text():
     """(header line, body) of a saved two-class model."""
-    vectors, labels, _ = separable_data()
-    model = train(vectors, labels, TrainConfig(), registry_of(2), ("support", "attack"))
+    X, labels, _ = separable_data()
+    model = train(X, labels, TrainConfig(), registry_of(2), ("support", "attack"))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.txt")
         save_model(model, path)

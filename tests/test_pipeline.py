@@ -23,7 +23,7 @@ from argdissect.pipeline import (
     train_model,
 )
 
-from conftest import SMOKE_TOKEN_SPECS, SMOKE_TREE
+from conftest import SMOKE_TOKEN_SPECS, SMOKE_TREE, csr_of
 
 
 def smoke_bundle(with_tree=True):
@@ -246,8 +246,8 @@ def test_slice_models_match_models_trained_from_typed_vectors(
             for v in data.train_views
         ]
         oracle.freeze()
-        expected = train(vectors, labels, config.train, oracle, data.classes,
-                         model_type=model_type, task=task)
+        expected = train(csr_of(vectors, len(oracle)), labels, config.train, oracle,
+                         data.classes, model_type=model_type, task=task)
         assert len(X) == len(vectors) and X.shape[1] == len(oracle)
         assert model.registry_id == expected.registry_id
         for cls in data.classes:
@@ -268,10 +268,11 @@ def test_slice_models_match_models_trained_from_typed_vectors(
             )
             scores, scales = loop_scores(model, test_vectors)
             # X @ W + b sums in another order: equal up to rounding
-            values = decision_values(model, test_vectors)
+            X_test = csr_of(test_vectors, len(oracle))
+            values = decision_values(model, X_test)
             assert np.all(np.abs(values - scores) <= 1e-12 * scales)
             assert preds == [model.classes[k] for k in np.argmax(scores, axis=1)]
-            assert predict_all(model, test_vectors) == preds
+            assert predict_all(model, X_test) == preds
 
 
 @pytest.mark.parametrize("command", [
