@@ -10,6 +10,11 @@ File formats:
              any other text after ``|s=`` is an error
   discourse  pipe-delimited ``kind|sense|a..b|c..d|e..f`` (connective span optional)
   embeddings text lines ``word v1 ... v_dim``
+
+The layer records ``Token``, ``TreeNode`` and ``DiscourseRelation``, which a
+corpus holds by the ten thousand, are named tuples: immutable, hashable,
+built positionally at the cost of a tuple, and compared field by field in
+declaration order.  Each file is read in one pass, line by line.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from itertools import groupby
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -25,8 +32,7 @@ from .errors import AlignmentError, IntegrityError, StandoffParseError
 from .corpus import EauSpan
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     doc_id: str
     sentence_idx: int
     token_idx: int
@@ -35,8 +41,11 @@ class Token:
     surface: str
 
 
-@dataclass(frozen=True)
-class TreeNode:
+# A token's place in document order
+token_key = attrgetter("sentence_idx", "token_idx")
+
+
+class TreeNode(NamedTuple):
     """A constituency tree node; leaves carry the token surface as label."""
 
     label: str
@@ -51,9 +60,12 @@ class TreeNode:
         return (self.token_start, self.token_end)
 
     def iter_nodes(self):
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+        """Every node of the subtree in preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def leaves(self) -> list["TreeNode"]:
         return [n for n in self.iter_nodes() if n.is_leaf]
@@ -71,8 +83,7 @@ class ConstTree:
         return any(n.sentiment is not None for n in self.root.iter_nodes())
 
 
-@dataclass(frozen=True)
-class DiscourseRelation:
+class DiscourseRelation(NamedTuple):
     doc_id: str
     kind: str  # Explicit | Implicit
     sense: str
@@ -110,11 +121,12 @@ def parse_token_offsets(tsv: str, document_text: str, doc_id: str = "doc") -> li
     for line_no, line in enumerate(tsv.split("\n"), start=1):
         if not line.strip():
             continue
-        parts = line.rstrip("\n").split("\t")
+        parts = line.split("\t")
         if len(parts) != 5:
             raise StandoffParseError(f"expected 5 columns, got {len(parts)}", line_no)
         try:
-            sent_idx, tok_idx, start, end = (int(p) for p in parts[:4])
+            sent_idx, tok_idx = int(parts[0]), int(parts[1])
+            start, end = int(parts[2]), int(parts[3])
         except ValueError:
             raise StandoffParseError(f"non-integer field in {line!r}", line_no)
         if not 0 <= start <= end <= len(document_text):
@@ -150,15 +162,16 @@ _LEAF_ESCAPES = {
 
 
 # Deepest node nesting a tree line may have.  Trees are walked recursively
-# after parsing (``TreeNode.iter_nodes``, ``treeops._Walk.cut``,
-# ``treeops._subtree_rules``), one frame per level, below whatever frames the
-# caller already holds; 500 keeps those walks well under Python's default
-# recursion limit of 1000, and natural-language parses are far shallower.
+# after parsing (``treeops._Walk.cut``, ``treeops._subtree_rules``), one
+# frame per level, below whatever frames the caller already holds; 500 keeps
+# those walks well under Python's default recursion limit of 1000, and
+# natural-language parses are far shallower.
 MAX_TREE_DEPTH = 500
 
 
 def _tokenize_sexpr(line: str) -> list[str]:
-    return re.findall(r"\(|\)|[^\s()]+", line)
+    """The line's brackets, and the whitespace-separated words between them."""
+    return line.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def parse_bracketed_tree(
@@ -176,32 +189,29 @@ def parse_bracketed_tree(
     leaves: list[TreeNode] = []
     # the open nodes, outermost first: (label, sentiment, children so far)
     stack: list[tuple[str, Optional[int], list[TreeNode]]] = []
+    siblings: Optional[list[TreeNode]] = None  # the innermost open node's children
     root: Optional[TreeNode] = None
-    pos = 0
-    while pos < len(items):
-        item = items[pos]
-        pos += 1
-        if root is not None:
-            raise StandoffParseError("unbalanced brackets: trailing material")
+    items_left = iter(items)
+    for item in items_left:
         if item == "(":
-            if pos >= len(items) or items[pos] in ("(", ")"):
+            raw_label = next(items_left, "(")
+            if raw_label == "(" or raw_label == ")":
                 raise StandoffParseError("expected node label after '('")
             if len(stack) == MAX_TREE_DEPTH:
                 raise StandoffParseError(f"tree nested deeper than {MAX_TREE_DEPTH} levels")
-            raw_label = items[pos]
-            pos += 1
-            m = _LABEL_SENT_RE.match(raw_label)
-            if m:
+            label, sentiment = raw_label, None
+            if "|s=" in raw_label:  # the suffix pattern can match only then
+                m = _LABEL_SENT_RE.match(raw_label)
+                if not m:
+                    raise StandoffParseError(
+                        f"malformed sentiment suffix in label {raw_label!r}: "
+                        "expected |s=1 to |s=5"
+                    )
                 label, sentiment = m.group(1), int(m.group(2))
                 if not 1 <= sentiment <= 5:
                     raise StandoffParseError(f"sentiment score out of range: {sentiment}")
-            elif "|s=" in raw_label:
-                raise StandoffParseError(
-                    f"malformed sentiment suffix in label {raw_label!r}: expected |s=1 to |s=5"
-                )
-            else:
-                label, sentiment = raw_label, None
-            stack.append((label, sentiment, []))
+            siblings = []
+            stack.append((label, sentiment, siblings))
             continue
         if item == ")":
             if not stack:
@@ -210,27 +220,21 @@ def parse_bracketed_tree(
             if not children:
                 raise StandoffParseError(f"node {label!r} has no children")
             node = TreeNode(
-                label=label,
-                children=tuple(children),
-                token_start=children[0].token_start,
-                token_end=children[-1].token_end,
-                sentiment=sentiment,
+                label, tuple(children), children[0].token_start, children[-1].token_end,
+                sentiment,
             )
+            siblings = stack[-1][2] if stack else None
         else:  # terminal
-            node = TreeNode(
-                label=item,
-                children=(),
-                token_start=len(leaves),
-                token_end=len(leaves) + 1,
-                is_leaf=True,
-            )
+            node = TreeNode(item, (), len(leaves), len(leaves) + 1, None, True)
             leaves.append(node)
-        if stack:
-            stack[-1][2].append(node)
-        else:
+        if siblings is None:
             root = node
+            break
+        siblings.append(node)
     if root is None:
         raise StandoffParseError("unbalanced brackets: missing ')'")
+    if next(items_left, None) is not None:
+        raise StandoffParseError("unbalanced brackets: trailing material")
 
     if len(leaves) != len(tokens_of_sentence):
         raise AlignmentError(
@@ -252,8 +256,8 @@ def parse_trees_file(
 ) -> dict[int, ConstTree]:
     """Parse a one-tree-per-line file; line order follows sentence order."""
     by_sentence: dict[int, list[Token]] = {}
-    for token in tokens:
-        by_sentence.setdefault(token.sentence_idx, []).append(token)
+    for sent_idx, run in groupby(tokens, key=attrgetter("sentence_idx")):
+        by_sentence.setdefault(sent_idx, []).extend(run)
     lines = [ln for ln in content.split("\n") if ln.strip()]
     sentence_idxs = sorted(by_sentence)
     if len(lines) != len(sentence_idxs):
@@ -271,35 +275,35 @@ def parse_trees_file(
 _SPAN_PART_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
 
+def _parse_span(part: str, line_no: int, doc_length: int) -> tuple[int, int]:
+    m = _SPAN_PART_RE.match(part)
+    if not m:
+        raise StandoffParseError(f"malformed span {part!r}", line_no)
+    start, end = int(m.group(1)), int(m.group(2))
+    if not (0 <= start <= end <= doc_length):
+        raise StandoffParseError(
+            f"span {part!r} outside document bounds [0,{doc_length})", line_no
+        )
+    return (start, end)
+
+
 def parse_discourse_file(
     content: str, doc_length: int, doc_id: str = "doc"
 ) -> list[DiscourseRelation]:
     """Parse the pipe-delimited discourse relation file."""
-
-    def parse_span(part: str, line_no: int) -> tuple[int, int]:
-        m = _SPAN_PART_RE.match(part)
-        if not m:
-            raise StandoffParseError(f"malformed span {part!r}", line_no)
-        start, end = int(m.group(1)), int(m.group(2))
-        if not (0 <= start <= end <= doc_length):
-            raise StandoffParseError(
-                f"span {part!r} outside document bounds [0,{doc_length})", line_no
-            )
-        return (start, end)
-
     relations = []
     for line_no, line in enumerate(content.split("\n"), start=1):
         if not line.strip():
             continue
-        parts = line.rstrip("\n").split("|")
+        parts = line.split("|")
         if len(parts) != 5:
             raise StandoffParseError(f"expected 5 fields, got {len(parts)}", line_no)
         kind, sense = parts[0], parts[1]
         if kind not in ("Explicit", "Implicit"):
             raise StandoffParseError(f"unknown relation kind {kind!r}", line_no)
-        arg1 = parse_span(parts[2], line_no)
-        arg2 = parse_span(parts[3], line_no)
-        connective = parse_span(parts[4], line_no) if parts[4] else None
+        arg1 = _parse_span(parts[2], line_no, doc_length)
+        arg2 = _parse_span(parts[3], line_no, doc_length)
+        connective = _parse_span(parts[4], line_no, doc_length) if parts[4] else None
         relations.append(DiscourseRelation(doc_id, kind, sense, arg1, arg2, connective))
     return relations
 
@@ -349,25 +353,24 @@ def align_eau(eau: EauSpan, tokens: list[Token]) -> EauAlignment:
     """Partition the covering sentence(s) into EAU tokens and context tokens.
 
     A token belongs to the EAU if its character span overlaps the EAU span
-    by at least one character.
+    by at least one character.  Both parts come out in document order.
+    ``tokens`` may be any part of the document's tokens that holds every
+    token of each sentence the EAU overlaps: the result is the same.
     """
-    eau_tokens = [
-        t for t in tokens if t.start < eau.end and t.end > eau.start and t.end > t.start
-    ]
+    start, end = eau.start, eau.end
+    eau_tokens = [t for t in tokens if t.start < end and t.end > start and t.end > t.start]
     if not eau_tokens:
         raise AlignmentError(f"EAU {eau.id} overlaps no tokens")
+    eau_tokens.sort(key=token_key)
     covering = sorted({t.sentence_idx for t in eau_tokens})
-    eau_ids = {(t.sentence_idx, t.token_idx) for t in eau_tokens}
+    eau_keys = set(map(token_key, eau_tokens))
     context_tokens = [
-        t
-        for t in tokens
-        if t.sentence_idx in covering and (t.sentence_idx, t.token_idx) not in eau_ids
+        t for t in tokens if t.sentence_idx in covering and token_key(t) not in eau_keys
     ]
+    context_tokens.sort(key=token_key)
     return EauAlignment(
         eau_id=eau.id,
         covering_sentence_idxs=tuple(covering),
-        eau_tokens=tuple(sorted(eau_tokens, key=lambda t: (t.sentence_idx, t.token_idx))),
-        context_tokens=tuple(
-            sorted(context_tokens, key=lambda t: (t.sentence_idx, t.token_idx))
-        ),
+        eau_tokens=tuple(eau_tokens),
+        context_tokens=tuple(context_tokens),
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import DataError, IntegrityError, OffsetError, StandoffParseError
 from .settings import check_choices, choice
@@ -63,8 +64,9 @@ class EauSpan:
         return (self.start, self.end)
 
 
-@dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(NamedTuple):
+    """One classification instance; a named tuple, built by the ten thousand."""
+
     source: str
     target: str | None
     label: str
@@ -146,7 +148,7 @@ def parse_standoff(text: str, ann: str, doc_id: str = "doc") -> ParsedDoc:
     """Parse a (text, annotation) file pair into a document with EAUs and relations."""
     document = Document(id=doc_id, text=text, paragraph_spans=paragraph_spans(text))
 
-    eaus: dict[str, EauSpan] = {}
+    spans: dict[str, tuple[int, int, str]] = {}  # id -> (start, end, kind)
     relations: dict[tuple[str, str], str] = {}
     stances: dict[str, str] = {}
     ids: set[str] = set()
@@ -176,7 +178,7 @@ def parse_standoff(text: str, ann: str, doc_id: str = "doc") -> ParsedDoc:
                     f"{doc_id}: surface mismatch for {tid}: "
                     f"annotation {surface!r} vs text {text[start:end]!r}"
                 )
-            eaus[tid] = EauSpan(id=tid, doc_id=doc_id, start=start, end=end, kind=kind)
+            spans[tid] = (start, end, kind)
         elif tag == "R":
             m = _REL_RE.match(line)
             if not m:
@@ -200,19 +202,22 @@ def parse_standoff(text: str, ann: str, doc_id: str = "doc") -> ParsedDoc:
 
     for pair in relations:
         for ref in pair:
-            if ref not in eaus:
+            if ref not in spans:
                 raise IntegrityError(f"{doc_id}: relation references unknown span {ref}")
     for ref in stances:
-        if ref not in eaus:
+        if ref not in spans:
             raise IntegrityError(f"{doc_id}: stance references unknown span {ref}")
 
-    spans = sorted(
-        (replace(e, stance=stances.get(e.id)) for e in eaus.values()),
+    eaus = sorted(
+        (
+            EauSpan(tid, doc_id, start, end, kind, stances.get(tid))
+            for tid, (start, end, kind) in spans.items()
+        ),
         key=lambda e: (e.start, e.end),
     )
     return ParsedDoc(
         document=document,
-        eaus=tuple(spans),
+        eaus=tuple(eaus),
         relations=tuple((src, tgt, label) for (src, tgt), label in relations.items()),
     )
 
@@ -279,22 +284,21 @@ def build_instances(
             continue
 
         linked = {(src, tgt): label for src, tgt, label in parsed.relations}
+        # each EAU's outgoing relations, in relation order
+        outgoing: dict[str, list[tuple[str, str]]] = {}
+        for (src, tgt), label in linked.items():
+            outgoing.setdefault(src, []).append((tgt, label))
+        for eau in parsed.eaus:
+            for tgt, label in outgoing.get(eau.id, ()):
+                out_label = LINKED if task == "l" else label
+                instances.append(RelationInstance(eau.id, tgt, out_label, task, doc_id))
         if task == "f":
-            for eau in parsed.eaus:
-                for (src, tgt), label in linked.items():
-                    if src == eau.id:
-                        instances.append(RelationInstance(src, tgt, label, "f", doc_id))
             continue
 
-        # g and l share pair generation
+        # g and l add the none-labeled pairs
         excluded = set(linked)
         if pairing.exclude_reverse:
             excluded |= {(tgt, src) for src, tgt in linked}
-        for eau in parsed.eaus:
-            for (src, tgt), label in linked.items():
-                if src == eau.id:
-                    out_label = LINKED if task == "l" else label
-                    instances.append(RelationInstance(src, tgt, out_label, task, doc_id))
         for src, tgt in _candidate_pairs(parsed, pairing):
             if (src, tgt) in excluded:
                 continue

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ArgdissectError, ModelFormatError
+from .errors import ArgdissectError, DataError, ModelFormatError
 from .features import CsrMatrix, FeatureRegistry
 from .settings import check_choices, choice, from_text
 
@@ -48,8 +48,10 @@ class TrainConfig:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not (self.c > 0 and self.tolerance > 0 and self.max_epochs > 0):
-            raise ValueError("c, tolerance and max_epochs must be positive")
+        if not (0 < self.c < math.inf and 0 < self.tolerance < math.inf):
+            raise ValueError("c and tolerance must be positive and finite")
+        if not self.max_epochs > 0:
+            raise ValueError("max_epochs must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         check_choices(self)
@@ -251,7 +253,14 @@ def _newton_sqhinge(X: SolverRows, y: np.ndarray, C_i: np.ndarray) -> tuple[np.n
             return w, step - 1
         _update_hessian(H, X, C_i, active, in_H)
         in_H = active
-        s = np.linalg.solve(H, -grad)
+        try:
+            s = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError:  # the identity is lost in a huge C X^T X
+            s = None
+        if s is None or not np.isfinite(s).all():
+            raise DataError(
+                "the Newton system is singular or not finite: c is too large for this data"
+            )
         q = y * X.dot(s)
         t, kept = _line_search(slack, q, C_i, float(w @ s), float(s @ s))
         w += t * s
@@ -399,6 +408,11 @@ def train(
             X, y, C_i, config.loss, config.tolerance, config.max_epochs,
             np.random.default_rng(config.seed), alpha,
         )
+        if not np.isfinite(w_aug).all():
+            raise DataError(
+                f"training with c = {config.c} gives non-finite weights for class {cls}; "
+                "use a smaller c"
+            )
         weights[cls] = w_aug[:n_features].copy()
         biases[cls] = float(w_aug[n_features])
         duals[cls] = dual_hist

@@ -6,6 +6,11 @@ corpus-level split file and embedding table.  ``run_experiment`` wires
 ingest -> align -> registry freeze -> extract -> train -> evaluate, writes
 each solver machine's convergence, and writes a manifest with content hashes
 so runs are reproducible.
+
+Instance views are built per distinct EAU side.  Each document is indexed
+once (``DocIndex``, kept on its ``DocBundle``), so building a side looks up
+tokens only in the sentences the EAU overlaps, not in the whole document;
+the discourse split still tests each relation of the document.
 """
 
 from __future__ import annotations
@@ -13,7 +18,11 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -29,6 +38,7 @@ from .annotations import (
     parse_discourse_file,
     parse_token_offsets,
     parse_trees_file,
+    token_key,
 )
 from .corpus import (
     Corpus,
@@ -69,12 +79,69 @@ from .treeops import (  # noqa: F401  (kept importable here: tracing tools wrap 
 )
 
 
+_start = attrgetter("start")
+_end = attrgetter("end")
+_sentence_of = attrgetter("sentence_idx")
+
+
 @dataclass
 class DocBundle:
     parsed: ParsedDoc
     tokens: list[Token]
     trees: Optional[dict[int, ConstTree]] = None
     discourse: Optional[list[DiscourseRelation]] = None
+
+    @cached_property
+    def index(self) -> DocIndex:
+        """The document's lookups for side views, built on first use."""
+        return DocIndex(self)
+
+
+class DocIndex:
+    """What every side view of one document reads, computed once per document.
+
+    ``eaus`` maps an EAU id to the first EAU with that id, and ``units`` to
+    that EAU, its paragraph index, its index among the paragraph's EAUs and
+    their count (EAUs inside a paragraph only).  ``sentences`` maps each
+    sentence index, in ascending order, to the sentence's tokens in file
+    order and its character region (first start, last end).  ``relations``
+    holds each discourse relation's two argument spans and (kind, sense).
+    """
+
+    def __init__(self, bundle: DocBundle):
+        parsed = bundle.parsed
+        self.eaus: dict[str, EauSpan] = {}
+        by_paragraph: dict[int, list[EauSpan]] = {}
+        for eau in parsed.eaus:
+            self.eaus.setdefault(eau.id, eau)
+            for par_idx, (start, end) in enumerate(parsed.document.paragraph_spans):
+                if start <= eau.start < end:
+                    by_paragraph.setdefault(par_idx, []).append(eau)
+                    break
+        self.units: dict[str, tuple[EauSpan, int, int, int]] = {}
+        for par_idx, units in by_paragraph.items():
+            for unit_index, eau in enumerate(units):
+                self.units.setdefault(eau.id, (eau, par_idx, unit_index, len(units)))
+
+        by_sentence: dict[int, list[Token]] = {}
+        for s_idx, run in groupby(bundle.tokens, key=_sentence_of):
+            by_sentence.setdefault(s_idx, []).extend(run)
+        self.sentences = {
+            s_idx: (tokens, min(map(_start, tokens)), max(map(_end, tokens)))
+            for s_idx, tokens in sorted(by_sentence.items())
+        }
+        self.relations = [
+            (rel.arg1, rel.arg2, (rel.kind, rel.sense)) for rel in bundle.discourse or ()
+        ]
+
+    def candidates(self, eau: EauSpan) -> list[Token]:
+        """The tokens of every sentence whose region overlaps the EAU span."""
+        return [
+            token
+            for tokens, first, last in self.sentences.values()
+            if first < eau.end and last > eau.start
+            for token in tokens
+        ]
 
 
 @dataclass
@@ -162,41 +229,88 @@ def load_corpus_dir(corpus_dir, embeddings_path=None, embedding_dim=None) -> Cor
     return CorpusBundle(corpus=corpus, bundles=bundles, embeddings=embeddings)
 
 
+def _unit_position(parsed: ParsedDoc, eau: EauSpan) -> tuple[int, int, int]:
+    """(paragraph index, index among the paragraph's EAUs, their count), by a scan."""
+    doc = parsed.document
+    par_idx = paragraph_of(doc, eau)
+    par_start, par_end = doc.paragraph_spans[par_idx]
+    units = [e for e in parsed.eaus if par_start <= e.start < par_end]
+    return par_idx, units.index(eau), len(units)
+
+
+def _embedding_sum(table: EmbeddingTable, tokens) -> np.ndarray:
+    """The sum of the tokens' lowercased-word vectors, added left to right onto zeros.
+
+    A word the table lacks adds the zero vector, which cannot change a sum
+    that starts from +0.0, so it is skipped.
+    """
+    total = np.zeros(table.dimension)
+    for token in tokens:
+        vec = table.entries.get(token.surface.lower())
+        if vec is not None:
+            total += vec
+    return total
+
+
+def _discourse_pairs(relations, eau_span, region):
+    """The (kind, sense) pairs of the relations touching ``region``, as CB, CI and FA.
+
+    A relation with both arguments inside the EAU span is content (CB); one
+    with both inside the region and both disjoint from the EAU is context
+    (CI); any other relation touching the region crosses the boundary (FA).
+    """
+    cb: list[tuple[str, str]] = []
+    ci: list[tuple[str, str]] = []
+    fa: list[tuple[str, str]] = []
+    for arg1, arg2, pair in relations:
+        if range_disjoint(arg1, region) and range_disjoint(arg2, region):
+            continue
+        if range_inside(arg1, eau_span) and range_inside(arg2, eau_span):
+            cb.append(pair)
+        elif (
+            range_inside(arg1, region)
+            and range_inside(arg2, region)
+            and range_disjoint(arg1, eau_span)
+            and range_disjoint(arg2, eau_span)
+        ):
+            ci.append(pair)
+        else:
+            fa.append(pair)
+    return cb, ci, fa
+
+
 def build_side_view(
     bundle: DocBundle, eau: EauSpan, embeddings: Optional[EmbeddingTable]
 ) -> SideView:
-    """Compute the content and context layers for one EAU."""
-    alignment = align_eau(eau, bundle.tokens)
-    eau_surfaces = tuple(t.surface for t in alignment.eau_tokens)
-    ctx_surfaces = tuple(t.surface for t in alignment.context_tokens)
+    """Compute the content and context layers for one EAU.
 
-    first = alignment.eau_tokens[0]
-    last = alignment.eau_tokens[-1]
-    preceding = sum(
-        1
-        for t in alignment.context_tokens
-        if (t.sentence_idx, t.token_idx) < (first.sentence_idx, first.token_idx)
-    )
-    following = len(alignment.context_tokens) - preceding
+    Reads the document through its ``DocIndex``: the EAU's tokens are looked
+    up only in the sentences whose region overlaps it.
+    """
+    index = bundle.index
+    alignment = align_eau(eau, index.candidates(eau))
+    eau_tokens, context_tokens = alignment.eau_tokens, alignment.context_tokens
+    eau_surfaces = tuple(t.surface for t in eau_tokens)
+    ctx_surfaces = tuple(t.surface for t in context_tokens)
+    preceding = bisect_left(context_tokens, token_key(eau_tokens[0]), key=token_key)
+    following = len(context_tokens) - preceding
 
-    doc = bundle.parsed.document
-    par_idx = paragraph_of(doc, eau)
-    par_start, par_end = doc.paragraph_spans[par_idx]
-    units = [e for e in bundle.parsed.eaus if par_start <= e.start < par_end]
-    unit_index = units.index(eau)
+    unit = index.units.get(eau.id)
+    if unit is not None and unit[0] is eau:
+        par_idx, unit_index, n_units = unit[1:]
+    else:  # an EAU object the index does not hold: the scan decides, or raises
+        par_idx, unit_index, n_units = _unit_position(bundle.parsed, eau)
 
     c_rules: list[str] = []
     x_rules: list[str] = []
     cross: list[str] = []
     sent_cb = sent_ci = sent_fa = None
     if bundle.trees is not None:
-        for k, s_idx in enumerate(alignment.covering_sentence_idxs):
+        # the EAU tokens are in document order: one run per covering sentence
+        for k, (s_idx, run) in enumerate(groupby(eau_tokens, key=_sentence_of)):
+            run = list(run)
             tree = bundle.trees[s_idx]
-            in_sent = [
-                t.token_idx for t in alignment.eau_tokens if t.sentence_idx == s_idx
-            ]
-            rng = (min(in_sent), max(in_sent) + 1)
-            cut = cut_tree(tree, rng)
+            cut = cut_tree(tree, (run[0].token_idx, run[-1].token_idx + 1))
             for out, rules in zip((c_rules, x_rules, cross), cut.rules):
                 out.extend(sorted(rules))
             if k == 0 and tree.has_sentiment:
@@ -204,43 +318,18 @@ def build_side_view(
                     node.sentiment if node else None for node in cut.sentiment_nodes
                 )
 
-    cb_disc: list[tuple[str, str]] = []
-    ci_disc: list[tuple[str, str]] = []
-    fa_disc: list[tuple[str, str]] = []
+    cb_disc = ci_disc = fa_disc = ()
     if bundle.discourse is not None:
-        sent_tokens = [
-            t
-            for t in bundle.tokens
-            if t.sentence_idx in alignment.covering_sentence_idxs
-        ]
-        region = (min(t.start for t in sent_tokens), max(t.end for t in sent_tokens))
-        eau_span = (eau.start, eau.end)
-        for rel in bundle.discourse:
-            if range_disjoint(rel.arg1, region) and range_disjoint(rel.arg2, region):
-                continue
-            pair = (rel.kind, rel.sense)
-            if range_inside(rel.arg1, eau_span) and range_inside(rel.arg2, eau_span):
-                cb_disc.append(pair)
-            elif (
-                range_inside(rel.arg1, region)
-                and range_inside(rel.arg2, region)
-                and range_disjoint(rel.arg1, eau_span)
-                and range_disjoint(rel.arg2, eau_span)
-            ):
-                ci_disc.append(pair)
-            else:
-                fa_disc.append(pair)
+        covering = [index.sentences[s] for s in alignment.covering_sentence_idxs]
+        region = (min(first for _, first, _ in covering), max(last for _, _, last in covering))
+        cb_disc, ci_disc, fa_disc = _discourse_pairs(
+            index.relations, (eau.start, eau.end), region
+        )
 
     emb_content = emb_context = None
     if embeddings is not None:
-        emb_content = sum(
-            (embeddings.lookup(w.lower()) for w in eau_surfaces),
-            start=np.zeros(embeddings.dimension),
-        )
-        emb_context = sum(
-            (embeddings.lookup(w.lower()) for w in ctx_surfaces),
-            start=np.zeros(embeddings.dimension),
-        )
+        emb_content = _embedding_sum(embeddings, eau_tokens)
+        emb_context = _embedding_sum(embeddings, context_tokens)
 
     content = ContentLayers(
         tokens=eau_surfaces,
@@ -262,35 +351,35 @@ def build_side_view(
         following_count=following,
         unit_index=unit_index,
         is_first=unit_index == 0,
-        is_last=unit_index == len(units) - 1,
+        is_last=unit_index == n_units - 1,
         paragraph_index=par_idx,
         embedding=emb_context,
     )
     return SideView(eau_id=eau.id, content=content, context=context)
 
 
+def _new_side(sides: dict, bundle: CorpusBundle, doc_id: str, eau_id: str) -> SideView:
+    """Build the side of an EAU and keep it in ``sides``."""
+    doc = bundle.bundles[doc_id]
+    side = build_side_view(doc, doc.index.eaus[eau_id], bundle.embeddings)
+    sides[doc_id, eau_id] = side
+    return side
+
+
 def build_views(
     bundle: CorpusBundle, instances: list[RelationInstance]
 ) -> list[InstanceView]:
-    """Instance views for a batch of instances, with per-EAU side caching."""
+    """Instance views for a batch of instances; each distinct side is built once."""
     layers = bundle.layers
-    cache: dict[tuple[str, str], SideView] = {}
-
-    def side(doc_id: str, eau_id: str) -> SideView:
-        key = (doc_id, eau_id)
-        if key not in cache:
-            doc_bundle = bundle.bundles[doc_id]
-            eau = doc_bundle.parsed.eau_by_id(eau_id)
-            cache[key] = build_side_view(doc_bundle, eau, bundle.embeddings)
-        return cache[key]
-
+    sides: dict[tuple[str, str], SideView] = {}
     views = []
     for inst in instances:
-        source = side(inst.doc_id, inst.source)
-        target = side(inst.doc_id, inst.target) if inst.target else None
-        views.append(
-            InstanceView(instance=inst, source=source, target=target, layers=layers)
-        )
+        doc_id, source_id, target_id = inst.doc_id, inst.source, inst.target
+        source = sides.get((doc_id, source_id)) or _new_side(sides, bundle, doc_id, source_id)
+        target = None
+        if target_id:
+            target = sides.get((doc_id, target_id)) or _new_side(sides, bundle, doc_id, target_id)
+        views.append(InstanceView(inst, source, target, layers))
     return views
 
 

@@ -1,8 +1,10 @@
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from argdissect import annotations
 from argdissect.annotations import (
@@ -137,10 +139,15 @@ def test_token_ranges_bottom_up():
     assert vp_node.token_range == (2, 3)
 
 
+def regex_items(line):
+    """The bracket and word items of a tree line, as the parser first split them."""
+    return re.findall(r"\(|\)|[^\s()]+", line)
+
+
 def recursive_parse(line):
     """The recursive-descent tree parser the explicit-stack one replaced:
     the root node and its leaves, or the first ``StandoffParseError``."""
-    items = annotations._tokenize_sexpr(line)
+    items = regex_items(line)
     pos = 0
     leaves = []
 
@@ -204,6 +211,24 @@ def test_parser_raises_what_the_recursive_parser_raised(line):
     with pytest.raises(StandoffParseError) as raised:
         parse_bracketed_tree(line, toks("a"))
     assert str(raised.value) == str(expected.value)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="()SNP|s=3 ab-LRB\t\u00a0\u2003\x1c", max_size=30))
+def test_parser_matches_the_recursive_parser_on_any_line(line):
+    """Malformed lines included: the same tree, or the same first error."""
+    assert annotations._tokenize_sexpr(line) == regex_items(line)
+    try:
+        expected = recursive_parse(line)
+    except StandoffParseError as exc:
+        with pytest.raises(StandoffParseError) as raised:
+            parse_bracketed_tree(line, toks(*["a"] * 30))
+        assert str(raised.value) == str(exc)
+        return
+    root, leaves = expected
+    surfaces = (annotations._LEAF_ESCAPES.get(leaf.label, leaf.label) for leaf in leaves)
+    tree = parse_bracketed_tree(line, toks(*surfaces))
+    assert tree.root == root
 
 
 def test_a_bare_word_line_is_a_leaf_root():

@@ -4,7 +4,8 @@
 ``bench/spans.py`` or scored after the timed call, and ``bench/run.py``'s
 ``ReloadCheck`` reloads a run's model and re-predicts its report.  A change
 to the package that breaks the tracer, the scorer or the reload check makes
-every benchmark run fail; this test shows it on the 20-document corpus.
+every benchmark run fail, and one that routes around a patched name leaves
+its metric at 0; these tests show both on the 20-document corpus.
 """
 
 import importlib.util
@@ -15,7 +16,10 @@ import sys
 
 import pytest
 
+from argdissect.annotations import align_eau
 from argdissect.cli import main
+from argdissect.corpus import build_instances
+from argdissect.pipeline import load_corpus_dir
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -73,3 +77,27 @@ def test_reload_check_replays_a_run(synth_dir, tmp_path, bench_run):
     argv = ["run", "--task", "g", "--significance-n", "200"] + corpus_args(synth_dir, out)
     assert main(argv) == 0
     assert bench_run.ReloadCheck(argv)(str(out)) == []
+
+
+def test_traced_spans_see_corpus_preparation(synth_dir, tmp_path):
+    """A loader that bypasses a name the tracer patches turns a span dark;
+    here that fails a test instead of a benchmark run."""
+    argv = ["anova", "--task", "g"] + corpus_args(synth_dir, tmp_path / "out")
+    layers = run_job(tmp_path, "--trace", argv)["layers"]
+    assert layers["annotations.parse_s"] > 0
+    assert layers["corpus.parse_s"] > 0
+    assert layers["pipeline.views_s"] > 0
+    # one side view per distinct (document, EAU) of an instance, and one tree
+    # cut per side and sentence the EAU covers
+    bundle = load_corpus_dir(synth_dir)
+    sides = {
+        (inst.doc_id, eau_id)
+        for inst in build_instances(bundle.corpus, "g")
+        for eau_id in (inst.source, inst.target)
+    }
+    cuts = 0
+    for doc_id, eau_id in sides:
+        doc = bundle.bundles[doc_id]
+        cuts += len(align_eau(doc.parsed.eau_by_id(eau_id), doc.tokens).covering_sentence_idxs)
+    assert layers["pipeline.side_views"] == len(sides) > 0
+    assert layers["treeops.cuts"] == cuts >= len(sides)

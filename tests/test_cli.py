@@ -570,3 +570,17 @@ def test_main_pauses_the_collector_and_restores_the_callers_state(
     finally:
         gc.enable()
     assert seen == [False]
+
+
+@pytest.mark.parametrize("c, message", [
+    ("inf", "c and tolerance must be positive and finite"),
+    ("1e400", "c and tolerance must be positive and finite"),
+    ("1e300", "c is too large for this data"),
+])
+def test_an_unusable_c_is_a_data_error_and_writes_no_model(synth_dir, tmp_path, capsys, c,
+                                                           message):
+    out_dir = tmp_path / "out"
+    argv = ["run", "--task", "g", "--c", c] + base_args(synth_dir, str(out_dir))
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (out_dir / "model.txt").exists()

@@ -1,22 +1,34 @@
 """Fuzzers over the text formats a corpus directory holds.
 
 Each parser may reject its input only with a ``DataError``; whatever it
-accepts must satisfy the format's invariants.  Every format is fuzzed twice:
-with structured lines, whose fields are drawn from near the valid values
-(negative and out-of-range integers included), and with unstructured text
-over the format's own characters.
+accepts must satisfy the format's invariants.  The run config file is
+fuzzed the same way, through ``read_config_file`` and ``build_run_config``.
+Every format is fuzzed twice: with structured lines, whose fields are drawn
+from near the valid values (negative and out-of-range integers included),
+and with unstructured text over the format's own characters.
 """
+
+import math
+import os
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
+from argdissect import cli
 from argdissect.annotations import (
     Token,
     parse_discourse_file,
     parse_token_offsets,
     parse_trees_file,
 )
-from argdissect.corpus import EAU_KINDS, Corpus, parse_standoff, split_corpus
+from argdissect.cli import build_run_config, make_parser, read_config_file
+from argdissect.corpus import (
+    EAU_KINDS, PAIRING_SCOPES, TASK_CLASSES, Corpus, parse_standoff, split_corpus,
+)
 from argdissect.errors import DataError
+from argdissect.evaluation import MIN_PERMUTATIONS
+from argdissect.features import FAMILIES, MODEL_TYPES
+from argdissect.learn import LOSSES, WEIGHTINGS
 
 FUZZ = settings(max_examples=300, deadline=None)
 
@@ -285,3 +297,77 @@ def test_tree_file_text_fuzz(content):
     parsed = parse_or_reject(parse_trees_file, content, TREE_TOKENS, "d")
     if parsed is not None:
         assert_trees_valid(parsed)
+
+
+# --------------------------------------------------------------------------
+# config files
+
+
+def config_or_reject(content):
+    """The ``RunConfig`` a config file of ``content`` gives, or None on a ``DataError``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+        try:
+            read_config_file(path)
+            return build_run_config(make_parser().parse_args(["run", "--config", path]))
+        except DataError:
+            return None
+
+
+def assert_config_valid(config):
+    train = config.train
+    assert 0 < train.c < math.inf and 0 < train.tolerance < math.inf
+    assert train.max_epochs >= 1 and train.seed >= 0
+    assert train.loss in LOSSES and train.class_weighting in WEIGHTINGS
+    assert config.task in TASK_CLASSES and config.model_type in MODEL_TYPES
+    assert config.pairing_scope in PAIRING_SCOPES
+    assert set(config.families) <= set(FAMILIES)
+    assert config.corpus_dir and config.split_path and config.eval_seed >= 0
+    assert config.significance_n == 0 or config.significance_n >= MIN_PERMUTATIONS
+
+
+NUMBERS = ["0", "1", "-1", "0.5", "1e-4", "7", "200", "inf", "-inf", "nan", "1e400", "1e-400",
+           "2.5e300", "abc", ""]
+CONFIG_VALUES = {
+    "corpus_dir": ["c", ""], "split": ["s", ""], "task": ["f", "g", "x"],
+    "model_type": ["CB", "FA", "cb"], "families": ["lexical,syntactic", "lexical,", "bogus"],
+    "pairing_scope": ["paragraph", "document", "sentence"],
+    "exclude_reverse": ["yes", "0", "maybe"], "loss": ["hinge", "squared_hinge", "log"],
+    "class_weighting": ["none", "inverse_frequency", "x"],
+}
+
+
+@st.composite
+def config_line(draw):
+    key = draw(st.sampled_from(sorted(cli._SETTINGS) + ["bogus"]))
+    value = draw(st.sampled_from(CONFIG_VALUES.get(key, NUMBERS)))
+    return draw(st.sampled_from([f"{key} = {value}", f"{key}={value}", f"# {key}", key]))
+
+
+@st.composite
+def config_file(draw):
+    lines = ["corpus_dir = c", "split = s"] + draw(st.lists(config_line(), max_size=6))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@FUZZ
+@given(config_file())
+def test_config_file_fuzz_accepts_only_valid_settings(content):
+    config = config_or_reject(content)
+    if config is not None:
+        assert_config_valid(config)
+
+
+@FUZZ
+@given(unstructured("cinftaskgsplt_=#\n .0123e-"))
+def test_config_file_text_fuzz(content):
+    config = config_or_reject("corpus_dir = c\nsplit = s\n" + content)
+    if config is not None:
+        assert_config_valid(config)
+
+
+def test_config_fuzz_rejects_an_infinite_c():
+    assert config_or_reject("corpus_dir = c\nsplit = s\nc = inf\n") is None
+    assert config_or_reject("corpus_dir = c\nsplit = s\nc = 2\n").train.c == 2.0

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from argdissect import learn
-from argdissect.errors import ArgdissectError, ModelFormatError
+from argdissect.errors import ArgdissectError, DataError, ModelFormatError
 from argdissect.features import FeatureRegistry
 from argdissect.learn import (
     NEWTON_MAX_ITERATIONS,
@@ -467,6 +467,33 @@ def test_train_config_validation():
         TrainConfig(loss="log")
     with pytest.raises(ValueError):
         TrainConfig(class_weighting="magic")
+
+
+@pytest.mark.parametrize("setting", [
+    {"c": math.inf}, {"c": math.nan}, {"c": -math.inf},
+    {"tolerance": math.inf}, {"tolerance": math.nan},
+])
+def test_train_config_requires_finite_c_and_tolerance(setting):
+    with pytest.raises(ValueError, match="finite"):
+        TrainConfig(**setting)
+
+
+def test_a_c_too_large_for_the_newton_system_is_a_data_error():
+    X, labels, _ = separable_data()
+    with pytest.raises(DataError, match="c is too large"):
+        train(X, labels, TrainConfig(c=1e300), registry_of(2), ("support", "attack"))
+
+
+def test_non_finite_weights_are_a_data_error_naming_c(monkeypatch):
+    X, labels, _ = separable_data()
+
+    def diverged(X, y, C_i, *args):
+        return np.full(X.shape[1], np.nan), [0.0], True, 0.0
+
+    monkeypatch.setattr(learn, "_dcd_binary", diverged)
+    config = TrainConfig(c=1e8, loss="hinge")
+    with pytest.raises(DataError, match=r"c = 100000000\.0 gives non-finite weights"):
+        train(X, labels, config, registry_of(2), ("support", "attack"))
 
 
 # ---------------------------------------------------------------------------
