@@ -354,8 +354,6 @@ def align_eau(eau: EauSpan, tokens: list[Token]) -> EauAlignment:
 
     A token belongs to the EAU if its character span overlaps the EAU span
     by at least one character.  Both parts come out in document order.
-    ``tokens`` may be any part of the document's tokens that holds every
-    token of each sentence the EAU overlaps: the result is the same.
     """
     start, end = eau.start, eau.end
     eau_tokens = [t for t in tokens if t.start < end and t.end > start and t.end > t.start]

@@ -571,5 +571,4 @@ def extract_matrix(
 
 
 def count_punct(tokens) -> int:
-    """How many tokens consist of punctuation characters alone."""
-    return sum(1 for t in tokens if not t.strip(string.punctuation))
+    return sum(1 for t in tokens if all(c in string.punctuation for c in t))

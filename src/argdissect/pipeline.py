@@ -8,9 +8,10 @@ each solver machine's convergence, and writes a manifest with content hashes
 so runs are reproducible.
 
 Instance views are built per distinct EAU side.  Each document is indexed
-once (``DocIndex``, kept on its ``DocBundle``), so building a side looks up
-tokens only in the sentences the EAU overlaps, not in the whole document;
-the discourse split still tests each relation of the document.
+once (``DocIndex``, kept on its ``DocBundle``): EAUs by id with their
+paragraph positions, and each sentence's character region, so a side no
+longer rescans the document's paragraphs and tokens for them; aligning an
+EAU and the discourse split still read the whole document.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .corpus import (
     parse_standoff,
     split_corpus,
 )
-from .errors import DataError, MissingLayerError, OffsetError
+from .errors import DataError, IntegrityError, MissingLayerError, OffsetError
 from .evaluation import MIN_PERMUTATIONS, EvalReport, f1_report, mfs_baseline, significance
 from .features import (
     FA,
@@ -100,12 +101,12 @@ class DocBundle:
 class DocIndex:
     """What every side view of one document reads, computed once per document.
 
-    ``eaus`` maps an EAU id to the first EAU with that id, and ``units`` to
-    that EAU, its paragraph index, its index among the paragraph's EAUs and
-    their count (EAUs inside a paragraph only).  ``sentences`` maps each
-    sentence index, in ascending order, to the sentence's tokens in file
-    order and its character region (first start, last end).  ``relations``
-    holds each discourse relation's two argument spans and (kind, sense).
+    ``eaus`` maps an EAU id (unique in a parsed document) to the EAU, and
+    ``units`` to its paragraph index, its index among the paragraph's EAUs and
+    their count (EAUs inside a paragraph only).  ``regions`` maps each
+    sentence index to the sentence's character region (first start, last
+    end).  ``relations`` holds each discourse relation's two argument spans
+    and (kind, sense).
     """
 
     def __init__(self, bundle: DocBundle):
@@ -113,34 +114,23 @@ class DocIndex:
         self.eaus: dict[str, EauSpan] = {}
         by_paragraph: dict[int, list[EauSpan]] = {}
         for eau in parsed.eaus:
-            self.eaus.setdefault(eau.id, eau)
+            self.eaus[eau.id] = eau
             for par_idx, (start, end) in enumerate(parsed.document.paragraph_spans):
                 if start <= eau.start < end:
                     by_paragraph.setdefault(par_idx, []).append(eau)
                     break
-        self.units: dict[str, tuple[EauSpan, int, int, int]] = {}
+        self.units: dict[str, tuple[int, int, int]] = {}
         for par_idx, units in by_paragraph.items():
             for unit_index, eau in enumerate(units):
-                self.units.setdefault(eau.id, (eau, par_idx, unit_index, len(units)))
+                self.units[eau.id] = (par_idx, unit_index, len(units))
 
-        by_sentence: dict[int, list[Token]] = {}
+        # the token parser keeps (sentence, token) ascending: one run per sentence
+        self.regions: dict[int, tuple[int, int]] = {}
         for s_idx, run in groupby(bundle.tokens, key=_sentence_of):
-            by_sentence.setdefault(s_idx, []).extend(run)
-        self.sentences = {
-            s_idx: (tokens, min(map(_start, tokens)), max(map(_end, tokens)))
-            for s_idx, tokens in sorted(by_sentence.items())
-        }
+            run = list(run)
+            self.regions[s_idx] = (min(map(_start, run)), max(map(_end, run)))
         self.relations = [
             (rel.arg1, rel.arg2, (rel.kind, rel.sense)) for rel in bundle.discourse or ()
-        ]
-
-    def candidates(self, eau: EauSpan) -> list[Token]:
-        """The tokens of every sentence whose region overlaps the EAU span."""
-        return [
-            token
-            for tokens, first, last in self.sentences.values()
-            if first < eau.end and last > eau.start
-            for token in tokens
         ]
 
 
@@ -229,15 +219,6 @@ def load_corpus_dir(corpus_dir, embeddings_path=None, embedding_dim=None) -> Cor
     return CorpusBundle(corpus=corpus, bundles=bundles, embeddings=embeddings)
 
 
-def _unit_position(parsed: ParsedDoc, eau: EauSpan) -> tuple[int, int, int]:
-    """(paragraph index, index among the paragraph's EAUs, their count), by a scan."""
-    doc = parsed.document
-    par_idx = paragraph_of(doc, eau)
-    par_start, par_end = doc.paragraph_spans[par_idx]
-    units = [e for e in parsed.eaus if par_start <= e.start < par_end]
-    return par_idx, units.index(eau), len(units)
-
-
 def _embedding_sum(table: EmbeddingTable, tokens) -> np.ndarray:
     """The sum of the tokens' lowercased-word vectors, added left to right onto zeros.
 
@@ -284,11 +265,11 @@ def build_side_view(
 ) -> SideView:
     """Compute the content and context layers for one EAU.
 
-    Reads the document through its ``DocIndex``: the EAU's tokens are looked
-    up only in the sentences whose region overlaps it.
+    Reads the EAU's paragraph position and its sentences' regions from the
+    document's ``DocIndex``.
     """
     index = bundle.index
-    alignment = align_eau(eau, index.candidates(eau))
+    alignment = align_eau(eau, bundle.tokens)
     eau_tokens, context_tokens = alignment.eau_tokens, alignment.context_tokens
     eau_surfaces = tuple(t.surface for t in eau_tokens)
     ctx_surfaces = tuple(t.surface for t in context_tokens)
@@ -296,10 +277,10 @@ def build_side_view(
     following = len(context_tokens) - preceding
 
     unit = index.units.get(eau.id)
-    if unit is not None and unit[0] is eau:
-        par_idx, unit_index, n_units = unit[1:]
-    else:  # an EAU object the index does not hold: the scan decides, or raises
-        par_idx, unit_index, n_units = _unit_position(bundle.parsed, eau)
+    if unit is None:  # outside every paragraph
+        paragraph_of(bundle.parsed.document, eau)
+        raise IntegrityError(f"{bundle.parsed.document.id}: EAU {eau.id} not indexed")
+    par_idx, unit_index, n_units = unit
 
     c_rules: list[str] = []
     x_rules: list[str] = []
@@ -320,8 +301,8 @@ def build_side_view(
 
     cb_disc = ci_disc = fa_disc = ()
     if bundle.discourse is not None:
-        covering = [index.sentences[s] for s in alignment.covering_sentence_idxs]
-        region = (min(first for _, first, _ in covering), max(last for _, _, last in covering))
+        covering = [index.regions[s] for s in alignment.covering_sentence_idxs]
+        region = (min(first for first, _ in covering), max(last for _, last in covering))
         cb_disc, ci_disc, fa_disc = _discourse_pairs(
             index.relations, (eau.start, eau.end), region
         )

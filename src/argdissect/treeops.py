@@ -72,8 +72,7 @@ def _subtree_rules(node, rules: list[str]) -> None:
     if node.children:
         rules.append(_rule(node))
         for child in node.children:
-            if child.children:  # a leaf or marker has no rule
-                _subtree_rules(child, rules)
+            _subtree_rules(child, rules)
 
 
 class _Walk:
@@ -99,28 +98,27 @@ class _Walk:
             _subtree_rules(node, self.rules[1])
             return node
         children = []
-        crossing = False
         for child in node.children:  # a loop, not a generator: one frame per level
-            rebuilt_child = self.cut(child, node.label)
-            crossing = crossing or type(rebuilt_child) is CutMarker
-            children.append(rebuilt_child)
+            children.append(self.cut(child, node.label))
         rebuilt = TreeNode(
-            node.label, tuple(children), node.token_start, node.token_end, node.sentiment
+            label=node.label,
+            children=tuple(children),
+            token_start=node.token_start,
+            token_end=node.token_end,
+            sentiment=node.sentiment,
         )
+        crossing = any(type(c) is CutMarker for c in children)
         self.rules[2 if crossing else 1].append(_rule(rebuilt))
         return rebuilt
 
 
 def _pick_highest(candidates: list[TreeNode]) -> Optional[TreeNode]:
     """The non-leaf with the largest token range; ties go to the first."""
-    best = None
-    for node in candidates:
-        if not node.is_leaf and (
-            best is None
-            or node.token_end - node.token_start > best.token_end - best.token_start
-        ):
-            best = node
-    return best
+    return min(
+        (n for n in candidates if not n.is_leaf),
+        key=lambda n: n.token_start - n.token_end,
+        default=None,
+    )
 
 
 def cut_tree(tree: ConstTree, eau_range: tuple[int, int]) -> TreeCut:
@@ -145,7 +143,7 @@ def cut_tree(tree: ConstTree, eau_range: tuple[int, int]) -> TreeCut:
         content_roots=tuple(walk.content),
         context_forest=() if isinstance(rebuilt, CutMarker) else (rebuilt,),
         cut_edges=tuple(walk.cut_edges),
-        rules=tuple(map(tuple, walk.rules)),
+        rules=tuple(tuple(rules) for rules in walk.rules),
         sentiment_nodes=(
             _pick_highest(walk.content),
             _pick_highest(walk.outside),

@@ -1,7 +1,7 @@
 """Corpus preparation against the scan-per-EAU implementation it replaced.
 
 ``build_side_view`` reads each document through a ``DocIndex`` built once
-per document, ``align_eau`` scans only the sentences around the EAU, and
+per document, ``align_eau`` sorts its two parts in place, and
 ``parse_token_offsets`` reads its integer fields without a generator.  The
 functions they replaced are kept here as references, and every side view,
 token list and error must come out the same: on generated documents (EAUs
@@ -12,7 +12,6 @@ paragraph breaks, vectors holding -0.0) and on the 20-document corpus.
 
 import dataclasses
 import os
-import string
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from argdissect.annotations import (
 )
 from argdissect.corpus import RelationInstance, build_instances, paragraph_of, parse_standoff
 from argdissect.errors import AlignmentError, IntegrityError, StandoffParseError
-from argdissect.features import ContentLayers, ContextLayers, SideView
+from argdissect.features import ContentLayers, ContextLayers, SideView, count_punct
 from argdissect.pipeline import DocBundle, build_side_view, load_corpus_dir
 from argdissect.treeops import cut_tree, range_disjoint, range_inside
 
@@ -99,10 +98,6 @@ def ref_align_eau(eau, tokens):
             sorted(context_tokens, key=lambda t: (t.sentence_idx, t.token_idx))
         ),
     )
-
-
-def ref_count_punct(tokens):
-    return sum(1 for t in tokens if all(c in string.punctuation for c in t))
 
 
 def ref_build_side_view(bundle, eau, embeddings):
@@ -175,7 +170,7 @@ def ref_build_side_view(bundle, eau, embeddings):
 
     content = ContentLayers(
         tokens=eau_surfaces, rules=tuple(c_rules), discourse=tuple(cb_disc),
-        sentiment=sent_cb, punct_count=ref_count_punct(eau_surfaces), embedding=emb_content,
+        sentiment=sent_cb, punct_count=count_punct(eau_surfaces), embedding=emb_content,
     )
     context = ContextLayers(
         tokens=ctx_surfaces, rules=tuple(x_rules), crossing_rules=tuple(cross),
@@ -404,16 +399,15 @@ def test_build_views_shares_one_side_object_per_eau(synth_dir):
             )
 
 
-def test_an_eau_the_document_does_not_hold_fails_as_the_scan_did():
-    text = "a b\n\nc d"
-    parsed = parse_standoff(text, "T1\tClaim 0 1\ta\n", "d")
-    tokens = parse_token_offsets("0\t0\t0\t1\ta\n0\t1\t2\t3\tb\n1\t0\t5\t6\tc\n", text, "d")
+def test_an_eau_outside_every_paragraph_fails_as_the_scan_did():
+    """An EAU on a whitespace-only line between paragraphs has no position."""
+    text = "a\n \nb"
+    parsed = parse_standoff(text, "T1\tClaim 2 3\t \n", "d")
+    tokens = parse_token_offsets("0\t0\t0\t1\ta\n1\t0\t2\t3\t \n2\t0\t4\t5\tb\n", text, "d")
     bundle = DocBundle(parsed=parsed, tokens=tokens)
-    foreign = dataclasses.replace(parsed.eaus[0], id="T9")
-    equal_copy = dataclasses.replace(parsed.eaus[0])
-    for eau in (foreign, equal_copy, dataclasses.replace(foreign, start=4, end=5)):
-        assert_same_side(outcome(build_side_view, bundle, eau, None),
-                         outcome(ref_build_side_view, bundle, eau, None))
+    got = outcome(build_side_view, bundle, parsed.eaus[0], None)
+    assert got == ("error", IntegrityError, "d: EAU T1 not inside any paragraph")
+    assert_same_side(got, outcome(ref_build_side_view, bundle, parsed.eaus[0], None))
 
 
 # --------------------------------------------------------------------------
@@ -458,9 +452,7 @@ def test_token_parser_matches_the_reference_on_a_corpus(synth_dir):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(["Dog", "dog", "(", ")", "a"]), min_size=1, max_size=6),
        st.data())
-def test_align_eau_matches_the_reference_on_any_part_holding_the_sentences(words, data):
-    """Given all tokens, or only those of the sentences it overlaps, align_eau
-    returns what the whole-document scan returned."""
+def test_align_eau_matches_the_reference(words, data):
     n_sent = data.draw(st.integers(1, 3))
     tokens, pos = [], 0
     for k, word in enumerate(words):
@@ -470,12 +462,7 @@ def test_align_eau_matches_the_reference_on_any_part_holding_the_sentences(words
     start = data.draw(st.integers(0, pos))
     eau = parse_standoff(" " * pos + "x", f"T1\tClaim {start} {pos + 1}\t"
                          + (" " * pos + "x")[start:] + "\n", "d").eaus[0]
-    expected = outcome(annotations.align_eau, eau, tokens)
-    assert expected == outcome(ref_align_eau, eau, tokens)
-    if expected[0] == "ok":
-        covering = set(expected[1].covering_sentence_idxs)
-        part = [t for t in tokens if t.sentence_idx in covering]
-        assert annotations.align_eau(eau, part) == expected[1]
+    assert outcome(annotations.align_eau, eau, tokens) == outcome(ref_align_eau, eau, tokens)
 
 
 # --------------------------------------------------------------------------
