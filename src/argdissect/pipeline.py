@@ -9,9 +9,9 @@ so runs are reproducible.
 
 Instance views are built per distinct EAU side.  Each document is indexed
 once (``DocIndex``, kept on its ``DocBundle``): EAUs by id with their
-paragraph positions, and each sentence's character region, so a side no
-longer rescans the document's paragraphs and tokens for them; aligning an
-EAU and the discourse split still read the whole document.
+paragraph positions, and each sentence's character region, so no side
+scans the document's paragraphs or sentences for them; aligning an EAU and
+the discourse split still read the whole document.
 """
 
 from __future__ import annotations
@@ -115,10 +115,11 @@ class DocIndex:
         by_paragraph: dict[int, list[EauSpan]] = {}
         for eau in parsed.eaus:
             self.eaus[eau.id] = eau
-            for par_idx, (start, end) in enumerate(parsed.document.paragraph_spans):
-                if start <= eau.start < end:
-                    by_paragraph.setdefault(par_idx, []).append(eau)
-                    break
+            try:
+                par_idx = paragraph_of(parsed.document, eau)
+            except IntegrityError:  # raised again when this EAU's side is built
+                continue
+            by_paragraph.setdefault(par_idx, []).append(eau)
         self.units: dict[str, tuple[int, int, int]] = {}
         for par_idx, units in by_paragraph.items():
             for unit_index, eau in enumerate(units):
