@@ -12,6 +12,7 @@ import argparse
 import gc
 import os
 import sys
+from collections import Counter
 from dataclasses import fields
 
 from . import corpus as corpus_mod
@@ -34,10 +35,9 @@ from .pipeline import (
     read_text,
     run_experiment,
     train_model,
-    write_features_tsv,
     write_manifest,
     write_report_tsv,
-    write_solver_tsv,
+    write_training_outputs,
 )
 from .settings import from_text
 from .synth import SynthConfig, generate_corpus
@@ -57,6 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 def read_config_file(path) -> dict[str, str]:
     values = {}
+    line_of: dict[str, int] = {}
     for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -64,7 +65,11 @@ def read_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise DataError(f"{path}:{line_no}: expected 'key = value'")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in line_of:
+            raise DataError(f"{path}:{line_no}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = line_no
+        values[key] = value.strip()
     return values
 
 
@@ -130,12 +135,10 @@ def cmd_ingest(args) -> int:
     print(f"EAUs: {n_eaus}")
     print(f"relations: {n_rels}")
     print(f"layers: {', '.join(sorted(data.bundle.layers))}")
-    for part, insts in (("train", data.train_instances), ("test", data.test_instances)):
-        counts: dict[str, int] = {}
-        for inst in insts:
-            counts[inst.label] = counts.get(inst.label, 0) + 1
-        stats = ", ".join(f"{c}={counts.get(c, 0)}" for c in data.classes)
-        print(f"task {config.task} {part}: {len(insts)} instances ({stats})")
+    for part, views in (("train", data.train_views), ("test", data.test_views)):
+        counts = Counter(view.instance.label for view in views)
+        stats = ", ".join(f"{c}={counts[c]}" for c in data.classes)
+        print(f"task {config.task} {part}: {len(views)} instances ({stats})")
     return EXIT_OK
 
 
@@ -184,11 +187,7 @@ def cmd_robustness(args) -> int:
             for cls, d in zip(data.classes, deltas):
                 fh.write(f"{model_type}\t{cls}\t{d}\n")
             fh.write(f"{model_type}\tmacro\t{d_macro}\n")
-    solver_path = os.path.join(config.output_dir, "solver.tsv")
-    features_path = os.path.join(config.output_dir, "features.tsv")
-    write_solver_tsv(solver_path, [model for model, _ in trained])
-    write_features_tsv(features_path, trained)
-    write_manifest(config, [out_path, solver_path, features_path])
+    write_training_outputs(config, [out_path], trained)
     print("\n".join(lines))
     print(f"delta table written to {out_path}")
     return EXIT_OK
@@ -214,11 +213,7 @@ def cmd_anova(args) -> int:
             for p in (50.0, 90.0, 99.0)
         )
         print(f"{ftype}: {marks}")
-    solver_path = os.path.join(config.output_dir, "solver.tsv")
-    features_path = os.path.join(config.output_dir, "features.tsv")
-    write_solver_tsv(solver_path, [model])
-    write_features_tsv(features_path, [(model, registry)])
-    write_manifest(config, [out_path, solver_path, features_path])
+    write_training_outputs(config, [out_path], [(model, registry)])
     print(f"percentile curves written to {out_path}")
     return EXIT_OK
 

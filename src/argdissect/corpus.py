@@ -59,10 +59,6 @@ class EauSpan:
     kind: str
     stance: str | None = None
 
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
 
 class RelationInstance(NamedTuple):
     """One classification instance; a named tuple, built by the ten thousand."""
@@ -318,21 +314,15 @@ def _check_no_overlap(parsed: ParsedDoc) -> None:
         prev_end, prev_id = eau.end, eau.id
 
 
-def _emit_standoff(
-    eaus: list[EauSpan], relations, text: str, stance_lines: bool = True
-) -> str:
+def _emit_standoff(eaus: list[EauSpan], relations, text: str) -> str:
     lines = []
     for eau in eaus:
         lines.append(f"{eau.id}\t{eau.kind} {eau.start} {eau.end}\t{text[eau.start:eau.end]}")
     inv = {SUPPORT: "supports", ATTACK: "attacks"}
     for i, (src, tgt, label) in enumerate(relations, start=1):
         lines.append(f"R{i}\t{inv[label]} Arg1:{src} Arg2:{tgt}")
-    if stance_lines:
-        k = 1
-        for eau in eaus:
-            if eau.stance is not None:
-                lines.append(f"A{k}\tStance {eau.id} {eau.stance}")
-                k += 1
+    stances = [eau for eau in eaus if eau.stance is not None]
+    lines.extend(f"A{k}\tStance {eau.id} {eau.stance}" for k, eau in enumerate(stances, start=1))
     return "\n".join(lines) + "\n"
 
 

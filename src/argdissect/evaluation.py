@@ -1,7 +1,9 @@
 """Metrics, significance testing, robustness transforms, and ANOVA scoring.
 
 F1 values are reported on a 0..100 scale.  All randomized procedures are
-reproducible from (inputs, seed).
+reproducible from (inputs, seed).  Every score encodes its labels with
+``_encode`` and counts them with ``_class_counts``; both context transforms
+set a view's contexts through ``_with_contexts``.
 """
 
 from __future__ import annotations
@@ -20,22 +22,6 @@ ANOVA_PERCENTILES.flags.writeable = False  # every AnovaCurve shares it
 
 # Fewest permutations ``significance`` accepts; fewer give an unstable p.
 MIN_PERMUTATIONS = 100
-
-
-@dataclass
-class ConfusionMatrix:
-    classes: tuple[str, ...]
-    counts: np.ndarray  # counts[gold, pred]
-
-    @classmethod
-    def from_predictions(cls, preds, gold, classes):
-        idx = {c: i for i, c in enumerate(classes)}
-        counts = np.zeros((len(classes), len(classes)), dtype=int)
-        for p, g in zip(preds, gold):
-            if p not in idx or g not in idx:
-                raise DataError(f"label outside the class set: {p if p not in idx else g}")
-            counts[idx[g], idx[p]] += 1
-        return cls(classes=tuple(classes), counts=counts)
 
 
 @dataclass
@@ -71,17 +57,33 @@ class EvalReport:
         return rows
 
 
+def _encode(labels, classes) -> np.ndarray:
+    """Labels as class indices; a label outside the class set is a ``DataError``."""
+    idx = {c: i for i, c in enumerate(classes)}
+    try:
+        return np.array([idx[y] for y in labels], dtype=np.intp)
+    except KeyError as exc:
+        raise DataError(f"label outside the class set: {exc.args[0]}") from None
+
+
+def _class_counts(pred: np.ndarray, gold: np.ndarray, k: int):
+    """Per class: true positives and predictions (per row of a 2-D ``pred``), gold labels."""
+    tp, n_pred, n_gold = [], [], []
+    for c in range(k):
+        is_c = pred == c
+        tp.append(np.count_nonzero(is_c & (gold == c), axis=-1))
+        n_pred.append(np.count_nonzero(is_c, axis=-1))
+        n_gold.append(np.count_nonzero(gold == c))
+    return tp, n_pred, n_gold
+
+
 def f1_report(preds, gold, classes) -> EvalReport:
     """Per-class P/R/F1 (0 convention on empty denominators) and macro F1."""
     if len(preds) != len(gold):
         raise ArgdissectError("prediction and gold lists differ in length")
-    cm = ConfusionMatrix.from_predictions(preds, gold, classes)
+    counts = _class_counts(_encode(preds, classes), _encode(gold, classes), len(classes))
     per_class = {}
-    f1s = []
-    for i, cls in enumerate(classes):
-        tp = cm.counts[i, i]
-        pred_total = cm.counts[:, i].sum()
-        gold_total = cm.counts[i, :].sum()
+    for cls, tp, pred_total, gold_total in zip(classes, *counts):
         precision = tp / pred_total if pred_total else 0.0
         recall = tp / gold_total if gold_total else 0.0
         f1 = (
@@ -95,32 +97,23 @@ def f1_report(preds, gold, classes) -> EvalReport:
             f1=100.0 * f1,
             support=int(gold_total),
         )
-        f1s.append(100.0 * f1)
-    return EvalReport(
-        classes=tuple(classes), per_class=per_class, macro_f1=float(np.mean(f1s))
-    )
+    macro_f1 = float(np.mean([s.f1 for s in per_class.values()]))
+    return EvalReport(classes=tuple(classes), per_class=per_class, macro_f1=macro_f1)
 
 
 def mfs_baseline(train_labels, classes) -> str:
     """Most frequent training label; ties broken by class order."""
     if not train_labels:
         raise ArgdissectError("empty training label list")
-    counts = {c: 0 for c in classes}
-    for y in train_labels:
-        if y not in counts:
-            raise DataError(f"label outside the class set: {y}")
-        counts[y] += 1
-    return max(classes, key=lambda c: (counts[c], -classes.index(c)))
+    y = _encode(train_labels, classes)
+    return classes[int(np.argmax(_class_counts(y, y, len(classes))[2]))]
 
 
 def _macro_f1_encoded(pred: np.ndarray, gold: np.ndarray, k: int):
     """Macro F1 (0..1) of encoded labels; a 2-D ``pred`` gives one score per row."""
-    f1s = []
-    for c in range(k):
-        is_c = pred == c
-        tp = np.count_nonzero(is_c & (gold == c), axis=-1)
-        denom = np.count_nonzero(is_c, axis=-1) + np.count_nonzero(gold == c)
-        f1s.append(np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 0.0))
+    # tp <= n_pred, so a class neither predicted nor in gold scores 0 / 1
+    tp, n_pred, n_gold = _class_counts(pred, gold, k)
+    f1s = [2.0 * t / np.maximum(p + g, 1) for t, p, g in zip(tp, n_pred, n_gold)]
     return np.mean(f1s, axis=0)
 
 
@@ -141,10 +134,7 @@ def significance(
         raise ArgdissectError(f"n < {MIN_PERMUTATIONS} permutations is unstable; use more")
     if not (len(preds_a) == len(preds_b) == len(gold)):
         raise ArgdissectError("prediction lists are not aligned")
-    idx = {c: i for i, c in enumerate(classes)}
-    a = np.array([idx[p] for p in preds_a])
-    b = np.array([idx[p] for p in preds_b])
-    g = np.array([idx[p] for p in gold])
+    a, b, g = (_encode(labels, classes) for labels in (preds_a, preds_b, gold))
     k = len(classes)
 
     obs = abs(_macro_f1_encoded(a, g, k) - _macro_f1_encoded(b, g, k))
@@ -163,11 +153,12 @@ def significance(
 # Robustness transforms over instance views
 
 
-def _swap_context(view: InstanceView, donor: InstanceView) -> InstanceView:
-    source = replace(view.source, context=donor.source.context)
+def _with_contexts(view: InstanceView, donor: InstanceView | None) -> InstanceView:
+    """The view with the contexts of the donor's sides, or empty ones without a donor."""
+    source = replace(view.source, context=donor.source.context if donor else EMPTY_CONTEXT)
     target = view.target
     if target is not None:
-        target = replace(target, context=donor.target.context)
+        target = replace(target, context=donor.target.context if donor else EMPTY_CONTEXT)
     return replace(view, source=source, target=target)
 
 
@@ -183,19 +174,12 @@ def randomize_contexts(views: list[InstanceView], seed: int) -> list[InstanceVie
     perm = rng.permutation(len(views))
     while np.array_equal(perm, np.arange(len(views))):
         perm = rng.permutation(len(views))
-    return [_swap_context(view, views[j]) for view, j in zip(views, perm)]
+    return [_with_contexts(view, views[j]) for view, j in zip(views, perm)]
 
 
 def strip_contexts(views: list[InstanceView]) -> list[InstanceView]:
     """Empty all context layers; idempotent."""
-    out = []
-    for view in views:
-        source = replace(view.source, context=EMPTY_CONTEXT)
-        target = view.target
-        if target is not None:
-            target = replace(target, context=EMPTY_CONTEXT)
-        out.append(replace(view, source=source, target=target))
-    return out
+    return [_with_contexts(view, None) for view in views]
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,8 @@ each feature name once per distinct payload; the CB and CI slices of an FA
 matrix are its column views (``FeatureRegistry.columns_of``).  Other modules
 take feature matrices only in this form; ``learn`` decides when to densify.
 A single view's features are also available as a name dict (``extract_all``)
-and as a ``dict[int, float]`` vector (``assemble``).
+and as a ``dict[int, float]`` vector (``assemble``); both are one-row
+``extract_matrix`` calls.
 """
 
 from __future__ import annotations
@@ -360,18 +361,9 @@ def assemble(
     families=None,
     embedding_dim: int = 0,
 ) -> dict[int, float]:
-    """Sparse vector of the instance restricted to the model type's Φ slice."""
-    if model_type not in MODEL_TYPES:
-        raise ValueError(f"unknown model type: {model_type}")
-    named = extract_all(view, families=families, embedding_dim=embedding_dim)
-    out: dict[int, float] = {}
-    for name, value in named.items():
-        if model_type != FA and feature_type(name) != model_type:
-            continue
-        idx = registry.index(name)
-        if idx is not None:
-            out[idx] = value
-    return out
+    """The view's row of ``extract_matrix`` in the model type's Φ slice, as a dict."""
+    X = extract_matrix([view], registry, families, embedding_dim, model_type)
+    return dict(zip(X.indices.tolist(), X.data.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -423,10 +415,10 @@ def extract_matrix(
 ) -> CsrMatrix:
     """The views' features in the model type's Φ slice, one row each.
 
-    Row i holds what ``assemble(views[i], model_type, registry, ...)``
-    returns, in the same order.  Each distinct side object is extracted
-    once by the per-side extractors, whichever tags it appears under, and
-    into one row of each ``_pair_values`` array per tag.  Only the
+    Row i holds what the one-row call ``assemble(views[i], model_type,
+    registry, ...)`` returns, in the same order.  Each distinct side object
+    is extracted once by the per-side extractors, whichever tags it appears
+    under, and into one row of each ``_pair_values`` array per tag.  Only the
     difference blocks are computed per row, from those arrays.  Each name is
     formatted once, when its payload is new to its family and scope.  An
     open registry registers new names in the order a pass of ``assemble``

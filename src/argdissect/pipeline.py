@@ -168,7 +168,7 @@ def read_text(path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def load_corpus_dir(corpus_dir, embeddings_path=None, embedding_dim=None) -> CorpusBundle:
+def load_corpus_dir(corpus_dir, embeddings_path=None) -> CorpusBundle:
     """Load every ``<id>.txt``/``<id>.ann`` pair and whatever layers exist."""
     try:
         names = os.listdir(corpus_dir)
@@ -216,7 +216,7 @@ def load_corpus_dir(corpus_dir, embeddings_path=None, embedding_dim=None) -> Cor
         )
     embeddings = None
     if embeddings_path:
-        embeddings = load_embeddings(read_text(embeddings_path), embedding_dim)
+        embeddings = load_embeddings(read_text(embeddings_path))
     return CorpusBundle(corpus=corpus, bundles=bundles, embeddings=embeddings)
 
 
@@ -393,6 +393,9 @@ class RunConfig:
         unknown = [f for f in self.families if f not in FAMILIES]
         if unknown:
             raise ValueError(f"unknown feature family: {','.join(unknown)}")
+        repeated = sorted({f for f in self.families if self.families.count(f) > 1})
+        if repeated:
+            raise ValueError(f"feature family listed twice: {','.join(repeated)}")
         if self.eval_seed < 0:
             raise ValueError("eval_seed must be non-negative")
         if self.significance_n and self.significance_n < MIN_PERMUTATIONS:
@@ -406,8 +409,6 @@ class RunConfig:
 class ExperimentData:
     bundle: CorpusBundle
     split: CorpusSplit
-    train_instances: list[RelationInstance]
-    test_instances: list[RelationInstance]
     train_views: list[InstanceView]
     test_views: list[InstanceView]
     classes: tuple[str, ...]
@@ -446,8 +447,6 @@ def prepare(config: RunConfig) -> ExperimentData:
     return ExperimentData(
         bundle=bundle,
         split=split,
-        train_instances=train_instances,
-        test_instances=test_instances,
         train_views=build_views(bundle, train_instances),
         test_views=build_views(bundle, test_instances),
         classes=TASK_CLASSES[config.task],
@@ -582,6 +581,17 @@ def write_features_tsv(path, trained: list[tuple[LinearModel, FeatureRegistry]])
             fh.write(f"{model.model_type}\t{len(registry)}\t{registry.dropped_unseen}\n")
 
 
+def write_training_outputs(
+    config: RunConfig, outputs: list[str], trained: list[tuple[LinearModel, FeatureRegistry]]
+) -> None:
+    """``solver.tsv`` and ``features.tsv`` of the trained models, then the manifest."""
+    solver_path = os.path.join(config.output_dir, "solver.tsv")
+    features_path = os.path.join(config.output_dir, "features.tsv")
+    write_solver_tsv(solver_path, [model for model, _ in trained])
+    write_features_tsv(features_path, trained)
+    write_manifest(config, [*outputs, solver_path, features_path])
+
+
 def run_experiment(config: RunConfig) -> EvalReport:
     """Full ingest -> train -> evaluate run with artifacts in the output dir."""
     os.makedirs(config.output_dir, exist_ok=True)
@@ -616,11 +626,7 @@ def run_experiment(config: RunConfig) -> EvalReport:
 
     model_path = os.path.join(config.output_dir, "model.txt")
     report_path = os.path.join(config.output_dir, "report.tsv")
-    solver_path = os.path.join(config.output_dir, "solver.tsv")
-    features_path = os.path.join(config.output_dir, "features.tsv")
     save_model(model, model_path)
     write_report_tsv(report_path, report)
-    write_solver_tsv(solver_path, [model])
-    write_features_tsv(features_path, [(model, registry)])
-    write_manifest(config, [model_path, report_path, solver_path, features_path])
+    write_training_outputs(config, [model_path, report_path], [(model, registry)])
     return report

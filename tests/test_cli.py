@@ -3,6 +3,7 @@ import gc
 import os
 import pathlib
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -292,6 +293,49 @@ def test_malformed_setting_is_data_error(synth_dir, tmp_path, capsys, setting):
     assert main(args) == 2
     assert "data error" in capsys.readouterr().err
     assert not (out_dir / "model.txt").exists()
+
+
+def test_a_family_listed_twice_is_a_data_error(synth_dir, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    args = ["run"] + base_args(synth_dir, str(out_dir)) + ["--families", "lexical,lexical"]
+    assert main(args) == 2
+    assert "feature family listed twice: lexical" in capsys.readouterr().err
+    assert not (out_dir / "model.txt").exists()
+    with pytest.raises(ValueError, match="listed twice: lexical"):
+        RunConfig(corpus_dir="c", split_path="s", families=("lexical", "syntactic", "lexical"))
+
+
+def test_a_config_key_given_twice_is_a_data_error(synth_dir, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 1\n# smaller\nc = 1e-3\n")
+    args = ["run"] + base_args(synth_dir, str(out_dir)) + ["--config", str(cfg)]
+    assert main(args) == 2
+    assert f"{cfg}:3: key 'c' already set on line 1" in capsys.readouterr().err
+    assert not (out_dir / "model.txt").exists()
+
+
+def readme_command_lines():
+    """Each ``argdissect ...`` line of README's ``sh`` blocks, continuations joined."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    return [
+        line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("argdissect ")
+    ]
+
+
+def test_readme_command_lines_parse():
+    lines = readme_command_lines()
+    commands = {shlex.split(line)[1] for line in lines}
+    assert commands == {
+        "synth", "ingest", "run", "baseline", "robustness", "anova", "transform"
+    }
+    for line in lines:
+        try:
+            make_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
 
 
 def test_missing_config_file_is_data_error(tmp_path, capsys):

@@ -87,6 +87,18 @@ def test_mfs_baseline():
         mfs_baseline(["z"], ("a", "b"))
 
 
+@pytest.mark.parametrize("score", [
+    lambda labels, classes: f1_report(labels, ["a"] * len(labels), classes),
+    lambda labels, classes: mfs_baseline(labels, classes),
+    lambda labels, classes: significance(
+        labels, ["a"] * len(labels), ["b"] * len(labels), classes, n=100
+    ),
+], ids=["f1_report", "mfs_baseline", "significance"])
+def test_a_label_outside_the_class_set_is_a_data_error(score):
+    with pytest.raises(DataError, match="label outside the class set: z"):
+        score(["a", "z", "b"], ("a", "b"))
+
+
 # ---------------------------------------------------------------------------
 # significance
 

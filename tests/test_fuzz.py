@@ -324,6 +324,7 @@ def assert_config_valid(config):
     assert config.task in TASK_CLASSES and config.model_type in MODEL_TYPES
     assert config.pairing_scope in PAIRING_SCOPES
     assert set(config.families) <= set(FAMILIES)
+    assert len(set(config.families)) == len(config.families)  # no family repeats
     assert config.corpus_dir and config.split_path and config.eval_seed >= 0
     assert config.significance_n == 0 or config.significance_n >= MIN_PERMUTATIONS
 
@@ -332,7 +333,8 @@ NUMBERS = ["0", "1", "-1", "0.5", "1e-4", "7", "200", "inf", "-inf", "nan", "1e4
            "2.5e300", "abc", ""]
 CONFIG_VALUES = {
     "corpus_dir": ["c", ""], "split": ["s", ""], "task": ["f", "g", "x"],
-    "model_type": ["CB", "FA", "cb"], "families": ["lexical,syntactic", "lexical,", "bogus"],
+    "model_type": ["CB", "FA", "cb"], "families": ["lexical,syntactic", "lexical,", "bogus",
+                                                  "lexical,lexical"],
     "pairing_scope": ["paragraph", "document", "sentence"],
     "exclude_reverse": ["yes", "0", "maybe"], "loss": ["hinge", "squared_hinge", "log"],
     "class_weighting": ["none", "inverse_frequency", "x"],
