@@ -308,15 +308,15 @@ def parse_discourse_file(
     return relations
 
 
-def load_embeddings(content: str, dim: int | None = None) -> EmbeddingTable:
+def load_embeddings(content: str) -> EmbeddingTable:
     """Load a word-vector text file; duplicate words keep the last entry.
 
     Trailing whitespace on a line is ignored, as the word2vec tool writes a
     space after each component.  A first line of two integers whose second
     equals the next line's component count is a word2vec ``<count> <dim>``
-    header and is skipped.  Without ``dim`` the dimension is the component
-    count of the first entry.  A non-finite component (``nan``, ``inf``, or
-    a value beyond a double's range) is an error.
+    header and is skipped.  The dimension is the component count of the
+    first entry.  A non-finite component (``nan``, ``inf``, or a value
+    beyond a double's range) is an error.
     """
     lines = [
         (line_no, line.rstrip().split(" "))
@@ -327,8 +327,7 @@ def load_embeddings(content: str, dim: int | None = None) -> EmbeddingTable:
         f.isdecimal() for f in lines[0][1]
     ) and int(lines[0][1][1]) == len(lines[1][1]) - 1:
         lines = lines[1:]
-    if dim is None:
-        dim = len(lines[0][1]) - 1 if lines else 0
+    dim = len(lines[0][1]) - 1 if lines else 0
     entries: dict[str, np.ndarray] = {}
     for line_no, parts in lines:
         if len(parts) != dim + 1:

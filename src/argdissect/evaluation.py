@@ -81,7 +81,9 @@ def f1_report(preds, gold, classes) -> EvalReport:
     """Per-class P/R/F1 (0 convention on empty denominators) and macro F1."""
     if len(preds) != len(gold):
         raise ArgdissectError("prediction and gold lists differ in length")
-    counts = _class_counts(_encode(preds, classes), _encode(gold, classes), len(classes))
+    # encoded in pair order, so an error names the first bad label of the first bad pair
+    pairs = _encode([y for pair in zip(preds, gold) for y in pair], classes)
+    counts = _class_counts(pairs[0::2], pairs[1::2], len(classes))
     per_class = {}
     for cls, tp, pred_total, gold_total in zip(classes, *counts):
         precision = tp / pred_total if pred_total else 0.0

@@ -415,15 +415,15 @@ def extract_matrix(
 ) -> CsrMatrix:
     """The views' features in the model type's Φ slice, one row each.
 
-    Row i holds what the one-row call ``assemble(views[i], model_type,
-    registry, ...)`` returns, in the same order.  Each distinct side object
-    is extracted once by the per-side extractors, whichever tags it appears
+    Row i holds view i's features whose ``feature_type`` is the model type
+    (all of them for FA), in name order.  Each distinct side object is
+    extracted once by the per-side extractors, whichever tags it appears
     under, and into one row of each ``_pair_values`` array per tag.  Only the
     difference blocks are computed per row, from those arrays.  Each name is
     formatted once, when its payload is new to its family and scope.  An
-    open registry registers new names in the order a pass of ``assemble``
-    over the views would; a frozen one counts each occurrence of an unknown
-    name in ``dropped_unseen``.
+    open registry registers new names where they first occur, row by row,
+    in name order within a row; a frozen one counts each occurrence of an
+    unknown name in ``dropped_unseen``.
     """
     if model_type not in MODEL_TYPES:
         raise ValueError(f"unknown model type: {model_type}")

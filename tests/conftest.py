@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from argdissect.annotations import Token, parse_bracketed_tree
-from argdissect.features import CsrMatrix
+from argdissect.features import FA, CsrMatrix, extract_all, feature_type
 from argdissect.synth import SynthConfig, generate_corpus
 
 # Shared fixture: "However, people should not smoke." with the EAU covering
@@ -32,6 +32,21 @@ def csr_of(vectors, n_cols):
     data = np.array([v for vec in vectors for v in vec.values()], float)
     assert np.all((0 <= indices) & (indices < n_cols)), "column outside the matrix"
     return CsrMatrix(indptr, indices, data, n_cols)
+
+
+def reference_assemble(view, model_type, registry, families=None, embedding_dim=0):
+    """The view's ``{column: value}`` vector in the model type's Φ slice, built
+    apart from ``extract_matrix``'s block filter and registration: ``extract_all``'s
+    names in order, kept by ``feature_type``, each looked up with ``registry.index``
+    (which registers a new name or counts an unseen one)."""
+    out = {}
+    for name, value in extract_all(view, families, embedding_dim).items():
+        if model_type != FA and feature_type(name) != model_type:
+            continue
+        idx = registry.index(name)
+        if idx is not None:
+            out[idx] = value
+    return out
 
 
 @pytest.fixture

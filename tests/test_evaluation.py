@@ -99,6 +99,14 @@ def test_a_label_outside_the_class_set_is_a_data_error(score):
         score(["a", "z", "b"], ("a", "b"))
 
 
+def test_f1_report_names_the_first_bad_label_in_pair_order():
+    # pairs are read in order, the prediction before its gold label
+    with pytest.raises(DataError, match="class set: g$"):
+        f1_report(["a", "p"], ["g", "a"], ("a", "b"))
+    with pytest.raises(DataError, match="class set: p$"):
+        f1_report(["p", "a"], ["g", "a"], ("a", "b"))
+
+
 # ---------------------------------------------------------------------------
 # significance
 

@@ -26,6 +26,8 @@ from argdissect.evaluation import randomize_contexts, strip_contexts
 from argdissect.learn import _dense
 from argdissect.pipeline import RunConfig, prepare
 
+from conftest import reference_assemble
+
 
 def make_view(
     src_tokens=("people", "should", "not", "smoke"),
@@ -442,27 +444,32 @@ def test_extract_matrix_matches_per_instance_assembly(synth_dir, task, model_typ
     data = prepared(synth_dir, task)
     dim = data.embedding_dim
     oracle, registry = FeatureRegistry(), FeatureRegistry()
-    expected = [assemble(v, model_type, oracle, families, dim) for v in data.train_views]
+    expected = [reference_assemble(v, model_type, oracle, families, dim) for v in data.train_views]
     X = extract_matrix(data.train_views, registry, families, dim, model_type)
     assert [registry.name(i) for i in range(len(registry))] == [
         oracle.name(i) for i in range(len(oracle))
     ]
     assert_rows_equal(X, expected, len(registry))
     assert registry.dropped_unseen == oracle.dropped_unseen == 0
+    single = FeatureRegistry()
+    rows = [assemble(v, model_type, single, families, dim) for v in data.train_views]
+    assert [list(vec.items()) for vec in rows] == [list(vec.items()) for vec in expected]
+    assert single.registry_id == oracle.registry_id
 
     # a registry frozen after one training row leaves test names unseen;
     # transformed views share no sides
     oracle, registry = FeatureRegistry(), FeatureRegistry()
-    for reg in (oracle, registry):
-        for v in data.train_views[:1]:
-            assemble(v, model_type, reg, families, dim)
-        reg.freeze()
+    for v in data.train_views[:1]:
+        reference_assemble(v, model_type, oracle, families, dim)
+        assemble(v, model_type, registry, families, dim)
+    oracle.freeze()
+    registry.freeze()
     for views in (
         data.test_views,
         randomize_contexts(data.test_views, seed=3),
         strip_contexts(data.test_views),
     ):
-        expected = [assemble(v, model_type, oracle, families, dim) for v in views]
+        expected = [reference_assemble(v, model_type, oracle, families, dim) for v in views]
         X = extract_matrix(views, registry, families, dim, model_type)
         assert_rows_equal(X, expected, len(registry))
         assert registry.dropped_unseen == oracle.dropped_unseen > 0
@@ -476,7 +483,7 @@ def test_extraction_column_views_are_the_typed_slices(synth_dir):
     for model_type in (CB, CI):
         oracle = FeatureRegistry()
         expected = [
-            assemble(v, model_type, oracle, None, data.embedding_dim)
+            reference_assemble(v, model_type, oracle, None, data.embedding_dim)
             for v in data.train_views
         ]
         columns = registry.columns_of(model_type)
@@ -506,7 +513,7 @@ def test_sparse_rows_of_shared_sides_match_per_instance_assembly():
         views.append(InstanceView(inst, sides[a], target))
     for model_type in (CB, CI, FA):
         oracle, registry = FeatureRegistry(), FeatureRegistry()
-        expected = [assemble(v, model_type, oracle) for v in views]
+        expected = [reference_assemble(v, model_type, oracle) for v in views]
         X = extract_matrix(views, registry, model_type=model_type)
         assert not _dense(X)
         assert registry.registry_id == oracle.registry_id
@@ -548,7 +555,7 @@ def test_numeric_blocks_of_shared_sides_match_per_view_assembly():
         views.append(InstanceView(inst, sides[a], target, layers))
     for model_type in (CB, CI, FA):
         oracle, registry = FeatureRegistry(), FeatureRegistry()
-        expected = [assemble(v, model_type, oracle, embedding_dim=3) for v in views]
+        expected = [reference_assemble(v, model_type, oracle, embedding_dim=3) for v in views]
         X = extract_matrix(views, registry, embedding_dim=3, model_type=model_type)
         assert [registry.name(i) for i in range(len(registry))] == [
             oracle.name(i) for i in range(len(oracle))
@@ -557,11 +564,12 @@ def test_numeric_blocks_of_shared_sides_match_per_view_assembly():
 
         # frozen after four views, the rest drop unseen names
         oracle, registry = FeatureRegistry(), FeatureRegistry()
-        for reg in (oracle, registry):
-            for v in views[:4]:
-                assemble(v, model_type, reg, embedding_dim=3)
-            reg.freeze()
-        expected = [assemble(v, model_type, oracle, embedding_dim=3) for v in views]
+        for v in views[:4]:
+            reference_assemble(v, model_type, oracle, embedding_dim=3)
+            assemble(v, model_type, registry, embedding_dim=3)
+        oracle.freeze()
+        registry.freeze()
+        expected = [reference_assemble(v, model_type, oracle, embedding_dim=3) for v in views]
         X = extract_matrix(views, registry, embedding_dim=3, model_type=model_type)
         assert csr_rows(X) == [list(vec.items()) for vec in expected]
         assert registry.dropped_unseen == oracle.dropped_unseen > 0

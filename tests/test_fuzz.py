@@ -348,9 +348,17 @@ def config_line(draw):
     return draw(st.sampled_from([f"{key} = {value}", f"{key}={value}", f"# {key}", key]))
 
 
+def line_key(line):
+    return line.lstrip("# ").split("=")[0].strip()
+
+
 @st.composite
 def config_file(draw):
-    lines = ["corpus_dir = c", "split = s"] + draw(st.lists(config_line(), max_size=6))
+    """Each key on at most one line; ``corpus_dir = c`` and ``split = s`` unless drawn."""
+    lines = draw(st.lists(config_line(), max_size=6, unique_by=line_key))
+    drawn = {line_key(line) for line in lines if "=" in line and not line.startswith("#")}
+    lines += [f"{key} = {value}" for key, value in (("corpus_dir", "c"), ("split", "s"))
+              if key not in drawn]
     return "\n".join(draw(st.permutations(lines)))
 
 

@@ -9,7 +9,7 @@ from argdissect.annotations import Token, align_eau, parse_bracketed_tree
 from argdissect.corpus import build_instances, parse_standoff
 from argdissect.errors import MissingLayerError
 from argdissect.evaluation import randomize_contexts
-from argdissect.features import CB, CI, FA, FeatureRegistry, assemble
+from argdissect.features import CB, CI, FA, FeatureRegistry
 from argdissect.learn import TrainConfig, decision_values, predict_all, save_model, train
 from argdissect.pipeline import (
     DocBundle,
@@ -23,7 +23,7 @@ from argdissect.pipeline import (
     train_model,
 )
 
-from conftest import SMOKE_TOKEN_SPECS, SMOKE_TREE, csr_of
+from conftest import SMOKE_TOKEN_SPECS, SMOKE_TREE, csr_of, reference_assemble
 
 
 def smoke_bundle(with_tree=True):
@@ -242,7 +242,7 @@ def test_slice_models_match_models_trained_from_typed_vectors(
         model, registry, X, _ = train_model(config, data, model_type)
         oracle = FeatureRegistry()
         vectors = [
-            assemble(v, model_type, oracle, families, data.embedding_dim)
+            reference_assemble(v, model_type, oracle, families, data.embedding_dim)
             for v in data.train_views
         ]
         oracle.freeze()
@@ -261,7 +261,8 @@ def test_slice_models_match_models_trained_from_typed_vectors(
         # transformed test views
         for views in (data.test_views, randomize_contexts(data.test_views, seed=1)):
             test_vectors = [
-                assemble(v, model_type, oracle, families, data.embedding_dim) for v in views
+                reference_assemble(v, model_type, oracle, families, data.embedding_dim)
+                for v in views
             ]
             _, preds = evaluate_model(
                 model, registry, views, data.classes, families, data.embedding_dim
