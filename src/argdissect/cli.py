@@ -30,7 +30,7 @@ from .learn import TrainConfig
 from .pipeline import (
     RunConfig,
     evaluate_model,
-    load_corpus_dir,
+    load_standoff_dir,
     prepare,
     read_text,
     run_experiment,
@@ -240,9 +240,9 @@ def cmd_baseline(args) -> int:
 
 def cmd_transform(args) -> int:
     config = build_run_config(args)
-    bundle = load_corpus_dir(config.corpus_dir)
+    corpus = load_standoff_dir(config.corpus_dir)
     os.makedirs(config.output_dir, exist_ok=True)
-    transformed = corpus_mod.transform_corpus(bundle.corpus, args.mode)
+    transformed = corpus_mod.transform_corpus(corpus, args.mode)
     outputs = []
     for doc_id, (text, ann) in sorted(transformed.items()):
         txt_path = os.path.join(config.output_dir, f"{doc_id}.txt")

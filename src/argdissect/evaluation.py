@@ -4,6 +4,13 @@ F1 values are reported on a 0..100 scale.  All randomized procedures are
 reproducible from (inputs, seed).  Every score encodes its labels with
 ``_encode`` and counts them with ``_class_counts``; both context transforms
 set a view's contexts through ``_with_contexts``.
+
+The randomization test scores each permutation from count deltas: macro F1
+needs only per-class true positives and predictions, a swap where the two
+systems agree moves neither, and a swap where they disagree moves one
+instance's counts from one system to the other.  It draws the same random
+stream as scoring every permuted prediction vector, and the counts are exact
+small integers, so its p values are those of that direct computation.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ def _encode(labels, classes) -> np.ndarray:
 
 
 def _class_counts(pred: np.ndarray, gold: np.ndarray, k: int):
-    """Per class: true positives and predictions (per row of a 2-D ``pred``), gold labels."""
+    """Per class: true positives, predictions and gold labels."""
     tp, n_pred, n_gold = [], [], []
     for c in range(k):
         is_c = pred == c
@@ -111,17 +118,27 @@ def mfs_baseline(train_labels, classes) -> str:
     return classes[int(np.argmax(_class_counts(y, y, len(classes))[2]))]
 
 
-def _macro_f1_encoded(pred: np.ndarray, gold: np.ndarray, k: int):
-    """Macro F1 (0..1) of encoded labels; a 2-D ``pred`` gives one score per row."""
+def _count_rows(pred: np.ndarray, gold: np.ndarray, k: int) -> np.ndarray:
+    """(2k, m) 0/1 rows: row c marks the true positives of class c, row k + c its predictions."""
+    is_pred = pred == np.arange(k)[:, None]
+    return np.vstack([is_pred & (pred == gold), is_pred]).astype(float)
+
+
+def _macro_f1_of_counts(counts: np.ndarray, n_gold: np.ndarray):
+    """Macro F1 (0..1), one per column of (2k, B) counts: per class true positives,
+    then predictions; ``n_gold`` holds the gold counts as (k, 1)."""
+    k = len(n_gold)
     # tp <= n_pred, so a class neither predicted nor in gold scores 0 / 1
-    tp, n_pred, n_gold = _class_counts(pred, gold, k)
-    f1s = [2.0 * t / np.maximum(p + g, 1) for t, p, g in zip(tp, n_pred, n_gold)]
-    return np.mean(f1s, axis=0)
+    return np.mean(2.0 * counts[:k] / np.maximum(counts[k:] + n_gold, 1), axis=0)
 
 
-# Permutations drawn at once: rng.random((B, m)) is the stream of B draws of
-# rng.random(m), and a block of 64 keeps the masks a few MB at m in the thousands.
-_PERMUTATION_BLOCK = 64
+# Random values drawn per block of permutations.  rng.random((B, m)) is the
+# stream of B draws of rng.random(m), so a block of B = 2**15 // m rows (at
+# least one) keeps its draws at 256 KiB whatever m, and the columns taken
+# from them and the mask at most that size each; a whole call peaks at about
+# 0.45 MB at m = 240 and 2000 (tracemalloc).  On a 2-vCPU VM, blocks of
+# 2**16 values saved about 1 ms of 19 at m = 240 for twice the memory.
+_PERMUTATION_BLOCK = 2**15
 
 
 def significance(
@@ -131,23 +148,44 @@ def significance(
 
     Each permutation swaps the two systems' predictions per instance with
     probability 0.5; p = (#{|Δperm| >= |Δobs|} + 1) / (n + 1).
+
+    A permutation is scored from count deltas.  Macro F1 depends only on
+    each class's true positives and predictions, and a swap where the two
+    systems agree changes neither.  So A's counts under a permutation are
+    its own counts plus, at each swapped instance where the systems
+    disagree, that instance's change (B's 0/1 contributions minus A's); B's
+    counts are the total minus A's, since a swap only moves counts between
+    the two.  The mask still draws ``rng.random`` for every instance, so
+    the stream, and with it p, is that of drawing and scoring each
+    permuted prediction vector.  The counts are small integers, exact in
+    floating point, and each F1 is the same arithmetic on the same values.
     """
     if n < MIN_PERMUTATIONS:
         raise ArgdissectError(f"n < {MIN_PERMUTATIONS} permutations is unstable; use more")
     if not (len(preds_a) == len(preds_b) == len(gold)):
         raise ArgdissectError("prediction lists are not aligned")
     a, b, g = (_encode(labels, classes) for labels in (preds_a, preds_b, gold))
-    k = len(classes)
+    k, m = len(classes), len(g)
 
-    obs = abs(_macro_f1_encoded(a, g, k) - _macro_f1_encoded(b, g, k))
+    tp_a, pred_a, n_gold = _class_counts(a, g, k)
+    tp_b, pred_b, _ = _class_counts(b, g, k)
+    n_gold = np.array(n_gold)[:, None]
+    counts_a = np.array(tp_a + pred_a, dtype=float)[:, None]
+    total = counts_a + np.array(tp_b + pred_b)[:, None]
+
+    def f1_difference(counts):  # A's macro F1 minus B's, B holding the rest of the total
+        return _macro_f1_of_counts(counts, n_gold) - _macro_f1_of_counts(total - counts, n_gold)
+
+    obs = abs(f1_difference(counts_a))
+    swaps = np.flatnonzero(a != b)
+    delta = _count_rows(b[swaps], g[swaps], k) - _count_rows(a[swaps], g[swaps], k)
+    rows = max(1, _PERMUTATION_BLOCK // max(m, 1))
     rng = np.random.default_rng(seed)
     hits = 0
-    for start in range(0, n, _PERMUTATION_BLOCK):
-        mask = rng.random((min(_PERMUTATION_BLOCK, n - start), len(g))) < 0.5
-        pa = np.where(mask, b, a)
-        pb = np.where(mask, a, b)
-        delta = np.abs(_macro_f1_encoded(pa, g, k) - _macro_f1_encoded(pb, g, k))
-        hits += int(np.count_nonzero(delta >= obs))
+    for start in range(0, n, rows):
+        mask = rng.random((min(rows, n - start), m))[:, swaps] < 0.5
+        perm = f1_difference(counts_a + delta @ mask.T.astype(float))
+        hits += int(np.count_nonzero(np.abs(perm) >= obs))
     return (hits + 1) / (n + 1)
 
 

@@ -168,8 +168,8 @@ def read_text(path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def load_corpus_dir(corpus_dir, embeddings_path=None) -> CorpusBundle:
-    """Load every ``<id>.txt``/``<id>.ann`` pair and whatever layers exist."""
+def load_standoff_dir(corpus_dir) -> Corpus:
+    """Parse every ``<id>.txt``/``<id>.ann`` pair of the directory, in id order."""
     try:
         names = os.listdir(corpus_dir)
     except OSError as exc:
@@ -184,7 +184,6 @@ def load_corpus_dir(corpus_dir, embeddings_path=None) -> CorpusBundle:
     if not doc_ids:
         raise DataError(f"no <id>.txt / <id>.ann pairs found in {corpus_dir}")
     corpus = Corpus()
-    bundles = {}
     for doc_id in doc_ids:
         base = os.path.join(corpus_dir, doc_id)
         try:
@@ -198,6 +197,15 @@ def load_corpus_dir(corpus_dir, embeddings_path=None) -> CorpusBundle:
                 "annotation offsets that count the CR do not match the text)"
             ) from None
         corpus.add(parsed)
+    return corpus
+
+
+def load_corpus_dir(corpus_dir, embeddings_path=None) -> CorpusBundle:
+    """Load every ``<id>.txt``/``<id>.ann`` pair and whatever layers exist."""
+    corpus = load_standoff_dir(corpus_dir)
+    bundles = {}
+    for doc_id, parsed in corpus.docs.items():
+        base = os.path.join(corpus_dir, doc_id)
         text = parsed.document.text
         tokens_path = base + ".tokens.tsv"
         if not os.path.exists(tokens_path):

@@ -221,6 +221,25 @@ def test_transform(synth_dir, tmp_path, capsys):
     assert manifest.count("output ") == 40
 
 
+def test_transform_reads_only_text_and_annotations(synth_dir, tmp_path, capsys):
+    """Without token layers and with a malformed tree file, ``transform`` writes
+    the same documents as from the intact corpus."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    for tokens in corpus.glob("*.tokens.tsv"):
+        tokens.unlink()
+    next(corpus.glob("*.trees")).write_text("(S (NP\n")
+    outputs = {}
+    for name, source in (("intact", synth_dir), ("stripped", str(corpus))):
+        out_dir = tmp_path / name
+        assert main(["transform", "--mode", "context_only"] + base_args(source, str(out_dir))) == 0
+        outputs[name] = {
+            f.name: f.read_bytes() for f in out_dir.iterdir() if f.name != "manifest.txt"
+        }
+    assert len(outputs["intact"]) == 40
+    assert outputs["stripped"] == outputs["intact"]
+
+
 def test_empty_corpus_is_data_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

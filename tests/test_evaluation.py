@@ -1,7 +1,12 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from argdissect import evaluation, pipeline
+from argdissect.cli import main
 from argdissect.corpus import RelationInstance
 from argdissect.errors import ArgdissectError, DataError
 from argdissect.evaluation import (
@@ -175,6 +180,107 @@ def test_significance_matches_per_permutation_loop(case):
     expected = per_permutation_significance(preds_a, preds_b, gold, classes, n, seed)
     assert 0.05 < expected < 0.95
     assert significance(preds_a, preds_b, gold, classes, n=n, seed=seed) == expected
+
+
+def two_systems(rng, classes, m, skill=0.6, labels=None):
+    """Gold labels over ``labels`` (default: all classes) and two systems of the given skill."""
+    labels = classes if labels is None else labels
+    gold = rng.choice(labels, m).tolist()
+    a, b = ([y if rng.random() < skill else str(rng.choice(labels)) for y in gold]
+            for _ in range(2))
+    return a, b, gold
+
+
+def block_rows(m):
+    """Permutations per block of ``significance`` at m instances."""
+    return max(1, evaluation._PERMUTATION_BLOCK // m)
+
+
+@pytest.mark.parametrize("case", [
+    "no_disagreements", "all_disagree", "absent_class",
+    "below_one_block", "partial_last_block", "m3000_n100",
+])
+def test_significance_matches_per_permutation_loop_at_the_edges(case):
+    rng = np.random.default_rng(len(case))
+    classes, m, n = ("a", "b"), 150, 1000
+    if case == "no_disagreements":
+        preds_a, _, gold = two_systems(rng, classes, m)
+        preds_b = list(preds_a)
+    elif case == "all_disagree":
+        preds_a, _, gold = two_systems(rng, classes, m, skill=0.0)
+        preds_b = ["b" if y == "a" else "a" for y in preds_a]
+    elif case == "absent_class":
+        classes = ("a", "b", "c")
+        preds_a, preds_b, gold = two_systems(rng, classes, m, labels=("a", "c"))
+    elif case == "below_one_block":
+        m, n = 60, 100
+        preds_a, preds_b, gold = two_systems(rng, classes, m)
+        assert n < block_rows(m)
+    elif case == "partial_last_block":
+        m = 240
+        preds_a, preds_b, gold = two_systems(rng, classes, m)
+        assert n > block_rows(m) and n % block_rows(m)
+    else:
+        classes, m, n = ("a", "b", "c"), 3000, 100
+        preds_a, preds_b, gold = two_systems(rng, classes, m)
+        assert n > block_rows(m)
+    seed = int(rng.integers(1000))
+    expected = per_permutation_significance(preds_a, preds_b, gold, classes, n, seed)
+    if case == "no_disagreements":
+        assert expected == 1.0
+    else:  # neither every nor no permutation reaches the observed difference
+        assert 1 / (n + 1) < expected < 1.0
+    assert significance(preds_a, preds_b, gold, classes, n=n, seed=seed) == expected
+
+
+def test_significance_memory_is_set_by_the_block_not_by_n():
+    preds_a, preds_b, gold = two_systems(np.random.default_rng(5), ("a", "b", "c"), 2000)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            significance(preds_a, preds_b, gold, ("a", "b", "c"), n=n, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(200), peak(10_000)
+    assert large <= small + 64 * 1024
+    assert large < 1 << 20  # a block draws 256 KiB
+
+
+def test_run_reports_the_reference_p_value(synth_dir, tmp_path, monkeypatch, capsys):
+    """``run``'s p_value row is the reference loop's p for the run's predictions
+    against the MFS label."""
+    calls = []
+
+    def recording_significance(*args, **kwargs):
+        calls.append((args, kwargs))
+        return significance(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "significance", recording_significance)
+    out_dir = tmp_path / "out"
+    argv = [
+        "run", "--task", "g", "--significance-n", "1000",
+        "--corpus-dir", synth_dir, "--split", os.path.join(synth_dir, "split.tsv"),
+        "--embeddings", os.path.join(synth_dir, "embeddings.txt"), "--out", str(out_dir),
+    ]
+    assert main(argv) == 0
+    [((preds, baseline, gold, classes), kwargs)] = calls
+    assert kwargs == {"n": 1000, "seed": 0}
+
+    rows = [line.split("\t") for line in (out_dir / "report.tsv").read_text().splitlines()]
+    [macro_f1] = [float(v) for section, _, v in rows if section == "macro_f1"]
+    assert f1_report(preds, gold, classes).macro_f1 == macro_f1  # the run's predictions
+    config = pipeline.RunConfig(
+        corpus_dir=synth_dir, split_path=os.path.join(synth_dir, "split.tsv"), task="g"
+    )
+    train_labels = [v.instance.label for v in pipeline.prepare(config).train_views]
+    assert baseline == [mfs_baseline(train_labels, classes)] * len(gold)
+
+    expected = per_permutation_significance(preds, baseline, gold, classes, 1000, 0)
+    assert [float(v) for section, key, v in rows if section == "p_value"] == [expected]
+    assert [key for section, key, _ in rows if section == "p_value"] == ["mfs"]
 
 
 def test_significance_requires_enough_permutations():
