@@ -233,34 +233,60 @@ class AnovaCurve:
     curves: dict[str, np.ndarray]  # type -> F value at each percentile
 
 
-def anova_f_scores(X: np.ndarray, labels) -> np.ndarray:
+def anova_f_scores(X: CsrMatrix, labels) -> np.ndarray:
     """One-way ANOVA F statistic per column of X.
 
     F = (SSB / (k-1)) / (SSW / (N-k)).  Features constant within every
     class but varying between classes get the capped-infinity sentinel;
     features constant everywhere get 0.
+
+    The grand and per-class sums add the stored entries, the squared
+    deviations dense row blocks, each to a running sum in row order: the
+    order in which numpy sums the rows of a dense matrix of two or more
+    columns, so the F scores are those of that dense computation, with
+    temporaries of one row block.
     """
     labels = np.asarray(labels)
-    classes = np.unique(labels)
+    classes, codes = np.unique(labels, return_inverse=True)
     if len(classes) < 2:
         raise ArgdissectError("ANOVA needs at least two classes")
-    n = X.shape[0]
-    for c in classes:
-        if np.count_nonzero(labels == c) < 2:
+    n, d = X.shape
+    if len(labels) != n:
+        raise ArgdissectError(f"{len(labels)} labels for {n} rows")
+    k = len(classes)
+    sizes = np.bincount(codes, minlength=k)
+    for c, size in zip(classes, sizes):
+        if size < 2:
             raise ArgdissectError(f"class {c!r} has fewer than two instances")
 
-    grand_mean = X.mean(axis=0)
-    ssb = np.zeros(X.shape[1])
-    ssw = np.zeros(X.shape[1])
-    for c in classes:
-        Xc = X[labels == c]
-        mc = Xc.mean(axis=0)
-        ssb += Xc.shape[0] * (mc - grand_mean) ** 2
-        Xc -= mc  # Xc is a copy: square the deviations in place
-        np.square(Xc, out=Xc)
-        ssw += Xc.sum(axis=0)
-    dfb = len(classes) - 1
-    dfw = n - len(classes)
+    grand_mean = np.bincount(X.indices, X.data, d) / n
+    # per-class sums, keyed class * d + column; each block's bincount starts
+    # from the running sums, so every key adds its entries in row order
+    sums, keys = np.zeros(k * d), np.arange(k * d)
+    for lo, hi in X.row_blocks():
+        a, b = X.indptr[lo], X.indptr[hi]
+        block_keys = np.repeat(codes[lo:hi] * d, np.diff(X.indptr[lo:hi + 1]))
+        block_keys += X.indices[a:b]
+        sums = np.bincount(
+            np.concatenate((keys, block_keys)), np.concatenate((sums, X.data[a:b])), k * d
+        )
+    means = sums.reshape(k, d) / sizes[:, None]
+    ssb = np.zeros(d)
+    for c in range(k):
+        ssb += sizes[c] * (means[c] - grand_mean) ** 2
+    deviations = np.zeros((k, 1, d))  # per class, the running sum of squared deviations
+    for lo, hi in X.row_blocks():
+        rows, block_codes = X.dense_rows(lo, hi), codes[lo:hi]
+        for c in np.unique(block_codes).tolist():
+            Xc = rows[block_codes == c]
+            Xc -= means[c]  # Xc is a copy: square the deviations in place
+            np.square(Xc, out=Xc)
+            deviations[c] = np.add.reduce(np.concatenate((deviations[c], Xc)), axis=0)
+    ssw = np.zeros(d)
+    for c in range(k):
+        ssw += deviations[c, 0]
+    dfb = k - 1
+    dfw = n - k
     msb = ssb / dfb
     msw = ssw / dfw
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -272,7 +298,7 @@ def anova_f_scores(X: np.ndarray, labels) -> np.ndarray:
 def anova_scores(X: CsrMatrix, labels, registry: FeatureRegistry) -> AnovaCurve:
     """F scores of the matrix's columns, the registry's features, plus CB/CI
     curves over ``ANOVA_PERCENTILES``."""
-    f = anova_f_scores(X.toarray(), labels)
+    f = anova_f_scores(X, labels)
     curves = {}
     for ftype in (CB, CI):
         idxs = registry.indices_of_type(ftype)

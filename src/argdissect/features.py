@@ -14,7 +14,11 @@ pass.
 registry, extracting each side shared by several views once, and formats
 each feature name once per distinct payload; the CB and CI slices of an FA
 matrix are its column views (``FeatureRegistry.columns_of``).  Other modules
-take feature matrices only in this form; ``learn`` decides when to densify.
+take feature matrices only in this form.  The extraction's gather and every
+densifying work in ``row_blocks`` whose temporaries take at most
+``ROW_BLOCK_BYTES``; ``CsrMatrix.dense_rows`` densifies one block.  ``learn``
+decides when the solver's rows and prediction densify, and the ANOVA scores
+read dense row blocks only, never a dense copy of the matrix.
 A single view's features are also available as a name dict (``extract_all``)
 and as a ``dict[int, float]`` vector (``assemble``); both are one-row
 ``extract_matrix`` calls.
@@ -369,6 +373,20 @@ def assemble(
 # --------------------------------------------------------------------------
 # Feature matrices
 
+# Bounds the temporaries of one row block of a pass over a feature matrix:
+# a block's rows, at the matrix's width, take at most this many bytes as a
+# dense float array, and its stored entries at most this many as int or
+# float arrays.  On the 178 columns of a 1000-document task-g training set a
+# block holds 736 of its 24,000 rows.
+ROW_BLOCK_BYTES = 1 << 20
+
+
+def row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of consecutive blocks of ``n_rows`` rows, each holding at
+    most ``ROW_BLOCK_BYTES`` as a dense (rows, width) float array."""
+    rows = max(1, ROW_BLOCK_BYTES // (8 * max(width, 1)))
+    return [(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
+
 
 @dataclass(frozen=True)
 class CsrMatrix:
@@ -392,17 +410,33 @@ class CsrMatrix:
         """The row of every stored entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
+    def row_blocks(self) -> list[tuple[int, int]]:
+        """``row_blocks`` of this matrix's rows at its width."""
+        return row_blocks(len(self), self.n_cols)
+
+    def dense_rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``lo:hi`` as a dense (hi - lo, n_cols) array, written into ``out``
+        (zeros of that shape) if given."""
+        if out is None:
+            out = np.zeros((hi - lo, self.n_cols))
+        a, b = self.indptr[lo], self.indptr[hi]
+        rows = np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo:hi + 1]))
+        out[rows, self.indices[a:b]] = self.data[a:b]
+        return out
+
     def toarray(self) -> np.ndarray:
         X = np.zeros(self.shape)
-        X[self.row_ids(), self.indices] = self.data
+        for lo, hi in self.row_blocks():
+            self.dense_rows(lo, hi, X[lo:hi])
         return X
 
     def columns(self, mask: np.ndarray) -> CsrMatrix:
         """The masked columns, renumbered in order; entry order is kept."""
         renumbered = np.where(mask, np.cumsum(mask) - 1, -1)[self.indices]
         kept = renumbered >= 0
-        indptr = np.zeros_like(self.indptr)
-        np.cumsum(np.bincount(self.row_ids()[kept], minlength=len(self)), out=indptr[1:])
+        kept_before = np.zeros(len(kept) + 1, self.indptr.dtype)  # entry e: kept among 0..e-1
+        np.cumsum(kept, out=kept_before[1:])
+        indptr = kept_before[self.indptr]
         return CsrMatrix(indptr, renumbered[kept], self.data[kept], int(np.count_nonzero(mask)))
 
 
@@ -536,30 +570,50 @@ def extract_matrix(
         seg_starts = np.cumsum(seg_lens) - seg_lens
         entry_keys = np.repeat(ranks * int(seg_lens.max()) - seg_starts, seg_lens)
         entry_keys += np.arange(len(entry_keys))
+        del ranks, seg_starts
         never = np.iinfo(np.intp).max
         first = np.full(len(names), never)
         np.minimum.at(first, pool_pids, entry_keys)
+        del entry_keys
         # names of columns that are zero in every row never occur
         for p in np.argsort(first)[:np.count_nonzero(first < never)].tolist():
             registry.index(names[p])
+        del first
 
     column = registry._index.get
     cols = np.fromiter((column(name, -1) for name in names), np.intp, len(names))[pool_pids]
-    known = cols >= 0
+    del pool_pids
+    # unseen[s]: the entries of segment s whose name the frozen registry lacks
+    unknown = np.flatnonzero(cols < 0)
     unseen = np.bincount(
-        np.repeat(np.arange(len(seg_lens)), seg_lens)[~known], minlength=len(seg_lens)
+        np.searchsorted(np.cumsum(seg_lens), unknown, "right"), minlength=len(seg_lens)
     )
-    registry.dropped_unseen += int(unseen[seg_of].sum())
+    uses = np.bincount(seg_of.ravel(), minlength=len(seg_lens))  # (row, block) slots per segment
+    registry.dropped_unseen += int(unseen @ uses)
+    if len(unknown):
+        known = cols >= 0
+        cols, pool_vals = cols[known], pool_vals[known]
+        seg_lens -= unseen
+    del unknown, unseen
 
-    # gather: row i is its blocks' segments of the pool of known names, in block order
-    seg_lens = seg_lens - unseen
-    lens = seg_lens[seg_of].ravel()
-    starts = (np.cumsum(seg_lens) - seg_lens)[seg_of].ravel()
-    ends = np.cumsum(lens)
-    pos = np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
+    # gather: row i is its blocks' segments of the pool of known names, in
+    # block order, written block of rows by block of rows
+    seg_starts = np.cumsum(seg_lens) - seg_lens
     indptr = np.zeros(n + 1, np.intp)
-    np.cumsum(lens.reshape(n, len(blocks)).sum(axis=1), out=indptr[1:])
-    return CsrMatrix(indptr, cols[known][pos], pool_vals[known][pos], len(registry))
+    indices = np.empty(int(seg_lens @ uses), np.intp)
+    data = np.empty(len(indices))
+    # a row holds at most one entry per name and one segment per block
+    for lo, hi in row_blocks(n, max(len(registry), len(blocks))):
+        of = seg_of[lo:hi]
+        indptr[lo + 1:hi + 1] = indptr[lo] + np.cumsum(seg_lens[of].sum(axis=1))
+        a, b = indptr[lo], indptr[hi]
+        # the block's entries, slot by slot: a slot's q-th is its segment's q-th
+        lens = seg_lens[of.ravel()]
+        pos = np.repeat(seg_starts[of.ravel()] - np.cumsum(lens) + lens, lens)
+        pos += np.arange(b - a)
+        np.take(cols, pos, out=indices[a:b])
+        np.take(pool_vals, pos, out=data[a:b])
+    return CsrMatrix(indptr, indices, data, len(registry))
 
 
 def count_punct(tokens) -> int:

@@ -1,5 +1,8 @@
 """Linear SVM training over a ``CsrMatrix``, one column per registry name;
 ``_dense`` alone decides when the solver's rows and prediction densify it.
+A dense form is written row block by row block (``CsrMatrix.dense_rows``)
+into the one array it fills, so densifying adds only one block's
+temporaries to that array.
 
 One binary machine for 2-class tasks, one-vs-rest for 3-class, each
 minimising the L2-regularized hinge or squared-hinge loss; the bias is
@@ -115,7 +118,8 @@ class _DenseRows:
     def __init__(self, X: CsrMatrix):
         n, d = X.shape
         self.X = np.zeros((n, d + 1))
-        self.X[X.row_ids(), X.indices] = X.data
+        for lo, hi in X.row_blocks():
+            X.dense_rows(lo, hi, self.X[lo:hi, :d])
         self.X[:, d] = 1.0
         self.shape = self.X.shape
         self.stored = self.X.size  # entries held

@@ -34,6 +34,19 @@ def csr_of(vectors, n_cols):
     return CsrMatrix(indptr, indices, data, n_cols)
 
 
+def csr_of_array(X):
+    """The ``CsrMatrix`` of a dense array's nonzero entries, row by row."""
+    rows = [{j: v for j, v in enumerate(row) if v != 0.0} for row in X.tolist()]
+    return csr_of(rows, X.shape[1])
+
+
+def scatter_reference(X):
+    """``X`` as a dense array, every stored entry scattered into place at once."""
+    out = np.zeros(X.shape)
+    out[np.repeat(np.arange(len(X)), np.diff(X.indptr)), X.indices] = X.data
+    return out
+
+
 def reference_assemble(view, model_type, registry, families=None, embedding_dim=0):
     """The view's ``{column: value}`` vector in the model type's Φ slice, built
     apart from ``extract_matrix``'s block filter and registration: ``extract_all``'s

@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from argdissect import evaluation, pipeline
+from argdissect import evaluation, features, pipeline
 from argdissect.cli import main
 from argdissect.corpus import RelationInstance
 from argdissect.errors import ArgdissectError, DataError
@@ -31,7 +32,7 @@ from argdissect.features import (
     SideView,
 )
 
-from conftest import csr_of
+from conftest import csr_of, csr_of_array
 
 
 def test_f1_report_hand_computed():
@@ -339,11 +340,81 @@ def test_strip_contexts_idempotent():
 # ANOVA
 
 
+def dense_anova_f_scores(X, labels):
+    """The dense computation ``anova_f_scores`` replaced: numpy's column means
+    of the whole array and of a copy of each class's rows."""
+    labels = np.asarray(labels)
+    classes = np.unique(labels)
+    grand_mean = X.mean(axis=0)
+    ssb = np.zeros(X.shape[1])
+    ssw = np.zeros(X.shape[1])
+    for c in classes:
+        Xc = X[labels == c]
+        mc = Xc.mean(axis=0)
+        ssb += Xc.shape[0] * (mc - grand_mean) ** 2
+        Xc -= mc
+        np.square(Xc, out=Xc)
+        ssw += Xc.sum(axis=0)
+    msb = ssb / (len(classes) - 1)
+    msw = ssw / (X.shape[0] - len(classes))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = msb / msw
+    f = np.where(msw == 0, np.where(msb > 0, ANOVA_INF_SENTINEL, 0.0), f)
+    return np.minimum(f, ANOVA_INF_SENTINEL)
+
+
+@st.composite
+def labelled_matrices(draw):
+    """Labels of 2 to 4 classes with at least two rows each, and a dense array
+    of 2 to 6 columns, each of seeded normal values with some zeros, of small
+    integers, or constant; some rows may be empty."""
+    sizes = draw(st.lists(st.integers(2, 7), min_size=2, max_size=4))
+    labels = draw(st.permutations([f"c{c}" for c, size in enumerate(sizes) for _ in range(size)]))
+    kind = st.sampled_from(["normal", "integer", "constant"])
+    kinds = draw(st.lists(kind, min_size=2, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, zeros = len(labels), draw(st.floats(0, 1))
+    columns = []
+    for kind in kinds:
+        if kind == "normal":
+            columns.append(rng.normal(scale=1e3, size=n) * (rng.random(n) >= zeros))
+        elif kind == "integer":
+            columns.append(rng.integers(-3, 4, size=n).astype(float))
+        else:
+            columns.append(np.full(n, rng.normal()))
+    return np.column_stack(columns), labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_matrices(), st.integers(1, 4))
+def test_anova_f_scores_of_row_blocks_equal_the_dense_computation(matrix, block_rows):
+    X, labels = matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "ROW_BLOCK_BYTES", block_rows * 8 * X.shape[1])
+        ours = anova_f_scores(csr_of_array(X), labels)
+    assert np.array_equal(ours, dense_anova_f_scores(X, labels))
+
+
+def test_anova_f_scores_of_one_column_match_the_dense_computation():
+    # numpy sums the rows of a one-column array as one contiguous vector,
+    # pairwise, where it adds the rows of a wider array one by one in row
+    # order, as anova_f_scores does; so one column may differ in the last bits
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        sizes = rng.integers(2, 30, size=int(rng.integers(2, 5)))
+        labels = rng.permutation([f"c{c}" for c, size in enumerate(sizes) for _ in range(size)])
+        X = rng.normal(size=(len(labels), 1)) * (rng.random((len(labels), 1)) < 0.7)
+        np.testing.assert_allclose(
+            anova_f_scores(csr_of_array(X), labels), dense_anova_f_scores(X, labels),
+            rtol=1e-12, atol=0,
+        )
+
+
 def test_anova_matches_scipy_oracle():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(60, 5))
     labels = np.array(["a"] * 20 + ["b"] * 20 + ["c"] * 20)
-    ours = anova_f_scores(X, labels)
+    ours = anova_f_scores(csr_of_array(X), labels)
     for j in range(X.shape[1]):
         groups = [X[labels == c, j] for c in ("a", "b", "c")]
         expected = stats.f_oneway(*groups).statistic
@@ -351,23 +422,25 @@ def test_anova_matches_scipy_oracle():
 
 
 def test_anova_sentinel_for_perfect_separation():
-    X = np.array([[0.0], [0.0], [1.0], [1.0]])
+    X = csr_of_array(np.array([[0.0], [0.0], [1.0], [1.0]]))
     labels = ["a", "a", "b", "b"]
     assert anova_f_scores(X, labels)[0] == ANOVA_INF_SENTINEL
 
 
 def test_anova_zero_for_constant_feature():
-    X = np.array([[3.0], [3.0], [3.0], [3.0]])
+    X = csr_of_array(np.array([[3.0], [3.0], [3.0], [3.0]]))
     labels = ["a", "a", "b", "b"]
     assert anova_f_scores(X, labels)[0] == 0.0
 
 
 def test_anova_validation():
-    X = np.zeros((3, 1))
+    X = csr_of_array(np.zeros((3, 1)))
     with pytest.raises(ArgdissectError):
         anova_f_scores(X, ["a", "a", "a"])
     with pytest.raises(ArgdissectError, match="fewer than two"):
         anova_f_scores(X, ["a", "a", "b"])
+    with pytest.raises(ArgdissectError, match="4 labels for 3 rows"):
+        anova_f_scores(X, ["a", "a", "b", "b"])
 
 
 def test_anova_scores_percentile_curves():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from argdissect import features
 from argdissect.corpus import RelationInstance
 from argdissect.errors import MissingLayerError
 from argdissect.features import (
@@ -21,12 +22,13 @@ from argdissect.features import (
     extract_all,
     extract_matrix,
     feature_type,
+    row_blocks,
 )
 from argdissect.evaluation import randomize_contexts, strip_contexts
-from argdissect.learn import _dense
+from argdissect.learn import _dense, _DenseRows
 from argdissect.pipeline import RunConfig, prepare
 
-from conftest import reference_assemble
+from conftest import csr_of_array, reference_assemble, scatter_reference
 
 
 def make_view(
@@ -473,6 +475,75 @@ def test_extract_matrix_matches_per_instance_assembly(synth_dir, task, model_typ
         X = extract_matrix(views, registry, families, dim, model_type)
         assert_rows_equal(X, expected, len(registry))
         assert registry.dropped_unseen == oracle.dropped_unseen > 0
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+@pytest.mark.parametrize("model_type", [CB, CI, FA])
+def test_extract_matrix_in_blocks_of_a_few_rows(synth_dir, monkeypatch, model_type, block_rows):
+    """The gather writes a few rows at a time; rows, registration order and
+    ``dropped_unseen`` stay those of per-view assembly, for an open registry
+    and for a frozen one that leaves test names unseen.  Stripped contexts
+    leave every CI row empty."""
+    data = prepared(synth_dir, "g")
+    dim = data.embedding_dim
+    blocks = []  # the row blocks of each call
+
+    def recorded_row_blocks(n_rows, width):
+        blocks.append(row_blocks(n_rows, width))
+        return blocks[-1]
+
+    monkeypatch.setattr(features, "row_blocks", recorded_row_blocks)
+
+    def extract(views, registry, width):
+        # a row block of the gather is as wide as the registry, wider than
+        # the name blocks of a row
+        monkeypatch.setattr(features, "ROW_BLOCK_BYTES", block_rows * 8 * width)
+        X = extract_matrix(views, registry, None, dim, model_type)
+        assert all(hi - lo <= block_rows for lo, hi in blocks[-1])
+        assert len(blocks[-1]) == -(-len(views) // block_rows)
+        return X
+
+    oracle, registry = FeatureRegistry(), FeatureRegistry()
+    expected = [reference_assemble(v, model_type, oracle, None, dim) for v in data.train_views]
+    X = extract(data.train_views, registry, len(oracle))
+    assert [registry.name(i) for i in range(len(registry))] == [
+        oracle.name(i) for i in range(len(oracle))
+    ]
+    assert_rows_equal(X, expected, len(registry))
+
+    oracle, registry = FeatureRegistry(), FeatureRegistry()
+    for v in data.train_views[:4]:
+        reference_assemble(v, model_type, oracle, None, dim)
+        assemble(v, model_type, registry, None, dim)
+    oracle.freeze()
+    registry.freeze()
+    for views in (data.test_views, strip_contexts(data.test_views), []):
+        expected = [reference_assemble(v, model_type, oracle, None, dim) for v in views]
+        X = extract(views, registry, len(registry))
+        assert_rows_equal(X, expected, len(registry))
+        assert registry.dropped_unseen == oracle.dropped_unseen > 0
+        if model_type == CI and views and views[0].source.context == EMPTY_CONTEXT:
+            assert not any(csr_rows(X))
+
+
+def test_dense_row_blocks_match_a_scatter_of_every_entry(monkeypatch):
+    rng = np.random.default_rng(31)
+    dense = rng.normal(size=(23, 5)) * (rng.random((23, 5)) < 0.4)
+    dense[[0, 7, 8, 22]] = 0.0  # empty rows, the first and the last among them
+    X = csr_of_array(dense)
+    monkeypatch.setattr(features, "ROW_BLOCK_BYTES", 2 * 8 * X.n_cols)  # two rows a block
+    assert X.row_blocks()[:2] == [(0, 2), (2, 4)] and X.row_blocks()[-1] == (22, 23)
+    expected = scatter_reference(X)
+    assert np.array_equal(expected, dense)
+    assert np.array_equal(X.toarray(), expected)
+    assert np.array_equal(_DenseRows(X).X, np.hstack([expected, np.ones((23, 1))]))
+    for lo, hi in [(0, 0), (0, 23), (5, 9), (7, 9), (22, 23)]:
+        assert np.array_equal(X.dense_rows(lo, hi), expected[lo:hi])
+    mask = np.array([True, False, True, True, False])
+    assert np.array_equal(scatter_reference(X.columns(mask)), expected[:, mask])
+    for empty in (csr_of_array(np.zeros((0, 5))), csr_of_array(np.zeros((4, 0)))):
+        assert np.array_equal(empty.toarray(), scatter_reference(empty))
+        assert _DenseRows(empty).X.shape == (len(empty), empty.n_cols + 1)
 
 
 def test_extraction_column_views_are_the_typed_slices(synth_dir):

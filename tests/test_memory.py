@@ -1,0 +1,70 @@
+"""Peak memory of the matrix passes, as ratios to the arrays they make.
+
+The passes over a ``CsrMatrix`` work in row blocks whose temporaries are
+bounded by ``features.ROW_BLOCK_BYTES``, so on a corpus whose matrix spans
+many blocks each pass adds little beyond its output.
+"""
+
+import os
+import tracemalloc
+
+import pytest
+
+from argdissect.evaluation import anova_scores
+from argdissect.features import FeatureRegistry, extract_matrix
+from argdissect.learn import _solver_rows
+from argdissect.pipeline import RunConfig, prepare
+from argdissect.synth import SynthConfig, generate_corpus
+
+
+def added_peak(fn):
+    """fn's result and the most memory held during the call beyond that held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def training_set(tmp_path_factory):
+    """The task-g training views of a 200-document synthetic corpus, their FA
+    rows over a frozen registry, and the bytes the extraction peaked at."""
+    corpus = str(tmp_path_factory.mktemp("synth200") / "corpus")
+    generate_corpus(corpus, SynthConfig(n_docs=200, seed=1))
+    data = prepare(RunConfig(
+        corpus_dir=corpus,
+        split_path=os.path.join(corpus, "split.tsv"),
+        embeddings_path=os.path.join(corpus, "embeddings.txt"),
+        task="g",
+    ))
+    registry = FeatureRegistry()
+    X, peak = added_peak(
+        lambda: extract_matrix(data.train_views, registry, None, data.embedding_dim)
+    )
+    registry.freeze()
+    return data, registry, X, peak
+
+
+def test_extraction_peaks_near_its_output(training_set):
+    _, _, X, peak = training_set
+    n, d = X.shape
+    assert len(X.data) > n * d // 4  # dense enough that a copy would show
+    output = X.indptr.nbytes + X.indices.nbytes + X.data.nbytes
+    assert peak <= 2.5 * output
+
+
+def test_anova_makes_no_dense_copy(training_set):
+    data, registry, X, _ = training_set
+    labels = [v.instance.label for v in data.train_views]
+    _, added = added_peak(lambda: anova_scores(X, labels, registry))
+    n, d = X.shape
+    assert added < n * d * 8
+
+
+def test_dense_solver_rows_add_little_beyond_their_array(training_set):
+    _, _, X, _ = training_set
+    rows, added = added_peak(lambda: _solver_rows(X))
+    assert rows.X.nbytes <= added <= 1.1 * rows.X.nbytes
