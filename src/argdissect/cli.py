@@ -199,8 +199,7 @@ def cmd_anova(args) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     # FA registry exposes the CB and CI slices side by side
     model, registry, X_train, _ = train_model(config, data, FA)
-    labels = [v.instance.label for v in data.train_views]
-    curve = anova_scores(X_train, labels, registry)
+    curve = anova_scores(X_train, data.train_labels, registry)
     out_path = os.path.join(config.output_dir, "anova.tsv")
     with open(out_path, "w", encoding="utf-8") as fh:
         for ftype in (CB, CI):
@@ -222,10 +221,8 @@ def cmd_baseline(args) -> int:
     config = build_run_config(args)
     data = prepare(config)
     os.makedirs(config.output_dir, exist_ok=True)
-    train_labels = [v.instance.label for v in data.train_views]
-    label = mfs_baseline(train_labels, data.classes)
-    gold = [v.instance.label for v in data.test_views]
-    report = f1_report([label] * len(gold), gold, data.classes)
+    label = mfs_baseline(data.train_labels, data.classes)
+    report = f1_report([label] * len(data.test_labels), data.test_labels, data.classes)
     if config.task == "g":
         report.notes.append(
             "macro F1 is the arithmetic mean over all task classes"
@@ -268,17 +265,24 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+_INGEST_HELP = (
+    "validate the whole corpus: check every layer file and build every train and test "
+    "side view, so that an EAU no token or paragraph holds, or a tree that cannot be "
+    "cut at an EAU, is a data error (exit 2); every other command checks what it reads"
+)
+
+
 def make_parser() -> _Parser:
     parser = _Parser(prog="argdissect")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (
-        ("ingest", cmd_ingest),
-        ("run", cmd_run),
-        ("anova", cmd_anova),
-        ("baseline", cmd_baseline),
+    for name, fn, help_text in (
+        ("ingest", cmd_ingest, _INGEST_HELP),
+        ("run", cmd_run, None),
+        ("anova", cmd_anova, None),
+        ("baseline", cmd_baseline, None),
     ):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         _add_run_options(p)
         p.set_defaults(fn=fn)
 

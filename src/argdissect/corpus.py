@@ -6,13 +6,16 @@ A document comes as a plain-text file plus a standoff annotation file:
     R<k>\\t<rel> Arg1:T<i> Arg2:T<j>             relation, rel in {supports, attacks}
     A<k>\\t<Stance> T<i> <value>                 stance attribute
 
-Paragraphs are the maximal blocks of non-blank lines in the text file.
+Paragraphs are the maximal blocks of non-blank lines in the text file.  A
+parsed document finds its EAUs by id and their paragraph positions once.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DataError, IntegrityError, OffsetError, StandoffParseError
@@ -79,14 +82,34 @@ class CorpusSplit:
 @dataclass(frozen=True)
 class ParsedDoc:
     document: Document
-    eaus: tuple[EauSpan, ...]
+    eaus: tuple[EauSpan, ...]  # in (start, end) order
     relations: tuple[tuple[str, str, str], ...]  # (source_id, target_id, label)
 
-    def eau_by_id(self, eau_id: str) -> EauSpan:
+    @cached_property
+    def _eaus_by_id(self) -> dict[str, EauSpan]:
+        return {eau.id: eau for eau in self.eaus}
+
+    @cached_property
+    def _positions(self) -> dict[str, tuple[int, int, int]]:
+        spans = self.document.paragraph_spans
+        starts = [start for start, _ in spans]
+        by_paragraph: dict[int, list[str]] = {}
         for eau in self.eaus:
-            if eau.id == eau_id:
-                return eau
-        raise KeyError(eau_id)
+            par = bisect_right(starts, eau.start) - 1
+            if par >= 0 and eau.start < spans[par][1]:
+                by_paragraph.setdefault(par, []).append(eau.id)
+        return {eau_id: (par, index, len(ids))
+                for par, ids in by_paragraph.items() for index, eau_id in enumerate(ids)}
+
+    def eau_by_id(self, eau_id: str) -> EauSpan:
+        return self._eaus_by_id[eau_id]
+
+    def position(self, eau: EauSpan) -> tuple[int, int, int]:
+        """(the paragraph holding the EAU's first character, the EAU's index among
+        its EAUs, their count); an EAU outside every paragraph is an ``IntegrityError``."""
+        if eau.id not in self._positions:
+            raise IntegrityError(f"{self.document.id}: EAU {eau.id} not inside any paragraph")
+        return self._positions[eau.id]
 
 
 @dataclass
@@ -218,32 +241,21 @@ def parse_standoff(text: str, ann: str, doc_id: str = "doc") -> ParsedDoc:
     )
 
 
-def paragraph_of(doc: Document, eau: EauSpan) -> int:
-    """Index of the paragraph block holding the EAU's first character."""
-    for i, (start, end) in enumerate(doc.paragraph_spans):
-        if start <= eau.start < end:
-            return i
-    # EAU outside any paragraph block should not happen for well-formed input
-    raise IntegrityError(f"{doc.id}: EAU {eau.id} not inside any paragraph")
-
-
 def _candidate_pairs(parsed: ParsedDoc, pairing: PairingConfig):
     """Ordered EAU id pairs in the configured scope, document order."""
+    ids = [eau.id for eau in parsed.eaus]
     if pairing.scope == "document":
-        ids = [e.id for e in parsed.eaus]
-        for a in ids:
-            for b in ids:
-                if a != b:
-                    yield a, b
+        scopes = [ids] * len(ids)
     else:
-        by_par: dict[int, list[str]] = {}
-        for eau in parsed.eaus:
-            by_par.setdefault(paragraph_of(parsed.document, eau), []).append(eau.id)
-        for ids in by_par.values():
-            for a in ids:
-                for b in ids:
-                    if a != b:
-                        yield a, b
+        # a paragraph's EAUs are a run of the start-ordered EAUs
+        scopes = []
+        for k, eau in enumerate(parsed.eaus):
+            _, index, count = parsed.position(eau)
+            scopes.append(ids[k - index : k - index + count])
+    for a, scope in zip(ids, scopes):
+        for b in scope:
+            if a != b:
+                yield a, b
 
 
 def build_instances(

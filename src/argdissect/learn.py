@@ -77,7 +77,6 @@ class LinearModel:
     task: str
     config: TrainConfig
     n_features: int
-    format_version: int = FORMAT_VERSION
     dual_objectives: dict[str, list[float]] = field(default_factory=dict)
     # trained machines only: a binary model's second class mirrors the first
     convergence: dict[str, Convergence] = field(default_factory=dict)
@@ -488,7 +487,7 @@ def save_model(model: LinearModel, path) -> None:
     body = _model_body(model)
     checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"argdissect-model v{model.format_version}\n")
+        fh.write(f"argdissect-model v{FORMAT_VERSION}\n")
         fh.write(f"checksum={checksum}\n")
         fh.write(body)
 

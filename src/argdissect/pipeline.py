@@ -7,11 +7,11 @@ ingest -> align -> registry freeze -> extract -> train -> evaluate, writes
 each solver machine's convergence, and writes a manifest with content hashes
 so runs are reproducible.
 
-Instance views are built per distinct EAU side.  Each document is indexed
-once (``DocIndex``, kept on its ``DocBundle``): EAUs by id with their
-paragraph positions, and each sentence's character region, so no side
-scans the document's paragraphs or sentences for them; aligning an EAU and
-the discourse split still read the whole document.
+``prepare`` checks every layer file but builds no side view: a command builds
+only the views it reads (``ExperimentData``), one per distinct EAU side.  The
+sentence regions and discourse spans are indexed once per document
+(``DocIndex``); aligning an EAU and the discourse split still read the whole
+document.
 """
 
 from __future__ import annotations
@@ -43,18 +43,16 @@ from .annotations import (
 )
 from .corpus import (
     Corpus,
-    CorpusSplit,
     EauSpan,
     PAIRING_SCOPES,
     PairingConfig,
     ParsedDoc,
     RelationInstance,
     TASK_CLASSES,
-    paragraph_of,
     parse_standoff,
     split_corpus,
 )
-from .errors import DataError, IntegrityError, MissingLayerError, OffsetError
+from .errors import DataError, MissingLayerError, OffsetError
 from .evaluation import MIN_PERMUTATIONS, EvalReport, f1_report, mfs_baseline, significance
 from .features import (
     FA,
@@ -99,32 +97,15 @@ class DocBundle:
 
 
 class DocIndex:
-    """What every side view of one document reads, computed once per document.
+    """The layer lookups every side view of one document reads, built once.
 
-    ``eaus`` maps an EAU id (unique in a parsed document) to the EAU, and
-    ``units`` to its paragraph index, its index among the paragraph's EAUs and
-    their count (EAUs inside a paragraph only).  ``regions`` maps each
-    sentence index to the sentence's character region (first start, last
-    end).  ``relations`` holds each discourse relation's two argument spans
-    and (kind, sense).
+    ``regions`` maps each sentence index to the sentence's character region
+    (first start, last end).  ``relations`` holds each discourse relation's
+    two argument spans and (kind, sense).  EAUs by id and their paragraph
+    positions live on the parsed document (``ParsedDoc``).
     """
 
     def __init__(self, bundle: DocBundle):
-        parsed = bundle.parsed
-        self.eaus: dict[str, EauSpan] = {}
-        by_paragraph: dict[int, list[EauSpan]] = {}
-        for eau in parsed.eaus:
-            self.eaus[eau.id] = eau
-            try:
-                par_idx = paragraph_of(parsed.document, eau)
-            except IntegrityError:  # raised again when this EAU's side is built
-                continue
-            by_paragraph.setdefault(par_idx, []).append(eau)
-        self.units: dict[str, tuple[int, int, int]] = {}
-        for par_idx, units in by_paragraph.items():
-            for unit_index, eau in enumerate(units):
-                self.units[eau.id] = (par_idx, unit_index, len(units))
-
         # the token parser keeps (sentence, token) ascending: one run per sentence
         self.regions: dict[int, tuple[int, int]] = {}
         for s_idx, run in groupby(bundle.tokens, key=_sentence_of):
@@ -274,10 +255,9 @@ def build_side_view(
 ) -> SideView:
     """Compute the content and context layers for one EAU.
 
-    Reads the EAU's paragraph position and its sentences' regions from the
-    document's ``DocIndex``.
+    Reads the EAU's paragraph position from the parsed document and its
+    sentences' regions from the document's ``DocIndex``.
     """
-    index = bundle.index
     alignment = align_eau(eau, bundle.tokens)
     eau_tokens, context_tokens = alignment.eau_tokens, alignment.context_tokens
     eau_surfaces = tuple(t.surface for t in eau_tokens)
@@ -285,11 +265,7 @@ def build_side_view(
     preceding = bisect_left(context_tokens, token_key(eau_tokens[0]), key=token_key)
     following = len(context_tokens) - preceding
 
-    unit = index.units.get(eau.id)
-    if unit is None:  # outside every paragraph
-        paragraph_of(bundle.parsed.document, eau)
-        raise IntegrityError(f"{bundle.parsed.document.id}: EAU {eau.id} not indexed")
-    par_idx, unit_index, n_units = unit
+    par_idx, unit_index, n_units = bundle.parsed.position(eau)
 
     c_rules: list[str] = []
     x_rules: list[str] = []
@@ -310,6 +286,7 @@ def build_side_view(
 
     cb_disc = ci_disc = fa_disc = ()
     if bundle.discourse is not None:
+        index = bundle.index
         covering = [index.regions[s] for s in alignment.covering_sentence_idxs]
         region = (min(first for first, _ in covering), max(last for _, last in covering))
         cb_disc, ci_disc, fa_disc = _discourse_pairs(
@@ -351,7 +328,7 @@ def build_side_view(
 def _new_side(sides: dict, bundle: CorpusBundle, doc_id: str, eau_id: str) -> SideView:
     """Build the side of an EAU and keep it in ``sides``."""
     doc = bundle.bundles[doc_id]
-    side = build_side_view(doc, doc.index.eaus[eau_id], bundle.embeddings)
+    side = build_side_view(doc, doc.parsed.eau_by_id(eau_id), bundle.embeddings)
     sides[doc_id, eau_id] = side
     return side
 
@@ -415,13 +392,35 @@ class RunConfig:
 
 @dataclass
 class ExperimentData:
+    """A loaded corpus and each split's instances, with their labels and views.
+
+    ``train_views`` and ``test_views`` are built the first time they are
+    read, through the module's ``build_views`` name (which tracing tools
+    wrap), and kept: ``anova`` builds no test view and ``baseline`` none.
+    """
+
     bundle: CorpusBundle
-    split: CorpusSplit
-    train_views: list[InstanceView]
-    test_views: list[InstanceView]
+    train_instances: list[RelationInstance]
+    test_instances: list[RelationInstance]
     classes: tuple[str, ...]
     embedding_dim: int
     _train_features: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def train_labels(self) -> list[str]:
+        return [inst.label for inst in self.train_instances]
+
+    @cached_property
+    def test_labels(self) -> list[str]:
+        return [inst.label for inst in self.test_instances]
+
+    @cached_property
+    def train_views(self) -> list[InstanceView]:
+        return build_views(self.bundle, self.train_instances)
+
+    @cached_property
+    def test_views(self) -> list[InstanceView]:
+        return build_views(self.bundle, self.test_instances)
 
     def train_features(self, families: tuple[str, ...]) -> tuple[FeatureRegistry, CsrMatrix]:
         """The training views' FA registry, frozen, and their FA rows over it.
@@ -438,25 +437,19 @@ class ExperimentData:
 
 
 def prepare(config: RunConfig) -> ExperimentData:
-    bundle = load_corpus_dir(
-        config.corpus_dir, config.embeddings_path or None
-    )
+    """Load and check the corpus and split it into instances; no side view is built."""
+    bundle = load_corpus_dir(config.corpus_dir, config.embeddings_path or None)
     split = split_corpus(bundle.corpus, read_text(config.split_path))
-    all_instances = corpus_mod.build_instances(
-        bundle.corpus, config.task, config.pairing()
-    )
-    train_instances = [
-        i for i in all_instances if i.doc_id in split.train_doc_ids
-    ]
+    all_instances = corpus_mod.build_instances(bundle.corpus, config.task, config.pairing())
+    train_instances = [i for i in all_instances if i.doc_id in split.train_doc_ids]
     test_instances = [i for i in all_instances if i.doc_id in split.test_doc_ids]
     if not train_instances or not test_instances:
         raise DataError("empty train or test instance set")
     dim = bundle.embeddings.dimension if bundle.embeddings else 0
     return ExperimentData(
         bundle=bundle,
-        split=split,
-        train_views=build_views(bundle, train_instances),
-        test_views=build_views(bundle, test_instances),
+        train_instances=train_instances,
+        test_instances=test_instances,
         classes=TASK_CLASSES[config.task],
         embedding_dim=dim,
     )
@@ -485,10 +478,9 @@ def train_model(
     if model_type != FA:
         columns = registry.columns_of(model_type)
         registry, X_train = registry.subset(columns), X_train.columns(columns)
-    y_train = [v.instance.label for v in data.train_views]
     model = train(
         X_train,
-        y_train,
+        data.train_labels,
         config.train,
         registry,
         data.classes,
@@ -610,27 +602,15 @@ def run_experiment(config: RunConfig) -> EvalReport:
     )
 
     if config.significance_n:
-        mfs_label = mfs_baseline(
-            [v.instance.label for v in data.train_views], data.classes
-        )
-        gold = [v.instance.label for v in data.test_views]
-        baseline_preds = [mfs_label] * len(gold)
+        mfs_label = mfs_baseline(data.train_labels, data.classes)
         p = significance(
-            preds,
-            baseline_preds,
-            gold,
-            data.classes,
-            n=config.significance_n,
-            seed=config.eval_seed,
+            preds, [mfs_label] * len(data.test_labels), data.test_labels, data.classes,
+            n=config.significance_n, seed=config.eval_seed,
         )
-        report.significance.append(
-            {
-                "baseline": "mfs",
-                "p": p,
-                "n_permutations": config.significance_n,
-                "seed": config.eval_seed,
-            }
-        )
+        report.significance.append({
+            "baseline": "mfs", "p": p, "n_permutations": config.significance_n,
+            "seed": config.eval_seed,
+        })
 
     model_path = os.path.join(config.output_dir, "model.txt")
     report_path = os.path.join(config.output_dir, "report.tsv")

@@ -87,12 +87,15 @@ def test_traced_spans_see_corpus_preparation(synth_dir, tmp_path):
     assert layers["annotations.parse_s"] > 0
     assert layers["corpus.parse_s"] > 0
     assert layers["pipeline.views_s"] > 0
-    # one side view per distinct (document, EAU) of an instance, and one tree
-    # cut per side and sentence the EAU covers
+    # one side view per distinct (document, EAU) of a training instance, and
+    # one tree cut per side and sentence the EAU covers: anova reads no test view
     bundle = load_corpus_dir(synth_dir)
+    with open(os.path.join(synth_dir, "split.tsv"), encoding="utf-8") as fh:
+        train_docs = {doc for doc, part in (line.split() for line in fh) if part == "train"}
     sides = {
         (inst.doc_id, eau_id)
         for inst in build_instances(bundle.corpus, "g")
+        if inst.doc_id in train_docs
         for eau_id in (inst.source, inst.target)
     }
     cuts = 0

@@ -240,6 +240,43 @@ def test_transform_reads_only_text_and_annotations(synth_dir, tmp_path, capsys):
     assert outputs["stripped"] == outputs["intact"]
 
 
+def test_each_command_checks_the_side_views_it_reads(synth_dir, tmp_path, capsys):
+    """A test document loses its tree file and the tokens of one EAU's words.
+    ``ingest`` (the corpus validator) and ``run`` read the test views and stop
+    on that EAU; ``anova`` and ``baseline`` read none and write what they write
+    when only the tree file is gone."""
+    split = (pathlib.Path(synth_dir) / "split.tsv").read_text(encoding="utf-8")
+    doc = sorted(line.split("\t")[0] for line in split.splitlines() if line.endswith("\ttest"))[0]
+    corpora = {}
+    for name in ("no_trees", "broken"):
+        corpora[name] = tmp_path / name
+        shutil.copytree(synth_dir, corpora[name])
+        (corpora[name] / f"{doc}.trees").unlink()
+    broken = corpora["broken"]
+    ann = (broken / f"{doc}.ann").read_text(encoding="utf-8")
+    source = re.search(r"^R\S*\t\S+ Arg1:(\S+)", ann, re.M).group(1)
+    start, end = map(int, re.search(rf"^{source}\t\S+ (\d+) (\d+)", ann, re.M).groups())
+    tokens = broken / f"{doc}.tokens.tsv"
+    lines = tokens.read_text(encoding="utf-8").splitlines()
+    kept = [line for line in lines
+            if not (int(line.split("\t")[2]) < end and int(line.split("\t")[3]) > start)]
+    assert len(kept) < len(lines)
+    tokens.write_text("\n".join(kept) + "\n", encoding="utf-8")
+
+    for command in ("ingest", "run"):
+        out_dir = tmp_path / command
+        assert main([command, "--task", "g"] + base_args(str(broken), str(out_dir))) == 2
+        assert f"data error: EAU {source} overlaps no tokens" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.txt").exists()
+    for command, output in (("anova", "anova.tsv"), ("baseline", "baseline.tsv")):
+        written = []
+        for name, corpus in corpora.items():
+            out_dir = tmp_path / f"{command}-{name}"
+            assert main([command, "--task", "g"] + base_args(str(corpus), str(out_dir))) == 0
+            written.append((out_dir / output).read_bytes())
+        assert written[0] == written[1] and written[0]
+
+
 def test_empty_corpus_is_data_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

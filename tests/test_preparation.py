@@ -1,13 +1,17 @@
 """Corpus preparation against the scan-per-EAU implementation it replaced.
 
-``build_side_view`` reads each document through a ``DocIndex`` built once
-per document, ``align_eau`` sorts its two parts in place, and
-``parse_token_offsets`` reads its integer fields without a generator.  The
-functions they replaced are kept here as references, and every side view,
-token list and error must come out the same: on generated documents (EAUs
-over several sentences, sentences laid out out of order in the text,
-zero-length tokens, labels with a ``|`` but no ``|s=``, bracket escapes,
-paragraph breaks, vectors holding -0.0) and on the 20-document corpus.
+``build_side_view`` reads each EAU's paragraph position from its parsed
+document (``ParsedDoc.position``) and each sentence's region from a
+``DocIndex`` built once per document, ``align_eau`` sorts its two parts in
+place, and ``parse_token_offsets`` reads its integer fields without a
+generator.  The functions they replaced are kept here as references, and
+every side view, token list and error must come out the same: on
+generated documents (EAUs over several sentences, sentences laid out out
+of order in the text, zero-length tokens, labels with a ``|`` but no
+``|s=``, bracket escapes, paragraph breaks, vectors holding -0.0) and on
+the 20-document corpus.  EAU positions, and the none-labeled pairs of
+tasks g and l that pairing by paragraph draws from them, are checked the
+same way on generated texts with blank and whitespace-only lines.
 """
 
 import dataclasses
@@ -29,7 +33,15 @@ from argdissect.annotations import (
     parse_token_offsets,
     parse_trees_file,
 )
-from argdissect.corpus import RelationInstance, build_instances, paragraph_of, parse_standoff
+from argdissect.corpus import (
+    LINKED,
+    NONE,
+    Corpus,
+    PairingConfig,
+    RelationInstance,
+    build_instances,
+    parse_standoff,
+)
 from argdissect.errors import AlignmentError, IntegrityError, StandoffParseError
 from argdissect.features import ContentLayers, ContextLayers, SideView, count_punct
 from argdissect.pipeline import DocBundle, build_side_view, load_corpus_dir
@@ -37,6 +49,60 @@ from argdissect.treeops import cut_tree, range_disjoint, range_inside
 
 # --------------------------------------------------------------------------
 # the replaced implementations
+
+
+def paragraph_of(doc, eau):
+    """Index of the paragraph block holding the EAU's first character."""
+    for i, (start, end) in enumerate(doc.paragraph_spans):
+        if start <= eau.start < end:
+            return i
+    raise IntegrityError(f"{doc.id}: EAU {eau.id} not inside any paragraph")
+
+
+def ref_position(parsed, eau):
+    """(paragraph, index among its EAUs, their count), each found by a scan."""
+    par_idx = paragraph_of(parsed.document, eau)
+    par_start, par_end = parsed.document.paragraph_spans[par_idx]
+    units = [e for e in parsed.eaus if par_start <= e.start < par_end]
+    return par_idx, units.index(eau), len(units)
+
+
+def ref_candidate_pairs(parsed, pairing):
+    if pairing.scope == "document":
+        ids = [e.id for e in parsed.eaus]
+        for a in ids:
+            for b in ids:
+                if a != b:
+                    yield a, b
+    else:
+        by_par = {}
+        for eau in parsed.eaus:
+            by_par.setdefault(paragraph_of(parsed.document, eau), []).append(eau.id)
+        for ids in by_par.values():
+            for a in ids:
+                for b in ids:
+                    if a != b:
+                        yield a, b
+
+
+def ref_build_instances(corpus, task, pairing):
+    """Tasks g and l: the annotated pairs, then the in-scope none-labeled pairs."""
+    instances = []
+    for parsed in corpus:
+        doc_id = parsed.document.id
+        linked = {(src, tgt): label for src, tgt, label in parsed.relations}
+        for eau in parsed.eaus:
+            for (src, tgt), label in linked.items():
+                if src == eau.id:
+                    out_label = LINKED if task == "l" else label
+                    instances.append(RelationInstance(src, tgt, out_label, task, doc_id))
+        excluded = set(linked)
+        if pairing.exclude_reverse:
+            excluded |= {(tgt, src) for src, tgt in linked}
+        for src, tgt in ref_candidate_pairs(parsed, pairing):
+            if (src, tgt) not in excluded:
+                instances.append(RelationInstance(src, tgt, NONE, task, doc_id))
+    return instances
 
 
 def ref_parse_token_offsets(tsv, document_text, doc_id="doc"):
@@ -408,6 +474,100 @@ def test_an_eau_outside_every_paragraph_fails_as_the_scan_did():
     got = outcome(build_side_view, bundle, parsed.eaus[0], None)
     assert got == ("error", IntegrityError, "d: EAU T1 not inside any paragraph")
     assert_same_side(got, outcome(ref_build_side_view, bundle, parsed.eaus[0], None))
+    corpus = Corpus()
+    corpus.add(parsed)
+    assert outcome(build_instances, corpus, "g") == got
+    assert outcome(build_instances, corpus, "g", PairingConfig(scope="document")) == ("ok", [])
+
+
+# --------------------------------------------------------------------------
+# EAU positions and pairing by paragraph
+
+LINES = ["", " ", "\t ", "a b", "cd", " e "]
+PAIRINGS = [PairingConfig(scope, exclude) for scope in ("paragraph", "document")
+            for exclude in (False, True)]
+
+
+@st.composite
+def paragraph_docs(draw):
+    """A parsed document over blank, whitespace-only and worded lines, with relations."""
+    text = "\n".join(draw(st.lists(st.sampled_from(LINES), min_size=1, max_size=8)))
+    text += draw(st.sampled_from(["", "\n"]))
+    lines, pos = [], 0
+    for line in text.split("\n"):
+        if line:
+            lines.append((pos, pos + len(line)))
+        pos += len(line) + 1
+    ann = []
+    if lines:
+        for k in range(draw(st.integers(1, 5))):
+            first, last = draw(st.sampled_from(lines))
+            start = draw(st.integers(first, last - 1))
+            end = draw(st.integers(start + 1, last))
+            ann.append(f"T{k + 1}\tClaim {start} {end}\t{text[start:end]}")
+    ids = [f"T{k + 1}" for k in range(len(ann))]
+    if len(ids) > 1:
+        pairs = draw(st.sets(st.permutations(ids).map(lambda p: tuple(p[:2])), max_size=4))
+        for k, (src, tgt) in enumerate(sorted(pairs)):
+            rel = draw(st.sampled_from(["supports", "attacks"]))
+            ann.append(f"R{k + 1}\t{rel} Arg1:{src} Arg2:{tgt}")
+    return parse_standoff(text, "\n".join(ann) + "\n", "d")
+
+
+def assert_positions_and_pairs_match_the_scan(parsed):
+    for eau in parsed.eaus:
+        assert outcome(parsed.position, eau) == outcome(ref_position, parsed, eau)
+    corpus = Corpus()
+    corpus.add(parsed)
+    for task in ("g", "l"):
+        for pairing in PAIRINGS:
+            assert outcome(build_instances, corpus, task, pairing) == outcome(
+                ref_build_instances, corpus, task, pairing
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(paragraph_docs())
+def test_positions_and_paragraph_pairs_match_the_scan_on_generated_texts(parsed):
+    assert_positions_and_pairs_match_the_scan(parsed)
+
+
+def test_generated_texts_reach_the_edge_cases():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(paragraph_docs())
+    def collect(parsed):
+        doc = parsed.document
+        if len(doc.paragraph_spans) > 1:
+            seen.add("several paragraphs")
+        lines = doc.text.split("\n")
+        if "" in lines[:-1]:
+            seen.add("blank line")
+        if any(line and not line.strip() for line in lines):
+            seen.add("whitespace-only line")
+        for eau in parsed.eaus:
+            if outcome(ref_position, parsed, eau)[0] == "error":
+                seen.add("EAU outside every paragraph")
+            elif ref_position(parsed, eau)[2] > 1:
+                seen.add("paragraph of several EAUs")
+        if parsed.relations:
+            seen.add("relation")
+
+    collect()
+    assert seen == {"several paragraphs", "blank line", "whitespace-only line",
+                    "EAU outside every paragraph", "paragraph of several EAUs", "relation"}
+
+
+def test_positions_and_paragraph_pairs_match_the_scan_on_a_corpus(synth_dir):
+    corpus = load_corpus_dir(synth_dir).corpus
+    for parsed in corpus:
+        assert_positions_and_pairs_match_the_scan(parsed)
+    for task in ("g", "l"):
+        for pairing in PAIRINGS:
+            instances = build_instances(corpus, task, pairing)
+            assert instances == ref_build_instances(corpus, task, pairing)
+            assert any(inst.label == NONE for inst in instances)
 
 
 # --------------------------------------------------------------------------
