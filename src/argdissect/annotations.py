@@ -316,7 +316,8 @@ def load_embeddings(content: str) -> EmbeddingTable:
     equals the next line's component count is a word2vec ``<count> <dim>``
     header and is skipped.  The dimension is the component count of the
     first entry.  A non-finite component (``nan``, ``inf``, or a value
-    beyond a double's range) is an error.
+    beyond a double's range) is an error, and so is a table without
+    entries or without components (a tab-separated file is one).
     """
     lines = [
         (line_no, line.rstrip().split(" "))
@@ -327,7 +328,11 @@ def load_embeddings(content: str) -> EmbeddingTable:
         f.isdecimal() for f in lines[0][1]
     ) and int(lines[0][1][1]) == len(lines[1][1]) - 1:
         lines = lines[1:]
-    dim = len(lines[0][1]) - 1 if lines else 0
+    if not lines:
+        raise StandoffParseError("embedding table has no entries")
+    dim = len(lines[0][1]) - 1
+    if dim == 0:
+        raise StandoffParseError("embedding vectors have no components", lines[0][0])
     entries: dict[str, np.ndarray] = {}
     for line_no, parts in lines:
         if len(parts) != dim + 1:

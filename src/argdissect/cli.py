@@ -31,6 +31,7 @@ from .pipeline import (
     RunConfig,
     evaluate_model,
     load_standoff_dir,
+    make_output_dir,
     prepare,
     read_text,
     run_experiment,
@@ -153,7 +154,7 @@ def cmd_run(args) -> int:
 def cmd_robustness(args) -> int:
     config = build_run_config(args)
     data = prepare(config)
-    os.makedirs(config.output_dir, exist_ok=True)
+    make_output_dir(config.output_dir)
     if args.mode == "randomized":
         transformed = randomize_contexts(data.test_views, config.eval_seed)
     else:
@@ -196,7 +197,7 @@ def cmd_robustness(args) -> int:
 def cmd_anova(args) -> int:
     config = build_run_config(args)
     data = prepare(config)
-    os.makedirs(config.output_dir, exist_ok=True)
+    make_output_dir(config.output_dir)
     # FA registry exposes the CB and CI slices side by side
     model, registry, X_train, _ = train_model(config, data, FA)
     curve = anova_scores(X_train, data.train_labels, registry)
@@ -220,7 +221,7 @@ def cmd_anova(args) -> int:
 def cmd_baseline(args) -> int:
     config = build_run_config(args)
     data = prepare(config)
-    os.makedirs(config.output_dir, exist_ok=True)
+    make_output_dir(config.output_dir)
     label = mfs_baseline(data.train_labels, data.classes)
     report = f1_report([label] * len(data.test_labels), data.test_labels, data.classes)
     if config.task == "g":
@@ -238,17 +239,17 @@ def cmd_baseline(args) -> int:
 def cmd_transform(args) -> int:
     config = build_run_config(args)
     corpus = load_standoff_dir(config.corpus_dir)
-    os.makedirs(config.output_dir, exist_ok=True)
+    if os.path.realpath(config.output_dir) == os.path.realpath(config.corpus_dir):
+        raise DataError(f"output directory {config.output_dir} is the corpus directory it reads")
+    make_output_dir(config.output_dir)
     transformed = corpus_mod.transform_corpus(corpus, args.mode)
     outputs = []
     for doc_id, (text, ann) in sorted(transformed.items()):
-        txt_path = os.path.join(config.output_dir, f"{doc_id}.txt")
-        ann_path = os.path.join(config.output_dir, f"{doc_id}.ann")
-        with open(txt_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        with open(ann_path, "w", encoding="utf-8") as fh:
-            fh.write(ann)
-        outputs.extend([txt_path, ann_path])
+        for ext, content in (("txt", text), ("ann", ann)):
+            path = os.path.join(config.output_dir, f"{doc_id}.{ext}")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+            outputs.append(path)
     write_manifest(config, outputs)
     print(f"wrote {len(transformed)} transformed documents ({args.mode}) to {config.output_dir}")
     return EXIT_OK

@@ -8,6 +8,7 @@ A document comes as a plain-text file plus a standoff annotation file:
 
 Paragraphs are the maximal blocks of non-blank lines in the text file.  A
 parsed document finds its EAUs by id and their paragraph positions once.
+``format_standoff`` is the one writer of the format (transforms and ``synth``).
 """
 
 from __future__ import annotations
@@ -326,7 +327,9 @@ def _check_no_overlap(parsed: ParsedDoc) -> None:
         prev_end, prev_id = eau.end, eau.id
 
 
-def _emit_standoff(eaus: list[EauSpan], relations, text: str) -> str:
+def format_standoff(eaus: list[EauSpan], relations, text: str) -> str:
+    """The ``.ann`` file of ``eaus`` over ``text`` and ``(source, target, label)``
+    relations: T lines in list order, R and A lines numbered from 1."""
     lines = []
     for eau in eaus:
         lines.append(f"{eau.id}\t{eau.kind} {eau.start} {eau.end}\t{text[eau.start:eau.end]}")
@@ -358,7 +361,7 @@ def transform_doc(parsed: ParsedDoc, mode: str) -> tuple[str, str]:
             new_eaus.append(replace(eau, start=offset, end=offset + len(surface)))
             offset += len(surface) + 1  # newline separator
         new_text = "\n".join(parts) + ("\n" if parts else "")
-        return new_text, _emit_standoff(new_eaus, parsed.relations, new_text)
+        return new_text, format_standoff(new_eaus, parsed.relations, new_text)
 
     if mode == "context_only":
         new_eaus = []
@@ -377,7 +380,7 @@ def transform_doc(parsed: ParsedDoc, mode: str) -> tuple[str, str]:
             cursor = eau.end
         pieces.append(doc.text[cursor:])
         new_text = "".join(pieces)
-        return new_text, _emit_standoff(new_eaus, parsed.relations, new_text)
+        return new_text, format_standoff(new_eaus, parsed.relations, new_text)
 
     raise ValueError(f"unknown transform mode: {mode}")
 

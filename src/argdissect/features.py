@@ -344,9 +344,9 @@ def _blocks_in_order(families):
 # Assembly
 
 
-def default_families(view: InstanceView) -> tuple[str, ...]:
-    """Every family whose annotation layer the view has."""
-    return tuple(f for f in FAMILIES if FAMILY_LAYER[f] in view.layers)
+def default_families(layers) -> tuple[str, ...]:
+    """Every family whose annotation layer is in ``layers``."""
+    return tuple(f for f in FAMILIES if FAMILY_LAYER[f] in layers)
 
 
 def extract_all(
@@ -462,7 +462,7 @@ def extract_matrix(
     if model_type not in MODEL_TYPES:
         raise ValueError(f"unknown model type: {model_type}")
     if families is None:
-        families = default_families(views[0]) if views else ()
+        families = default_families(views[0].layers) if views else ()
     for layers in {view.layers for view in views}:
         for family in families:
             if FAMILY_LAYER[family] not in layers:

@@ -8,10 +8,11 @@ each solver machine's convergence, and writes a manifest with content hashes
 so runs are reproducible.
 
 ``prepare`` checks every layer file but builds no side view: a command builds
-only the views it reads (``ExperimentData``), one per distinct EAU side.  The
-sentence regions and discourse spans are indexed once per document
-(``DocIndex``); aligning an EAU and the discourse split still read the whole
-document.
+only the views it reads (``ExperimentData``), one per distinct EAU side.  A
+document's sentence regions and discourse spans are worked out once, on
+first use (``DocBundle``); aligning an EAU and the discourse split still read
+the whole document.  The corpus layer set is worked out once
+(``CorpusBundle.layers``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .corpus import (
     parse_standoff,
     split_corpus,
 )
-from .errors import DataError, MissingLayerError, OffsetError
+from .errors import DataError, MissingLayerError, OffsetError, StandoffParseError
 from .evaluation import MIN_PERMUTATIONS, EvalReport, f1_report, mfs_baseline, significance
 from .features import (
     FA,
@@ -90,30 +91,21 @@ class DocBundle:
     trees: Optional[dict[int, ConstTree]] = None
     discourse: Optional[list[DiscourseRelation]] = None
 
+    # the side views' lookups, each built on first use (EAUs live on ``parsed``)
     @cached_property
-    def index(self) -> DocIndex:
-        """The document's lookups for side views, built on first use."""
-        return DocIndex(self)
-
-
-class DocIndex:
-    """The layer lookups every side view of one document reads, built once.
-
-    ``regions`` maps each sentence index to the sentence's character region
-    (first start, last end).  ``relations`` holds each discourse relation's
-    two argument spans and (kind, sense).  EAUs by id and their paragraph
-    positions live on the parsed document (``ParsedDoc``).
-    """
-
-    def __init__(self, bundle: DocBundle):
+    def sentence_regions(self) -> dict[int, tuple[int, int]]:
+        """Sentence index -> the sentence's character region (first start, last end)."""
         # the token parser keeps (sentence, token) ascending: one run per sentence
-        self.regions: dict[int, tuple[int, int]] = {}
-        for s_idx, run in groupby(bundle.tokens, key=_sentence_of):
+        regions = {}
+        for s_idx, run in groupby(self.tokens, key=_sentence_of):
             run = list(run)
-            self.regions[s_idx] = (min(map(_start, run)), max(map(_end, run)))
-        self.relations = [
-            (rel.arg1, rel.arg2, (rel.kind, rel.sense)) for rel in bundle.discourse or ()
-        ]
+            regions[s_idx] = (min(map(_start, run)), max(map(_end, run)))
+        return regions
+
+    @cached_property
+    def discourse_spans(self) -> list[tuple]:
+        """(arg1 span, arg2 span, (kind, sense)) of each discourse relation."""
+        return [(rel.arg1, rel.arg2, (rel.kind, rel.sense)) for rel in self.discourse or ()]
 
 
 @dataclass
@@ -122,16 +114,13 @@ class CorpusBundle:
     bundles: dict[str, DocBundle]
     embeddings: Optional[EmbeddingTable] = None
 
-    @property
+    @cached_property
     def layers(self) -> frozenset[str]:
+        """The annotation layers every document (or the corpus) has; worked out once."""
         layers = {"tokens"}
         if all(b.trees is not None for b in self.bundles.values()):
             layers.add("trees")
-            if all(
-                t.has_sentiment
-                for b in self.bundles.values()
-                for t in b.trees.values()
-            ):
+            if all(t.has_sentiment for b in self.bundles.values() for t in b.trees.values()):
                 layers.add("sentiment")
         if all(b.discourse is not None for b in self.bundles.values()):
             layers.add("discourse")
@@ -147,6 +136,14 @@ def read_text(path) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def make_output_dir(path) -> None:
+    """Create the output directory unless it exists; an unusable path is a ``DataError``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {path}: {exc}") from None
 
 
 def load_standoff_dir(corpus_dir) -> Corpus:
@@ -205,7 +202,10 @@ def load_corpus_dir(corpus_dir, embeddings_path=None) -> CorpusBundle:
         )
     embeddings = None
     if embeddings_path:
-        embeddings = load_embeddings(read_text(embeddings_path))
+        try:
+            embeddings = load_embeddings(read_text(embeddings_path))
+        except StandoffParseError as exc:
+            raise StandoffParseError(f"{embeddings_path}: {exc}") from None
     return CorpusBundle(corpus=corpus, bundles=bundles, embeddings=embeddings)
 
 
@@ -255,8 +255,8 @@ def build_side_view(
 ) -> SideView:
     """Compute the content and context layers for one EAU.
 
-    Reads the EAU's paragraph position from the parsed document and its
-    sentences' regions from the document's ``DocIndex``.
+    Reads the EAU's paragraph position from the parsed document, and its
+    sentences' regions and the discourse spans from the ``DocBundle``.
     """
     alignment = align_eau(eau, bundle.tokens)
     eau_tokens, context_tokens = alignment.eau_tokens, alignment.context_tokens
@@ -286,11 +286,10 @@ def build_side_view(
 
     cb_disc = ci_disc = fa_disc = ()
     if bundle.discourse is not None:
-        index = bundle.index
-        covering = [index.regions[s] for s in alignment.covering_sentence_idxs]
+        covering = [bundle.sentence_regions[s] for s in alignment.covering_sentence_idxs]
         region = (min(first for first, _ in covering), max(last for _, last in covering))
         cb_disc, ci_disc, fa_disc = _discourse_pairs(
-            index.relations, (eau.start, eau.end), region
+            bundle.discourse_spans, (eau.start, eau.end), region
         )
 
     emb_content = emb_context = None
@@ -457,7 +456,7 @@ def prepare(config: RunConfig) -> ExperimentData:
 
 def resolve_families(config: RunConfig, data: ExperimentData) -> tuple[str, ...]:
     if not config.families:
-        return default_families(data.train_views[0])
+        return default_families(data.bundle.layers)
     for family in config.families:
         if FAMILY_LAYER[family] not in data.bundle.layers:
             raise MissingLayerError(f"{FAMILY_LAYER[family]} (required by {family} features)")
@@ -594,7 +593,7 @@ def write_training_outputs(
 
 def run_experiment(config: RunConfig) -> EvalReport:
     """Full ingest -> train -> evaluate run with artifacts in the output dir."""
-    os.makedirs(config.output_dir, exist_ok=True)
+    make_output_dir(config.output_dir)
     data = prepare(config)
     model, registry, _, families = train_model(config, data)
     report, preds = evaluate_model(

@@ -8,21 +8,25 @@ relation label with probability ``marker_signal`` (a context clue); the
 EAU's signal word agrees with probability ``content_signal`` (a content
 clue).  All annotation layers (tokens, sentiment trees, discourse
 relations, embeddings, split file) are emitted so the full feature system
-runs without any external corpus.
+runs without any external corpus.  The ``.ann`` file is written by
+``corpus.format_standoff``, the writer the corpus transforms use.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import ATTACK, SUPPORT
+from .corpus import ATTACK, SUPPORT, EauSpan, format_standoff
+from .pipeline import make_output_dir
 
 MARKERS = {SUPPORT: "moreover", ATTACK: "however"}
 SIGNAL_WORDS = {SUPPORT: "benefit", ATTACK: "harm"}
 SENSES = {SUPPORT: "Expansion.Conjunction", ATTACK: "Comparison.Contrast"}
+# the Implicit sense of a sentence's marker; any other marker reads Expansion
+MARKER_SENSES = {MARKERS[label]: SENSES[label] for label in MARKERS}
 SENTIMENTS = {SUPPORT: 4, ATTACK: 2}
 
 NOISE_WORDS = (
@@ -103,7 +107,7 @@ def generate_doc(doc_id: str, config: SynthConfig, rng) -> dict[str, str]:
     """Generate the file contents (text, ann, tokens, trees, discourse) of one doc."""
     topic = NOISE_WORDS[rng.integers(len(NOISE_WORDS))]
     sentences: list[_Sentence] = []
-    labels: list[str | None] = [None]  # outgoing relation label per body sentence
+    labels: list[str] = []  # body sentence k + 1's relation label, towards sentence k
 
     title = _title_sentence(0, topic)
     text_lines = [title.text, ""]
@@ -144,20 +148,16 @@ def generate_doc(doc_id: str, config: SynthConfig, rng) -> dict[str, str]:
 
     text = "\n".join(text_lines) + "\n"
 
-    # standoff annotations
-    ann_lines = []
+    # standoff annotations: T1 is a Claim for the topic, each later EAU a
+    # Premise related to the one before it
     body = [s for s in sentences if s.eau_span is not None]
-    for i, sent in enumerate(body, start=1):
-        start, end = sent.eau_span
-        kind = "Claim" if i == 1 else "Premise"
-        ann_lines.append(f"T{i}\t{kind} {start} {end}\t{text[start:end]}")
-    for i, label in enumerate(labels):
-        if label is None:
-            continue
-        rel = "supports" if label == SUPPORT else "attacks"
-        ann_lines.append(f"R{i}\t{rel} Arg1:T{i + 1} Arg2:T{i}")
-    ann_lines.append("A1\tStance T1 For")
-    ann = "\n".join(ann_lines) + "\n"
+    eaus = [
+        EauSpan(f"T{i}", doc_id, *sent.eau_span, kind="Premise")
+        for i, sent in enumerate(body, start=1)
+    ]
+    eaus[0] = replace(eaus[0], kind="Claim", stance="For")
+    relations = [(cur.id, prev.id, label) for prev, cur, label in zip(eaus, eaus[1:], labels)]
+    ann = format_standoff(eaus, relations, text)
 
     # token offsets
     token_lines = []
@@ -171,27 +171,15 @@ def generate_doc(doc_id: str, config: SynthConfig, rng) -> dict[str, str]:
     # discourse: one crossing Explicit relation per related pair, plus one
     # context-internal Implicit relation per body sentence
     disc_lines = []
-    for i, label in enumerate(labels):
-        if label is None:
-            continue
-        prev_span = body[i - 1].eau_span
-        cur = body[i]
-        cur_span = cur.eau_span
-        marker_tok = cur.tokens[0]
-        sense = SENSES[label]
+    for prev, cur, sent, label in zip(eaus, eaus[1:], body[1:], labels):
+        marker_tok = sent.tokens[0]
         disc_lines.append(
-            f"Explicit|{sense}|{prev_span[0]}..{prev_span[1]}|"
-            f"{cur_span[0]}..{cur_span[1]}|{marker_tok[0]}..{marker_tok[1]}"
+            f"Explicit|{SENSES[label]}|{prev.start}..{prev.end}|"
+            f"{cur.start}..{cur.end}|{marker_tok[0]}..{marker_tok[1]}"
         )
     for sent in body:
-        marker_tok = sent.tokens[0]
-        comma_tok = sent.tokens[1]
-        marker = marker_tok[2].lower()
-        sense = SENSES.get(
-            SUPPORT if marker == MARKERS[SUPPORT] else ATTACK, "Expansion"
-        )
-        if marker not in MARKERS.values():
-            sense = "Expansion"
+        marker_tok, comma_tok = sent.tokens[:2]
+        sense = MARKER_SENSES.get(marker_tok[2].lower(), "Expansion")
         disc_lines.append(
             f"Implicit|{sense}|{marker_tok[0]}..{marker_tok[1]}|"
             f"{comma_tok[0]}..{comma_tok[1]}|"
@@ -225,7 +213,7 @@ def embeddings_text(seed: int = 0, dim: int = EMBED_DIM) -> str:
 
 def generate_corpus(out_dir, config: SynthConfig) -> list[str]:
     """Write a full synthetic corpus (all layers + split + embeddings) to disk."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     rng = np.random.default_rng(config.seed)
     doc_ids = []
     split_lines = []

@@ -326,6 +326,18 @@ def test_embedding_lookup_absent_is_zero():
     assert np.array_equal(table.lookup("zzz"), np.zeros(2))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "no entries"),
+    (" \n\t\n", "no entries"),
+    ("a\nb\n", "line 1: embedding vectors have no components"),
+    # tab-separated: each line is one field, a word without components
+    ("a\t1\t2\nb\t3\t4\n", "line 1: embedding vectors have no components"),
+])
+def test_load_embeddings_rejects_a_table_without_vectors(text, message):
+    with pytest.raises(StandoffParseError, match=message):
+        load_embeddings(text)
+
+
 # ---------------------------------------------------------------------------
 # EAU alignment
 

@@ -554,13 +554,26 @@ def _put_nan_in_an_embedding(corpus):
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
+def _empty_the_embeddings(corpus):
+    (corpus / "embeddings.txt").write_text("\n \n", encoding="utf-8")
+
+
+def _tab_separate_the_embeddings(corpus):
+    path = corpus / "embeddings.txt"
+    path.write_text(path.read_text(encoding="utf-8").replace(" ", "\t"), encoding="utf-8")
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_break_first_sentiment_suffix, "malformed sentiment suffix in label 'S|s=10'"),
     (_put_nan_in_an_embedding, "line 2: non-finite vector component"),
+    (_empty_the_embeddings, "embeddings.txt: embedding table has no entries"),
+    (_tab_separate_the_embeddings,
+     "embeddings.txt: line 1: embedding vectors have no components"),
 ])
 def test_malformed_layer_value_is_a_data_error(synth_dir, tmp_path, capsys, corrupt, message):
     """A corpus with one bad value is rejected, not loaded without the layer
-    (a bad sentiment suffix) or trained on nan (a bad embedding)."""
+    (a bad sentiment suffix), trained on nan (a bad embedding) or on a
+    0-dimensional embedding table (an empty or tab-separated file)."""
     corpus = tmp_path / "corpus"
     shutil.copytree(synth_dir, corpus)
     corrupt(corpus)
@@ -684,3 +697,40 @@ def test_an_unusable_c_is_a_data_error_and_writes_no_model(synth_dir, tmp_path, 
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (out_dir / "model.txt").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["robustness", "--mode", "randomized"], ["anova"], ["baseline"],
+    ["transform", "--mode", "eau_only"], ["synth", "--docs", "2"],
+])
+def test_an_out_that_names_a_file_is_a_data_error(synth_dir, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    if command[0] == "synth":
+        argv = command + ["--out", str(out)]
+    else:
+        argv = command + base_args(synth_dir, str(out))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error: cannot create output directory" in err and str(out) in err
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("spelling", ["same", "trailing slash", "via parent", "symlink"])
+def test_transform_into_its_own_corpus_is_a_data_error(synth_dir, tmp_path, capsys, spelling):
+    """``--out`` naming the corpus directory, however spelled, writes nothing."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    out = {
+        "same": str(corpus),
+        "trailing slash": str(corpus) + os.sep,
+        "via parent": os.path.join(str(corpus), "..", "corpus"),
+        "symlink": str(tmp_path / "link"),
+    }[spelling]
+    os.symlink(corpus, tmp_path / "link")
+    before = {f.name: f.read_bytes() for f in corpus.iterdir()}
+    argv = ["transform", "--mode", "context_only"] + base_args(str(corpus), out)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "is the corpus directory it reads" in err and out in err
+    assert {f.name: f.read_bytes() for f in corpus.iterdir()} == before

@@ -1,7 +1,8 @@
 """Fuzzers over the text formats a corpus directory holds.
 
-Each parser may reject its input only with a ``DataError``; whatever it
-accepts must satisfy the format's invariants.  The run config file is
+Each parser may reject its input only with a ``DataError`` (the embedding
+table only with a ``StandoffParseError``); whatever it accepts must satisfy
+the format's invariants.  The run config file is
 fuzzed the same way, through ``read_config_file`` and ``build_run_config``.
 Every format is fuzzed twice: with structured lines, whose fields are drawn
 from near the valid values (negative and out-of-range integers included),
@@ -12,11 +13,13 @@ import math
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from argdissect import cli
 from argdissect.annotations import (
     Token,
+    load_embeddings,
     parse_discourse_file,
     parse_token_offsets,
     parse_trees_file,
@@ -25,7 +28,7 @@ from argdissect.cli import build_run_config, make_parser, read_config_file
 from argdissect.corpus import (
     EAU_KINDS, PAIRING_SCOPES, TASK_CLASSES, Corpus, parse_standoff, split_corpus,
 )
-from argdissect.errors import DataError
+from argdissect.errors import DataError, StandoffParseError
 from argdissect.evaluation import MIN_PERMUTATIONS
 from argdissect.features import FAMILIES, MODEL_TYPES
 from argdissect.learn import LOSSES, WEIGHTINGS
@@ -297,6 +300,54 @@ def test_tree_file_text_fuzz(content):
     parsed = parse_or_reject(parse_trees_file, content, TREE_TOKENS, "d")
     if parsed is not None:
         assert_trees_valid(parsed)
+
+
+# --------------------------------------------------------------------------
+# embeddings
+
+
+components = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["0", "-1", "2.5", "1e400", "nan", "inf", "x", "", "٣"]),
+)
+embedding_lines = st.builds(
+    lambda word, values, sep, tail: sep.join([word, *values]) + tail,
+    st.sampled_from(["a", "b", "2", "3", ""]),
+    st.lists(components, max_size=3),
+    st.sampled_from([" ", " ", "\t"]),
+    st.sampled_from(["", " ", "\t"]),
+)
+
+
+def embeddings_or_reject(content):
+    """The table ``load_embeddings`` reads, or None if it raised a ``StandoffParseError``;
+    any other exception fails the test."""
+    try:
+        return load_embeddings(content)
+    except StandoffParseError:
+        return None
+
+
+def assert_embeddings_valid(table):
+    assert table.entries and table.dimension >= 1
+    for vec in table.entries.values():
+        assert vec.shape == (table.dimension,) and np.isfinite(vec).all()
+
+
+@FUZZ
+@given(st.lists(embedding_lines, max_size=5).map("\n".join))
+def test_embeddings_fuzz_accepts_only_finite_vectors(content):
+    table = embeddings_or_reject(content)
+    if table is not None:
+        assert_embeddings_valid(table)
+
+
+@FUZZ
+@given(unstructured("ab 0123.e-\t\nnaif"))
+def test_embeddings_text_fuzz(content):
+    table = embeddings_or_reject(content)
+    if table is not None:
+        assert_embeddings_valid(table)
 
 
 # --------------------------------------------------------------------------

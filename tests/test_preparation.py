@@ -1,8 +1,8 @@
 """Corpus preparation against the scan-per-EAU implementation it replaced.
 
 ``build_side_view`` reads each EAU's paragraph position from its parsed
-document (``ParsedDoc.position``) and each sentence's region from a
-``DocIndex`` built once per document, ``align_eau`` sorts its two parts in
+document (``ParsedDoc.position``) and each sentence's region from its
+``DocBundle``, worked out once per document, ``align_eau`` sorts its two parts in
 place, and ``parse_token_offsets`` reads its integer fields without a
 generator.  The functions they replaced are kept here as references, and
 every side view, token list and error must come out the same: on
@@ -167,7 +167,7 @@ def ref_align_eau(eau, tokens):
 
 
 def ref_build_side_view(bundle, eau, embeddings):
-    """The side view as built before ``DocIndex``: every EAU scans its document."""
+    """The side view as built before the per-document lookups: every EAU scans its document."""
     alignment = ref_align_eau(eau, bundle.tokens)
     eau_surfaces = tuple(t.surface for t in alignment.eau_tokens)
     ctx_surfaces = tuple(t.surface for t in alignment.context_tokens)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -99,3 +100,44 @@ def test_both_labels_present(tmp_path):
     bundle = load_corpus_dir(str(out))
     labels = {i.label for i in build_instances(bundle.corpus, "f")}
     assert labels == {SUPPORT, ATTACK}
+
+
+DOC_LAYERS = ("txt", "ann", "tokens.tsv", "trees", "discourse")
+
+# sha256 of each corpus file, and of each document layer's files concatenated
+# in id order, of the 40-document corpora the benchmark workloads start from.
+LAYER_SHA256 = {
+    1: {
+        "txt": "97d76b12b37a0c055a0f8d60204986e161e31efde2394a96d41a4502322af488",
+        "ann": "98151c505f3aa7df74935116f9fcef49f16ced10cdf6573edde77a018cb59c6d",
+        "tokens.tsv": "781711c5e85a54308796327e1b916c99c3068f793c509df4e30454fe845a3988",
+        "trees": "0c7587dd44b8fd86a76cba2fca0ad32fdfbebee4c8e7612ad7c12962d36fc2ef",
+        "discourse": "d475625d28d7c116e8eb4b64e7712e4c730e6e2ced467fb7a9f0b4072508da20",
+        "split.tsv": "a5f9da3ed46e76f595f15d62f3e8284a56b61cb72e08c1354758e88123c7cc54",
+        "embeddings.txt": "ad4a1a19ed0dae188362d231837d33048744bd9070c2983016326165e21556a9",
+    },
+    7919: {
+        "txt": "80d1d8843ae019de7308c1875bd6cb69b6dbee70c6cf247eb9001dd534d0cec0",
+        "ann": "58be518218675788310277df00d8c776eab95335338b11ea7d4689095ce04846",
+        "tokens.tsv": "ecd1d3aaec971b3929593c0e64af77dab6c2ba9103424a8fd0a364cb2db57a78",
+        "trees": "81a35a0f8ae4c4ccd4a63b538cfadae95ad794cefcbfe467b2f5d97a57cfadf7",
+        "discourse": "52b8d6a46259fc64c1f19a57418f677b073c2241a45ecfc0a3c4090083154bcd",
+        "split.tsv": "a5f9da3ed46e76f595f15d62f3e8284a56b61cb72e08c1354758e88123c7cc54",
+        "embeddings.txt": "32797ead5260ad4551cbcc24dbaabc5de59f20122d7e68e780e2162780198185",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LAYER_SHA256))
+def test_benchmark_corpora_are_pinned_byte_for_byte(tmp_path, seed):
+    doc_ids = generate_corpus(str(tmp_path), SynthConfig(n_docs=40, seed=seed))
+    files = {layer: [f"{doc_id}.{layer}" for doc_id in doc_ids] for layer in DOC_LAYERS}
+    files.update((name, [name]) for name in ("split.tsv", "embeddings.txt"))
+    assert sorted(os.listdir(tmp_path)) == sorted(sum(files.values(), []))
+    digests = {}
+    for layer, names in files.items():
+        digest = hashlib.sha256()
+        for name in names:
+            digest.update((tmp_path / name).read_bytes())
+        digests[layer] = digest.hexdigest()
+    assert digests == LAYER_SHA256[seed]
