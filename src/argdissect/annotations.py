@@ -20,6 +20,7 @@ declaration order.  Each file is read in one pass, line by line.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -132,7 +133,7 @@ def parse_token_offsets(tsv: str, document_text: str, doc_id: str = "doc") -> li
         if not 0 <= start <= end <= len(document_text):
             raise StandoffParseError(f"token offsets {start}..{end} of {doc_id} outside "
                                      f"its text [0,{len(document_text)}]", line_no)
-        surface = parts[4]
+        surface = sys.intern(parts[4])  # one object per distinct surface, trees' leaves too
         key = (sent_idx, tok_idx)
         if prev_key is not None and key <= prev_key:
             raise IntegrityError(
@@ -211,7 +212,7 @@ def parse_bracketed_tree(
                 if not 1 <= sentiment <= 5:
                     raise StandoffParseError(f"sentiment score out of range: {sentiment}")
             siblings = []
-            stack.append((label, sentiment, siblings))
+            stack.append((sys.intern(label), sentiment, siblings))
             continue
         if item == ")":
             if not stack:
@@ -225,7 +226,7 @@ def parse_bracketed_tree(
             )
             siblings = stack[-1][2] if stack else None
         else:  # terminal
-            node = TreeNode(item, (), len(leaves), len(leaves) + 1, None, True)
+            node = TreeNode(sys.intern(item), (), len(leaves), len(leaves) + 1, None, True)
             leaves.append(node)
         if siblings is None:
             root = node

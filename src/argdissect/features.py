@@ -14,11 +14,13 @@ pass.
 registry, extracting each side shared by several views once, and formats
 each feature name once per distinct payload; the CB and CI slices of an FA
 matrix are its column views (``FeatureRegistry.columns_of``).  Other modules
-take feature matrices only in this form.  The extraction's gather and every
-densifying work in ``row_blocks`` whose temporaries take at most
-``ROW_BLOCK_BYTES``; ``CsrMatrix.dense_rows`` densifies one block.  ``learn``
-decides when the solver's rows and prediction densify, and the ANOVA scores
-read dense row blocks only, never a dense copy of the matrix.
+take feature matrices only in this form.  A ``CsrMatrix`` keeps ``int32``
+column indices and ``intp`` row pointers, 12 B per stored entry.  Apart from
+one pool of each side's entries, the extraction works in ``row_blocks``
+whose temporaries take at most ``ROW_BLOCK_BYTES``, as does every
+densifying; ``CsrMatrix.dense_rows`` densifies one block.  ``learn`` decides
+when the solver's rows and prediction densify, and the ANOVA scores read
+dense row blocks only, never a dense copy of the matrix.
 A single view's features are also available as a name dict (``extract_all``)
 and as a ``dict[int, float]`` vector (``assemble``); both are one-row
 ``extract_matrix`` calls.
@@ -132,7 +134,7 @@ class FeatureRegistry:
 # Instance views
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContentLayers:
     """Everything derivable from the EAU span alone (given its parse)."""
 
@@ -148,7 +150,7 @@ class ContentLayers:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextLayers:
     """Everything derived from the covering sentence(s) minus the EAU span.
 
@@ -177,14 +179,14 @@ class ContextLayers:
 EMPTY_CONTEXT = ContextLayers()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SideView:
     eau_id: str
     content: ContentLayers
     context: ContextLayers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceView:
     instance: RelationInstance
     source: SideView
@@ -379,6 +381,8 @@ def assemble(
 # float arrays.  On the 178 columns of a 1000-document task-g training set a
 # block holds 736 of its 24,000 rows.
 ROW_BLOCK_BYTES = 1 << 20
+# Entries an open registry scans at a time for names new to it
+_REGISTER_RUN = 1 << 12
 
 
 def row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
@@ -392,7 +396,8 @@ def row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
 class CsrMatrix:
     """Compressed sparse rows: row i holds the columns
     ``indices[indptr[i]:indptr[i + 1]]`` and the values at the same
-    positions of ``data``."""
+    positions of ``data``.  ``extract_matrix`` and ``columns`` make ``int32``
+    indices and ``intp`` row pointers."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -432,7 +437,7 @@ class CsrMatrix:
 
     def columns(self, mask: np.ndarray) -> CsrMatrix:
         """The masked columns, renumbered in order; entry order is kept."""
-        renumbered = np.where(mask, np.cumsum(mask) - 1, -1)[self.indices]
+        renumbered = np.where(mask, np.cumsum(mask) - 1, -1).astype(np.int32)[self.indices]
         kept = renumbered >= 0
         kept_before = np.zeros(len(kept) + 1, self.indptr.dtype)  # entry e: kept among 0..e-1
         np.cumsum(kept, out=kept_before[1:])
@@ -458,6 +463,10 @@ def extract_matrix(
     open registry registers new names where they first occur, row by row,
     in name order within a row; a frozen one counts each occurrence of an
     unknown name in ``dropped_unseen``.
+
+    Only the pool of side blocks is whole; everything per row (segment
+    numbers, difference blocks, registration, the gather) is made in
+    ``row_blocks``, and the result is written into its final arrays.
     """
     if model_type not in MODEL_TYPES:
         raise ValueError(f"unknown model type: {model_type}")
@@ -483,15 +492,15 @@ def extract_matrix(
                 sides[tag].append(sv)
     paired = ids["tgt"] >= 0
 
-    # The pool holds each side's named blocks once per tag, as segments
-    # (tag, side, block), converted side by side so that one side's payload
-    # dicts are alive at a time; then the numeric blocks block by block: one
-    # segment per side for a src or tgt block, one per row for a diff block.
-    # Segment 0 is empty.  seg_of[i, b] is the segment of row i's block b,
-    # and seg_block[s] the block of segment s.  An entry holds its payload's
-    # number in ``payloads`` of the block's (family, scope), which the src,
-    # tgt and diff blocks share; a numeric block's payload number is its
-    # column.
+    # The pool holds each side's src and tgt blocks once per tag, as
+    # segments: the named blocks side by side, converted so that one side's
+    # payload dicts are alive at a time, then the numeric blocks block by
+    # block.  Segment 0 is empty.  Row i's segment of such a block b is
+    # base[b] + stride[b] * ids[tag][i], or 0 if the row lacks the tag's
+    # side.  A diff block's segments are per row: they are made for each
+    # row block, into the pool's tail.  An entry holds its payload's number
+    # in ``payloads`` of the block's (family, scope), which the src, tgt and
+    # diff blocks share; a numeric block's payload number is its column.
     payloads: dict[tuple[str, str], dict[str, int]] = {
         (family, scope): {
             p: k for k, p in enumerate(_pair_payloads(family, embedding_dim))
@@ -499,7 +508,7 @@ def extract_matrix(
         for family, scope, _ in blocks
     }
     pool_ids, pool_vals, seg_lens, seg_block = [np.empty(0, np.intp)], [np.empty(0)], [0], [0]
-    seg_of = np.zeros((n, len(blocks)), np.intp)
+    base, stride = np.zeros(len(blocks), np.intp), np.zeros(len(blocks), np.intp)
     extracted = {}  # id(side) -> its segments, kept from its src to its tgt pass
     for tag in TAGS:
         tag_blocks = [
@@ -507,10 +516,8 @@ def extract_matrix(
             if btag == tag and family not in _PAIRED
         ]
         numbering = [payloads[blocks[b][:2]] for b in tag_blocks]
-        seg = ids[tag][:, None]
-        seg_of[:, tag_blocks] = np.where(
-            seg >= 0, len(seg_lens) + seg * len(tag_blocks) + np.arange(len(tag_blocks)), 0
-        )
+        base[tag_blocks] = len(seg_lens) + np.arange(len(tag_blocks))
+        stride[tag_blocks] = len(tag_blocks)
         for sv in sides[tag]:
             segments = extracted.pop(id(sv), None)
             if segments is None:
@@ -537,83 +544,172 @@ def extract_matrix(
     ]
     offsets = np.cumsum([0] + [len(payloads[b[:2]]) for b in blocks])
     pool_pids = [np.concatenate(pool_ids) + np.repeat(offsets[seg_block], seg_lens)]
-    del pool_ids, seg_block  # the per-side pieces would stay alive to the gather's peak
-    side_values = {}
+    del pool_ids, seg_block
+    side_values, diff_blocks = {}, []
     for b, (family, scope, tag) in enumerate(blocks):
         if family not in _PAIRED:
             continue
-        seg = np.arange(n) if tag == "diff" else ids[tag]
-        seg_of[:, b] = np.where(seg >= 0, len(seg_lens) + seg, 0)
-        if tag == "diff":  # the scope's src and tgt blocks come first
-            src, tgt = side_values[family, scope, "src"], side_values[family, scope, "tgt"]
-            values = np.zeros((n, src.shape[1]))
-            values[paired] = src[ids["src"][paired]] - tgt[ids["tgt"][paired]]
-        else:
-            values = side_values[family, scope, tag] = _pair_values(
-                family, scope, sides[tag], embedding_dim
-            )
+        if tag == "diff":
+            diff_blocks.append(b)
+            continue
+        values = side_values[family, scope, tag] = _pair_values(
+            family, scope, sides[tag], embedding_dim
+        )
+        base[b], stride[b] = len(seg_lens), 1
         rows, ks = np.nonzero(values)
         pool_pids.append(offsets[b] + ks)
         pool_vals.append(values[rows, ks])
         seg_lens.extend(np.count_nonzero(values, axis=1).tolist())
-    pool_pids, pool_vals = np.concatenate(pool_pids), np.concatenate(pool_vals)
     seg_lens = np.array(seg_lens)
 
-    if not registry.frozen:
-        # A name is registered where it first occurs: rows in order, a row's
-        # blocks in name order, a block's entries in segment order.  So a
-        # segment ranks by its first position in seg_of, an entry's key is
-        # its place in that order, and a name's first occurrence is the
-        # least key among its entries.
-        ranks = np.full(len(seg_lens), seg_of.size)
-        np.minimum.at(ranks, seg_of.ravel(), np.arange(seg_of.size))
-        seg_starts = np.cumsum(seg_lens) - seg_lens
-        entry_keys = np.repeat(ranks * int(seg_lens.max()) - seg_starts, seg_lens)
-        entry_keys += np.arange(len(entry_keys))
-        del ranks, seg_starts
-        never = np.iinfo(np.intp).max
-        first = np.full(len(names), never)
-        np.minimum.at(first, pool_pids, entry_keys)
-        del entry_keys
-        # names of columns that are zero in every row never occur
-        for p in np.argsort(first)[:np.count_nonzero(first < never)].tolist():
-            registry.index(names[p])
-        del first
-
+    # An entry's code is its name's column, or -1 - pid while the registry
+    # lacks the name: colmap[pid] is the code of the name
     column = registry._index.get
-    cols = np.fromiter((column(name, -1) for name in names), np.intp, len(names))[pool_pids]
-    del pool_pids
-    # unseen[s]: the entries of segment s whose name the frozen registry lacks
-    unknown = np.flatnonzero(cols < 0)
-    unseen = np.bincount(
-        np.searchsorted(np.cumsum(seg_lens), unknown, "right"), minlength=len(seg_lens)
+    colmap = np.fromiter(
+        (column(name, -1 - pid) for pid, name in enumerate(names)), np.int32, len(names)
     )
-    uses = np.bincount(seg_of.ravel(), minlength=len(seg_lens))  # (row, block) slots per segment
-    registry.dropped_unseen += int(unseen @ uses)
-    if len(unknown):
-        known = cols >= 0
-        cols, pool_vals = cols[known], pool_vals[known]
-        seg_lens -= unseen
-    del unknown, unseen
+    pool_cols = colmap[np.concatenate(pool_pids)]
+    pool_vals = np.concatenate(pool_vals)
+    del pool_pids
+    block_tag = np.array([tag == "tgt" for _, _, tag in blocks])
 
-    # gather: row i is its blocks' segments of the pool of known names, in
-    # block order, written block of rows by block of rows
+    def per_side(seg_values, tag):
+        """Per side under the tag, the sum of ``seg_values`` over its segments."""
+        total = np.zeros(len(sides[tag]), seg_values.dtype)
+        for b, (_, _, btag) in enumerate(blocks):
+            if btag == tag:
+                total += seg_values[base[b] + stride[b] * np.arange(len(sides[tag]))]
+        return total
+
+    if registry.frozen:
+        # drop the entries of unknown names, counting each use
+        unknown = pool_cols < 0
+        unseen = np.bincount(
+            np.repeat(np.arange(len(seg_lens)), seg_lens)[unknown], minlength=len(seg_lens)
+        )
+        for tag in TAGS:
+            uses = np.bincount(ids[tag][ids[tag] >= 0], minlength=len(sides[tag]))
+            registry.dropped_unseen += int(per_side(unseen, tag) @ uses)
+        pool_cols, pool_vals = pool_cols[~unknown], pool_vals[~unknown]
+        seg_lens -= unseen
+        del unknown, unseen
     seg_starts = np.cumsum(seg_lens) - seg_lens
+    # each diff block's columns that are kept: all but a frozen registry's unknown ones
+    known = {
+        b: colmap[offsets[b]:offsets[b + 1]] >= 0 if registry.frozen
+        else np.ones(offsets[b + 1] - offsets[b], bool)
+        for b in diff_blocks
+    }
+
+    def diff_values(b, lo, hi):
+        """The rows of lo:hi with a target, and their block-b differences."""
+        family, scope, _ = blocks[b]
+        p = np.flatnonzero(paired[lo:hi])
+        return p, (side_values[family, scope, "src"][ids["src"][lo + p]]
+                   - side_values[family, scope, "tgt"][ids["tgt"][lo + p]])
+
+    # Row lengths: the side segments', then the diff blocks' (a frozen
+    # registry's unknown differences are dropped and counted here).  The
+    # blocks of rows of the gather are those of the matrix's width, which
+    # an open registry reaches with the new names that occur.
+    row_len = per_side(seg_lens, "src")[ids["src"]]
+    row_len[paired] += per_side(seg_lens, "tgt")[ids["tgt"][paired]]
+    diff_len = np.zeros(n, np.intp)
+    occurs = np.zeros(len(names), bool)
+    if diff_blocks:
+        for lo, hi in row_blocks(n, max(len(known[b]) for b in diff_blocks)):
+            for b in diff_blocks:
+                p, values = diff_values(b, lo, hi)
+                nonzero = values != 0.0
+                registry.dropped_unseen += int(np.count_nonzero(nonzero[:, ~known[b]]))
+                nonzero[:, ~known[b]] = False
+                diff_len[lo + p] += np.count_nonzero(nonzero, axis=1)
+                occurs[offsets[b]:offsets[b + 1]] |= nonzero.any(axis=0)
+    width = len(registry)
+    if not registry.frozen:
+        occurs[-1 - pool_cols[pool_cols < 0]] = True
+        width += int(np.count_nonzero(occurs & (colmap < 0)))
+    spans = row_blocks(n, max(width, len(blocks)))
+    room = max((int(diff_len[lo:hi].sum()) for lo, hi in spans), default=0)
+    row_len += diff_len
+    del diff_len, occurs
     indptr = np.zeros(n + 1, np.intp)
-    indices = np.empty(int(seg_lens @ uses), np.intp)
-    data = np.empty(len(indices))
-    # a row holds at most one entry per name and one segment per block
-    for lo, hi in row_blocks(n, max(len(registry), len(blocks))):
-        of = seg_of[lo:hi]
-        indptr[lo + 1:hi + 1] = indptr[lo] + np.cumsum(seg_lens[of].sum(axis=1))
-        a, b = indptr[lo], indptr[hi]
-        # the block's entries, slot by slot: a slot's q-th is its segment's q-th
-        lens = seg_lens[of.ravel()]
-        pos = np.repeat(seg_starts[of.ravel()] - np.cumsum(lens) + lens, lens)
-        pos += np.arange(b - a)
-        np.take(cols, pos, out=indices[a:b])
-        np.take(pool_vals, pos, out=data[a:b])
+    np.cumsum(row_len, out=indptr[1:])
+    del row_len
+
+    # the pool's tail holds one block of rows' diff segments at a time
+    tail = len(pool_vals)
+    pool_vals = np.concatenate((pool_vals, np.empty(room)))
+    pool_cols = np.concatenate((pool_cols, np.empty(room, np.int32)))
+    indices = np.empty(indptr[-1], np.int32)
+    data = np.empty(indptr[-1])
+
+    def gather(lo, hi):
+        """Write rows lo:hi: each row's slots in block order, a slot's
+        entries those of its segment; then register the names new to an
+        open registry and write their columns."""
+        seg = np.where(block_tag, ids["tgt"][lo:hi, None], ids["src"][lo:hi, None])
+        missing = seg < 0
+        seg *= stride
+        seg += base
+        seg[missing] = 0  # and a diff block's slot is segment 0 too
+        lens, starts = seg_lens[seg], seg_starts[seg]
+        del seg, missing
+        end = tail
+        for b in diff_blocks:
+            p, values = diff_values(b, lo, hi)
+            values[:, ~known[b]] = 0.0
+            rows, ks = np.nonzero(values)
+            pool_vals[end:end + len(ks)] = values[rows, ks]
+            pool_cols[end:end + len(ks)] = colmap[offsets[b] + ks]
+            counts = np.bincount(rows, minlength=len(p))
+            lens[p, b] = counts
+            starts[p, b] = end + np.cumsum(counts) - counts
+            end += len(ks)
+        kept = lens > 0
+        lens, starts = lens[kept], starts[kept]
+        del kept
+        pos = _runs(starts, lens)
+        del lens, starts
+        out = indices[indptr[lo]:indptr[hi]]
+        # positions lie in the pool by construction, so take need not check
+        # them (and so need not buffer its output)
+        pool_vals.take(pos, out=data[indptr[lo]:indptr[hi]], mode="clip")
+        pool_cols.take(pos, out=out, mode="clip")
+        if registry.frozen or not (out < 0).any():
+            return
+        # register new names in order of first occurrence, then turn the
+        # codes of registered names into columns; a run of entries at a time
+        for codes, register in ((out, True), (pool_cols[:end], False)):
+            for c in range(0, len(codes), _REGISTER_RUN):
+                run = codes[c:c + _REGISTER_RUN]
+                new = run < 0
+                if register:
+                    fresh, first = np.unique(-1 - run[new], return_index=True)
+                    for pid in fresh[np.argsort(first)].tolist():
+                        colmap[pid] = registry.index(names[pid])
+                run[new] = colmap[-1 - run[new]]
+
+    for lo, hi in spans:
+        gather(lo, hi)
     return CsrMatrix(indptr, indices, data, len(registry))
+
+
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The positions ``starts[j], ..., starts[j] + lens[j] - 1`` of every run j,
+    in order, for runs of length >= 1.  Built in place as the running sum of
+    steps: 1 within a run, the jump to its start at a run's first position.
+    ``lens`` is overwritten."""
+    pos = np.ones(int(lens.sum()), np.intp)
+    if len(pos):
+        pos[0] = starts[0]
+        jumps = np.diff(starts)
+        jumps -= lens[:-1]
+        jumps += 1
+        ends = np.cumsum(lens, out=lens)
+        pos[ends[:-1]] = jumps
+        np.cumsum(pos, out=pos)
+    return pos
 
 
 def count_punct(tokens) -> int:

@@ -2,7 +2,10 @@
 ``_dense`` alone decides when the solver's rows and prediction densify it.
 A dense form is written row block by row block (``CsrMatrix.dense_rows``)
 into the one array it fills, so densifying adds only one block's
-temporaries to that array.
+temporaries to that array.  Sparse solver rows keep their own ``intp``
+copy of the matrix's ``int32`` column indices, as the solver gathers by
+them on every pass and numpy casts an ``int32`` index array on every
+gather.
 
 One binary machine for 2-class tasks, one-vs-rest for 3-class, each
 minimising the L2-regularized hinge or squared-hinge loss; the bias is
@@ -105,8 +108,9 @@ HESSIAN_BLOCK_BYTES = 1 << 19
 
 def _dense(X: CsrMatrix) -> bool:
     """Whether nnz >= n(d+1)/4, the bias column counted: then one (n, d+1) array
-    takes at most twice the bytes of the sparse form (8 B index + 8 B value per
-    nonzero), and a coordinate step on a dense row skips gathering ``w[cols]``."""
+    takes at most twice the bytes of the sparse solver rows (8 B index + 8 B
+    value per nonzero), and a coordinate step on a dense row skips gathering
+    ``w[cols]``."""
     n, d = X.shape
     return 4 * (len(X.data) + n) >= n * (d + 1)
 
@@ -141,13 +145,14 @@ class _DenseRows:
 
 
 class _SparseRows:
-    """Solver rows in compressed sparse row form, the bias column last."""
+    """Solver rows in compressed sparse row form, the bias column last, with
+    ``intp`` column indices whatever the matrix's index type."""
 
     def __init__(self, X: CsrMatrix):
         n, d = X.shape
         ends = X.indptr[1:]
         self.indptr = X.indptr + np.arange(n + 1)
-        self.indices = np.insert(X.indices, ends, d)
+        self.indices = np.insert(X.indices, ends, d).astype(np.intp, copy=False)
         self.data = np.insert(X.data, ends, 1.0)
         self.lengths = np.diff(self.indptr)
         self.shape = (n, d + 1)

@@ -146,19 +146,24 @@ def make_output_dir(path) -> None:
         raise DataError(f"cannot create output directory {path}: {exc}") from None
 
 
-def load_standoff_dir(corpus_dir) -> Corpus:
-    """Parse every ``<id>.txt``/``<id>.ann`` pair of the directory, in id order."""
+def standoff_ids(corpus_dir) -> list[str]:
+    """The ids of the directory's ``<id>.txt``/``<id>.ann`` pairs, sorted."""
     try:
         names = os.listdir(corpus_dir)
     except OSError as exc:
         raise DataError(f"cannot read corpus directory {corpus_dir}: {exc}") from None
-    doc_ids = sorted(
+    return sorted(
         f.removesuffix(".txt")
         for f in names
         if f.endswith(".txt") and os.path.exists(
             os.path.join(corpus_dir, f.removesuffix(".txt") + ".ann")
         )
     )
+
+
+def load_standoff_dir(corpus_dir) -> Corpus:
+    """Parse every ``<id>.txt``/``<id>.ann`` pair of the directory, in id order."""
+    doc_ids = standoff_ids(corpus_dir)
     if not doc_ids:
         raise DataError(f"no <id>.txt / <id>.ann pairs found in {corpus_dir}")
     corpus = Corpus()

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corpus import ATTACK, SUPPORT, EauSpan, format_standoff
-from .pipeline import make_output_dir
+from .errors import DataError
+from .pipeline import make_output_dir, standoff_ids
 
 MARKERS = {SUPPORT: "moreover", ATTACK: "however"}
 SIGNAL_WORDS = {SUPPORT: "benefit", ATTACK: "harm"}
@@ -212,15 +213,24 @@ def embeddings_text(seed: int = 0, dim: int = EMBED_DIM) -> str:
 
 
 def generate_corpus(out_dir, config: SynthConfig) -> list[str]:
-    """Write a full synthetic corpus (all layers + split + embeddings) to disk."""
+    """Write a full synthetic corpus (all layers + split + embeddings) to disk.
+
+    A directory that holds documents of other ids is a ``DataError``, and
+    nothing is written: they would sit beside a split file that does not
+    list them.
+    """
     make_output_dir(out_dir)
+    doc_ids = [f"essay{i:03d}" for i in range(config.n_docs)]
+    stale = sorted(set(standoff_ids(out_dir)) - set(doc_ids))
+    if stale:
+        raise DataError(
+            f"{out_dir} holds documents that the new corpus would not list: "
+            f"{', '.join(stale)}; write into an empty directory"
+        )
     rng = np.random.default_rng(config.seed)
-    doc_ids = []
     split_lines = []
     n_train = max(1, int(round(config.n_docs * config.train_share)))
-    for i in range(config.n_docs):
-        doc_id = f"essay{i:03d}"
-        doc_ids.append(doc_id)
+    for i, doc_id in enumerate(doc_ids):
         files = generate_doc(doc_id, config, rng)
         for ext, content in files.items():
             with open(os.path.join(out_dir, f"{doc_id}.{ext}"), "w") as fh:

@@ -14,6 +14,7 @@ that one result.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -61,10 +62,11 @@ def range_disjoint(span, other) -> bool:
 
 
 def _rule(node) -> str:
-    """``LHS→RHS1_RHS2_...``: leaves render lowercased, markers as their label."""
-    return f"{node.label}→" + "_".join(
+    """``LHS→RHS1_RHS2_...``: leaves render lowercased, markers as their label;
+    interned, as every cut formats the rules of its sentence again."""
+    return sys.intern(f"{node.label}→" + "_".join(
         [c.label.lower() if c.is_leaf else c.label for c in node.children]
-    )
+    ))
 
 
 def _subtree_rules(node, rules: list[str]) -> None:

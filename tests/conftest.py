@@ -25,10 +25,10 @@ SMOKE_EAU_CHARS = (9, 32)
 SMOKE_EAU_TOKENS = (2, 6)
 
 
-def csr_of(vectors, n_cols):
+def csr_of(vectors, n_cols, index_dtype=np.intp):
     """The ``CsrMatrix`` whose rows are the ``{column: value}`` dicts, entries in dict order."""
     indptr = np.cumsum([0] + [len(vec) for vec in vectors]).astype(np.intp)
-    indices = np.array([j for vec in vectors for j in vec], np.intp)
+    indices = np.array([j for vec in vectors for j in vec], index_dtype)
     data = np.array([v for vec in vectors for v in vec.values()], float)
     assert np.all((0 <= indices) & (indices < n_cols)), "column outside the matrix"
     return CsrMatrix(indptr, indices, data, n_cols)

@@ -1,6 +1,7 @@
 import os
 import re
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +190,25 @@ def recursive_parse(line):
     if pos != len(items):
         raise StandoffParseError("unbalanced brackets: trailing material")
     return root, leaves
+
+
+def test_equal_strings_of_the_corpus_are_one_object(synth_dir):
+    """Token surfaces, tree labels and leaves are interned: an equal surface in
+    two documents is one object, and so are a tree leaf and its token."""
+    bundle = load_corpus_dir(synth_dir)
+    docs = list(bundle.bundles.values())
+    first = {tok.surface: tok.surface for tok in docs[0].tokens}
+    shared = [tok.surface for tok in docs[1].tokens if tok.surface in first]
+    assert shared
+    assert all(surface is first[surface] for surface in shared)
+    for doc in docs[:3]:
+        for sent_idx, tree in doc.trees.items():
+            tokens = [tok for tok in doc.tokens if tok.sentence_idx == sent_idx]
+            leaves = [node for node in tree.root.iter_nodes() if node.is_leaf]
+            assert all(leaf.label is tok.surface for leaf, tok in zip(leaves, tokens))
+    labels = [node.label for doc in docs[:2] for tree in doc.trees.values()
+              for node in tree.root.iter_nodes() if not node.is_leaf]
+    assert all(label is sys.intern(label) for label in labels)
 
 
 def test_parser_matches_the_recursive_parser_on_a_corpus(synth_dir):

@@ -563,6 +563,25 @@ def test_extraction_column_views_are_the_typed_slices(synth_dir):
         assert_rows_equal(X.columns(columns), expected, len(oracle))
 
 
+def test_extract_matrix_and_column_views_keep_int32_indices(synth_dir):
+    data = prepared(synth_dir, "g")
+    registry = FeatureRegistry()
+    X = extract_matrix(data.train_views, registry, None, data.embedding_dim)
+    wide = csr_of_array(np.eye(3))  # intp indices in, int32 out
+    for M in (X, X.columns(registry.columns_of(CB)), extract_matrix([], FeatureRegistry()),
+              wide.columns(np.array([True, False, True]))):
+        assert M.indices.dtype == np.int32 and M.indptr.dtype == np.intp
+
+
+def test_views_keep_no_instance_dict(synth_dir):
+    """The view records have slots; ``dataclasses.replace`` still works on them."""
+    view = prepared(synth_dir, "g").train_views[0]
+    for record in (view, view.source, view.source.content, view.source.context):
+        assert not hasattr(record, "__dict__")
+    swapped = dataclasses.replace(view, target=view.source)
+    assert swapped.target is view.source and swapped.instance is view.instance
+
+
 def test_sparse_rows_of_shared_sides_match_per_instance_assembly():
     """A wide vocabulary gives rows the learner keeps sparse; sides are shared,
     some views unpaired."""

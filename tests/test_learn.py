@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -59,6 +60,19 @@ def _dense_rows(vectors, d):
 
 def _sparse_rows(vectors, d):
     return _SparseRows(csr_of(vectors, d))
+
+
+# ``extract_matrix`` makes int32 column indices; the rows must not depend on it
+def _dense_rows_int32(vectors, d):
+    return _DenseRows(csr_of(vectors, d, np.int32))
+
+
+def _sparse_rows_int32(vectors, d):
+    return _SparseRows(csr_of(vectors, d, np.int32))
+
+
+ROW_FORMS = [_dense_rows, _sparse_rows, _dense_rows_int32, _sparse_rows_int32]
+INDEX_DTYPES = (np.intp, np.int32)
 
 
 def separable_data():
@@ -179,6 +193,10 @@ def test_rows_follow_density():
     assert all(cols is not None for cols, _ in rows)
     # the bias column is appended to every row
     assert all(cols[-1] == 400 and x[-1] == 1.0 for cols, x in rows)
+    # sparse rows gather by intp columns whatever the matrix's index type
+    sparse = _sparse_rows_int32(vectors, 400)
+    assert sparse.indices.dtype == np.intp
+    assert np.array_equal(sparse.indices, _sparse_rows(vectors, 400).indices)
 
 
 def random_fill(n, d, nnz, seed):
@@ -192,9 +210,9 @@ def random_fill(n, d, nnz, seed):
 @pytest.mark.parametrize("n, d", [(1, 3), (4, 7), (10, 39), (20, 1)])
 def test_solver_rows_are_dense_exactly_when_the_density_rule_holds(n, d):
     """Dense when nnz + n >= n(d+1)/4, the bias column counted; every nnz is tried."""
-    for nnz in range(n * d + 1):
+    for nnz, index_dtype in itertools.product(range(n * d + 1), INDEX_DTYPES):
         dense = random_fill(n, d, nnz, seed=nnz)
-        X = csr_of(dense_to_sparse(dense.tolist()), d)
+        X = csr_of(dense_to_sparse(dense.tolist()), d, index_dtype)
         rows = _solver_rows(X)
         rule = 4 * (nnz + n) >= n * (d + 1)
         assert isinstance(rows, _DenseRows) == _dense(X) == rule
@@ -229,7 +247,7 @@ def test_decision_values_are_x_w_plus_b_in_either_form(nnz):
 def test_sparse_and_dense_rows_train_the_same_weights(loss):
     vectors, y, C_i = random_problem(3)
     w = {}
-    for make in (_dense_rows, _sparse_rows):
+    for make in ROW_FORMS:
         w[make], duals, _, _ = _dcd_binary(
             make(vectors, 12), y, C_i, loss, 1e-4, 50, np.random.default_rng(4)
         )
@@ -237,9 +255,12 @@ def test_sparse_and_dense_rows_train_the_same_weights(loss):
     assert np.max(np.abs(w[_dense_rows] - w[_sparse_rows])) <= 1e-12 * np.max(
         np.abs(w[_dense_rows])
     )
+    # the index type changes no bit
+    assert np.array_equal(w[_dense_rows_int32], w[_dense_rows])
+    assert np.array_equal(w[_sparse_rows_int32], w[_sparse_rows])
 
 
-@pytest.mark.parametrize("make_rows", [_dense_rows, _sparse_rows])
+@pytest.mark.parametrize("make_rows", ROW_FORMS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_converged_dcd_reaches_the_lbfgs_primal_optimum(make_rows, seed):
     """Independent oracle: a converged DCD run attains the squared-hinge primal minimum."""
@@ -290,7 +311,7 @@ def rank_deficient_problem(seed, d, density):
     return vectors, y, C_i
 
 
-@pytest.mark.parametrize("make_rows", [_dense_rows, _sparse_rows])
+@pytest.mark.parametrize("make_rows", ROW_FORMS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_newton_reaches_the_lbfgs_primal_optimum(make_rows, seed):
     vectors, y, C_i = rank_deficient_problem(seed, 12, 0.3)
@@ -339,7 +360,7 @@ def test_line_search_finds_the_exact_minimum(seed, q_scale, kept):
     assert same_active_set == kept == np.array_equal(active, slack - t * q > 0)
 
 
-@pytest.mark.parametrize("make_rows", [_dense_rows, _sparse_rows])
+@pytest.mark.parametrize("make_rows", ROW_FORMS)
 def test_incremental_hessian_matches_a_rebuild(make_rows, monkeypatch):
     n = 200
     # blocks of 16 rows x 13 columns, so every update spans several blocks

@@ -8,6 +8,7 @@ many blocks each pass adds little beyond its output.
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from argdissect.evaluation import anova_scores
@@ -54,6 +55,18 @@ def test_extraction_peaks_near_its_output(training_set):
     assert len(X.data) > n * d // 4  # dense enough that a copy would show
     output = X.indptr.nbytes + X.indices.nbytes + X.data.nbytes
     assert peak <= 2.5 * output
+
+
+def test_extraction_of_built_views_adds_little_beyond_its_output(training_set):
+    """Views already built, extraction holds its output, the pool of side
+    entries and one row block's temporaries: no whole-matrix temporary."""
+    data, _, X, _ = training_set
+    Y, peak = added_peak(
+        lambda: extract_matrix(data.train_views, FeatureRegistry(), None, data.embedding_dim)
+    )
+    assert np.array_equal(Y.indices, X.indices) and np.array_equal(Y.data, X.data)
+    output = Y.indptr.nbytes + Y.indices.nbytes + Y.data.nbytes
+    assert peak <= 1.8 * output
 
 
 def test_anova_makes_no_dense_copy(training_set):

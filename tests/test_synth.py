@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from argdissect.cli import main
 from argdissect.corpus import ATTACK, SUPPORT, build_instances
 from argdissect.pipeline import load_corpus_dir
 from argdissect.synth import (
@@ -40,6 +41,33 @@ def test_generation_is_seed_deterministic(tmp_path):
     generate_corpus(str(b), SynthConfig(n_docs=3, seed=9))
     for name in sorted(os.listdir(a)):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def directory_bytes(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+def test_a_smaller_corpus_over_a_larger_one_is_a_data_error(tmp_path, capsys):
+    """Writing 6 documents where 12 are would leave essay006..essay011 beside
+    a split file that does not list them: exit 2, naming them, writing nothing."""
+    out = tmp_path / "c"
+    assert main(["synth", "--out", str(out), "--docs", "12", "--seed", "1"]) == 0
+    before = directory_bytes(out)
+    assert main(["synth", "--out", str(out), "--docs", "6", "--seed", "2"]) == 2
+    err = capsys.readouterr().err
+    assert all(f"essay{i:03d}" in err for i in range(6, 12))
+    assert "essay005" not in err
+    assert directory_bytes(out) == before
+
+
+def test_rewriting_the_same_or_more_documents_is_allowed(tmp_path):
+    out = tmp_path / "c"
+    generate_corpus(str(out), SynthConfig(n_docs=6, seed=1))
+    generate_corpus(str(out), SynthConfig(n_docs=6, seed=2))
+    generate_corpus(str(out), SynthConfig(n_docs=9, seed=3))
+    fresh = tmp_path / "fresh"
+    generate_corpus(str(fresh), SynthConfig(n_docs=9, seed=3))
+    assert directory_bytes(out) == directory_bytes(fresh)
 
 
 def test_split_share(tmp_path):
