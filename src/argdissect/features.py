@@ -13,8 +13,10 @@ pass.
 ``extract_matrix`` extracts a batch of views into one ``CsrMatrix`` over the
 registry, extracting each side shared by several views once, and formats
 each feature name once per distinct payload; the CB and CI slices of an FA
-matrix are its column views (``FeatureRegistry.columns_of``).  Other modules
-take feature matrices only in this form.  A ``CsrMatrix`` keeps ``int32``
+matrix are its column views (``FeatureRegistry.columns_of``).  The batch may
+come as chunks, lists of views one after another (the training split comes
+a document at a time), and no chunk's sides are kept past it.  Other
+modules take feature matrices only in this form.  A ``CsrMatrix`` keeps ``int32``
 column indices and ``intp`` row pointers, 12 B per stored entry.  Apart from
 one pool of each side's entries, the extraction works in ``row_blocks``
 whose temporaries take at most ``ROW_BLOCK_BYTES``, as does every
@@ -30,9 +32,10 @@ from __future__ import annotations
 
 import hashlib
 import string
+from array import array
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -446,7 +449,7 @@ class CsrMatrix:
 
 
 def extract_matrix(
-    views: list[InstanceView],
+    views: list[InstanceView] | Iterable[list[InstanceView]],
     registry: FeatureRegistry,
     families=None,
     embedding_dim: int = 0,
@@ -454,97 +457,146 @@ def extract_matrix(
 ) -> CsrMatrix:
     """The views' features in the model type's Φ slice, one row each.
 
-    Row i holds view i's features whose ``feature_type`` is the model type
-    (all of them for FA), in name order.  Each distinct side object is
-    extracted once by the per-side extractors, whichever tags it appears
-    under, and into one row of each ``_pair_values`` array per tag.  Only the
-    difference blocks are computed per row, from those arrays.  Each name is
-    formatted once, when its payload is new to its family and scope.  An
-    open registry registers new names where they first occur, row by row,
-    in name order within a row; a frozen one counts each occurrence of an
-    unknown name in ``dropped_unseen``.
+    ``views`` is a list of views, or an iterable of such lists (chunks)
+    whose rows follow one another; either gives the same matrix, registry
+    and ``dropped_unseen``.  Row i holds view i's features whose
+    ``feature_type`` is the model type (all of them for FA), in name order.
+    Each distinct side object of a chunk is extracted once by the per-side
+    extractors, whichever tags it appears under, and into one row of each
+    ``_pair_values`` array per tag.  Only the difference blocks are
+    computed per row, from those arrays.  Each name is formatted once, when
+    its payload is new to its family and scope.  An open registry registers
+    new names where they first occur, row by row, in name order within a
+    row; a frozen one counts each occurrence of an unknown name in
+    ``dropped_unseen``.
 
-    Only the pool of side blocks is whole; everything per row (segment
-    numbers, difference blocks, registration, the gather) is made in
-    ``row_blocks``, and the result is written into its final arrays.
+    A chunk's sides are extracted when the chunk arrives and are not kept:
+    only their pool of entries, the rows' side numbers and the
+    ``_pair_values`` arrays outlive it.  Sides are told apart by object
+    identity within a chunk only, as a side freed with its chunk may leave
+    its id to a new one; a side repeated across chunks is extracted once
+    per chunk.  Everything per row (segment numbers, difference blocks,
+    registration, the gather) is made in ``row_blocks``, and the result is
+    written into its final arrays.
     """
     if model_type not in MODEL_TYPES:
         raise ValueError(f"unknown model type: {model_type}")
+    chunks = iter([views] if isinstance(views, list) else views)
+    chunk = next((c for c in chunks if c), [])
     if families is None:
-        families = default_families(views[0].layers) if views else ()
-    for layers in {view.layers for view in views}:
-        for family in families:
-            if FAMILY_LAYER[family] not in layers:
-                raise MissingLayerError(FAMILY_LAYER[family])
+        families = default_families(chunk[0].layers) if chunk else ()
     blocks = [
         b for b in _blocks_in_order(families)
         if model_type == FA or SCOPE_TYPE[b[1]] == model_type
     ]
-    n = len(views)
-    # sides[tag] holds each distinct side under the tag once, in order of
-    # first appearance; ids[tag][i] is row i's side, or -1
-    sides, seen = {tag: [] for tag in TAGS}, {tag: {} for tag in TAGS}
-    ids = {tag: np.full(n, -1, np.intp) for tag in TAGS}
-    for i, view in enumerate(views):
-        for tag, sv in view.sides:
-            ids[tag][i] = j = seen[tag].setdefault(id(sv), len(sides[tag]))
-            if j == len(sides[tag]):
-                sides[tag].append(sv)
-    paired = ids["tgt"] >= 0
 
-    # The pool holds each side's src and tgt blocks once per tag, as
-    # segments: the named blocks side by side, converted so that one side's
-    # payload dicts are alive at a time, then the numeric blocks block by
-    # block.  Segment 0 is empty.  Row i's segment of such a block b is
-    # base[b] + stride[b] * ids[tag][i], or 0 if the row lacks the tag's
-    # side.  A diff block's segments are per row: they are made for each
-    # row block, into the pool's tail.  An entry holds its payload's number
-    # in ``payloads`` of the block's (family, scope), which the src, tgt and
-    # diff blocks share; a numeric block's payload number is its column.
+    # Per tag, the pool holds each side's named blocks once, as segments
+    # side by side, converted so that one side's payload dicts are alive at
+    # a time; the numeric blocks follow, block by block, made from the
+    # ``_pair_values`` arrays.  Segment 0 is empty.  Row i's segment of such
+    # a block b is base[b] + stride[b] * ids[tag][i], or 0 if the row lacks
+    # the tag's side; ids[tag][i] numbers the side among the tag's sides,
+    # chunk after chunk.  A diff block's segments are per row: they are made
+    # for each row block, into the pool's tail.  An entry holds its
+    # payload's number in ``payloads`` of the block's (family, scope), which
+    # the src, tgt and diff blocks share; a numeric block's payload number
+    # is its column.
     payloads: dict[tuple[str, str], dict[str, int]] = {
         (family, scope): {
             p: k for k, p in enumerate(_pair_payloads(family, embedding_dim))
         } if family in _PAIRED else {}
         for family, scope, _ in blocks
     }
-    pool_ids, pool_vals, seg_lens, seg_block = [np.empty(0, np.intp)], [np.empty(0)], [0], [0]
-    base, stride = np.zeros(len(blocks), np.intp), np.zeros(len(blocks), np.intp)
-    extracted = {}  # id(side) -> its segments, kept from its src to its tgt pass
-    for tag in TAGS:
-        tag_blocks = [
+    named_blocks = {
+        tag: [
             b for b, (family, _, btag) in enumerate(blocks)
             if btag == tag and family not in _PAIRED
         ]
-        numbering = [payloads[blocks[b][:2]] for b in tag_blocks]
-        base[tag_blocks] = len(seg_lens) + np.arange(len(tag_blocks))
-        stride[tag_blocks] = len(tag_blocks)
-        for sv in sides[tag]:
-            segments = extracted.pop(id(sv), None)
-            if segments is None:
-                by_block = _side_blocks(sv, families)
-                named = [by_block[blocks[b][:2]] for b in tag_blocks]
-                segments = (
-                    np.array([
-                        number.setdefault(p, len(number))
-                        for number, block in zip(numbering, named) for p in block
-                    ], np.intp),
-                    np.array([v for block in named for v in block.values()], float),
-                    [len(block) for block in named],
-                )
-                if tag == "src" and id(sv) in seen["tgt"]:
-                    extracted[id(sv)] = segments
-            pool_ids.append(segments[0])
-            pool_vals.append(segments[1])
-            seg_lens.extend(segments[2])
-            seg_block.extend(tag_blocks)
+        for tag in TAGS
+    }
+    numbering = {tag: [payloads[blocks[b][:2]] for b in named_blocks[tag]] for tag in TAGS}
+    # Grown chunk by chunk, per tag: each row's side number (-1 for none),
+    # the pool's payload numbers, values and segment lengths, and each
+    # numeric block's ``_pair_values`` rows.  ``array`` buffers grow in
+    # place; a small numpy array per chunk would leave the freed heap
+    # fragmented under the solver's dense copy (anova-g1k peak RSS about
+    # 6 MB higher).
+    ids = {tag: array("q") for tag in TAGS}
+    pool = {tag: (array("q"), array("d"), array("q")) for tag in TAGS}
+    side_rows = {
+        (family, scope, tag): array("d") for family, scope, tag in blocks
+        if family in _PAIRED and tag != "diff"
+    }
+    n_sides = dict.fromkeys(TAGS, 0)
+
+    def take(chunk):
+        """Number the chunk's sides after those of earlier chunks, and pool
+        their named entries and their ``_pair_values`` rows."""
+        for layers in {view.layers for view in chunk}:
+            for family in families:
+                if FAMILY_LAYER[family] not in layers:
+                    raise MissingLayerError(FAMILY_LAYER[family])
+        # sides[tag] holds each distinct side of the chunk under the tag
+        # once, in order of first appearance
+        sides, seen = {tag: [] for tag in TAGS}, {tag: {} for tag in TAGS}
+        for view in chunk:
+            for tag, sv in zip(TAGS, (view.source, view.target)):
+                j = -1 if sv is None else seen[tag].setdefault(id(sv), n_sides[tag])
+                if j == n_sides[tag]:
+                    sides[tag].append(sv)
+                    n_sides[tag] += 1
+                ids[tag].append(j)
+        extracted = {}  # id(side) -> its segments, kept from its src to its tgt pass
+        for tag in TAGS:
+            for sv in sides[tag]:
+                segments = extracted.pop(id(sv), None)
+                if segments is None:
+                    by_block = _side_blocks(sv, families)
+                    named = [by_block[blocks[b][:2]] for b in named_blocks[tag]]
+                    segments = (
+                        [
+                            number.setdefault(p, len(number))
+                            for number, block in zip(numbering[tag], named) for p in block
+                        ],
+                        [v for block in named for v in block.values()],
+                        [len(block) for block in named],
+                    )
+                    if tag == "src" and id(sv) in seen["tgt"]:
+                        extracted[id(sv)] = segments
+                for kept, part in zip(pool[tag], segments):
+                    kept.extend(part)
+        for (family, scope, tag), rows in side_rows.items():
+            rows.frombytes(_pair_values(family, scope, sides[tag], embedding_dim).tobytes())
+
+    while chunk is not None:
+        take(chunk)
+        chunk = next(chunks, None)
+    ids = {tag: np.frombuffer(ids[tag], np.int64) for tag in TAGS}
+    n = len(ids["src"])
+    paired = ids["tgt"] >= 0
+
     # pid: a name's place in ``names``, the blocks' names in block order
     names = [
         f"{_FAMILY_PREFIX[family]}:{scope}:{tag}:{p}"
         for family, scope, tag in blocks for p in payloads[family, scope]
     ]
     offsets = np.cumsum([0] + [len(payloads[b[:2]]) for b in blocks])
-    pool_pids = [np.concatenate(pool_ids) + np.repeat(offsets[seg_block], seg_lens)]
-    del pool_ids, seg_block
+    base, stride = np.zeros(len(blocks), np.intp), np.zeros(len(blocks), np.intp)
+    pool_pids, pool_vals, seg_lens = [], [], [np.zeros(1, np.int64)]
+    n_segments = 1
+    for tag in TAGS:
+        tag_blocks = named_blocks[tag]
+        base[tag_blocks] = n_segments + np.arange(len(tag_blocks))
+        stride[tag_blocks] = len(tag_blocks)
+        n_segments += len(tag_blocks) * n_sides[tag]
+        numbers, values, lens = (
+            np.frombuffer(kept, dtype)
+            for kept, dtype in zip(pool[tag], (np.int64, float, np.int64))
+        )
+        pool_pids.append(numbers + np.repeat(np.tile(offsets[tag_blocks], n_sides[tag]), lens))
+        pool_vals.append(values)
+        seg_lens.append(lens)
+    del pool, numbers
     side_values, diff_blocks = {}, []
     for b, (family, scope, tag) in enumerate(blocks):
         if family not in _PAIRED:
@@ -552,15 +604,16 @@ def extract_matrix(
         if tag == "diff":
             diff_blocks.append(b)
             continue
-        values = side_values[family, scope, tag] = _pair_values(
-            family, scope, sides[tag], embedding_dim
-        )
-        base[b], stride[b] = len(seg_lens), 1
+        values = side_values[family, scope, tag] = np.frombuffer(
+            side_rows.pop((family, scope, tag))
+        ).reshape(n_sides[tag], len(payloads[family, scope]))
+        base[b], stride[b] = n_segments, 1
+        n_segments += len(values)
         rows, ks = np.nonzero(values)
         pool_pids.append(offsets[b] + ks)
         pool_vals.append(values[rows, ks])
-        seg_lens.extend(np.count_nonzero(values, axis=1).tolist())
-    seg_lens = np.array(seg_lens)
+        seg_lens.append(np.count_nonzero(values, axis=1))
+    seg_lens = np.concatenate(seg_lens)
 
     # An entry's code is its name's column, or -1 - pid while the registry
     # lacks the name: colmap[pid] is the code of the name
@@ -575,10 +628,10 @@ def extract_matrix(
 
     def per_side(seg_values, tag):
         """Per side under the tag, the sum of ``seg_values`` over its segments."""
-        total = np.zeros(len(sides[tag]), seg_values.dtype)
+        total = np.zeros(n_sides[tag], seg_values.dtype)
         for b, (_, _, btag) in enumerate(blocks):
             if btag == tag:
-                total += seg_values[base[b] + stride[b] * np.arange(len(sides[tag]))]
+                total += seg_values[base[b] + stride[b] * np.arange(n_sides[tag])]
         return total
 
     if registry.frozen:
@@ -588,7 +641,7 @@ def extract_matrix(
             np.repeat(np.arange(len(seg_lens)), seg_lens)[unknown], minlength=len(seg_lens)
         )
         for tag in TAGS:
-            uses = np.bincount(ids[tag][ids[tag] >= 0], minlength=len(sides[tag]))
+            uses = np.bincount(ids[tag][ids[tag] >= 0], minlength=n_sides[tag])
             registry.dropped_unseen += int(per_side(unseen, tag) @ uses)
         pool_cols, pool_vals = pool_cols[~unknown], pool_vals[~unknown]
         seg_lens -= unseen

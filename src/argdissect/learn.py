@@ -14,15 +14,17 @@ learned through an augmented constant feature.
 A squared-hinge machine is solved exactly in the primal by a finite
 Newton method (``_newton_sqhinge``) whenever its D x D Hessian, D the
 number of columns with the bias, holds no more entries than the solver
-rows do.  Dual coordinate descent (DCD) then starts from the dual point
-of that solution, alpha_i = 2 C_i max(0, 1 - y_i w.x_i), and checks every
-coordinate's projected gradient there: this certificate is the first
-epoch and the first dual objective.  Only if it fails do epochs of
-coordinate ascent follow.  A hinge machine, and a squared-hinge machine
-over a feature space too wide for the Hessian, is trained by plain DCD
-from zero.  ``max_epochs`` caps the DCD epochs, the certificate
-included, never the Newton steps.  The coordinate order is driven solely
-by the seed, so retraining is bit-identical.
+rows do; every machine's first step, where every row is active, starts
+from one Hessian that the model builds once.  Dual coordinate descent
+(DCD) then starts from the dual point of that solution, alpha_i = 2 C_i
+max(0, 1 - y_i w.x_i), and checks every coordinate's projected gradient
+there: this certificate is the first epoch and the first dual objective.
+Only if it fails do epochs of coordinate ascent follow.  A hinge machine,
+and a squared-hinge machine over a feature space too wide for the
+Hessian, is trained by plain DCD from zero.  ``max_epochs`` caps the DCD
+epochs, the certificate included, never the Newton steps.  The coordinate
+order is driven solely by the seed, so retraining is bit-identical; the
+generator is made only when a coordinate epoch runs.
 """
 
 from __future__ import annotations
@@ -235,22 +237,36 @@ def _line_search(slack: np.ndarray, q: np.ndarray, C_i: np.ndarray,
     return float(-B_piece[piece] / A_piece[piece]), piece == 0
 
 
-def _newton_sqhinge(X: SolverRows, y: np.ndarray, C_i: np.ndarray) -> tuple[np.ndarray, int]:
+def _first_hessian(X: SolverRows, C_i: np.ndarray) -> np.ndarray:
+    """I + 2 X^T diag(C) X over every row: the Hessian of the first Newton step
+    of every machine over ``X`` and ``C_i``, as there every row is active.
+    Built as that step builds it, so it is the same to the bit."""
+    n = X.shape[0]
+    H = np.eye(X.shape[1])
+    _update_hessian(H, X, C_i, np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+    return H
+
+
+def _newton_sqhinge(X: SolverRows, y: np.ndarray, C_i: np.ndarray,
+                    first_hessian: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Minimise 0.5||w||^2 + sum_i C_i max(0, 1 - y_i w.x_i)^2; returns (w, Newton steps).
 
     The modified finite Newton method (Keerthi & DeCoste, JMLR 2005; the
     primal of LIBLINEAR ``-s 2``).  A step solves the generalized Hessian
     system (I + 2 X_I^T diag(C_I) X_I) s = -grad over the active set
     I = {i : y_i w.x_i < 1} directly, then minimises exactly along s.  The
-    Hessian is built at the first step and then updated only by the rows
-    that entered or left I.  It stops when the line minimum keeps the
-    active set, as that step minimised the quadratic piece holding the
-    optimum, or when a step no longer lowers the objective (rounding), or
-    after ``NEWTON_MAX_ITERATIONS`` steps.
+    Hessian is built at the first step, or copied from ``first_hessian``
+    (``_first_hessian(X, C_i)``, which the one-vs-rest machines share), and
+    then updated only by the rows that entered or left I.  It stops when
+    the line minimum keeps the active set, as that step minimised the
+    quadratic piece holding the optimum, or when a step no longer lowers
+    the objective (rounding), or after ``NEWTON_MAX_ITERATIONS`` steps.
     """
     n, D = X.shape
-    H = np.eye(D)
-    in_H = np.zeros(n, dtype=bool)
+    if first_hessian is None:
+        H, in_H = np.eye(D), np.zeros(n, dtype=bool)
+    else:
+        H, in_H = first_hessian.copy(), np.ones(n, dtype=bool)
     w = np.zeros(D)
     slack = np.ones(n)
     objective = float(C_i.sum())
@@ -282,18 +298,21 @@ def _newton_sqhinge(X: SolverRows, y: np.ndarray, C_i: np.ndarray) -> tuple[np.n
 
 
 def _dcd_binary(X: SolverRows, y: np.ndarray, C_i: np.ndarray, loss: str, tol: float,
-                max_epochs: int, rng: np.random.Generator, alpha: np.ndarray | None = None):
+                max_epochs: int, seed: int, alpha: np.ndarray | None = None):
     """Dual coordinate descent for min 0.5||w||^2 + sum_i C_i * loss_i.
 
     ``X`` comes from ``_solver_rows``, y in {-1, +1}.  From ``alpha`` = None it
     starts at zero.  Given a warm start ``alpha`` (w = sum_i alpha_i y_i x_i)
     it first computes every coordinate's projected gradient there, vectorized:
     the certificate, the first epoch and the first dual objective; epochs of
-    coordinate ascent follow only if it fails.  Returns (w, dual objective per
-    epoch, whether the last epoch's max projected gradient met ``tol``, that
-    max projected gradient).  In the coordinate loop the scalars are Python
-    floats: on rows of a few hundred entries numpy scalar arithmetic would
-    cost more than the dot product.
+    coordinate ascent follow only if it fails.  Their coordinate order is
+    drawn from ``np.random.default_rng(seed)``, made just before the first
+    of them, so a machine the certificate settles never imports
+    ``numpy.random``.  Returns (w, dual objective per epoch, whether the last
+    epoch's max projected gradient met ``tol``, that max projected
+    gradient).  In the coordinate loop the scalars are Python floats: on rows
+    of a few hundred entries numpy scalar arithmetic would cost more than
+    the dot product.
     """
     n = X.shape[0]
     if loss == "hinge":
@@ -328,6 +347,7 @@ def _dcd_binary(X: SolverRows, y: np.ndarray, C_i: np.ndarray, loss: str, tol: f
     Qbar = [float(x.dot(x)) + D_i for (_, x), D_i in zip(rows, D)]
     y = y.tolist()
     alpha = alpha.tolist()
+    rng = np.random.default_rng(seed)
     for _ in range(max_epochs - len(duals)):
         max_pg = 0.0
         for i in rng.permutation(n).tolist():
@@ -398,6 +418,7 @@ def train(
     # the Newton step solves a D x D system; on a feature space wide enough
     # that it outgrows the rows themselves, DCD from zero serves instead
     newton = config.loss == "squared_hinge" and D * D <= X.stored
+    first_hessian = _first_hessian(X, C_i) if newton else None
 
     weights: dict[str, np.ndarray] = {}
     biases: dict[str, float] = {}
@@ -410,11 +431,10 @@ def train(
         y = np.where(y_arr == cls, 1.0, -1.0)
         alpha, newton_iterations = None, 0
         if newton:
-            w_opt, newton_iterations = _newton_sqhinge(X, y, C_i)
+            w_opt, newton_iterations = _newton_sqhinge(X, y, C_i, first_hessian)
             alpha = 2.0 * C_i * np.maximum(0.0, 1.0 - y * X.dot(w_opt))
         w_aug, dual_hist, converged, max_pg = _dcd_binary(
-            X, y, C_i, config.loss, config.tolerance, config.max_epochs,
-            np.random.default_rng(config.seed), alpha,
+            X, y, C_i, config.loss, config.tolerance, config.max_epochs, config.seed, alpha
         )
         if not np.isfinite(w_aug).all():
             raise DataError(

@@ -8,10 +8,12 @@ each solver machine's convergence, and writes a manifest with content hashes
 so runs are reproducible.
 
 ``prepare`` checks every layer file but builds no side view: a command builds
-only the views it reads (``ExperimentData``), one per distinct EAU side.  A
-document's sentence regions and discourse spans are worked out once, on
-first use (``DocBundle``); aligning an EAU and the discourse split still read
-the whole document.  The corpus layer set is worked out once
+only the views it reads (``ExperimentData``), one per distinct EAU side.  The
+training views are streamed into the extraction one document at a time and
+not kept; the test views are built once and kept.  A document's sentence
+regions and discourse spans are worked out once, on first use
+(``DocBundle``); aligning an EAU and the discourse split still read the
+whole document.  The corpus layer set is worked out once
 (``CorpusBundle.layers``).
 """
 
@@ -82,6 +84,7 @@ from .treeops import (  # noqa: F401  (kept importable here: tracing tools wrap 
 _start = attrgetter("start")
 _end = attrgetter("end")
 _sentence_of = attrgetter("sentence_idx")
+_doc_of = attrgetter("doc_id")
 
 
 @dataclass
@@ -398,9 +401,12 @@ class RunConfig:
 class ExperimentData:
     """A loaded corpus and each split's instances, with their labels and views.
 
+    Views are built through the module's ``build_views`` name, which
+    tracing tools wrap.  ``train_features`` streams the training views,
+    one document at a time, into the extraction and keeps none of them.
     ``train_views`` and ``test_views`` are built the first time they are
-    read, through the module's ``build_views`` name (which tracing tools
-    wrap), and kept: ``anova`` builds no test view and ``baseline`` none.
+    read, and kept.  Of the commands only ``ingest`` reads ``train_views``;
+    ``anova`` and ``baseline`` read no ``test_views``.
     """
 
     bundle: CorpusBundle
@@ -430,11 +436,17 @@ class ExperimentData:
         """The training views' FA registry, frozen, and their FA rows over it.
 
         Extracted on the first call for ``families`` and kept: every model
-        type trains on a column view of the same rows.
+        type trains on a column view of the same rows.  The views are built
+        one document at a time, each document's extracted as soon as they
+        are built, and none is kept.
         """
         if families not in self._train_features:
             registry = FeatureRegistry()
-            X = extract_matrix(self.train_views, registry, families, self.embedding_dim)
+            views = (
+                build_views(self.bundle, list(instances))
+                for _, instances in groupby(self.train_instances, key=_doc_of)
+            )
+            X = extract_matrix(views, registry, families, self.embedding_dim)
             registry.freeze()
             self._train_features[families] = registry, X
         return self._train_features[families]

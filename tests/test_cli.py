@@ -160,6 +160,29 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("max_epochs, imported", [("1", False), ("200", True)])
+def test_numpy_random_is_imported_only_for_coordinate_epochs(
+    synth_dir, tmp_path, max_epochs, imported
+):
+    """``anova --max-epochs 1`` certifies every machine after Newton's method
+    and runs no coordinate epoch, so it never imports ``numpy.random``; a
+    hinge job's epochs do."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    args = ["anova"] + base_args(synth_dir, str(tmp_path / "out"))[:-2] + [
+        "--task", "g", "--max-epochs", max_epochs,
+    ] + (["--loss", "hinge"] if imported else [])
+    code = (
+        "import sys; from argdissect.cli import main; "
+        f"assert main({args!r}) == 0; print('numpy.random' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(imported)
+
+
 def test_baseline(synth_dir, tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     args = ["baseline"] + base_args(synth_dir, out_dir) + ["--task", "f"]

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -665,14 +667,131 @@ def test_numeric_blocks_of_shared_sides_match_per_view_assembly():
         assert registry.dropped_unseen == oracle.dropped_unseen > 0
 
 
+def in_chunks(views, sizes):
+    """The views as consecutive lists of the sizes, taken in turn, from a generator."""
+    sizes, lo = itertools.cycle(sizes), 0
+    while lo < len(views):
+        size = next(sizes)
+        yield views[lo:lo + size]
+        lo += size
+
+
+def by_document(views):
+    """The views as one list per run of views of a document, from a generator."""
+    return (list(run) for _, run in itertools.groupby(views, key=lambda v: v.instance.doc_id))
+
+
+def assert_same_extraction(views, chunks, make_registry, *args):
+    """``extract_matrix`` of the list and of its chunks: the same arrays, to
+    their types, the same registry and the same ``dropped_unseen``."""
+    (X, one), (Y, chunked) = [
+        (extract_matrix(source, registry, *args), registry)
+        for source, registry in ((views, make_registry()), (chunks, make_registry()))
+    ]
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(X, part), getattr(Y, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert X.shape == Y.shape == (len(views), len(one))
+    assert one._names == chunked._names and one.frozen == chunked.frozen
+    assert one.dropped_unseen == chunked.dropped_unseen
+    return one
+
+
+@pytest.mark.parametrize("model_type", [CB, CI, FA])
+@pytest.mark.parametrize("families", [None, ("lexical", "embedding", "sentiment")])
+def test_chunked_extraction_matches_one_list(synth_dir, model_type, families):
+    """Per document, or in chunks that split documents (so sides recur across
+    chunks) with empty ones among them, the matrix is the one-list call's;
+    over an open registry and over a frozen one that drops unseen names."""
+    data = prepared(synth_dir, "g")
+    args = (families, data.embedding_dim, model_type)
+
+    def frozen():
+        registry = FeatureRegistry()
+        extract_matrix(data.train_views[:4], registry, *args)
+        registry.freeze()
+        return registry
+
+    for views, make_registry in (
+        (data.train_views, FeatureRegistry),
+        (data.test_views, frozen),
+        (randomize_contexts(data.test_views, seed=3), frozen),
+    ):
+        for chunks in (by_document(views), in_chunks(views, [3, 0, 1, 7])):
+            registry = assert_same_extraction(views, chunks, make_registry, *args)
+            assert (registry.dropped_unseen > 0) == registry.frozen
+
+
+def test_chunks_extract_a_side_once_per_chunk(monkeypatch):
+    """A side that is source and target within a chunk is extracted once; one
+    repeated in another chunk is extracted again there, with the same rows."""
+    rng = np.random.default_rng(6)
+    words = [f"w{k}" for k in range(12)]
+    layers = frozenset({"tokens", "embeddings", "sentiment"})
+
+    def side(j):
+        return SideView(
+            f"T{j}",
+            ContentLayers(
+                tokens=tuple(rng.choice(words, 3)), sentiment=int(rng.integers(1, 6)),
+                embedding=rng.normal(size=3),
+            ),
+            ContextLayers(
+                tokens=tuple(rng.choice(words, 2)), sentiment_ci=int(rng.integers(1, 6)),
+                unit_index=j, embedding=rng.normal(size=3),
+            ),
+        )
+
+    def view(source, target):
+        inst = RelationInstance(source.eau_id, target and target.eau_id, "support", "f", "d")
+        return InstanceView(inst, source, target, layers)
+
+    a, b, c = side(0), side(1), side(2)
+    chunks = [[view(a, b), view(b, a)], [view(a, c), view(c, None)], [], [view(b, b)]]
+    views = [v for chunk in chunks for v in chunk]
+    calls = Counter()
+    extract_side = features._side_blocks
+
+    def counting(sv, *args):
+        calls[sv.eau_id] += 1
+        return extract_side(sv, *args)
+
+    monkeypatch.setattr(features, "_side_blocks", counting)
+    for model_type in (CB, CI, FA):
+        oracle = FeatureRegistry()
+        expected = [reference_assemble(v, model_type, oracle, embedding_dim=3) for v in views]
+        calls.clear()
+        registry = FeatureRegistry()
+        X = extract_matrix(iter(chunks), registry, embedding_dim=3, model_type=model_type)
+        assert calls == {"T0": 2, "T1": 2, "T2": 1}
+        assert csr_rows(X) == [list(vec.items()) for vec in expected]
+        assert registry._names == oracle._names
+        assert_same_extraction(views, iter(chunks), FeatureRegistry, None, 3, model_type)
+
+        def frozen():
+            registry = FeatureRegistry()
+            extract_matrix(views[:1], registry, embedding_dim=3, model_type=model_type)
+            registry.freeze()
+            return registry
+
+        registry = assert_same_extraction(views, iter(chunks), frozen, None, 3, model_type)
+        oracle = FeatureRegistry()
+        reference_assemble(views[0], model_type, oracle, embedding_dim=3)
+        oracle.freeze()
+        for v in views:
+            reference_assemble(v, model_type, oracle, embedding_dim=3)
+        assert registry.dropped_unseen == oracle.dropped_unseen > 0
+
+
 @pytest.mark.parametrize("families", [None, ("lexical", "embedding", "sentiment")])
 def test_extract_matrix_of_no_views_is_empty(families):
-    registry = FeatureRegistry()
-    registry.index("lex:eau:src:x")
-    X = extract_matrix([], registry, families, embedding_dim=2)
-    assert X.shape == (0, 1)
-    assert X.indptr.tolist() == [0] and len(X.indices) == len(X.data) == 0
-    assert len(registry) == 1 and registry.dropped_unseen == 0
+    for views in ([], iter([]), iter([[], []])):  # a list, no chunk, empty chunks
+        registry = FeatureRegistry()
+        registry.index("lex:eau:src:x")
+        X = extract_matrix(views, registry, families, embedding_dim=2)
+        assert X.shape == (0, 1)
+        assert X.indptr.tolist() == [0] and len(X.indices) == len(X.data) == 0
+        assert len(registry) == 1 and registry.dropped_unseen == 0
 
 
 def test_extract_matrix_rejects_unknown_model_type():

@@ -22,6 +22,7 @@ from argdissect.learn import (
     _SparseRows,
     _dcd_binary,
     _dense,
+    _first_hessian,
     _line_search,
     _newton_sqhinge,
     _solver_rows,
@@ -249,7 +250,7 @@ def test_sparse_and_dense_rows_train_the_same_weights(loss):
     w = {}
     for make in ROW_FORMS:
         w[make], duals, _, _ = _dcd_binary(
-            make(vectors, 12), y, C_i, loss, 1e-4, 50, np.random.default_rng(4)
+            make(vectors, 12), y, C_i, loss, 1e-4, 50, 4
         )
     assert len(duals) > 1
     assert np.max(np.abs(w[_dense_rows] - w[_sparse_rows])) <= 1e-12 * np.max(
@@ -267,8 +268,7 @@ def test_converged_dcd_reaches_the_lbfgs_primal_optimum(make_rows, seed):
     vectors, y, C_i = random_problem(seed)
     max_epochs = 20000
     w, duals, converged, max_pg = _dcd_binary(
-        make_rows(vectors, 12), y, C_i, "squared_hinge", 1e-9, max_epochs,
-        np.random.default_rng(seed),
+        make_rows(vectors, 12), y, C_i, "squared_hinge", 1e-9, max_epochs, seed
     )
     assert converged and max_pg < 1e-9 and len(duals) < max_epochs
 
@@ -315,10 +315,54 @@ def rank_deficient_problem(seed, d, density):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_newton_reaches_the_lbfgs_primal_optimum(make_rows, seed):
     vectors, y, C_i = rank_deficient_problem(seed, 12, 0.3)
-    w, steps = _newton_sqhinge(make_rows(vectors, 14), y, C_i)
+    X = make_rows(vectors, 14)
+    w, steps = _newton_sqhinge(X, y, C_i)
     assert 0 < steps < NEWTON_MAX_ITERATIONS
     Xd = dense_matrix(vectors, 14)
     assert primal(Xd, y, C_i, w) == pytest.approx(lbfgs_primal_optimum(Xd, y, C_i), rel=1e-6)
+    # started from the shared first Hessian, every step is the same to the bit
+    first = _first_hessian(X, C_i)
+    rebuilt = np.eye(15) + 2.0 * (Xd.T * C_i) @ Xd
+    assert np.abs(first - rebuilt).max() <= 1e-10 * np.abs(rebuilt).max()
+    shared, shared_steps = _newton_sqhinge(X, y, C_i, first)
+    assert np.array_equal(shared, w) and shared_steps == steps
+
+
+def test_one_vs_rest_machines_share_the_first_hessian(monkeypatch, tmp_path):
+    """Every machine's first Newton step has every row active, so a 3-class
+    model builds that Hessian once; the model is the same to the bit as when
+    each machine builds its own."""
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(120, 6))
+    labels = [("support", "attack", "none")[k] for k in np.argmax(rows[:, :3], axis=1)]
+    X = csr_of(dense_to_sparse(rows.tolist()), 6)
+    classes = ("support", "attack", "none")
+    first_hessian, update_hessian = learn._first_hessian, learn._update_hessian
+    built, rows_added = [], []
+
+    def counting(*args):
+        built.append(args)
+        return first_hessian(*args)
+
+    def counting_rows(H, X, C_i, active, was_active):
+        rows_added.append(int(np.count_nonzero(active != was_active)))
+        update_hessian(H, X, C_i, active, was_active)
+
+    monkeypatch.setattr(learn, "_first_hessian", counting)
+    monkeypatch.setattr(learn, "_update_hessian", counting_rows)
+    shared = train(X, labels, TrainConfig(), registry_of(6), classes)
+    assert len(built) == 1
+    assert all(fit.newton_iterations > 1 for fit in shared.convergence.values())
+    shared_rows, rows_added[:] = sum(rows_added), []
+    monkeypatch.setattr(learn, "_first_hessian", lambda *args: None)
+    own = train(X, labels, TrainConfig(), registry_of(6), classes)
+    # each machine would add every row once more for its own first Hessian
+    assert sum(rows_added) - shared_rows == 2 * len(labels)
+    save_model(shared, tmp_path / "shared.txt")
+    save_model(own, tmp_path / "own.txt")
+    assert (tmp_path / "shared.txt").read_bytes() == (tmp_path / "own.txt").read_bytes()
+    assert shared.dual_objectives == own.dual_objectives
+    assert shared.convergence == own.convergence
 
 
 def test_wide_feature_space_trains_by_dcd_from_zero():
@@ -331,8 +375,7 @@ def test_wide_feature_space_trains_by_dcd_from_zero():
     config = TrainConfig(class_weighting="none", max_epochs=50)
     model = train(csr_of(vectors, d), labels, config, registry_of(d), ("support", "attack"))
     w, duals, converged, max_pg = _dcd_binary(
-        X, y, np.ones(len(y)), "squared_hinge", config.tolerance, 50,
-        np.random.default_rng(config.seed),
+        X, y, np.ones(len(y)), "squared_hinge", config.tolerance, 50, config.seed
     )
     assert model.convergence["support"] == Convergence(converged, max_pg, 0)
     assert model.dual_objectives["support"] == duals
@@ -409,7 +452,7 @@ def test_failed_certificate_continues_with_dual_ascent():
     alpha = 2.0 * C_i * np.maximum(0.0, 1.0 - y * X.dot(w))
     alpha[: len(alpha) // 2] *= 0.5  # off the optimum
     _, duals, converged, max_pg = _dcd_binary(
-        X, y, C_i, "squared_hinge", 1e-9, 5000, np.random.default_rng(0), alpha
+        X, y, C_i, "squared_hinge", 1e-9, 5000, 0, alpha
     )
     assert converged and max_pg < 1e-9 and len(duals) > 2
     assert all(later >= earlier - 1e-12 for earlier, later in zip(duals, duals[1:]))

@@ -280,8 +280,18 @@ def test_slice_models_match_models_trained_from_typed_vectors(
     ["run"], ["robustness", "--mode", "randomized"], ["anova"],
 ])
 def test_each_train_side_is_extracted_once(synth_dir, tmp_path, monkeypatch, command):
+    """The training views are not kept, so their sides are taken where
+    ``build_side_view`` returns them, and kept alive here so that no two
+    share an ``id``."""
     calls, value_calls = Counter(), Counter()
     extract_side, pair_values = features._side_blocks, features._pair_values
+    built = {}  # (doc id, EAU id) -> every side built for it
+    build_side = pipeline.build_side_view
+
+    def recording(bundle, eau, embeddings):
+        side = build_side(bundle, eau, embeddings)
+        built.setdefault((bundle.parsed.document.id, eau.id), []).append(side)
+        return side
 
     def counting(sv, *args):
         calls[id(sv)] += 1
@@ -299,6 +309,7 @@ def test_each_train_side_is_extracted_once(synth_dir, tmp_path, monkeypatch, com
         prepared.append(original_prepare(config))
         return prepared[-1]
 
+    monkeypatch.setattr(pipeline, "build_side_view", recording)
     monkeypatch.setattr(features, "_side_blocks", counting)
     monkeypatch.setattr(features, "_pair_values", counting_values)
     monkeypatch.setattr(cli, "prepare", keep)
@@ -312,8 +323,16 @@ def test_each_train_side_is_extracted_once(synth_dir, tmp_path, monkeypatch, com
         "--max-epochs", "200",
     ]) == 0
     [data] = prepared
-    train_sides = {(id(sv), tag) for v in data.train_views for tag, sv in v.sides}
-    assert len(train_sides) < 2 * len(data.train_views)  # sides are shared
+    assert "train_views" not in data.__dict__  # streamed, not kept
+    train_eaus = {
+        (inst.doc_id, eau_id, tag)
+        for inst in data.train_instances
+        for tag, eau_id in (("src", inst.source), ("tgt", inst.target)) if eau_id
+    }
+    # each training side is built once
+    assert all(len(built[doc_id, eau_id]) == 1 for doc_id, eau_id, _ in train_eaus)
+    train_sides = {(id(built[doc_id, eau_id][0]), tag) for doc_id, eau_id, tag in train_eaus}
+    assert len(train_sides) < 2 * len(data.train_instances)  # sides are shared
     # once per side object, whichever tags it appears under
     assert all(calls[sv_id] == 1 for sv_id, _ in train_sides)
     # a side's numeric values are computed once per (family, scope, tag)
