@@ -15,7 +15,9 @@ import tempfile
 from argdissect.evaluation import randomize_contexts, strip_contexts
 from argdissect.features import CB, CI, FA
 from argdissect.learn import TrainConfig
-from argdissect.pipeline import RunConfig, evaluate_model, prepare, train_model
+from argdissect.pipeline import (
+    RunConfig, evaluate_models, prepare, resolve_families, train_model,
+)
 from argdissect.synth import SynthConfig, generate_corpus
 
 
@@ -46,20 +48,23 @@ def run(workdir):
     randomized = randomize_contexts(data.test_views, seed=0)
     stripped = strip_contexts(data.test_views)
 
-    print(f"{'model':<6}{'standard':>10}{'randomized':>12}{'no context':>12}")
-    for model_type in (CB, CI, FA):
-        model, registry, _, families = train_model(config, data, model_type)
-
-        def macro(views):
-            report, _ = evaluate_model(
-                model, registry, views, data.classes, families, data.embedding_dim
+    # the three models train on column views of one training matrix; each
+    # test condition is extracted once, and every model predicts on its view
+    models = [train_model(config, data, model_type)[0] for model_type in (CB, CI, FA)]
+    families = resolve_families(config, data)
+    registry = data.train_features(families)[0]
+    macro = [
+        [
+            report.macro_f1
+            for report, _ in evaluate_models(
+                models, registry, views, data.classes, families, data.embedding_dim
             )
-            return report.macro_f1
-
-        print(
-            f"{model_type:<6}{macro(data.test_views):>10.1f}"
-            f"{macro(randomized):>12.1f}{macro(stripped):>12.1f}"
-        )
+        ]
+        for views in (data.test_views, randomized, stripped)
+    ]
+    print(f"{'model':<6}{'standard':>10}{'randomized':>12}{'no context':>12}")
+    for model, standard, shuffled, bare in zip(models, *macro):
+        print(f"{model.model_type:<6}{standard:>10.1f}{shuffled:>12.1f}{bare:>12.1f}")
     print()
     print("reading: CI wins on the standard test but collapses without real")
     print("contexts; CB is identical in all three columns by construction.")

@@ -29,11 +29,12 @@ from .features import CB, CI, FA, MODEL_TYPES
 from .learn import TrainConfig
 from .pipeline import (
     RunConfig,
-    evaluate_model,
+    evaluate_models,
     load_standoff_dir,
     make_output_dir,
     prepare,
     read_text,
+    resolve_families,
     run_experiment,
     train_model,
     write_manifest,
@@ -160,35 +161,27 @@ def cmd_robustness(args) -> int:
     else:
         transformed = strip_contexts(data.test_views)
 
-    reports = {}
-    trained = []
-    for model_type in MODEL_TYPES:
-        model, registry, _, families = train_model(config, data, model_type)
-        report, _ = evaluate_model(
-            model, registry, transformed, data.classes, families, data.embedding_dim
-        )
-        reports[model_type] = report
-        trained.append((model, registry))
-
-    baseline = reports[CB]
-    lines = [f"robustness ({args.mode} mode), task {config.task}"]
-    header = "model" + "".join(f"{('dF1_' + c):>12}" for c in data.classes)
-    lines.append(header + f"{'d_macro':>12}")
+    # every model reads column views of one training and one test extraction
+    models = [train_model(config, data, model_type)[0] for model_type in MODEL_TYPES]
+    families = resolve_families(config, data)
+    registry = data.train_features(families)[0]
+    results = evaluate_models(
+        models, registry, transformed, data.classes, families, data.embedding_dim
+    )
+    baseline = results[MODEL_TYPES.index(CB)][0]
+    lines = [
+        f"robustness ({args.mode} mode), task {config.task}",
+        "model" + "".join(f"{('dF1_' + c):>12}" for c in data.classes) + f"{'d_macro':>12}",
+    ]
     out_path = os.path.join(config.output_dir, f"robustness_{args.mode}.tsv")
     with open(out_path, "w", encoding="utf-8") as fh:
-        for model_type in MODEL_TYPES:
-            report = reports[model_type]
+        for model, (report, _) in zip(models, results):
             deltas = [report.f1(c) - baseline.f1(c) for c in data.classes]
-            d_macro = report.macro_f1 - baseline.macro_f1
-            lines.append(
-                f"{model_type:<5}"
-                + "".join(f"{d:>12.1f}" for d in deltas)
-                + f"{d_macro:>12.1f}"
-            )
-            for cls, d in zip(data.classes, deltas):
-                fh.write(f"{model_type}\t{cls}\t{d}\n")
-            fh.write(f"{model_type}\tmacro\t{d_macro}\n")
-    write_training_outputs(config, [out_path], trained)
+            deltas.append(report.macro_f1 - baseline.macro_f1)
+            lines.append(f"{model.model_type:<5}" + "".join(f"{d:>12.1f}" for d in deltas))
+            for key, d in zip((*data.classes, "macro"), deltas):
+                fh.write(f"{model.model_type}\t{key}\t{d}\n")
+    write_training_outputs(config, [out_path], models, registry)
     print("\n".join(lines))
     print(f"delta table written to {out_path}")
     return EXIT_OK
@@ -204,16 +197,10 @@ def cmd_anova(args) -> int:
     out_path = os.path.join(config.output_dir, "anova.tsv")
     with open(out_path, "w", encoding="utf-8") as fh:
         for ftype in (CB, CI):
-            for pct, f_val in zip(curve.percentiles, curve.curves[ftype]):
-                fh.write(f"{ftype}\t{pct:g}\t{f_val}\n")
-    for ftype in (CB, CI):
-        values = curve.curves[ftype]
-        marks = ", ".join(
-            f"p{int(p)}={values[list(curve.percentiles).index(p)]:.3g}"
-            for p in (50.0, 90.0, 99.0)
-        )
-        print(f"{ftype}: {marks}")
-    write_training_outputs(config, [out_path], [(model, registry)])
+            at = dict(zip(curve.percentiles.tolist(), curve.curves[ftype]))
+            fh.writelines(f"{ftype}\t{pct:g}\t{f_val}\n" for pct, f_val in at.items())
+            print(f"{ftype}: " + ", ".join(f"p{p}={at[p]:.3g}" for p in (50, 90, 99)))
+    write_training_outputs(config, [out_path], [model], registry)
     print(f"percentile curves written to {out_path}")
     return EXIT_OK
 

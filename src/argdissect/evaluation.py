@@ -301,9 +301,9 @@ def anova_scores(X: CsrMatrix, labels, registry: FeatureRegistry) -> AnovaCurve:
     f = anova_f_scores(X, labels)
     curves = {}
     for ftype in (CB, CI):
-        idxs = registry.indices_of_type(ftype)
-        if idxs:
-            curves[ftype] = np.percentile(f[idxs], ANOVA_PERCENTILES)
+        columns = registry.columns_of(ftype)
+        if columns.any():
+            curves[ftype] = np.percentile(f[columns], ANOVA_PERCENTILES)
         else:
             curves[ftype] = np.zeros_like(ANOVA_PERCENTILES)
     return AnovaCurve(f_scores=f, percentiles=ANOVA_PERCENTILES, curves=curves)

@@ -10,10 +10,10 @@ side and scope, one column per payload.  The name is the only place the type
 is kept.  The registry maps names to indices and freezes after the training
 pass.
 
-``extract_matrix`` extracts a batch of views into one ``CsrMatrix`` over the
-registry, extracting each side shared by several views once, and formats
-each feature name once per distinct payload; the CB and CI slices of an FA
-matrix are its column views (``FeatureRegistry.columns_of``).  The batch may
+``extract_matrix`` extracts a batch of views into one FA ``CsrMatrix`` over the
+registry, extracting each side shared by several views once, and formats each
+feature name once per distinct payload; the CB and CI slices are its column
+views (``FeatureRegistry.columns_of``).  The batch may
 come as chunks, lists of views one after another (the training split comes
 a document at a time), and no chunk's sides are kept past it.  Other
 modules take feature matrices only in this form.  A ``CsrMatrix`` keeps ``int32``
@@ -23,9 +23,9 @@ whose temporaries take at most ``ROW_BLOCK_BYTES``, as does every
 densifying; ``CsrMatrix.dense_rows`` densifies one block.  ``learn`` decides
 when the solver's rows and prediction densify, and the ANOVA scores read
 dense row blocks only, never a dense copy of the matrix.
-A single view's features are also available as a name dict (``extract_all``)
-and as a ``dict[int, float]`` vector (``assemble``); both are one-row
-``extract_matrix`` calls.
+A single view's features are also available as a name dict (``extract_all``,
+a one-row ``extract_matrix`` call), and as a ``dict[int, float]`` vector of
+one Φ type (``assemble``, that dict's names of the type).
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ class FeatureRegistry:
         self._index: dict[str, int] = {}
         self._names: list[str] = []
         self.frozen = False
-        self.dropped_unseen = 0
+        # Unseen names met while frozen, per Φ slice (a CB or CI name is in FA's too)
+        self.dropped_in = dict.fromkeys(MODEL_TYPES, 0)
 
     def __len__(self) -> int:
         return len(self._names)
@@ -97,12 +98,17 @@ class FeatureRegistry:
         if idx is not None:
             return idx
         if self.frozen:
-            self.dropped_unseen += 1
+            for slice_type in {FA, feature_type(name)}:
+                self.dropped_in[slice_type] += 1
             return None
         idx = len(self._names)
         self._index[name] = idx
         self._names.append(name)
         return idx
+
+    @property
+    def dropped_unseen(self) -> int:
+        return self.dropped_in[FA]
 
     def name(self, idx: int) -> str:
         return self._names[idx]
@@ -115,6 +121,7 @@ class FeatureRegistry:
         digest = hashlib.sha256("\n".join(self._names).encode("utf-8")).hexdigest()
         return digest[:16]
 
+    # read only by bench/spans.py; src/ selects a Φ slice with ``columns_of``
     def indices_of_type(self, ftype: str) -> list[int]:
         return [i for i, n in enumerate(self._names) if feature_type(n) == ftype]
 
@@ -195,13 +202,6 @@ class InstanceView:
     source: SideView
     target: Optional[SideView] = None
     layers: frozenset[str] = frozenset({"tokens"})
-
-    @property
-    def sides(self) -> tuple[tuple[str, SideView], ...]:
-        """``(tag, side)`` pairs in name order: ``src``, then ``tgt`` if any."""
-        if self.target is None:
-            return (("src", self.source),)
-        return (("src", self.source), ("tgt", self.target))
 
 
 # --------------------------------------------------------------------------
@@ -370,9 +370,13 @@ def assemble(
     families=None,
     embedding_dim: int = 0,
 ) -> dict[int, float]:
-    """The view's row of ``extract_matrix`` in the model type's Φ slice, as a dict."""
-    X = extract_matrix([view], registry, families, embedding_dim, model_type)
-    return dict(zip(X.indices.tolist(), X.data.tolist()))
+    """The view's ``extract_all`` names in the model type's Φ slice, in order, as
+    ``{registry.index(name): value}``; a frozen registry drops and counts unseen names."""
+    if model_type not in MODEL_TYPES:
+        raise ValueError(f"unknown model type: {model_type}")
+    named = extract_all(view, families, embedding_dim).items()
+    indexed = ((registry.index(n), v) for n, v in named if model_type in (FA, feature_type(n)))
+    return {idx: value for idx, value in indexed if idx is not None}
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +443,10 @@ class CsrMatrix:
         return X
 
     def columns(self, mask: np.ndarray) -> CsrMatrix:
-        """The masked columns, renumbered in order; entry order is kept."""
+        """The masked columns, renumbered in order; entry order is kept.  A mask
+        of every column gives the matrix itself, once its indices are ``int32``."""
+        if mask.all() and self.indices.dtype == np.int32:
+            return self
         renumbered = np.where(mask, np.cumsum(mask) - 1, -1).astype(np.int32)[self.indices]
         kept = renumbered >= 0
         kept_before = np.zeros(len(kept) + 1, self.indptr.dtype)  # entry e: kept among 0..e-1
@@ -453,14 +460,12 @@ def extract_matrix(
     registry: FeatureRegistry,
     families=None,
     embedding_dim: int = 0,
-    model_type: str = FA,
 ) -> CsrMatrix:
-    """The views' features in the model type's Φ slice, one row each.
+    """The views' features, one row each.
 
     ``views`` is a list of views, or an iterable of such lists (chunks)
     whose rows follow one another; either gives the same matrix, registry
-    and ``dropped_unseen``.  Row i holds view i's features whose
-    ``feature_type`` is the model type (all of them for FA), in name order.
+    and dropped counts.  Row i holds view i's features in name order.
     Each distinct side object of a chunk is extracted once by the per-side
     extractors, whichever tags it appears under, and into one row of each
     ``_pair_values`` array per tag.  Only the difference blocks are
@@ -468,7 +473,7 @@ def extract_matrix(
     its payload is new to its family and scope.  An open registry registers
     new names where they first occur, row by row, in name order within a
     row; a frozen one counts each occurrence of an unknown name in
-    ``dropped_unseen``.
+    ``dropped_in`` of each slice that holds its block's scope.
 
     A chunk's sides are extracted when the chunk arrives and are not kept:
     only their pool of entries, the rows' side numbers and the
@@ -479,16 +484,11 @@ def extract_matrix(
     registration, the gather) is made in ``row_blocks``, and the result is
     written into its final arrays.
     """
-    if model_type not in MODEL_TYPES:
-        raise ValueError(f"unknown model type: {model_type}")
     chunks = iter([views] if isinstance(views, list) else views)
     chunk = next((c for c in chunks if c), [])
     if families is None:
         families = default_families(chunk[0].layers) if chunk else ()
-    blocks = [
-        b for b in _blocks_in_order(families)
-        if model_type == FA or SCOPE_TYPE[b[1]] == model_type
-    ]
+    blocks = list(_blocks_in_order(families))
 
     # Per tag, the pool holds each side's named blocks once, as segments
     # side by side, converted so that one side's payload dicts are alive at
@@ -626,11 +626,11 @@ def extract_matrix(
     del pool_pids
     block_tag = np.array([tag == "tgt" for _, _, tag in blocks])
 
-    def per_side(seg_values, tag):
-        """Per side under the tag, the sum of ``seg_values`` over its segments."""
+    def per_side(seg_values, tag, model_type=FA):
+        """Per side under the tag, the sum of ``seg_values`` over its segments in a Φ slice."""
         total = np.zeros(n_sides[tag], seg_values.dtype)
-        for b, (_, _, btag) in enumerate(blocks):
-            if btag == tag:
+        for b, (_, scope, btag) in enumerate(blocks):
+            if btag == tag and model_type in (FA, SCOPE_TYPE[scope]):
                 total += seg_values[base[b] + stride[b] * np.arange(n_sides[tag])]
         return total
 
@@ -642,7 +642,8 @@ def extract_matrix(
         )
         for tag in TAGS:
             uses = np.bincount(ids[tag][ids[tag] >= 0], minlength=n_sides[tag])
-            registry.dropped_unseen += int(per_side(unseen, tag) @ uses)
+            for model_type in MODEL_TYPES:
+                registry.dropped_in[model_type] += int(per_side(unseen, tag, model_type) @ uses)
         pool_cols, pool_vals = pool_cols[~unknown], pool_vals[~unknown]
         seg_lens -= unseen
         del unknown, unseen
@@ -674,7 +675,9 @@ def extract_matrix(
             for b in diff_blocks:
                 p, values = diff_values(b, lo, hi)
                 nonzero = values != 0.0
-                registry.dropped_unseen += int(np.count_nonzero(nonzero[:, ~known[b]]))
+                dropped = int(np.count_nonzero(nonzero[:, ~known[b]]))
+                for slice_type in {FA, SCOPE_TYPE[blocks[b][1]]}:
+                    registry.dropped_in[slice_type] += dropped
                 nonzero[:, ~known[b]] = False
                 diff_len[lo + p] += np.count_nonzero(nonzero, axis=1)
                 occurs[offsets[b]:offsets[b + 1]] |= nonzero.any(axis=0)

@@ -5,7 +5,8 @@ optionally ``<id>.tokens.tsv``, ``<id>.trees``, ``<id>.discourse``; plus a
 corpus-level split file and embedding table.  ``run_experiment`` wires
 ingest -> align -> registry freeze -> extract -> train -> evaluate, writes
 each solver machine's convergence, and writes a manifest with content hashes
-so runs are reproducible.
+so runs are reproducible.  Every model trains (``train_model``) and predicts
+(``evaluate_models``) on its Φ columns of one FA extraction per split and condition.
 
 ``prepare`` checks every layer file but builds no side view: a command builds
 only the views it reads (``ExperimentData``), one per distinct EAU side.  The
@@ -483,7 +484,7 @@ def resolve_families(config: RunConfig, data: ExperimentData) -> tuple[str, ...]
 def train_model(
     config: RunConfig, data: ExperimentData, model_type: str | None = None
 ) -> tuple[LinearModel, FeatureRegistry, CsrMatrix, tuple[str, ...]]:
-    """Training on the model type's columns of the training features.
+    """Training on the model type's column view of the FA training features.
 
     Returns (model, registry, X_train, families): the CB and CI registries
     are the FA registry's names of that type, in the same order.
@@ -506,18 +507,24 @@ def train_model(
     return model, registry, X_train, families
 
 
-def evaluate_model(
-    model: LinearModel,
-    registry: FeatureRegistry,
-    views: list[InstanceView],
-    classes,
-    families,
-    embedding_dim: int,
-) -> tuple[EvalReport, list[str]]:
-    X = extract_matrix(views, registry, families, embedding_dim, model.model_type)
-    preds = predict_all(model, X)
+def evaluate_models(
+    models: list[LinearModel], registry: FeatureRegistry, views: list[InstanceView],
+    classes, families, embedding_dim: int,
+) -> list[tuple[EvalReport, list[str]]]:
+    """Each model's report and predictions on its Φ columns of one extraction of the views
+    over the frozen FA registry (over one type's registry, other types count as unseen)."""
+    X = extract_matrix(views, registry, families, embedding_dim)
     gold = [v.instance.label for v in views]
-    return f1_report(preds, gold, classes), preds
+    predictions = [predict_all(m, X.columns(registry.columns_of(m.model_type))) for m in models]
+    return [(f1_report(preds, gold, classes), preds) for preds in predictions]
+
+
+def evaluate_model(
+    model: LinearModel, registry: FeatureRegistry, views: list[InstanceView],
+    classes, families, embedding_dim: int,
+) -> tuple[EvalReport, list[str]]:
+    """``evaluate_models`` of one model, over the FA registry or ``train_model``'s."""
+    return evaluate_models([model], registry, views, classes, families, embedding_dim)[0]
 
 
 def _sha256_file(path) -> str:
@@ -589,22 +596,24 @@ def write_solver_tsv(path, models: list[LinearModel]) -> None:
         )
 
 
-def write_features_tsv(path, trained: list[tuple[LinearModel, FeatureRegistry]]) -> None:
-    """Per trained model: its Φ type, registry width and test features dropped as unseen."""
+def write_features_tsv(path, models: list[LinearModel], registry: FeatureRegistry) -> None:
+    """Per model: its Φ type, width, and test features of its slice dropped as
+    unseen by ``registry``, the FA registry the test views were extracted over."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("model_type\tn_features\tdropped_unseen\n")
-        for model, registry in trained:
-            fh.write(f"{model.model_type}\t{len(registry)}\t{registry.dropped_unseen}\n")
+        for model in models:
+            dropped = registry.dropped_in[model.model_type]
+            fh.write(f"{model.model_type}\t{model.n_features}\t{dropped}\n")
 
 
 def write_training_outputs(
-    config: RunConfig, outputs: list[str], trained: list[tuple[LinearModel, FeatureRegistry]]
+    config: RunConfig, outputs: list[str], models: list[LinearModel], registry: FeatureRegistry
 ) -> None:
-    """``solver.tsv`` and ``features.tsv`` of the trained models, then the manifest."""
+    """``solver.tsv`` and ``features.tsv`` of the models, then the manifest."""
     solver_path = os.path.join(config.output_dir, "solver.tsv")
     features_path = os.path.join(config.output_dir, "features.tsv")
-    write_solver_tsv(solver_path, [model for model, _ in trained])
-    write_features_tsv(features_path, trained)
+    write_solver_tsv(solver_path, models)
+    write_features_tsv(features_path, models, registry)
     write_manifest(config, [*outputs, solver_path, features_path])
 
 
@@ -612,9 +621,10 @@ def run_experiment(config: RunConfig) -> EvalReport:
     """Full ingest -> train -> evaluate run with artifacts in the output dir."""
     make_output_dir(config.output_dir)
     data = prepare(config)
-    model, registry, _, families = train_model(config, data)
-    report, preds = evaluate_model(
-        model, registry, data.test_views, data.classes, families, data.embedding_dim
+    model, _, _, families = train_model(config, data)
+    registry = data.train_features(families)[0]
+    [(report, preds)] = evaluate_models(
+        [model], registry, data.test_views, data.classes, families, data.embedding_dim
     )
 
     if config.significance_n:
@@ -632,5 +642,5 @@ def run_experiment(config: RunConfig) -> EvalReport:
     report_path = os.path.join(config.output_dir, "report.tsv")
     save_model(model, model_path)
     write_report_tsv(report_path, report)
-    write_training_outputs(config, [model_path, report_path], [(model, registry)])
+    write_training_outputs(config, [model_path, report_path], [model], registry)
     return report

@@ -49,7 +49,7 @@ def scatter_reference(X):
 
 def reference_assemble(view, model_type, registry, families=None, embedding_dim=0):
     """The view's ``{column: value}`` vector in the model type's Φ slice, built
-    apart from ``extract_matrix``'s block filter and registration: ``extract_all``'s
+    apart from ``extract_matrix``'s registration and dropped counts: ``extract_all``'s
     names in order, kept by ``feature_type``, each looked up with ``registry.index``
     (which registers a new name or counts an unseen one)."""
     out = {}

@@ -14,10 +14,13 @@ from argdissect import cli, pipeline
 from argdissect.annotations import MAX_TREE_DEPTH
 from argdissect.cli import build_run_config, main, make_parser
 from argdissect.errors import DataError
-from argdissect.features import FeatureRegistry
+from argdissect.evaluation import randomize_contexts, strip_contexts
+from argdissect.features import CB, CI, FA, MODEL_TYPES, FeatureRegistry
 from argdissect.learn import LinearModel, TrainConfig
 from argdissect.pipeline import RunConfig, write_features_tsv
 from argdissect.synth import SynthConfig, generate_corpus
+
+from conftest import reference_assemble
 
 
 def base_args(synth_dir, out):
@@ -527,10 +530,107 @@ def test_features_tsv_counts_test_features_dropped_as_unseen(tmp_path):
     for name in ("lex:eau:src:new", "lex:eau:src:new", "lex:eau:src:seen"):
         registry.index(name)
     model = LinearModel(("a", "b"), {}, {}, registry.registry_id, "CB", "f", TrainConfig(), 1)
-    write_features_tsv(tmp_path / "features.tsv", [(model, registry)])
+    write_features_tsv(tmp_path / "features.tsv", [model], registry)
     assert (tmp_path / "features.tsv").read_text().splitlines() == [
         "model_type\tn_features\tdropped_unseen", "CB\t1\t2",
     ]
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--task", "g"],
+    ["run", "--model-type", "CB"],
+    ["run", "--model-type", "CI"],
+    ["robustness", "--mode", "randomized"],
+    ["robustness", "--mode", "nocontext"],
+])
+def test_a_command_extracts_the_training_and_the_test_views_once(
+    synth_dir, tmp_path, capsys, monkeypatch, command
+):
+    """One extraction of the training split and one of the (transformed) test
+    views, however many model types are trained and tested."""
+    rows = []
+    extract = pipeline.extract_matrix
+
+    def counting(*args, **kwargs):
+        X = extract(*args, **kwargs)
+        rows.append(len(X))
+        return X
+
+    monkeypatch.setattr(pipeline, "extract_matrix", counting)
+    monkeypatch.setattr(cli, "extract_matrix", counting, raising=False)
+    argv = command + base_args(synth_dir, str(tmp_path / "out"))
+    assert main(argv) == 0
+    data = pipeline.prepare(build_run_config(make_parser().parse_args(argv)))
+    assert rows == [len(data.train_instances), len(data.test_instances)]
+
+
+@pytest.fixture(scope="module")
+def unseen_synth_dir(synth_dir, tmp_path_factory):
+    """``synth_dir`` with two words of its first test document renamed, in
+    every layer, to words no training document has, of the same length so
+    that no offset moves: the last word of its EAU T2, and the first word of
+    T2's sentence, which lies in T2's context."""
+    corpus = tmp_path_factory.mktemp("unseen") / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    split = (corpus / "split.tsv").read_text().splitlines()
+    doc_id = next(line.split("\t")[0] for line in split if line.endswith("\ttest"))
+    text = (corpus / f"{doc_id}.txt").read_text()
+    ann = (corpus / f"{doc_id}.ann").read_text()
+    start, end = map(int, re.search(r"^T2\t\S+ (\d+) (\d+)\t", ann, re.M).groups())
+    eau_word = text[start:end].split()[-1]
+    context_word = re.findall(r"\w+", text[text.rfind("\n", 0, start) + 1:start])[0]
+    for ext in ("txt", "ann", "tokens.tsv", "trees"):
+        path = corpus / f"{doc_id}.{ext}"
+        layer = path.read_text()
+        for word, letter in ((eau_word, "q"), (context_word, "z")):
+            layer = re.sub(rf"\b{word}\b", letter * len(word), layer)
+        path.write_text(layer)
+    return str(corpus)
+
+
+def reference_dropped(data, families, views):
+    """Per model type, the test views' names of the type that ``reference_assemble``
+    finds unseen by the training views' frozen FA registry."""
+    registry = FeatureRegistry()
+    for view in data.train_views:
+        reference_assemble(view, FA, registry, families, data.embedding_dim)
+    registry.freeze()
+    dropped = {}
+    for model_type in MODEL_TYPES:
+        oracle = registry.subset(registry.columns_of(model_type))
+        for view in views:
+            reference_assemble(view, model_type, oracle, families, data.embedding_dim)
+        dropped[model_type] = oracle.dropped_unseen
+    return dropped
+
+
+@pytest.mark.parametrize("command", [
+    ["robustness", "--mode", "randomized"],
+    ["robustness", "--mode", "nocontext"],
+    ["run", "--model-type", "CB"],
+    ["run", "--model-type", "CI"],
+    ["run", "--model-type", "FA"],
+])
+def test_features_tsv_counts_unseen_test_words_per_model_type(
+    unseen_synth_dir, tmp_path, capsys, command
+):
+    out_dir = tmp_path / "out"
+    argv = command + base_args(unseen_synth_dir, str(out_dir))
+    assert main(argv) == 0
+    _, *rows = [line.split("\t") for line in (out_dir / "features.tsv").read_text().splitlines()]
+    written = {model_type: int(dropped) for model_type, _, dropped in rows}
+
+    args = make_parser().parse_args(argv)
+    config = build_run_config(args)
+    data = pipeline.prepare(config)
+    views = data.test_views
+    if command[0] == "robustness":
+        views = (randomize_contexts(views, config.eval_seed) if args.mode == "randomized"
+                 else strip_contexts(views))
+    expected = reference_dropped(data, pipeline.resolve_families(config, data), views)
+    assert written == {model_type: expected[model_type] for model_type in written}
+    assert expected[CB] > 0 and expected[FA] >= expected[CB] + expected[CI]
+    assert (expected[CI] > 0) == (command[-1] != "nocontext")
 
 
 def _nesting(line):

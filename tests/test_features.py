@@ -439,21 +439,28 @@ def csr_rows(X):
     ]
 
 
+def assert_slice_equal(X, registry, model_type, vectors, oracle):
+    """The model type's column view of the FA matrix ``X`` over ``registry``
+    holds the vectors, built over ``oracle``, whose names are the slice's."""
+    columns = registry.columns_of(model_type)
+    assert registry.subset(columns)._names == oracle._names
+    assert_rows_equal(X.columns(columns), vectors, len(oracle))
+
+
 @pytest.mark.parametrize("task", ["f", "g"])
 @pytest.mark.parametrize("model_type", [CB, CI, FA])
 @pytest.mark.parametrize("families", [
     None, ("lexical", "embedding", "sentiment"), ("lexical", "syntactic"),
 ])
 def test_extract_matrix_matches_per_instance_assembly(synth_dir, task, model_type, families):
+    """The model type's column view of the FA extraction is per-view assembly
+    of that type, and a frozen registry counts that type's unseen names."""
     data = prepared(synth_dir, task)
     dim = data.embedding_dim
     oracle, registry = FeatureRegistry(), FeatureRegistry()
     expected = [reference_assemble(v, model_type, oracle, families, dim) for v in data.train_views]
-    X = extract_matrix(data.train_views, registry, families, dim, model_type)
-    assert [registry.name(i) for i in range(len(registry))] == [
-        oracle.name(i) for i in range(len(oracle))
-    ]
-    assert_rows_equal(X, expected, len(registry))
+    X = extract_matrix(data.train_views, registry, families, dim)
+    assert_slice_equal(X, registry, model_type, expected, oracle)
     assert registry.dropped_unseen == oracle.dropped_unseen == 0
     single = FeatureRegistry()
     rows = [assemble(v, model_type, single, families, dim) for v in data.train_views]
@@ -465,7 +472,7 @@ def test_extract_matrix_matches_per_instance_assembly(synth_dir, task, model_typ
     oracle, registry = FeatureRegistry(), FeatureRegistry()
     for v in data.train_views[:1]:
         reference_assemble(v, model_type, oracle, families, dim)
-        assemble(v, model_type, registry, families, dim)
+    extract_matrix(data.train_views[:1], registry, families, dim)
     oracle.freeze()
     registry.freeze()
     for views in (
@@ -474,9 +481,10 @@ def test_extract_matrix_matches_per_instance_assembly(synth_dir, task, model_typ
         strip_contexts(data.test_views),
     ):
         expected = [reference_assemble(v, model_type, oracle, families, dim) for v in views]
-        X = extract_matrix(views, registry, families, dim, model_type)
-        assert_rows_equal(X, expected, len(registry))
-        assert registry.dropped_unseen == oracle.dropped_unseen > 0
+        X = extract_matrix(views, registry, families, dim)
+        assert X.n_cols == len(registry)
+        assert_slice_equal(X, registry, model_type, expected, oracle)
+        assert registry.dropped_in[model_type] == oracle.dropped_unseen > 0
 
 
 @pytest.mark.parametrize("block_rows", [1, 3])
@@ -484,8 +492,8 @@ def test_extract_matrix_matches_per_instance_assembly(synth_dir, task, model_typ
 def test_extract_matrix_in_blocks_of_a_few_rows(synth_dir, monkeypatch, model_type, block_rows):
     """The gather writes a few rows at a time; rows, registration order and
     ``dropped_unseen`` stay those of per-view assembly, for an open registry
-    and for a frozen one that leaves test names unseen.  Stripped contexts
-    leave every CI row empty."""
+    and for a frozen one that leaves test names unseen, in the model type's
+    column view of the FA rows.  Stripped contexts leave every CI row empty."""
     data = prepared(synth_dir, "g")
     dim = data.embedding_dim
     blocks = []  # the row blocks of each call
@@ -500,32 +508,32 @@ def test_extract_matrix_in_blocks_of_a_few_rows(synth_dir, monkeypatch, model_ty
         # a row block of the gather is as wide as the registry, wider than
         # the name blocks of a row
         monkeypatch.setattr(features, "ROW_BLOCK_BYTES", block_rows * 8 * width)
-        X = extract_matrix(views, registry, None, dim, model_type)
+        X = extract_matrix(views, registry, None, dim)
         assert all(hi - lo <= block_rows for lo, hi in blocks[-1])
         assert len(blocks[-1]) == -(-len(views) // block_rows)
         return X
 
     oracle, registry = FeatureRegistry(), FeatureRegistry()
     expected = [reference_assemble(v, model_type, oracle, None, dim) for v in data.train_views]
-    X = extract(data.train_views, registry, len(oracle))
-    assert [registry.name(i) for i in range(len(registry))] == [
-        oracle.name(i) for i in range(len(oracle))
-    ]
-    assert_rows_equal(X, expected, len(registry))
+    fa_oracle = FeatureRegistry()  # the width the open registry reaches
+    for v in data.train_views:
+        reference_assemble(v, FA, fa_oracle, None, dim)
+    X = extract(data.train_views, registry, len(fa_oracle))
+    assert_slice_equal(X, registry, model_type, expected, oracle)
 
     oracle, registry = FeatureRegistry(), FeatureRegistry()
     for v in data.train_views[:4]:
         reference_assemble(v, model_type, oracle, None, dim)
-        assemble(v, model_type, registry, None, dim)
+    extract_matrix(data.train_views[:4], registry, None, dim)
     oracle.freeze()
     registry.freeze()
     for views in (data.test_views, strip_contexts(data.test_views), []):
         expected = [reference_assemble(v, model_type, oracle, None, dim) for v in views]
         X = extract(views, registry, len(registry))
-        assert_rows_equal(X, expected, len(registry))
-        assert registry.dropped_unseen == oracle.dropped_unseen > 0
+        assert_slice_equal(X, registry, model_type, expected, oracle)
+        assert registry.dropped_in[model_type] == oracle.dropped_unseen > 0
         if model_type == CI and views and views[0].source.context == EMPTY_CONTEXT:
-            assert not any(csr_rows(X))
+            assert not any(csr_rows(X.columns(registry.columns_of(CI))))
 
 
 def test_dense_row_blocks_match_a_scatter_of_every_entry(monkeypatch):
@@ -571,8 +579,9 @@ def test_extract_matrix_and_column_views_keep_int32_indices(synth_dir):
     X = extract_matrix(data.train_views, registry, None, data.embedding_dim)
     wide = csr_of_array(np.eye(3))  # intp indices in, int32 out
     for M in (X, X.columns(registry.columns_of(CB)), extract_matrix([], FeatureRegistry()),
-              wide.columns(np.array([True, False, True]))):
+              wide.columns(np.array([True, False, True])), wide.columns(np.ones(3, bool))):
         assert M.indices.dtype == np.int32 and M.indptr.dtype == np.intp
+    assert X.columns(registry.columns_of(FA)) is X  # every column: no copy
 
 
 def test_views_keep_no_instance_dict(synth_dir):
@@ -603,13 +612,15 @@ def test_sparse_rows_of_shared_sides_match_per_instance_assembly():
         target = sides[b] if k % 5 else None
         inst = RelationInstance(f"T{a}", target and f"T{b}", "support", "f", "d")
         views.append(InstanceView(inst, sides[a], target))
+    registry = FeatureRegistry()
+    X = extract_matrix(views, registry)
     for model_type in (CB, CI, FA):
-        oracle, registry = FeatureRegistry(), FeatureRegistry()
+        oracle = FeatureRegistry()
         expected = [reference_assemble(v, model_type, oracle) for v in views]
-        X = extract_matrix(views, registry, model_type=model_type)
-        assert not _dense(X)
-        assert registry.registry_id == oracle.registry_id
-        assert_rows_equal(X, expected, len(registry))
+        columns = registry.columns_of(model_type)
+        assert not _dense(X.columns(columns))
+        assert registry.subset(columns).registry_id == oracle.registry_id
+        assert_slice_equal(X, registry, model_type, expected, oracle)
 
 
 def test_numeric_blocks_of_shared_sides_match_per_view_assembly():
@@ -645,26 +656,26 @@ def test_numeric_blocks_of_shared_sides_match_per_view_assembly():
         target = sides[b] if k % 5 else None
         inst = RelationInstance(f"T{a}", target and f"T{b}", "support", "f", "d")
         views.append(InstanceView(inst, sides[a], target, layers))
+    registry = FeatureRegistry()
+    X = extract_matrix(views, registry, embedding_dim=3)
     for model_type in (CB, CI, FA):
-        oracle, registry = FeatureRegistry(), FeatureRegistry()
+        oracle = FeatureRegistry()
         expected = [reference_assemble(v, model_type, oracle, embedding_dim=3) for v in views]
-        X = extract_matrix(views, registry, embedding_dim=3, model_type=model_type)
-        assert [registry.name(i) for i in range(len(registry))] == [
-            oracle.name(i) for i in range(len(oracle))
-        ]
-        assert csr_rows(X) == [list(vec.items()) for vec in expected]
+        assert_slice_equal(X, registry, model_type, expected, oracle)
 
-        # frozen after four views, the rest drop unseen names
-        oracle, registry = FeatureRegistry(), FeatureRegistry()
+    # frozen after four views, the rest drop unseen names
+    registry = FeatureRegistry()
+    extract_matrix(views[:4], registry, embedding_dim=3)
+    registry.freeze()
+    X = extract_matrix(views, registry, embedding_dim=3)
+    for model_type in (CB, CI, FA):
+        oracle = FeatureRegistry()
         for v in views[:4]:
             reference_assemble(v, model_type, oracle, embedding_dim=3)
-            assemble(v, model_type, registry, embedding_dim=3)
         oracle.freeze()
-        registry.freeze()
         expected = [reference_assemble(v, model_type, oracle, embedding_dim=3) for v in views]
-        X = extract_matrix(views, registry, embedding_dim=3, model_type=model_type)
-        assert csr_rows(X) == [list(vec.items()) for vec in expected]
-        assert registry.dropped_unseen == oracle.dropped_unseen > 0
+        assert_slice_equal(X, registry, model_type, expected, oracle)
+        assert registry.dropped_in[model_type] == oracle.dropped_unseen > 0
 
 
 def in_chunks(views, sizes):
@@ -683,7 +694,7 @@ def by_document(views):
 
 def assert_same_extraction(views, chunks, make_registry, *args):
     """``extract_matrix`` of the list and of its chunks: the same arrays, to
-    their types, the same registry and the same ``dropped_unseen``."""
+    their types, the same registry and the same dropped counts per Φ type."""
     (X, one), (Y, chunked) = [
         (extract_matrix(source, registry, *args), registry)
         for source, registry in ((views, make_registry()), (chunks, make_registry()))
@@ -693,7 +704,7 @@ def assert_same_extraction(views, chunks, make_registry, *args):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert X.shape == Y.shape == (len(views), len(one))
     assert one._names == chunked._names and one.frozen == chunked.frozen
-    assert one.dropped_unseen == chunked.dropped_unseen
+    assert one.dropped_in == chunked.dropped_in
     return one
 
 
@@ -702,9 +713,10 @@ def assert_same_extraction(views, chunks, make_registry, *args):
 def test_chunked_extraction_matches_one_list(synth_dir, model_type, families):
     """Per document, or in chunks that split documents (so sides recur across
     chunks) with empty ones among them, the matrix is the one-list call's;
-    over an open registry and over a frozen one that drops unseen names."""
+    over an open registry and over a frozen one that drops unseen names of
+    the model type."""
     data = prepared(synth_dir, "g")
-    args = (families, data.embedding_dim, model_type)
+    args = (families, data.embedding_dim)
 
     def frozen():
         registry = FeatureRegistry()
@@ -719,7 +731,7 @@ def test_chunked_extraction_matches_one_list(synth_dir, model_type, families):
     ):
         for chunks in (by_document(views), in_chunks(views, [3, 0, 1, 7])):
             registry = assert_same_extraction(views, chunks, make_registry, *args)
-            assert (registry.dropped_unseen > 0) == registry.frozen
+            assert (registry.dropped_in[model_type] > 0) == registry.frozen
 
 
 def test_chunks_extract_a_side_once_per_chunk(monkeypatch):
@@ -757,30 +769,28 @@ def test_chunks_extract_a_side_once_per_chunk(monkeypatch):
         return extract_side(sv, *args)
 
     monkeypatch.setattr(features, "_side_blocks", counting)
+    registry = FeatureRegistry()
+    X = extract_matrix(iter(chunks), registry, embedding_dim=3)
+    assert calls == {"T0": 2, "T1": 2, "T2": 1}
+    assert_same_extraction(views, iter(chunks), FeatureRegistry, None, 3)
+
+    def frozen():
+        registry = FeatureRegistry()
+        extract_matrix(views[:1], registry, embedding_dim=3)
+        registry.freeze()
+        return registry
+
+    frozen_registry = assert_same_extraction(views, iter(chunks), frozen, None, 3)
     for model_type in (CB, CI, FA):
         oracle = FeatureRegistry()
         expected = [reference_assemble(v, model_type, oracle, embedding_dim=3) for v in views]
-        calls.clear()
-        registry = FeatureRegistry()
-        X = extract_matrix(iter(chunks), registry, embedding_dim=3, model_type=model_type)
-        assert calls == {"T0": 2, "T1": 2, "T2": 1}
-        assert csr_rows(X) == [list(vec.items()) for vec in expected]
-        assert registry._names == oracle._names
-        assert_same_extraction(views, iter(chunks), FeatureRegistry, None, 3, model_type)
-
-        def frozen():
-            registry = FeatureRegistry()
-            extract_matrix(views[:1], registry, embedding_dim=3, model_type=model_type)
-            registry.freeze()
-            return registry
-
-        registry = assert_same_extraction(views, iter(chunks), frozen, None, 3, model_type)
+        assert_slice_equal(X, registry, model_type, expected, oracle)
         oracle = FeatureRegistry()
         reference_assemble(views[0], model_type, oracle, embedding_dim=3)
         oracle.freeze()
         for v in views:
             reference_assemble(v, model_type, oracle, embedding_dim=3)
-        assert registry.dropped_unseen == oracle.dropped_unseen > 0
+        assert frozen_registry.dropped_in[model_type] == oracle.dropped_unseen > 0
 
 
 @pytest.mark.parametrize("families", [None, ("lexical", "embedding", "sentiment")])
@@ -792,11 +802,6 @@ def test_extract_matrix_of_no_views_is_empty(families):
         assert X.shape == (0, 1)
         assert X.indptr.tolist() == [0] and len(X.indices) == len(X.data) == 0
         assert len(registry) == 1 and registry.dropped_unseen == 0
-
-
-def test_extract_matrix_rejects_unknown_model_type():
-    with pytest.raises(ValueError):
-        extract_matrix([make_view()], FeatureRegistry(), model_type="XX")
 
 
 def test_extract_matrix_requires_the_family_layer():
