@@ -156,6 +156,18 @@ def parse_token_offsets(tsv: str, document_text: str, doc_id: str = "doc") -> li
 
 _LABEL_SENT_RE = re.compile(r"^(.*?)\|s=([0-9])$")
 
+# A node label (the item after "(") holding "|s=": on a line the parser
+# accepts, a label with a sentiment score.
+_LABEL_SCAN_RE = re.compile(r"\(\s*[^\s()]*\|s=")
+
+
+def trees_have_sentiment(content: str) -> bool:
+    """Whether every tree line of a trees file has a node label with a sentiment
+    suffix, found by a label scan that builds no record.  On every line
+    ``parse_bracketed_tree`` accepts, this is the tree's ``has_sentiment``."""
+    return all(_LABEL_SCAN_RE.search(line) for line in content.split("\n") if line.strip())
+
+
 # Bracket escapes used by common treebank tooling.
 _LEAF_ESCAPES = {
     "-LRB-": "(", "-RRB-": ")", "-LSB-": "[", "-RSB-": "]", "-LCB-": "{", "-RCB-": "}",
@@ -255,21 +267,30 @@ def parse_bracketed_tree(
 def parse_trees_file(
     content: str, tokens: list[Token], doc_id: str = "doc"
 ) -> dict[int, ConstTree]:
-    """Parse a one-tree-per-line file; line order follows sentence order."""
+    """Parse a one-tree-per-line file; line order follows sentence order.
+
+    A line that does not parse is a ``StandoffParseError`` naming its line.
+    """
     by_sentence: dict[int, list[Token]] = {}
     for sent_idx, run in groupby(tokens, key=attrgetter("sentence_idx")):
         by_sentence.setdefault(sent_idx, []).extend(run)
-    lines = [ln for ln in content.split("\n") if ln.strip()]
+    lines = [
+        (line_no, line) for line_no, line in enumerate(content.split("\n"), start=1)
+        if line.strip()
+    ]
     sentence_idxs = sorted(by_sentence)
     if len(lines) != len(sentence_idxs):
         raise AlignmentError(
             f"{doc_id}: {len(lines)} trees for {len(sentence_idxs)} sentences"
         )
     trees = {}
-    for sent_idx, line in zip(sentence_idxs, lines):
-        trees[sent_idx] = parse_bracketed_tree(
-            line, by_sentence[sent_idx], doc_id=doc_id, sentence_idx=sent_idx
-        )
+    for sent_idx, (line_no, line) in zip(sentence_idxs, lines):
+        try:
+            trees[sent_idx] = parse_bracketed_tree(
+                line, by_sentence[sent_idx], doc_id=doc_id, sentence_idx=sent_idx
+            )
+        except StandoffParseError as exc:
+            raise StandoffParseError(str(exc), line_no) from None
     return trees
 
 

@@ -131,6 +131,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 def cmd_ingest(args) -> int:
     config = build_run_config(args)
     data = prepare(config)
+    data.bundle.check_layers()
     n_eaus = sum(len(d.eaus) for d in data.bundle.corpus)
     n_rels = sum(len(d.relations) for d in data.bundle.corpus)
     print(f"documents: {len(data.bundle.corpus)}")
@@ -254,9 +255,10 @@ def cmd_synth(args) -> int:
 
 
 _INGEST_HELP = (
-    "validate the whole corpus: check every layer file and build every train and test "
-    "side view, so that an EAU no token or paragraph holds, or a tree that cannot be "
-    "cut at an EAU, is a data error (exit 2); every other command checks what it reads"
+    "validate the whole corpus: parse every layer file of every document and build "
+    "every train and test side view, so that a malformed layer file, an EAU no token "
+    "or paragraph holds, or a tree that cannot be cut at an EAU, is a data error "
+    "(exit 2); every other command checks only the layer files and views it reads"
 )
 
 

@@ -8,14 +8,18 @@ each solver machine's convergence, and writes a manifest with content hashes
 so runs are reproducible.  Every model trains (``train_model``) and predicts
 (``evaluate_models``) on its Φ columns of one FA extraction per split and condition.
 
-``prepare`` checks every layer file but builds no side view: a command builds
-only the views it reads (``ExperimentData``), one per distinct EAU side.  The
-training views are streamed into the extraction one document at a time and
-not kept; the test views are built once and kept.  A document's sentence
-regions and discourse spans are worked out once, on first use
-(``DocBundle``); aligning an EAU and the discourse split still read the
-whole document.  The corpus layer set is worked out once
-(``CorpusBundle.layers``).
+``prepare`` parses no layer file and builds no side view.  A document's
+token, tree and discourse files are parsed when first read, and released
+once the command has built its last view from them (``DocBundle``), so every
+command checks the layer files it reads and ``ingest`` checks them all
+(``CorpusBundle.check_layers``).  A command builds only the views it reads
+(``ExperimentData``), one per distinct EAU side.  The training views are
+streamed into the extraction one document at a time and not kept; the test
+views are built once and kept.  A document's sentence regions and discourse
+spans are worked out once per parse, on first use (``DocBundle``); aligning
+an EAU and the discourse split still read the whole document.  The corpus
+layer set is worked out once, from facts each document gathers at load
+without parsing (``CorpusBundle.layers``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import Optional
 
@@ -44,6 +48,7 @@ from .annotations import (
     parse_token_offsets,
     parse_trees_file,
     token_key,
+    trees_have_sentiment,
 )
 from .corpus import (
     Corpus,
@@ -88,12 +93,92 @@ _sentence_of = attrgetter("sentence_idx")
 _doc_of = attrgetter("doc_id")
 
 
-@dataclass
+# A document's layer files, ``<id>`` plus the extension; only tokens are required.
+_LAYER_FILES = {"tokens": ".tokens.tsv", "trees": ".trees", "discourse": ".discourse"}
+
+
 class DocBundle:
-    parsed: ParsedDoc
-    tokens: list[Token]
-    trees: Optional[dict[int, ConstTree]] = None
-    discourse: Optional[list[DiscourseRelation]] = None
+    """A document's standoff parse and its token, tree and discourse layers.
+
+    Given in memory, the layers are kept as given.  Given ``base``, the path
+    of the document's layer files without their extension, each layer is
+    parsed from its file on first read, through this module's parser names,
+    and kept until ``release``; a released layer is parsed again if read
+    again.  ``layers`` names the layers the document has, known without
+    parsing: which files exist, and a label scan of the trees file.
+    """
+
+    def __init__(
+        self,
+        parsed: ParsedDoc,
+        tokens: Optional[list[Token]] = None,
+        trees: Optional[dict[int, ConstTree]] = None,
+        discourse: Optional[list[DiscourseRelation]] = None,
+        *,
+        base: Optional[str] = None,
+    ):
+        self.parsed = parsed
+        self._base = base
+        if base is None:
+            self._held = {"tokens": tokens, "trees": trees, "discourse": discourse}
+            layers = {name for name, layer in self._held.items() if layer is not None}
+            if trees is not None and all(t.has_sentiment for t in trees.values()):
+                layers.add("sentiment")
+        else:
+            self._held = {}
+            layers = {name for name, ext in _LAYER_FILES.items() if os.path.exists(base + ext)}
+            if "tokens" not in layers:
+                raise MissingLayerError(f"tokens ({base + _LAYER_FILES['tokens']})")
+            if "trees" in layers and trees_have_sentiment(read_text(base + _LAYER_FILES["trees"])):
+                layers.add("sentiment")
+        self.layers = frozenset(layers)
+
+    @property
+    def tokens(self) -> list[Token]:
+        return self._layer("tokens")
+
+    @property
+    def trees(self) -> Optional[dict[int, ConstTree]]:
+        return self._layer("trees")
+
+    @property
+    def discourse(self) -> Optional[list[DiscourseRelation]]:
+        return self._layer("discourse")
+
+    def _layer(self, name: str):
+        held = self._held
+        if name not in held:
+            held[name] = self._parse(name) if name in self.layers else None
+        return held[name]
+
+    def _parse(self, name: str):
+        """The layer parsed from its file; a malformed file is a ``DataError`` naming it."""
+        doc = self.parsed.document
+        if name == "tokens":
+            parse, args = parse_token_offsets, (doc.text, doc.id)
+        elif name == "trees":
+            parse, args = parse_trees_file, (self.tokens, doc.id)
+        else:
+            parse, args = parse_discourse_file, (len(doc.text), doc.id)
+        path = self._base + _LAYER_FILES[name]
+        content = read_text(path)
+        try:
+            return parse(content, *args)
+        except DataError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+
+    def parse_layers(self) -> None:
+        """Parse each layer not held; a malformed file is a ``DataError``."""
+        for name in _LAYER_FILES:
+            self._layer(name)
+
+    def release(self) -> None:
+        """Drop the layers parsed from files, and the lookups built on them."""
+        if self._base is not None:
+            self._held.clear()
+            self.__dict__.pop("sentence_regions", None)
+            self.__dict__.pop("discourse_spans", None)
 
     # the side views' lookups, each built on first use (EAUs live on ``parsed``)
     @cached_property
@@ -121,16 +206,19 @@ class CorpusBundle:
     @cached_property
     def layers(self) -> frozenset[str]:
         """The annotation layers every document (or the corpus) has; worked out once."""
-        layers = {"tokens"}
-        if all(b.trees is not None for b in self.bundles.values()):
-            layers.add("trees")
-            if all(t.has_sentiment for b in self.bundles.values() for t in b.trees.values()):
-                layers.add("sentiment")
-        if all(b.discourse is not None for b in self.bundles.values()):
-            layers.add("discourse")
+        layers = frozenset(("tokens", "trees", "sentiment", "discourse")).intersection(
+            *(doc.layers for doc in self.bundles.values())
+        )
         if self.embeddings is not None:
-            layers.add("embeddings")
-        return frozenset(layers)
+            layers |= {"embeddings"}
+        return layers
+
+    def check_layers(self) -> None:
+        """Parse every document's layer files, then release them: a malformed
+        file is a ``DataError`` even where no instance reads it."""
+        for doc in self.bundles.values():
+            doc.parse_layers()
+            doc.release()
 
 
 def read_text(path) -> str:
@@ -188,27 +276,13 @@ def load_standoff_dir(corpus_dir) -> Corpus:
 
 
 def load_corpus_dir(corpus_dir, embeddings_path=None) -> CorpusBundle:
-    """Load every ``<id>.txt``/``<id>.ann`` pair and whatever layers exist."""
+    """Load every ``<id>.txt``/``<id>.ann`` pair; each document's layer files
+    are parsed when first read (``DocBundle``)."""
     corpus = load_standoff_dir(corpus_dir)
-    bundles = {}
-    for doc_id, parsed in corpus.docs.items():
-        base = os.path.join(corpus_dir, doc_id)
-        text = parsed.document.text
-        tokens_path = base + ".tokens.tsv"
-        if not os.path.exists(tokens_path):
-            raise MissingLayerError(f"tokens ({tokens_path})")
-        tokens = parse_token_offsets(read_text(tokens_path), text, doc_id)
-        trees = None
-        if os.path.exists(base + ".trees"):
-            trees = parse_trees_file(read_text(base + ".trees"), tokens, doc_id)
-        discourse = None
-        if os.path.exists(base + ".discourse"):
-            discourse = parse_discourse_file(
-                read_text(base + ".discourse"), len(text), doc_id
-            )
-        bundles[doc_id] = DocBundle(
-            parsed=parsed, tokens=tokens, trees=trees, discourse=discourse
-        )
+    bundles = {
+        doc_id: DocBundle(parsed, base=os.path.join(corpus_dir, doc_id))
+        for doc_id, parsed in corpus.docs.items()
+    }
     embeddings = None
     if embeddings_path:
         try:
@@ -402,12 +476,14 @@ class RunConfig:
 class ExperimentData:
     """A loaded corpus and each split's instances, with their labels and views.
 
-    Views are built through the module's ``build_views`` name, which
-    tracing tools wrap.  ``train_features`` streams the training views,
-    one document at a time, into the extraction and keeps none of them.
-    ``train_views`` and ``test_views`` are built the first time they are
-    read, and kept.  Of the commands only ``ingest`` reads ``train_views``;
-    ``anova`` and ``baseline`` read no ``test_views``.
+    Views are built one document at a time, through the module's
+    ``build_views`` name, which tracing tools wrap.  No instance of another
+    document reads a document's layers, so they are released once its views
+    are built.  ``train_features`` streams the training views into the
+    extraction and keeps none of them.  ``train_views`` and ``test_views``
+    are built the first time they are read, and kept.  Of the commands only
+    ``ingest`` reads ``train_views``; ``anova`` and ``baseline`` read no
+    ``test_views``.
     """
 
     bundle: CorpusBundle
@@ -427,26 +503,30 @@ class ExperimentData:
 
     @cached_property
     def train_views(self) -> list[InstanceView]:
-        return build_views(self.bundle, self.train_instances)
+        return list(chain.from_iterable(self._views_by_document(self.train_instances)))
 
     @cached_property
     def test_views(self) -> list[InstanceView]:
-        return build_views(self.bundle, self.test_instances)
+        return list(chain.from_iterable(self._views_by_document(self.test_instances)))
+
+    def _views_by_document(self, instances: list[RelationInstance]):
+        """The instances' views, one list per document; a document's layers
+        are released when the next list is asked for."""
+        for doc_id, run in groupby(instances, key=_doc_of):
+            yield build_views(self.bundle, list(run))
+            self.bundle.bundles[doc_id].release()
 
     def train_features(self, families: tuple[str, ...]) -> tuple[FeatureRegistry, CsrMatrix]:
         """The training views' FA registry, frozen, and their FA rows over it.
 
         Extracted on the first call for ``families`` and kept: every model
-        type trains on a column view of the same rows.  The views are built
-        one document at a time, each document's extracted as soon as they
-        are built, and none is kept.
+        type trains on a column view of the same rows.  Each document's
+        views are extracted as soon as they are built, and none is kept;
+        its layers are released once they are extracted.
         """
         if families not in self._train_features:
             registry = FeatureRegistry()
-            views = (
-                build_views(self.bundle, list(instances))
-                for _, instances in groupby(self.train_instances, key=_doc_of)
-            )
+            views = self._views_by_document(self.train_instances)
             X = extract_matrix(views, registry, families, self.embedding_dim)
             registry.freeze()
             self._train_features[families] = registry, X
@@ -454,7 +534,8 @@ class ExperimentData:
 
 
 def prepare(config: RunConfig) -> ExperimentData:
-    """Load and check the corpus and split it into instances; no side view is built."""
+    """Load the corpus and split it into instances; no layer file is parsed
+    and no side view is built."""
     bundle = load_corpus_dir(config.corpus_dir, config.embeddings_path or None)
     split = split_corpus(bundle.corpus, read_text(config.split_path))
     all_instances = corpus_mod.build_instances(bundle.corpus, config.task, config.pairing())

@@ -18,6 +18,7 @@ from argdissect.annotations import (
     parse_discourse_file,
     parse_token_offsets,
     parse_trees_file,
+    trees_have_sentiment,
 )
 from argdissect.corpus import EauSpan
 from argdissect.errors import AlignmentError, IntegrityError, StandoffParseError
@@ -283,6 +284,40 @@ def test_has_sentiment_walks_the_tree_once(monkeypatch):
     monkeypatch.setattr(TreeNode, "iter_nodes", counted)
     assert tree.has_sentiment and tree.has_sentiment
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("line, words, expected", [
+    ("(S|s=3 (NN a))", "a", True),
+    ("(S (NN|s=1 a))", "a", True),
+    ("(|s=5 a)", "a", True),
+    ("( \u2003S|s=2 a)", "a", True),  # whitespace between "(" and the label
+    ("(S (NN a))", "a", False),
+    ("(S a|s=3)", "a|s=3", False),  # a leaf is no label
+    ("(S (NN a) |s=3)", "a |s=3", False),
+])
+def test_sentiment_scan_reads_node_labels_only(line, words, expected):
+    tree = parse_bracketed_tree(line, toks(*words.split()))
+    assert tree.has_sentiment == trees_have_sentiment(line) == expected
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="()SNP|s=3 ab-LRB\t\u00a0\u2003\x1c", max_size=30))
+def test_sentiment_scan_matches_the_parser_on_any_accepted_line(line):
+    """Whitespace the parser splits on, Unicode included, separates a label
+    from "(" for the scan too."""
+    try:
+        root, leaves = recursive_parse(line)
+    except StandoffParseError:
+        return
+    surfaces = (annotations._LEAF_ESCAPES.get(leaf.label, leaf.label) for leaf in leaves)
+    tree = parse_bracketed_tree(line, toks(*surfaces))
+    assert trees_have_sentiment(line) == tree.has_sentiment
+
+
+def test_a_malformed_tree_line_names_its_line():
+    tokens = toks("a") + [Token("d", 1, 0, 2, 3, "b")]
+    with pytest.raises(StandoffParseError, match=r"^line 3: unbalanced brackets"):
+        parse_trees_file("(S (NN a))\n\n(S (NN b)\n", tokens, "d")
 
 
 def test_trees_file_sentence_order():

@@ -266,18 +266,29 @@ def test_transform_reads_only_text_and_annotations(synth_dir, tmp_path, capsys):
     assert outputs["stripped"] == outputs["intact"]
 
 
+def _break_first_tree_line(trees):
+    """Drop the closing bracket of the file's first tree, keeping its labels."""
+    first, rest = trees.read_text(encoding="utf-8").split("\n", 1)
+    assert first.endswith(")") and "|s=" in first
+    trees.write_text(first[:-1] + "\n" + rest, encoding="utf-8")
+
+
 def test_each_command_checks_the_side_views_it_reads(synth_dir, tmp_path, capsys):
-    """A test document loses its tree file and the tokens of one EAU's words.
-    ``ingest`` (the corpus validator) and ``run`` read the test views and stop
-    on that EAU; ``anova`` and ``baseline`` read none and write what they write
-    when only the tree file is gone."""
+    """A test document loses its tree file and the tokens of one EAU's words;
+    in another corpus its tree file cannot be parsed.  ``ingest`` (the corpus
+    validator) and ``run`` read the test views and stop on either; ``anova``
+    and ``baseline`` read none and write what they write when only the tree
+    file is gone, or on the intact corpus."""
     split = (pathlib.Path(synth_dir) / "split.tsv").read_text(encoding="utf-8")
     doc = sorted(line.split("\t")[0] for line in split.splitlines() if line.endswith("\ttest"))[0]
-    corpora = {}
-    for name in ("no_trees", "broken"):
+    corpora = {"intact": pathlib.Path(synth_dir)}
+    for name in ("no_trees", "broken", "bad_trees"):
         corpora[name] = tmp_path / name
         shutil.copytree(synth_dir, corpora[name])
+    for name in ("no_trees", "broken"):
         (corpora[name] / f"{doc}.trees").unlink()
+    bad_trees = corpora["bad_trees"] / f"{doc}.trees"
+    _break_first_tree_line(bad_trees)
     broken = corpora["broken"]
     ann = (broken / f"{doc}.ann").read_text(encoding="utf-8")
     source = re.search(r"^R\S*\t\S+ Arg1:(\S+)", ann, re.M).group(1)
@@ -290,17 +301,41 @@ def test_each_command_checks_the_side_views_it_reads(synth_dir, tmp_path, capsys
     tokens.write_text("\n".join(kept) + "\n", encoding="utf-8")
 
     for command in ("ingest", "run"):
-        out_dir = tmp_path / command
-        assert main([command, "--task", "g"] + base_args(str(broken), str(out_dir))) == 2
-        assert f"data error: EAU {source} overlaps no tokens" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "model.txt").exists()
+        for name, message in (
+            ("broken", f"data error: EAU {source} overlaps no tokens"),
+            ("bad_trees", f"data error: {bad_trees}: line 1: unbalanced brackets: missing ')'"),
+        ):
+            out_dir = tmp_path / f"{command}-{name}"
+            assert main([command, "--task", "g"] + base_args(str(corpora[name]), str(out_dir))) == 2
+            assert message in capsys.readouterr().err
+            assert not (out_dir / "model.txt").exists()
     for command, output in (("anova", "anova.tsv"), ("baseline", "baseline.tsv")):
-        written = []
+        written = {}
         for name, corpus in corpora.items():
             out_dir = tmp_path / f"{command}-{name}"
             assert main([command, "--task", "g"] + base_args(str(corpus), str(out_dir))) == 0
-            written.append((out_dir / output).read_bytes())
-        assert written[0] == written[1] and written[0]
+            written[name] = (out_dir / output).read_bytes()
+        assert written["no_trees"] == written["broken"] and written["no_trees"]
+        assert written["intact"] == written["bad_trees"]
+
+
+def test_ingest_checks_the_layers_of_a_document_without_instances(synth_dir, tmp_path, capsys):
+    """A document without relations yields no task-f instance, so no view
+    reads its layers: ``run`` never parses its malformed tree file, and
+    ``ingest`` parses every layer file and stops on it, naming the line."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    ann = sorted(corpus.glob("*.ann"))[0]
+    lines = ann.read_text(encoding="utf-8").splitlines()
+    assert any(line.startswith("R") for line in lines)
+    ann.write_text("".join(line + "\n" for line in lines if not line.startswith("R")), "utf-8")
+    trees = ann.with_suffix(".trees")
+    _break_first_tree_line(trees)
+    assert main(["run", "--task", "f"] + base_args(str(corpus), str(tmp_path / "run"))) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--task", "f"] + base_args(str(corpus), str(tmp_path / "ingest"))) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {trees}: line 1: unbalanced brackets: missing ')'" in err
 
 
 def test_empty_corpus_is_data_error(tmp_path, capsys):

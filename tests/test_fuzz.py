@@ -20,9 +20,11 @@ from argdissect import cli
 from argdissect.annotations import (
     Token,
     load_embeddings,
+    parse_bracketed_tree,
     parse_discourse_file,
     parse_token_offsets,
     parse_trees_file,
+    trees_have_sentiment,
 )
 from argdissect.cli import build_run_config, make_parser, read_config_file
 from argdissect.corpus import (
@@ -300,6 +302,19 @@ def test_tree_file_text_fuzz(content):
     parsed = parse_or_reject(parse_trees_file, content, TREE_TOKENS, "d")
     if parsed is not None:
         assert_trees_valid(parsed)
+
+
+@FUZZ
+@given(st.one_of(tree_file(), unstructured("()SNP|s=3 ab-LRB\n")))
+def test_sentiment_scan_is_the_parsed_trees_has_sentiment(content):
+    """On every line the parser accepts, for either sentence, the label scan
+    ``CorpusBundle.layers`` reads at load equals the parsed tree's flag."""
+    for line in content.split("\n"):
+        for sent_idx in (0, 1):
+            tokens = [t for t in TREE_TOKENS if t.sentence_idx == sent_idx]
+            tree = parse_or_reject(parse_bracketed_tree, line, tokens, "d", sent_idx)
+            if tree is not None:
+                assert trees_have_sentiment(line) == tree.has_sentiment
 
 
 # --------------------------------------------------------------------------

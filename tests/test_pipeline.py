@@ -1,4 +1,5 @@
 import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,7 @@ from argdissect.pipeline import (
     run_experiment,
     train_model,
 )
+from argdissect.synth import SynthConfig, generate_corpus
 
 from conftest import SMOKE_TOKEN_SPECS, SMOKE_TREE, csr_of, reference_assemble
 
@@ -135,6 +137,74 @@ def test_load_corpus_dir_layers(synth_dir):
     bundle = load_corpus_dir(synth_dir)
     assert {"tokens", "trees", "sentiment", "discourse"} <= bundle.layers
     assert "embeddings" not in bundle.layers
+
+
+def layers_of_parsed_trees(bundle):
+    """The corpus layer set as the parsed layers give it."""
+    docs = list(bundle.bundles.values())
+    for doc in docs:
+        doc.parse_layers()
+    layers = {"tokens"}
+    if all(doc.trees is not None for doc in docs):
+        layers.add("trees")
+        if all(tree.has_sentiment for doc in docs for tree in doc.trees.values()):
+            layers.add("sentiment")
+    if all(doc.discourse is not None for doc in docs):
+        layers.add("discourse")
+    return layers
+
+
+@pytest.mark.parametrize("edit", ["none", "strip_sentiment", "drop_trees"])
+def test_corpus_layers_are_those_of_the_parsed_trees(tmp_path, edit):
+    """The layer set read from file facts and a label scan at load equals
+    the set the parsed trees give: on a seed-1 corpus, with one test
+    document's sentiment suffixes stripped, or with its tree file gone."""
+    corpus = tmp_path / "corpus"
+    generate_corpus(str(corpus), SynthConfig(n_docs=20, seed=1))
+    split = (corpus / "split.tsv").read_text(encoding="utf-8")
+    doc = sorted(line.split("\t")[0] for line in split.splitlines() if line.endswith("\ttest"))[0]
+    trees = corpus / f"{doc}.trees"
+    if edit == "strip_sentiment":
+        text = trees.read_text(encoding="utf-8")
+        assert "|s=" in text
+        trees.write_text(re.sub(r"\|s=[1-5]", "", text), encoding="utf-8")
+    elif edit == "drop_trees":
+        trees.unlink()
+    layers = load_corpus_dir(str(corpus)).layers
+    assert layers == layers_of_parsed_trees(load_corpus_dir(str(corpus)))
+    expected = {
+        "none": {"tokens", "trees", "sentiment", "discourse"},
+        "strip_sentiment": {"tokens", "trees", "discourse"},
+        "drop_trees": {"tokens", "discourse"},
+    }
+    assert layers == expected[edit]
+
+
+def test_training_features_release_the_layers_they_read(synth_dir):
+    """After ``train_features`` no training document holds a parsed layer; a
+    later ``train_views`` parses them again, to the views and matrix built
+    with no release."""
+    config = run_config(synth_dir, "unused", embeddings_path="", task="g")
+    data = prepare(config)
+    families = resolve_families(config, data)
+    registry, X = data.train_features(families)
+    train_docs = [data.bundle.bundles[doc_id] for doc_id in dict.fromkeys(
+        inst.doc_id for inst in data.train_instances)]
+    assert not any(doc._held for doc in train_docs)
+
+    kept = load_corpus_dir(synth_dir)  # build_views releases nothing
+    expected_views = pipeline.build_views(kept, data.train_instances)
+    expected_registry = FeatureRegistry()
+    expected = features.extract_matrix(expected_views, expected_registry, families)
+    assert all(kept.bundles[doc.parsed.document.id]._held for doc in train_docs)
+
+    views = data.train_views
+    assert views == expected_views
+    assert not any(doc._held for doc in train_docs)
+    for M in (X, features.extract_matrix(views, FeatureRegistry(), families)):
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(M, part), getattr(expected, part))
+    assert registry.registry_id == expected_registry.registry_id
 
 
 def test_build_views_share_sides(synth_dir):
