@@ -16,8 +16,10 @@ feature name once per distinct payload; the CB and CI slices are its column
 views (``FeatureRegistry.columns_of``).  The batch may
 come as chunks, lists of views one after another (the training split comes
 a document at a time), and no chunk's sides are kept past it.  Other
-modules take feature matrices only in this form.  A ``CsrMatrix`` keeps ``int32``
-column indices and ``intp`` row pointers, 12 B per stored entry.  Apart from
+modules take feature matrices only in this form.  A ``CsrMatrix`` keeps
+``intp`` row pointers and column indices of the narrowest type its width
+allows (``index_dtype``): 9 B per stored entry up to 256 columns, 10 B up
+to 65,536, 12 B beyond.  Apart from
 one pool of each side's entries, the extraction works in ``row_blocks``
 whose temporaries take at most ``ROW_BLOCK_BYTES``, as does every
 densifying; ``CsrMatrix.dense_rows`` densifies one block.  ``learn`` decides
@@ -392,6 +394,15 @@ ROW_BLOCK_BYTES = 1 << 20
 _REGISTER_RUN = 1 << 12
 
 
+def index_dtype(n_cols: int) -> np.dtype:
+    """The narrowest column index type of a matrix ``n_cols`` wide: ``uint8``
+    up to 256 columns, ``uint16`` up to 65,536, ``int32`` beyond."""
+    for dtype in (np.uint8, np.uint16):
+        if n_cols <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int32)
+
+
 def row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
     """(lo, hi) bounds of consecutive blocks of ``n_rows`` rows, each holding at
     most ``ROW_BLOCK_BYTES`` as a dense (rows, width) float array."""
@@ -403,8 +414,8 @@ def row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
 class CsrMatrix:
     """Compressed sparse rows: row i holds the columns
     ``indices[indptr[i]:indptr[i + 1]]`` and the values at the same
-    positions of ``data``.  ``extract_matrix`` and ``columns`` make ``int32``
-    indices and ``intp`` row pointers."""
+    positions of ``data``.  ``extract_matrix`` and ``columns`` make indices
+    of ``index_dtype(n_cols)`` and ``intp`` row pointers."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -444,15 +455,18 @@ class CsrMatrix:
 
     def columns(self, mask: np.ndarray) -> CsrMatrix:
         """The masked columns, renumbered in order; entry order is kept.  A mask
-        of every column gives the matrix itself, once its indices are ``int32``."""
-        if mask.all() and self.indices.dtype == np.int32:
+        of every column gives the matrix itself, once its indices are of
+        ``index_dtype``."""
+        n_cols = int(np.count_nonzero(mask))
+        if n_cols == self.n_cols and self.indices.dtype == index_dtype(n_cols):
             return self
-        renumbered = np.where(mask, np.cumsum(mask) - 1, -1).astype(np.int32)[self.indices]
-        kept = renumbered >= 0
+        kept = mask[self.indices]
         kept_before = np.zeros(len(kept) + 1, self.indptr.dtype)  # entry e: kept among 0..e-1
         np.cumsum(kept, out=kept_before[1:])
         indptr = kept_before[self.indptr]
-        return CsrMatrix(indptr, renumbered[kept], self.data[kept], int(np.count_nonzero(mask)))
+        # a masked-out column's number is never read
+        renumbered = (np.cumsum(mask) - 1).astype(index_dtype(n_cols))
+        return CsrMatrix(indptr, renumbered[self.indices[kept]], self.data[kept], n_cols)
 
 
 def extract_matrix(
@@ -482,7 +496,10 @@ def extract_matrix(
     its id to a new one; a side repeated across chunks is extracted once
     per chunk.  Everything per row (segment numbers, difference blocks,
     registration, the gather) is made in ``row_blocks``, and the result is
-    written into its final arrays.
+    written into its final arrays.  The matrix's width is counted before
+    the gather, so its indices are made at ``index_dtype`` of it; while an
+    open registry lacks names that occur, the gather maps a run of
+    ``int32`` codes at a time and writes it into them.
     """
     chunks = iter([views] if isinstance(views, list) else views)
     chunk = next((c for c in chunks if c), [])
@@ -521,7 +538,7 @@ def extract_matrix(
     # place; a small numpy array per chunk would leave the freed heap
     # fragmented under the solver's dense copy (anova-g1k peak RSS about
     # 6 MB higher).
-    ids = {tag: array("q") for tag in TAGS}
+    ids = {tag: array("i") for tag in TAGS}
     pool = {tag: (array("q"), array("d"), array("q")) for tag in TAGS}
     side_rows = {
         (family, scope, tag): array("d") for family, scope, tag in blocks
@@ -571,19 +588,42 @@ def extract_matrix(
     while chunk is not None:
         take(chunk)
         chunk = next(chunks, None)
-    ids = {tag: np.frombuffer(ids[tag], np.int64) for tag in TAGS}
+    ids = {tag: np.frombuffer(ids[tag], np.intc) for tag in TAGS}
     n = len(ids["src"])
     paired = ids["tgt"] >= 0
 
-    # pid: a name's place in ``names``, the blocks' names in block order
+    # pid: a name's place in ``names``, the blocks' names in block order.
+    # An entry's code is its name's column, or -1 - pid while the registry
+    # lacks the name: colmap[pid] is the code of the name.
     names = [
         f"{_FAMILY_PREFIX[family]}:{scope}:{tag}:{p}"
         for family, scope, tag in blocks for p in payloads[family, scope]
     ]
     offsets = np.cumsum([0] + [len(payloads[b[:2]]) for b in blocks])
-    base, stride = np.zeros(len(blocks), np.intp), np.zeros(len(blocks), np.intp)
-    pool_pids, pool_vals, seg_lens = [], [], [np.zeros(1, np.int64)]
+    column = registry._index.get
+    colmap = np.fromiter(
+        (column(name, -1 - pid) for pid, name in enumerate(names)), np.int32, len(names)
+    )
+
+    # The pool's pieces, in pool order: per tag its named entries, then the
+    # numeric blocks' nonzeros, each piece as its entries' codes and values
+    # and its segments' lengths.  A frozen registry's unknown names are
+    # dropped here, each use counted.
+    base, stride = np.zeros(len(blocks), np.intc), np.zeros(len(blocks), np.intc)
+    pieces, seg_lens, unseen = [], [np.zeros(1, np.intc)], [np.zeros(1, np.intp)]
     n_segments = 1
+
+    def add_piece(pids, values, lens):
+        codes = colmap[pids]
+        if registry.frozen:
+            known = codes >= 0
+            unseen.append(np.bincount(
+                np.repeat(np.arange(len(lens)), lens)[~known], minlength=len(lens)
+            ))
+            codes, values = codes[known], values[known]
+        pieces.append((codes, values))
+        seg_lens.append(lens)
+
     for tag in TAGS:
         tag_blocks = named_blocks[tag]
         base[tag_blocks] = n_segments + np.arange(len(tag_blocks))
@@ -591,12 +631,11 @@ def extract_matrix(
         n_segments += len(tag_blocks) * n_sides[tag]
         numbers, values, lens = (
             np.frombuffer(kept, dtype)
-            for kept, dtype in zip(pool[tag], (np.int64, float, np.int64))
+            for kept, dtype in zip(pool.pop(tag), (np.int64, float, np.int64))
         )
-        pool_pids.append(numbers + np.repeat(np.tile(offsets[tag_blocks], n_sides[tag]), lens))
-        pool_vals.append(values)
-        seg_lens.append(lens)
-    del pool, numbers
+        add_piece(numbers + np.repeat(np.tile(offsets[tag_blocks], n_sides[tag]), lens),
+                  values, lens)
+        del numbers, values, lens
     side_values, diff_blocks = {}, []
     for b, (family, scope, tag) in enumerate(blocks):
         if family not in _PAIRED:
@@ -610,20 +649,8 @@ def extract_matrix(
         base[b], stride[b] = n_segments, 1
         n_segments += len(values)
         rows, ks = np.nonzero(values)
-        pool_pids.append(offsets[b] + ks)
-        pool_vals.append(values[rows, ks])
-        seg_lens.append(np.count_nonzero(values, axis=1))
-    seg_lens = np.concatenate(seg_lens)
-
-    # An entry's code is its name's column, or -1 - pid while the registry
-    # lacks the name: colmap[pid] is the code of the name
-    column = registry._index.get
-    colmap = np.fromiter(
-        (column(name, -1 - pid) for pid, name in enumerate(names)), np.int32, len(names)
-    )
-    pool_cols = colmap[np.concatenate(pool_pids)]
-    pool_vals = np.concatenate(pool_vals)
-    del pool_pids
+        add_piece(offsets[b] + ks, values[rows, ks], np.count_nonzero(values, axis=1))
+    seg_lens = np.concatenate(seg_lens, dtype=np.intc)
     block_tag = np.array([tag == "tgt" for _, _, tag in blocks])
 
     def per_side(seg_values, tag, model_type=FA):
@@ -635,19 +662,13 @@ def extract_matrix(
         return total
 
     if registry.frozen:
-        # drop the entries of unknown names, counting each use
-        unknown = pool_cols < 0
-        unseen = np.bincount(
-            np.repeat(np.arange(len(seg_lens)), seg_lens)[unknown], minlength=len(seg_lens)
-        )
+        unseen = np.concatenate(unseen)
         for tag in TAGS:
             uses = np.bincount(ids[tag][ids[tag] >= 0], minlength=n_sides[tag])
             for model_type in MODEL_TYPES:
                 registry.dropped_in[model_type] += int(per_side(unseen, tag, model_type) @ uses)
-        pool_cols, pool_vals = pool_cols[~unknown], pool_vals[~unknown]
         seg_lens -= unseen
-        del unknown, unseen
-    seg_starts = np.cumsum(seg_lens) - seg_lens
+    del unseen
     # each diff block's columns that are kept: all but a frozen registry's unknown ones
     known = {
         b: colmap[offsets[b]:offsets[b + 1]] >= 0 if registry.frozen
@@ -683,7 +704,8 @@ def extract_matrix(
                 occurs[offsets[b]:offsets[b + 1]] |= nonzero.any(axis=0)
     width = len(registry)
     if not registry.frozen:
-        occurs[-1 - pool_cols[pool_cols < 0]] = True
+        for codes, _ in pieces:
+            occurs[-1 - codes[codes < 0]] = True
         width += int(np.count_nonzero(occurs & (colmap < 0)))
     spans = row_blocks(n, max(width, len(blocks)))
     room = max((int(diff_len[lo:hi].sum()) for lo, hi in spans), default=0)
@@ -693,17 +715,28 @@ def extract_matrix(
     np.cumsum(row_len, out=indptr[1:])
     del row_len
 
-    # the pool's tail holds one block of rows' diff segments at a time
-    tail = len(pool_vals)
-    pool_vals = np.concatenate((pool_vals, np.empty(room)))
-    pool_cols = np.concatenate((pool_cols, np.empty(room, np.int32)))
-    indices = np.empty(indptr[-1], np.int32)
+    # The pool holds the pieces side by side, then one block of rows' diff
+    # segments at a time in its tail.  Its codes are kept as ``int32`` while
+    # an open registry lacks names that occur, then in the indices' type.
+    indices = np.empty(indptr[-1], index_dtype(width))
+    tail = sum(len(codes) for codes, _ in pieces)
+    pool_vals = np.empty(tail + room)
+    pool_cols = np.empty(tail + room, indices.dtype if len(registry) == width else np.int32)
+    at = 0
+    for codes, values in pieces:
+        pool_cols[at:at + len(codes)] = codes
+        pool_vals[at:at + len(codes)] = values
+        at += len(codes)
+    del pieces, codes, values
+    seg_starts = np.cumsum(seg_lens, dtype=np.intc if tail + room < 2**31 else np.intp)
+    seg_starts -= seg_lens
     data = np.empty(indptr[-1])
 
     def gather(lo, hi):
         """Write rows lo:hi: each row's slots in block order, a slot's
-        entries those of its segment; then register the names new to an
-        open registry and write their columns."""
+        entries those of its segment; while an open registry lacks names
+        that occur, register those new to it and write their columns."""
+        nonlocal pool_cols
         seg = np.where(block_tag, ids["tgt"][lo:hi, None], ids["src"][lo:hi, None])
         missing = seg < 0
         seg *= stride
@@ -731,24 +764,39 @@ def extract_matrix(
         # positions lie in the pool by construction, so take need not check
         # them (and so need not buffer its output)
         pool_vals.take(pos, out=data[indptr[lo]:indptr[hi]], mode="clip")
-        pool_cols.take(pos, out=out, mode="clip")
-        if registry.frozen or not (out < 0).any():
+        if len(registry) == width:
+            pool_cols.take(pos, out=out, mode="clip")
             return
-        # register new names in order of first occurrence, then turn the
-        # codes of registered names into columns; a run of entries at a time
-        for codes, register in ((out, True), (pool_cols[:end], False)):
-            for c in range(0, len(codes), _REGISTER_RUN):
+        # a run of entries at a time: register new names in order of first
+        # occurrence and write the columns; then turn the pool's codes of
+        # names registered here into columns
+        registered = len(registry)
+        for c in range(0, len(pos), _REGISTER_RUN):
+            run = pool_cols.take(pos[c:c + _REGISTER_RUN], mode="clip")
+            new = run < 0
+            if new.any():
+                fresh, first = np.unique(-1 - run[new], return_index=True)
+                for pid in fresh[np.argsort(first)].tolist():
+                    colmap[pid] = registry.index(names[pid])
+                run[new] = colmap[-1 - run[new]]
+            out[c:c + _REGISTER_RUN] = run
+        if len(registry) > registered:
+            codes = pool_cols[:end]
+            for c in range(0, end, _REGISTER_RUN):
                 run = codes[c:c + _REGISTER_RUN]
                 new = run < 0
-                if register:
-                    fresh, first = np.unique(-1 - run[new], return_index=True)
-                    for pid in fresh[np.argsort(first)].tolist():
-                        colmap[pid] = registry.index(names[pid])
                 run[new] = colmap[-1 - run[new]]
+        if len(registry) == width:
+            pool_cols = pool_cols.astype(indices.dtype, copy=False)
 
     for lo, hi in spans:
         gather(lo, hi)
-    return CsrMatrix(indptr, indices, data, len(registry))
+    # The kept indices are copied once the pool is freed, so that glibc's
+    # malloc can place them in the heap the extraction has left resident
+    # and idle; otherwise they take new pages under the solver's dense
+    # copy (anova-g1k peak RSS 107.5 MB without the copy, 105.2 MB with it).
+    del pool_vals, pool_cols
+    return CsrMatrix(indptr, indices.copy(), data, len(registry))
 
 
 def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

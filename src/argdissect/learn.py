@@ -3,9 +3,10 @@
 A dense form is written row block by row block (``CsrMatrix.dense_rows``)
 into the one array it fills, so densifying adds only one block's
 temporaries to that array.  Sparse solver rows keep their own ``intp``
-copy of the matrix's ``int32`` column indices, as the solver gathers by
-them on every pass and numpy casts an ``int32`` index array on every
-gather.
+copy of the matrix's narrow column indices (``features.index_dtype``): the
+solver gathers by them on every pass, numpy casts a narrow index array on
+every gather, and the bias column's index, the matrix's width, may not fit
+the narrow type.
 
 One binary machine for 2-class tasks, one-vs-rest for 3-class, each
 minimising the L2-regularized hinge or squared-hinge loss; the bias is
@@ -148,13 +149,15 @@ class _DenseRows:
 
 class _SparseRows:
     """Solver rows in compressed sparse row form, the bias column last, with
-    ``intp`` column indices whatever the matrix's index type."""
+    ``intp`` column indices whatever the matrix's index type.  The indices
+    are widened before the bias column d is inserted: at a width of 256 or
+    65,536, d does not fit the matrix's index type."""
 
     def __init__(self, X: CsrMatrix):
         n, d = X.shape
         ends = X.indptr[1:]
         self.indptr = X.indptr + np.arange(n + 1)
-        self.indices = np.insert(X.indices, ends, d).astype(np.intp, copy=False)
+        self.indices = np.insert(X.indices.astype(np.intp, copy=False), ends, d)
         self.data = np.insert(X.data, ends, 1.0)
         self.lengths = np.diff(self.indptr)
         self.shape = (n, d + 1)

@@ -628,9 +628,13 @@ def _setting_lines(config, prefix: str = ""):
             yield f"{prefix}{f.name} = {value}"
 
 
-def write_manifest(config: RunConfig, outputs: list[str]) -> None:
-    """``manifest.txt`` in the output dir: every setting, then input and output hashes."""
+def write_manifest(config: RunConfig, outputs: list[str], families=None) -> None:
+    """``manifest.txt`` in the output dir: every setting, the feature families
+    used if given (``families = auto`` resolves by the corpus's layers), then
+    input and output hashes."""
     lines = list(_setting_lines(config))
+    if families is not None:
+        lines.append(f"families_used = {','.join(families)}")
     inputs = [config.split_path] + ([config.embeddings_path] if config.embeddings_path else [])
     for path_in in sorted(inputs):
         if os.path.isfile(path_in):
@@ -688,14 +692,16 @@ def write_features_tsv(path, models: list[LinearModel], registry: FeatureRegistr
 
 
 def write_training_outputs(
-    config: RunConfig, outputs: list[str], models: list[LinearModel], registry: FeatureRegistry
+    config: RunConfig, outputs: list[str], models: list[LinearModel],
+    registry: FeatureRegistry, families: tuple[str, ...],
 ) -> None:
-    """``solver.tsv`` and ``features.tsv`` of the models, then the manifest."""
+    """``solver.tsv`` and ``features.tsv`` of the models, then the manifest,
+    which names the feature families they were trained on."""
     solver_path = os.path.join(config.output_dir, "solver.tsv")
     features_path = os.path.join(config.output_dir, "features.tsv")
     write_solver_tsv(solver_path, models)
     write_features_tsv(features_path, models, registry)
-    write_manifest(config, [*outputs, solver_path, features_path])
+    write_manifest(config, [*outputs, solver_path, features_path], families)
 
 
 def run_experiment(config: RunConfig) -> EvalReport:
@@ -723,5 +729,5 @@ def run_experiment(config: RunConfig) -> EvalReport:
     report_path = os.path.join(config.output_dir, "report.tsv")
     save_model(model, model_path)
     write_report_tsv(report_path, report)
-    write_training_outputs(config, [model_path, report_path], [model], registry)
+    write_training_outputs(config, [model_path, report_path], [model], registry, families)
     return report

@@ -558,6 +558,30 @@ def test_features_tsv_lists_each_model_registry(synth_dir, tmp_path, capsys, com
         assert widths["CB"] + widths["CI"] < widths["FA"]
 
 
+@pytest.mark.parametrize("command", [
+    ["run"], ["robustness", "--mode", "nocontext"], ["anova"],
+])
+def test_manifest_names_the_families_used(synth_dir, tmp_path, capsys, command):
+    """``families = auto`` takes every family whose layer the corpus has:
+    without ``.discourse`` files the manifest lists no ``discourse``."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus)
+    for path in corpus.glob("*.discourse"):
+        path.unlink()
+    used = {}
+    for name, corpus_dir in (("intact", synth_dir), ("stripped", str(corpus))):
+        out_dir = tmp_path / name
+        assert main(command + base_args(corpus_dir, str(out_dir))) == 0
+        manifest = (out_dir / "manifest.txt").read_text()
+        assert "families = auto\n" in manifest
+        [line] = [line for line in manifest.splitlines() if line.startswith("families_used = ")]
+        used[name] = line.removeprefix("families_used = ").split(",")
+    assert used["intact"] == ["lexical", "syntactic", "structural", "discourse",
+                              "embedding", "sentiment"]
+    assert used["stripped"] == [f for f in used["intact"] if f != "discourse"]
+    assert "discourse" not in (tmp_path / "stripped" / "manifest.txt").read_text()
+
+
 def test_features_tsv_counts_test_features_dropped_as_unseen(tmp_path):
     registry = FeatureRegistry()
     registry.index("lex:eau:src:seen")

@@ -24,6 +24,7 @@ from argdissect.features import (
     extract_all,
     extract_matrix,
     feature_type,
+    index_dtype,
     row_blocks,
 )
 from argdissect.evaluation import randomize_contexts, strip_contexts
@@ -573,15 +574,64 @@ def test_extraction_column_views_are_the_typed_slices(synth_dir):
         assert_rows_equal(X.columns(columns), expected, len(oracle))
 
 
-def test_extract_matrix_and_column_views_keep_int32_indices(synth_dir):
-    data = prepared(synth_dir, "g")
+def test_index_dtype_is_the_narrowest_that_holds_the_width():
+    for n_cols, dtype in [(0, np.uint8), (256, np.uint8), (257, np.uint16),
+                          (65_536, np.uint16), (65_537, np.int32)]:
+        assert index_dtype(n_cols) == dtype
+
+
+def lexical_view(words):
+    """A view whose features are the lexical ``eau`` indicators of ``words``."""
+    inst = RelationInstance("T1", None, "support", "h", "d")
+    return InstanceView(inst, SideView("T1", ContentLayers(tokens=tuple(words)), EMPTY_CONTEXT))
+
+
+@pytest.mark.parametrize("width", [256, 257, 65_536, 65_537])
+def test_extract_matrix_and_column_views_take_the_narrowest_index_dtype(width):
+    """At each side of the uint8 and uint16 limits, the indices of an open
+    registry's and a frozen registry's extraction and of every column view
+    are of ``index_dtype`` of the width, with the columns of wider indices."""
+    words = [f"w{k:05d}" for k in range(width)]
+    views = [lexical_view(words), lexical_view(words[::-2])]
     registry = FeatureRegistry()
-    X = extract_matrix(data.train_views, registry, None, data.embedding_dim)
-    wide = csr_of_array(np.eye(3))  # intp indices in, int32 out
-    for M in (X, X.columns(registry.columns_of(CB)), extract_matrix([], FeatureRegistry()),
-              wide.columns(np.array([True, False, True])), wide.columns(np.ones(3, bool))):
-        assert M.indices.dtype == np.int32 and M.indptr.dtype == np.intp
-    assert X.columns(registry.columns_of(FA)) is X  # every column: no copy
+    X = extract_matrix(views, registry, ("lexical",))
+    # an open registry that already holds every name registers none
+    again = extract_matrix(views, registry, ("lexical",))
+    assert again.indices.dtype == X.indices.dtype
+    assert np.array_equal(again.indices, X.indices) and len(registry) == width
+    registry.freeze()
+    assert X.n_cols == width and X.indptr.dtype == np.intp
+    assert X.indices.dtype == index_dtype(width)
+    # row 0 registers every name, in order; row 1 holds every other column
+    assert X.indices[:width].tolist() == list(range(width))
+    assert X.indices[width:].tolist() == sorted(range(width)[::-2])
+
+    # frozen: unseen names are dropped, the width stays the registry's
+    test = extract_matrix([lexical_view([*words[-3:], "unseen"])], registry, ("lexical",))
+    assert registry.dropped_unseen == 1 and test.n_cols == width
+    assert test.indices.dtype == index_dtype(width)
+    assert test.indices.tolist() == list(range(width - 3, width))
+
+    wide = CsrMatrix(X.indptr, X.indices.astype(np.intp), X.data, width)
+    for mask in (np.arange(width) != 255, np.arange(width) % 2 == 0, np.ones(width, bool)):
+        expected = X.toarray()[:, mask]
+        for M in (X, wide, test):
+            view = M.columns(mask)
+            assert view.indices.dtype == index_dtype(view.n_cols)
+            assert view.indptr.dtype == np.intp
+        assert np.array_equal(X.columns(mask).toarray(), expected)
+        assert np.array_equal(wide.columns(mask).toarray(), expected)
+    # every column: the matrix itself once narrow, else a narrowed copy
+    assert X.columns(np.ones(width, bool)) is X
+    assert wide.columns(np.ones(width, bool)) is not wide
+
+
+def test_extraction_without_rows_has_narrow_indices():
+    frozen = FeatureRegistry()
+    frozen.freeze()
+    for registry in (FeatureRegistry(), frozen):
+        X = extract_matrix([], registry)
+        assert X.shape == (0, 0) and X.indices.dtype == np.uint8
 
 
 def test_views_keep_no_instance_dict(synth_dir):

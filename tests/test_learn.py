@@ -12,7 +12,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from argdissect import learn
 from argdissect.errors import ArgdissectError, DataError, ModelFormatError
-from argdissect.features import FeatureRegistry
+from argdissect.features import FeatureRegistry, index_dtype
 from argdissect.learn import (
     NEWTON_MAX_ITERATIONS,
     Convergence,
@@ -63,7 +63,8 @@ def _sparse_rows(vectors, d):
     return _SparseRows(csr_of(vectors, d))
 
 
-# ``extract_matrix`` makes int32 column indices; the rows must not depend on it
+# ``extract_matrix`` makes column indices of the narrowest type the width
+# allows (``features.index_dtype``); the rows must not depend on it
 def _dense_rows_int32(vectors, d):
     return _DenseRows(csr_of(vectors, d, np.int32))
 
@@ -72,8 +73,27 @@ def _sparse_rows_int32(vectors, d):
     return _SparseRows(csr_of(vectors, d, np.int32))
 
 
-ROW_FORMS = [_dense_rows, _sparse_rows, _dense_rows_int32, _sparse_rows_int32]
-INDEX_DTYPES = (np.intp, np.int32)
+def _dense_rows_uint16(vectors, d):
+    return _DenseRows(csr_of(vectors, d, np.uint16))
+
+
+def _sparse_rows_uint16(vectors, d):
+    return _SparseRows(csr_of(vectors, d, np.uint16))
+
+
+def _dense_rows_uint8(vectors, d):
+    return _DenseRows(csr_of(vectors, d, np.uint8))
+
+
+def _sparse_rows_uint8(vectors, d):
+    return _SparseRows(csr_of(vectors, d, np.uint8))
+
+
+ROW_FORMS = [
+    _dense_rows, _sparse_rows, _dense_rows_int32, _sparse_rows_int32,
+    _dense_rows_uint16, _sparse_rows_uint16, _dense_rows_uint8, _sparse_rows_uint8,
+]
+INDEX_DTYPES = (np.intp, np.int32, np.uint16, np.uint8)
 
 
 def separable_data():
@@ -195,9 +215,34 @@ def test_rows_follow_density():
     # the bias column is appended to every row
     assert all(cols[-1] == 400 and x[-1] == 1.0 for cols, x in rows)
     # sparse rows gather by intp columns whatever the matrix's index type
-    sparse = _sparse_rows_int32(vectors, 400)
-    assert sparse.indices.dtype == np.intp
-    assert np.array_equal(sparse.indices, _sparse_rows(vectors, 400).indices)
+    for make in (_sparse_rows_int32, _sparse_rows_uint16):
+        sparse = make(vectors, 400)
+        assert sparse.indices.dtype == np.intp
+        assert np.array_equal(sparse.indices, _sparse_rows(vectors, 400).indices)
+
+
+@pytest.mark.parametrize("d", [255, 256, 257])
+def test_narrow_indices_train_and_predict_as_intp_ones(d):
+    """At a width of 256 the bias column's index does not fit ``uint8``:
+    sparse solver rows widen the indices before they insert it."""
+    vectors, y, _ = random_problem(5, n=80, d=d, density=0.02)
+    labels = ["support" if v > 0 else "attack" for v in y]
+    wide, narrow = csr_of(vectors, d), csr_of(vectors, d, index_dtype(d))
+    assert narrow.indices.dtype == (np.uint8 if d <= 256 else np.uint16)
+    rows = _solver_rows(narrow)
+    assert isinstance(rows, _SparseRows)
+    assert np.array_equal(rows.indices, _solver_rows(wide).indices)
+    assert all(cols[-1] == d for cols, _ in rows.views())
+    models = [
+        train(X, labels, TrainConfig(), registry_of(d), ("support", "attack"))
+        for X in (wide, narrow)
+    ]
+    for cls in ("support", "attack"):
+        assert np.array_equal(models[1].weights[cls], models[0].weights[cls])
+        assert models[1].biases[cls] == models[0].biases[cls]
+    for X in (wide, narrow):
+        assert np.array_equal(decision_values(models[1], X), decision_values(models[0], wide))
+        assert predict_all(models[1], X) == predict_all(models[0], wide)
 
 
 def random_fill(n, d, nnz, seed):
@@ -257,8 +302,9 @@ def test_sparse_and_dense_rows_train_the_same_weights(loss):
         np.abs(w[_dense_rows])
     )
     # the index type changes no bit
-    assert np.array_equal(w[_dense_rows_int32], w[_dense_rows])
-    assert np.array_equal(w[_sparse_rows_int32], w[_sparse_rows])
+    for dense, sparse in zip(ROW_FORMS[2::2], ROW_FORMS[3::2]):
+        assert np.array_equal(w[dense], w[_dense_rows])
+        assert np.array_equal(w[sparse], w[_sparse_rows])
 
 
 @pytest.mark.parametrize("make_rows", ROW_FORMS)

@@ -87,6 +87,15 @@ def test_extraction_of_built_views_adds_little_beyond_its_output(training_set):
     assert peak <= 1.8 * output
 
 
+def test_kept_training_matrix_costs_at_most_9_bytes_per_entry(training_set):
+    """Its 178 columns take ``uint8`` indices: 9 B per entry with the value,
+    plus the ``intp`` row pointers."""
+    _, _, X, _ = training_set
+    assert X.n_cols <= 256
+    kept = X.indptr.nbytes + X.indices.nbytes + X.data.nbytes
+    assert kept <= 9 * len(X.data) + 8 * (len(X) + 1)
+
+
 def test_anova_makes_no_dense_copy(training_set):
     data, registry, X, _ = training_set
     labels = [v.instance.label for v in data.train_views]
