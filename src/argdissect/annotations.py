@@ -98,13 +98,6 @@ class EmbeddingTable:
     dimension: int
     entries: dict[str, np.ndarray]
 
-    def lookup(self, word: str) -> np.ndarray:
-        """Absent words map to the zero vector."""
-        vec = self.entries.get(word)
-        if vec is None:
-            return np.zeros(self.dimension)
-        return vec
-
 
 @dataclass(frozen=True)
 class EauAlignment:

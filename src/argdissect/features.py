@@ -13,7 +13,9 @@ pass.
 ``extract_matrix`` extracts a batch of views into one FA ``CsrMatrix`` over the
 registry, extracting each side shared by several views once, and formats each
 feature name once per distinct payload; the CB and CI slices are its column
-views (``FeatureRegistry.columns_of``).  The batch may
+views (``FeatureRegistry.columns_of``).  An open registry first registers the
+batch's new names in order of first occurrence, a frozen one drops its unseen
+names, and one gather then writes the matrix.  The batch may
 come as chunks, lists of views one after another (the training split comes
 a document at a time), and no chunk's sides are kept past it.  Other
 modules take feature matrices only in this form.  A ``CsrMatrix`` keeps
@@ -390,8 +392,6 @@ def assemble(
 # float arrays.  On the 178 columns of a 1000-document task-g training set a
 # block holds 736 of its 24,000 rows.
 ROW_BLOCK_BYTES = 1 << 20
-# Entries an open registry scans at a time for names new to it
-_REGISTER_RUN = 1 << 12
 
 
 def index_dtype(n_cols: int) -> np.dtype:
@@ -484,22 +484,21 @@ def extract_matrix(
     extractors, whichever tags it appears under, and into one row of each
     ``_pair_values`` array per tag.  Only the difference blocks are
     computed per row, from those arrays.  Each name is formatted once, when
-    its payload is new to its family and scope.  An open registry registers
-    new names where they first occur, row by row, in name order within a
-    row; a frozen one counts each occurrence of an unknown name in
-    ``dropped_in`` of each slice that holds its block's scope.
+    its payload is new to its family and scope.  Before the gather, an
+    open registry registers the names that occur and that it lacks, in
+    order of first occurrence (row by row, name order within a row); a
+    frozen one drops each occurrence of an unknown name and counts it in
+    ``dropped_in`` of each slice that holds its block's scope.  Either way
+    every kept entry then has a column, and the gather writes the matrix.
 
     A chunk's sides are extracted when the chunk arrives and are not kept:
     only their pool of entries, the rows' side numbers and the
     ``_pair_values`` arrays outlive it.  Sides are told apart by object
     identity within a chunk only, as a side freed with its chunk may leave
     its id to a new one; a side repeated across chunks is extracted once
-    per chunk.  Everything per row (segment numbers, difference blocks,
-    registration, the gather) is made in ``row_blocks``, and the result is
-    written into its final arrays.  The matrix's width is counted before
-    the gather, so its indices are made at ``index_dtype`` of it; while an
-    open registry lacks names that occur, the gather maps a run of
-    ``int32`` codes at a time and writes it into them.
+    per chunk.  Everything per row (row lengths, difference blocks, the
+    gather) is made in ``row_blocks``, and the result is written into its
+    final arrays, its indices at ``index_dtype`` of the registry's width.
     """
     chunks = iter([views] if isinstance(views, list) else views)
     chunk = next((c for c in chunks if c), [])
@@ -592,36 +591,48 @@ def extract_matrix(
     n = len(ids["src"])
     paired = ids["tgt"] >= 0
 
-    # pid: a name's place in ``names``, the blocks' names in block order.
-    # An entry's code is its name's column, or -1 - pid while the registry
-    # lacks the name: colmap[pid] is the code of the name.
+    # pid: a name's place in ``names``, the blocks' names in block order;
+    # colmap[pid] is the name's column, -1 while the registry lacks it.
     names = [
         f"{_FAMILY_PREFIX[family]}:{scope}:{tag}:{p}"
         for family, scope, tag in blocks for p in payloads[family, scope]
     ]
     offsets = np.cumsum([0] + [len(payloads[b[:2]]) for b in blocks])
     column = registry._index.get
-    colmap = np.fromiter(
-        (column(name, -1 - pid) for pid, name in enumerate(names)), np.int32, len(names)
-    )
+    colmap = np.fromiter((column(name, -1) for name in names), np.intc, len(names))
+    # A name's first occurrence: its first row (n if it never occurs), and
+    # a place that orders it among that row's entries of its block: its
+    # first entry's place in its pool piece, or its column in a diff block.
+    first_row, place = np.full(len(names), n), np.arange(len(names))
 
     # The pool's pieces, in pool order: per tag its named entries, then the
-    # numeric blocks' nonzeros, each piece as its entries' codes and values
-    # and its segments' lengths.  A frozen registry's unknown names are
-    # dropped here, each use counted.
+    # numeric blocks' nonzeros, each piece as its entries' pids (``int32``,
+    # held until the registration) and values and its segments' lengths.  A
+    # frozen registry's unknown names are dropped here, each use counted;
+    # for an open registry, a name's first entry in its piece is its first
+    # occurrence, as a piece holds its tag's sides in order of first row.
     base, stride = np.zeros(len(blocks), np.intc), np.zeros(len(blocks), np.intc)
     pieces, seg_lens, unseen = [], [np.zeros(1, np.intc)], [np.zeros(1, np.intp)]
     n_segments = 1
 
-    def add_piece(pids, values, lens):
-        codes = colmap[pids]
+    def add_piece(tag, pids, values, lens):
         if registry.frozen:
-            known = codes >= 0
+            known = colmap[pids] >= 0
             unseen.append(np.bincount(
                 np.repeat(np.arange(len(lens)), lens)[~known], minlength=len(lens)
             ))
-            codes, values = codes[known], values[known]
-        pieces.append((codes, values))
+            pids, values = pids[known], values[known]
+        elif len(pids):
+            first = np.full(len(names), len(pids))
+            np.minimum.at(first, pids, np.arange(len(pids)))
+            found = np.flatnonzero(first < len(pids))
+            first = first[found]
+            side_ends = np.cumsum(lens.reshape(n_sides[tag], -1).sum(axis=1))
+            # side k's first row: where the rows' running maximum side number reaches k
+            side_first = np.flatnonzero(np.diff(np.maximum.accumulate(ids[tag]), prepend=-1))
+            first_row[found] = side_first[np.searchsorted(side_ends, first, "right")]
+            place[found] = first
+        pieces.append((pids.astype(np.intc), values))
         seg_lens.append(lens)
 
     for tag in TAGS:
@@ -633,7 +644,7 @@ def extract_matrix(
             np.frombuffer(kept, dtype)
             for kept, dtype in zip(pool.pop(tag), (np.int64, float, np.int64))
         )
-        add_piece(numbers + np.repeat(np.tile(offsets[tag_blocks], n_sides[tag]), lens),
+        add_piece(tag, numbers + np.repeat(np.tile(offsets[tag_blocks], n_sides[tag]), lens),
                   values, lens)
         del numbers, values, lens
     side_values, diff_blocks = {}, []
@@ -649,7 +660,7 @@ def extract_matrix(
         base[b], stride[b] = n_segments, 1
         n_segments += len(values)
         rows, ks = np.nonzero(values)
-        add_piece(offsets[b] + ks, values[rows, ks], np.count_nonzero(values, axis=1))
+        add_piece(tag, offsets[b] + ks, values[rows, ks], np.count_nonzero(values, axis=1))
     seg_lens = np.concatenate(seg_lens, dtype=np.intc)
     block_tag = np.array([tag == "tgt" for _, _, tag in blocks])
 
@@ -669,12 +680,6 @@ def extract_matrix(
                 registry.dropped_in[model_type] += int(per_side(unseen, tag, model_type) @ uses)
         seg_lens -= unseen
     del unseen
-    # each diff block's columns that are kept: all but a frozen registry's unknown ones
-    known = {
-        b: colmap[offsets[b]:offsets[b + 1]] >= 0 if registry.frozen
-        else np.ones(offsets[b + 1] - offsets[b], bool)
-        for b in diff_blocks
-    }
 
     def diff_values(b, lo, hi):
         """The rows of lo:hi with a target, and their block-b differences."""
@@ -684,59 +689,64 @@ def extract_matrix(
                    - side_values[family, scope, "tgt"][ids["tgt"][lo + p]])
 
     # Row lengths: the side segments', then the diff blocks' (a frozen
-    # registry's unknown differences are dropped and counted here).  The
-    # blocks of rows of the gather are those of the matrix's width, which
-    # an open registry reaches with the new names that occur.
+    # registry's unknown differences are dropped and counted here, and each
+    # diff column's first nonzero row is recorded).
     row_len = per_side(seg_lens, "src")[ids["src"]]
     row_len[paired] += per_side(seg_lens, "tgt")[ids["tgt"][paired]]
     diff_len = np.zeros(n, np.intp)
-    occurs = np.zeros(len(names), bool)
     if diff_blocks:
-        for lo, hi in row_blocks(n, max(len(known[b]) for b in diff_blocks)):
+        for lo, hi in row_blocks(n, max(np.diff(offsets)[diff_blocks])):
             for b in diff_blocks:
                 p, values = diff_values(b, lo, hi)
                 nonzero = values != 0.0
-                dropped = int(np.count_nonzero(nonzero[:, ~known[b]]))
-                for slice_type in {FA, SCOPE_TYPE[blocks[b][1]]}:
-                    registry.dropped_in[slice_type] += dropped
-                nonzero[:, ~known[b]] = False
+                if registry.frozen:
+                    unknown = colmap[offsets[b]:offsets[b + 1]] < 0
+                    dropped = int(np.count_nonzero(nonzero[:, unknown]))
+                    for slice_type in {FA, SCOPE_TYPE[blocks[b][1]]}:
+                        registry.dropped_in[slice_type] += dropped
+                    nonzero[:, unknown] = False
+                else:
+                    seen = first_row[offsets[b]:offsets[b + 1]]
+                    first = np.where(nonzero, lo + p[:, None], n).min(axis=0, initial=n)
+                    np.minimum(seen, first, out=seen)
                 diff_len[lo + p] += np.count_nonzero(nonzero, axis=1)
-                occurs[offsets[b]:offsets[b + 1]] |= nonzero.any(axis=0)
-    width = len(registry)
+
+    # An open registry registers the names that occur and that it lacks, in
+    # order of first occurrence (row, block, place); then every kept entry
+    # has a column.
     if not registry.frozen:
-        for codes, _ in pieces:
-            occurs[-1 - codes[codes < 0]] = True
-        width += int(np.count_nonzero(occurs & (colmap < 0)))
+        new = np.flatnonzero((first_row < n) & (colmap < 0))
+        block = np.searchsorted(offsets, new, "right") - 1
+        for pid in new[np.lexsort((place[new], block, first_row[new]))].tolist():
+            colmap[pid] = registry.index(names[pid])
+    width = len(registry)
     spans = row_blocks(n, max(width, len(blocks)))
     room = max((int(diff_len[lo:hi].sum()) for lo, hi in spans), default=0)
     row_len += diff_len
-    del diff_len, occurs
+    del diff_len
     indptr = np.zeros(n + 1, np.intp)
     np.cumsum(row_len, out=indptr[1:])
     del row_len
 
-    # The pool holds the pieces side by side, then one block of rows' diff
-    # segments at a time in its tail.  Its codes are kept as ``int32`` while
-    # an open registry lacks names that occur, then in the indices' type.
+    # The pool holds the pieces' columns and values side by side, then one
+    # block of rows' diff segments at a time in its tail.
     indices = np.empty(indptr[-1], index_dtype(width))
-    tail = sum(len(codes) for codes, _ in pieces)
+    tail = sum(len(pids) for pids, _ in pieces)
     pool_vals = np.empty(tail + room)
-    pool_cols = np.empty(tail + room, indices.dtype if len(registry) == width else np.int32)
+    pool_cols = np.empty(tail + room, indices.dtype)
     at = 0
-    for codes, values in pieces:
-        pool_cols[at:at + len(codes)] = codes
-        pool_vals[at:at + len(codes)] = values
-        at += len(codes)
-    del pieces, codes, values
+    for pids, values in pieces:
+        pool_cols[at:at + len(pids)] = colmap[pids]
+        pool_vals[at:at + len(pids)] = values
+        at += len(pids)
+    del pieces, pids, values
     seg_starts = np.cumsum(seg_lens, dtype=np.intc if tail + room < 2**31 else np.intp)
     seg_starts -= seg_lens
     data = np.empty(indptr[-1])
 
     def gather(lo, hi):
         """Write rows lo:hi: each row's slots in block order, a slot's
-        entries those of its segment; while an open registry lacks names
-        that occur, register those new to it and write their columns."""
-        nonlocal pool_cols
+        entries those of its segment."""
         seg = np.where(block_tag, ids["tgt"][lo:hi, None], ids["src"][lo:hi, None])
         missing = seg < 0
         seg *= stride
@@ -747,7 +757,8 @@ def extract_matrix(
         end = tail
         for b in diff_blocks:
             p, values = diff_values(b, lo, hi)
-            values[:, ~known[b]] = 0.0
+            # names without a column, a frozen registry's unknown ones, are dropped
+            values[:, colmap[offsets[b]:offsets[b + 1]] < 0] = 0.0
             rows, ks = np.nonzero(values)
             pool_vals[end:end + len(ks)] = values[rows, ks]
             pool_cols[end:end + len(ks)] = colmap[offsets[b] + ks]
@@ -760,34 +771,10 @@ def extract_matrix(
         del kept
         pos = _runs(starts, lens)
         del lens, starts
-        out = indices[indptr[lo]:indptr[hi]]
         # positions lie in the pool by construction, so take need not check
         # them (and so need not buffer its output)
         pool_vals.take(pos, out=data[indptr[lo]:indptr[hi]], mode="clip")
-        if len(registry) == width:
-            pool_cols.take(pos, out=out, mode="clip")
-            return
-        # a run of entries at a time: register new names in order of first
-        # occurrence and write the columns; then turn the pool's codes of
-        # names registered here into columns
-        registered = len(registry)
-        for c in range(0, len(pos), _REGISTER_RUN):
-            run = pool_cols.take(pos[c:c + _REGISTER_RUN], mode="clip")
-            new = run < 0
-            if new.any():
-                fresh, first = np.unique(-1 - run[new], return_index=True)
-                for pid in fresh[np.argsort(first)].tolist():
-                    colmap[pid] = registry.index(names[pid])
-                run[new] = colmap[-1 - run[new]]
-            out[c:c + _REGISTER_RUN] = run
-        if len(registry) > registered:
-            codes = pool_cols[:end]
-            for c in range(0, end, _REGISTER_RUN):
-                run = codes[c:c + _REGISTER_RUN]
-                new = run < 0
-                run[new] = colmap[-1 - run[new]]
-        if len(registry) == width:
-            pool_cols = pool_cols.astype(indices.dtype, copy=False)
+        pool_cols.take(pos, out=indices[indptr[lo]:indptr[hi]], mode="clip")
 
     for lo, hi in spans:
         gather(lo, hi)
@@ -796,7 +783,7 @@ def extract_matrix(
     # and idle; otherwise they take new pages under the solver's dense
     # copy (anova-g1k peak RSS 107.5 MB without the copy, 105.2 MB with it).
     del pool_vals, pool_cols
-    return CsrMatrix(indptr, indices.copy(), data, len(registry))
+    return CsrMatrix(indptr, indices.copy(), data, width)
 
 
 def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

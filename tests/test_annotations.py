@@ -376,11 +376,6 @@ def test_load_embeddings_duplicate_last_wins():
     assert np.allclose(table.entries["a"], [3, 4])
 
 
-def test_embedding_lookup_absent_is_zero():
-    table = load_embeddings("a 1 2\n")
-    assert np.array_equal(table.lookup("zzz"), np.zeros(2))
-
-
 @pytest.mark.parametrize("text, message", [
     ("", "no entries"),
     (" \n\t\n", "no entries"),

@@ -488,6 +488,61 @@ def test_extract_matrix_matches_per_instance_assembly(synth_dir, task, model_typ
         assert registry.dropped_in[model_type] == oracle.dropped_unseen > 0
 
 
+def order_views():
+    """Views whose names first occur in an order that neither payload
+    numbers nor rows alone give.  Row 0: side B first appears as a target,
+    and lists payload ``a`` before ``b``, which source A numbered first.
+    Row 1 repeats row 0, so a side's number is not its first row.  Row 3:
+    the first nonzero of embedding difference column 0 comes after its
+    source and target columns first occurred (row 0).  Row 4 has no
+    target."""
+
+    def side(eau_id, tokens, embedding, context=()):
+        content = ContentLayers(tokens=tokens, embedding=np.array(embedding, float))
+        return SideView(eau_id, content, ContextLayers(tokens=context))
+
+    a = side("T1", ("b",), [1, 0], context=("x", "b"))
+    b = side("T2", ("a", "b"), [1, 0])
+    c = side("T3", ("c",), [1, 2])
+    d = side("T4", ("a", "d"), [3, 2])
+    layers = frozenset({"tokens", "embeddings"})
+    return [
+        InstanceView(RelationInstance(src.eau_id, tgt and tgt.eau_id, "support", "f", "d"),
+                     src, tgt, layers)
+        for src, tgt in [(a, b), (a, b), (b, c), (d, a), (c, None)]
+    ]
+
+
+@pytest.mark.parametrize("held", [(), ("lex:eau:tgt:b", "emb:eau:diff:001", "lex:eau:src:zzz")])
+@pytest.mark.parametrize("chunked", [False, True])
+def test_open_registry_registers_names_in_order_of_first_occurrence(held, chunked):
+    """Rows, names and registry id are per-view assembly's, over a fresh open
+    registry and over one that already holds some names; extracting the
+    same views over the frozen result gives the same arrays and drops none."""
+    views = order_views()
+    oracle, registry = FeatureRegistry(), FeatureRegistry()
+    for name in held:
+        oracle.index(name)
+        registry.index(name)
+    expected = [reference_assemble(v, FA, oracle, None, 2) for v in views]
+    X = extract_matrix(iter([views[:2], views[2:]]) if chunked else views, registry, None, 2)
+    assert_rows_equal(X, expected, len(oracle))
+    assert registry._names == oracle._names
+    assert registry.registry_id == oracle.registry_id
+    # rows first, then blocks, then places in the segment, not payload numbers
+    column = registry._index
+    assert column["emb:eau:src:000"] < column["lex:eau:src:a"] < column["emb:eau:diff:000"]
+    assert column["lex:eau:src:b"] < column["lex:eau:tgt:a"] < column["emb:eau:src:000"]
+    assert column["lex:eau:tgt:a"] < column["lex:eau:tgt:b"] or "lex:eau:tgt:b" in held
+
+    registry.freeze()
+    Y = extract_matrix(views, registry, None, 2)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(Y, part).dtype == getattr(X, part).dtype
+        assert np.array_equal(getattr(Y, part), getattr(X, part))
+    assert registry.dropped_in == dict.fromkeys((CB, CI, FA), 0)
+
+
 @pytest.mark.parametrize("block_rows", [1, 3])
 @pytest.mark.parametrize("model_type", [CB, CI, FA])
 def test_extract_matrix_in_blocks_of_a_few_rows(synth_dir, monkeypatch, model_type, block_rows):

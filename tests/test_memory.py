@@ -75,12 +75,16 @@ def test_extraction_peaks_near_its_output(training_set):
     assert peak <= 2.5 * output
 
 
-def test_extraction_of_built_views_adds_little_beyond_its_output(training_set):
+@pytest.mark.parametrize("state", ["open", "frozen"])
+def test_extraction_of_built_views_adds_little_beyond_its_output(training_set, state):
     """Views already built, extraction holds its output, the pool of side
-    entries and one row block's temporaries: no whole-matrix temporary."""
-    data, _, X, _ = training_set
+    entries and one row block's temporaries: no whole-matrix temporary,
+    whether an open registry registers every name or the frozen one holds
+    them all."""
+    data, registry, X, _ = training_set
+    registry = registry if state == "frozen" else FeatureRegistry()
     Y, peak = added_peak(
-        lambda: extract_matrix(data.train_views, FeatureRegistry(), None, data.embedding_dim)
+        lambda: extract_matrix(data.train_views, registry, None, data.embedding_dim)
     )
     assert np.array_equal(Y.indices, X.indices) and np.array_equal(Y.data, X.data)
     output = Y.indptr.nbytes + Y.indices.nbytes + Y.data.nbytes

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from argdissect import cli, features, pipeline
-from argdissect.annotations import Token, align_eau, parse_bracketed_tree
+from argdissect.annotations import Token, align_eau, load_embeddings, parse_bracketed_tree
 from argdissect.corpus import build_instances, parse_standoff
 from argdissect.errors import MissingLayerError
 from argdissect.evaluation import randomize_contexts
@@ -83,6 +83,17 @@ def test_side_view_without_trees():
     sv = build_side_view(bundle, bundle.parsed.eau_by_id("T1"), None)
     assert sv.content.rules == ()
     assert sv.content.sentiment is None
+
+
+def test_side_view_embedding_skips_words_missing_from_the_table():
+    """A word the table lacks adds nothing: the EAU's vector is the sum of its
+    other (lowercased) words' vectors, and so is the context's."""
+    bundle = smoke_bundle()
+    table = load_embeddings("people 1 2\nsmoke 0.5 -4\nhowever 3 3\n")
+    sv = build_side_view(bundle, bundle.parsed.eau_by_id("T1"), table)
+    # "should" and "not" are missing from the table, as are "," and "."
+    assert sv.content.embedding.tolist() == [1.5, -2.0]
+    assert sv.context.embedding.tolist() == [3.0, 3.0]
 
 
 # ---------------------------------------------------------------------------

@@ -225,12 +225,13 @@ def ref_build_side_view(bundle, eau, embeddings):
 
     emb_content = emb_context = None
     if embeddings is not None:
+        zero = np.zeros(embeddings.dimension)  # the vector of a word the table lacks
         emb_content = sum(
-            (embeddings.lookup(w.lower()) for w in eau_surfaces),
+            (embeddings.entries.get(w.lower(), zero) for w in eau_surfaces),
             start=np.zeros(embeddings.dimension),
         )
         emb_context = sum(
-            (embeddings.lookup(w.lower()) for w in ctx_surfaces),
+            (embeddings.entries.get(w.lower(), zero) for w in ctx_surfaces),
             start=np.zeros(embeddings.dimension),
         )
 
