@@ -182,7 +182,7 @@ def cmd_robustness(args) -> int:
             lines.append(f"{model.model_type:<5}" + "".join(f"{d:>12.1f}" for d in deltas))
             for key, d in zip((*data.classes, "macro"), deltas):
                 fh.write(f"{model.model_type}\t{key}\t{d}\n")
-    write_training_outputs(config, [out_path], models, registry, families)
+    write_training_outputs(config, [out_path], models, data, families)
     print("\n".join(lines))
     print(f"delta table written to {out_path}")
     return EXIT_OK
@@ -201,7 +201,7 @@ def cmd_anova(args) -> int:
             at = dict(zip(curve.percentiles.tolist(), curve.curves[ftype]))
             fh.writelines(f"{ftype}\t{pct:g}\t{f_val}\n" for pct, f_val in at.items())
             print(f"{ftype}: " + ", ".join(f"p{p}={at[p]:.3g}" for p in (50, 90, 99)))
-    write_training_outputs(config, [out_path], [model], registry, families)
+    write_training_outputs(config, [out_path], [model], data, families)
     print(f"percentile curves written to {out_path}")
     return EXIT_OK
 

@@ -3,7 +3,9 @@
 F1 values are reported on a 0..100 scale.  All randomized procedures are
 reproducible from (inputs, seed).  Every score encodes its labels with
 ``_encode`` and counts them with ``_class_counts``; both context transforms
-set a view's contexts through ``_with_contexts``.
+set a view's contexts through ``_with_contexts``.  The ANOVA scores read
+either form of feature matrix through its dense row blocks, to the same
+bits.
 
 The randomization test scores each permutation from count deltas: macro F1
 needs only per-class true positives and predictions, a swap where the two
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ArgdissectError, DataError
-from .features import CB, CI, EMPTY_CONTEXT, CsrMatrix, FeatureRegistry, InstanceView
+from .features import CB, CI, EMPTY_CONTEXT, FeatureMatrix, FeatureRegistry, InstanceView
 
 ANOVA_INF_SENTINEL = 1e12
 
@@ -233,18 +235,24 @@ class AnovaCurve:
     curves: dict[str, np.ndarray]  # type -> F value at each percentile
 
 
-def anova_f_scores(X: CsrMatrix, labels) -> np.ndarray:
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``total`` plus the sum of the rows, as numpy sums the rows of a dense
+    array: for two or more columns, one row at a time in row order."""
+    return np.add.reduce(np.concatenate((total[None], rows)), axis=0)
+
+
+def anova_f_scores(X: FeatureMatrix, labels) -> np.ndarray:
     """One-way ANOVA F statistic per column of X.
 
     F = (SSB / (k-1)) / (SSW / (N-k)).  Features constant within every
     class but varying between classes get the capped-infinity sentinel;
     features constant everywhere get 0.
 
-    The grand and per-class sums add the stored entries, the squared
-    deviations dense row blocks, each to a running sum in row order: the
-    order in which numpy sums the rows of a dense matrix of two or more
-    columns, so the F scores are those of that dense computation, with
-    temporaries of one row block.
+    The grand and per-class sums and the squared deviations read dense row
+    blocks (``dense_rows``), each block added to a running sum
+    (``_add_rows``): the order in which numpy sums the rows of a dense
+    matrix, so the F scores are those of that dense computation, with
+    temporaries of one row block, whatever the matrix's form.
     """
     labels = np.asarray(labels)
     classes, codes = np.unique(labels, return_inverse=True)
@@ -259,32 +267,28 @@ def anova_f_scores(X: CsrMatrix, labels) -> np.ndarray:
         if size < 2:
             raise ArgdissectError(f"class {c!r} has fewer than two instances")
 
-    grand_mean = np.bincount(X.indices, X.data, d) / n
-    # per-class sums, keyed class * d + column; each block's bincount starts
-    # from the running sums, so every key adds its entries in row order
-    sums, keys = np.zeros(k * d), np.arange(k * d)
+    grand_sum, sums = np.zeros(d), np.zeros((k, d))
     for lo, hi in X.row_blocks():
-        a, b = X.indptr[lo], X.indptr[hi]
-        block_keys = np.repeat(codes[lo:hi] * d, np.diff(X.indptr[lo:hi + 1]))
-        block_keys += X.indices[a:b]
-        sums = np.bincount(
-            np.concatenate((keys, block_keys)), np.concatenate((sums, X.data[a:b])), k * d
-        )
-    means = sums.reshape(k, d) / sizes[:, None]
+        rows, block_codes = X.dense_rows(lo, hi), codes[lo:hi]
+        grand_sum = _add_rows(grand_sum, rows)
+        for c in np.unique(block_codes).tolist():
+            sums[c] = _add_rows(sums[c], rows[block_codes == c])
+    grand_mean = grand_sum / n
+    means = sums / sizes[:, None]
     ssb = np.zeros(d)
     for c in range(k):
         ssb += sizes[c] * (means[c] - grand_mean) ** 2
-    deviations = np.zeros((k, 1, d))  # per class, the running sum of squared deviations
+    deviations = np.zeros((k, d))  # per class, the running sum of squared deviations
     for lo, hi in X.row_blocks():
         rows, block_codes = X.dense_rows(lo, hi), codes[lo:hi]
         for c in np.unique(block_codes).tolist():
             Xc = rows[block_codes == c]
             Xc -= means[c]  # Xc is a copy: square the deviations in place
             np.square(Xc, out=Xc)
-            deviations[c] = np.add.reduce(np.concatenate((deviations[c], Xc)), axis=0)
+            deviations[c] = _add_rows(deviations[c], Xc)
     ssw = np.zeros(d)
     for c in range(k):
-        ssw += deviations[c, 0]
+        ssw += deviations[c]
     dfb = k - 1
     dfw = n - k
     msb = ssb / dfb
@@ -295,7 +299,7 @@ def anova_f_scores(X: CsrMatrix, labels) -> np.ndarray:
     return np.minimum(f, ANOVA_INF_SENTINEL)
 
 
-def anova_scores(X: CsrMatrix, labels, registry: FeatureRegistry) -> AnovaCurve:
+def anova_scores(X: FeatureMatrix, labels, registry: FeatureRegistry) -> AnovaCurve:
     """F scores of the matrix's columns, the registry's features, plus CB/CI
     curves over ``ANOVA_PERCENTILES``."""
     f = anova_f_scores(X, labels)

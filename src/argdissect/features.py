@@ -10,23 +10,30 @@ side and scope, one column per payload.  The name is the only place the type
 is kept.  The registry maps names to indices and freezes after the training
 pass.
 
-``extract_matrix`` extracts a batch of views into one FA ``CsrMatrix`` over the
-registry, extracting each side shared by several views once, and formats each
-feature name once per distinct payload; the CB and CI slices are its column
-views (``FeatureRegistry.columns_of``).  An open registry first registers the
-batch's new names in order of first occurrence, a frozen one drops its unseen
-names, and one gather then writes the matrix.  The batch may
+``extract_matrix`` extracts a batch of views into one FA feature matrix over
+the registry, extracting each side shared by several views once, and formats
+each feature name once per distinct payload; the CB and CI slices are its
+column views (``FeatureRegistry.columns_of``).  An open registry first
+registers the batch's new names in order of first occurrence, a frozen one
+drops its unseen names, and one gather then writes the matrix.  The batch may
 come as chunks, lists of views one after another (the training split comes
-a document at a time), and no chunk's sides are kept past it.  Other
-modules take feature matrices only in this form.  A ``CsrMatrix`` keeps
-``intp`` row pointers and column indices of the narrowest type its width
-allows (``index_dtype``): 9 B per stored entry up to 256 columns, 10 B up
-to 65,536, 12 B beyond.  Apart from
-one pool of each side's entries, the extraction works in ``row_blocks``
-whose temporaries take at most ``ROW_BLOCK_BYTES``, as does every
-densifying; ``CsrMatrix.dense_rows`` densifies one block.  ``learn`` decides
-when the solver's rows and prediction densify, and the ANOVA scores read
-dense row blocks only, never a dense copy of the matrix.
+a document at a time), and no chunk's sides are kept past it.
+
+The matrix takes one of two forms, which read alike (``len``, ``shape``,
+``row_blocks``, ``dense_rows``, ``toarray``, ``columns``); other modules
+take feature matrices only in these.  ``dense_rule``, the one density
+rule, picks the form: an extraction whose FA rows and every Φ slice's
+column view meet it is written straight into a ``DenseMatrix``, one
+read-only (n, d+1) float array whose last column is the solver's bias
+column of ones, which ``learn`` trains and predicts on without a copy.
+Any other extraction is a ``CsrMatrix``, with ``intp`` row pointers and
+column indices of the narrowest type its width allows (``index_dtype``):
+9 B per stored entry up to 256 columns, 10 B up to 65,536, 12 B beyond;
+``learn`` densifies it by the same rule.  Apart from one pool of each
+side's entries, the extraction works in ``row_blocks`` whose temporaries
+take at most ``ROW_BLOCK_BYTES``, as does every densifying;
+``dense_rows`` reads one block densely, and the ANOVA scores read dense
+row blocks only, never a dense copy of the matrix.
 A single view's features are also available as a name dict (``extract_all``,
 a one-row ``extract_matrix`` call), and as a ``dict[int, float]`` vector of
 one Φ type (``assemble``, that dict's names of the type).
@@ -297,6 +304,10 @@ _PAIRED = {
     },
 }
 SENTIMENT_SCORES = (1, 2, 3, 4, 5)
+# A score's one-hot row, by its place in SENTIMENT_SCORES; the last row,
+# all zeros, is a missing score's
+_SENTIMENT_ROWS = np.vstack([np.eye(len(SENTIMENT_SCORES)), np.zeros(len(SENTIMENT_SCORES))])
+_SENTIMENT_ROWS.flags.writeable = False
 
 
 def _side_blocks(sv: SideView, families) -> dict[tuple[str, str], dict[str, float]]:
@@ -316,21 +327,15 @@ def _pair_payloads(family: str, embedding_dim: int) -> list[str]:
 
 
 def _pair_values(family: str, scope: str, sides, embedding_dim: int) -> np.ndarray:
-    """Per side, the family's values in the scope; zeros for a missing value."""
-    value_of = _PAIRED[family][scope]
+    """Per side, the family's values in the scope; zeros for a missing value.
+    Built by one array call over the sides."""
+    values = list(map(_PAIRED[family][scope], sides))
     if family == "embedding":
-        out = np.zeros((len(sides), embedding_dim))
-        for row, sv in zip(out, sides):
-            vec = value_of(sv)
-            if vec is not None:
-                row[:] = vec[:embedding_dim]
-        return out
-    out = np.zeros((len(sides), len(SENTIMENT_SCORES)))
-    for row, sv in zip(out, sides):
-        score = value_of(sv)
-        if score in SENTIMENT_SCORES:
-            row[SENTIMENT_SCORES.index(score)] = 1.0
-    return out
+        zero = np.zeros(embedding_dim)
+        rows = [zero if vec is None else vec[:embedding_dim] for vec in values]
+        return np.array(rows, float).reshape(len(sides), embedding_dim)
+    return _SENTIMENT_ROWS[[SENTIMENT_SCORES.index(s) if s in SENTIMENT_SCORES else -1
+                            for s in values]]
 
 
 def _blocks_in_order(families):
@@ -361,10 +366,13 @@ def default_families(layers) -> tuple[str, ...]:
 def extract_all(
     view: InstanceView, families=None, embedding_dim: int = 0
 ) -> dict[str, float]:
-    """Named features of every requested family, all scopes together."""
+    """Named features of every requested family, all scopes together.
+
+    The one row registers exactly the names it holds, in its entry order,
+    so its columns in order are its features in name order."""
     registry = FeatureRegistry()
     X = extract_matrix([view], registry, families, embedding_dim)
-    return {registry.name(c): v for c, v in zip(X.indices.tolist(), X.data.tolist())}
+    return dict(zip(registry._names, X.toarray()[0].tolist()))
 
 
 def assemble(
@@ -410,6 +418,63 @@ def row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
 
 
+def dense_rule(n_rows: int, n_cols: int, stored: int) -> bool:
+    """Whether a matrix with ``stored`` entries is held dense: when
+    stored >= n(d+1)/4 - n, the bias column counted, one (n, d+1) float array
+    takes at most twice the bytes of sparse solver rows (8 B index + 8 B
+    value per entry), and a coordinate step on a dense row skips gathering
+    ``w[cols]``."""
+    return 4 * (stored + n_rows) >= n_rows * (n_cols + 1)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class DenseMatrix:
+    """Feature rows in the form the solver reads them: ``rows`` is one
+    read-only (n, n_cols + 1) float array, C-ordered, whose last column is
+    the bias column of ones.  It reads as a ``CsrMatrix`` does (``len``,
+    ``shape``, ``row_blocks``, ``dense_rows``, ``toarray``, ``columns``), its
+    dense reads being views of ``rows``."""
+
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def n_cols(self) -> int:
+        return self.rows.shape[1] - 1
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.n_cols
+
+    def row_blocks(self) -> list[tuple[int, int]]:
+        return row_blocks(len(self), self.n_cols)
+
+    def dense_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi`` without the bias column: a read-only view."""
+        return self.rows[lo:hi, :-1]
+
+    def toarray(self) -> np.ndarray:
+        """Every row without the bias column: a read-only view."""
+        return self.rows[:, :-1]
+
+    def columns(self, mask: np.ndarray) -> DenseMatrix:
+        """The masked columns, in order, with the bias column, written once; a
+        mask of every column gives the matrix itself."""
+        if np.count_nonzero(mask) == self.n_cols:
+            return self
+        return DenseMatrix(_read_only(self.rows.take(np.flatnonzero(np.append(mask, True)), 1)))
+
+    def to_dense(self) -> DenseMatrix:
+        return self
+
+
 @dataclass(frozen=True)
 class CsrMatrix:
     """Compressed sparse rows: row i holds the columns
@@ -453,6 +518,15 @@ class CsrMatrix:
             self.dense_rows(lo, hi, X[lo:hi])
         return X
 
+    def to_dense(self) -> DenseMatrix:
+        """The same rows as a ``DenseMatrix``, written row block by row block."""
+        n, d = self.shape
+        rows = np.zeros((n, d + 1))
+        for lo, hi in self.row_blocks():
+            self.dense_rows(lo, hi, rows[lo:hi, :d])
+        rows[:, d] = 1.0
+        return DenseMatrix(_read_only(rows))
+
     def columns(self, mask: np.ndarray) -> CsrMatrix:
         """The masked columns, renumbered in order; entry order is kept.  A mask
         of every column gives the matrix itself, once its indices are of
@@ -469,13 +543,17 @@ class CsrMatrix:
         return CsrMatrix(indptr, renumbered[self.indices[kept]], self.data[kept], n_cols)
 
 
+FeatureMatrix = CsrMatrix | DenseMatrix
+
+
 def extract_matrix(
     views: list[InstanceView] | Iterable[list[InstanceView]],
     registry: FeatureRegistry,
     families=None,
     embedding_dim: int = 0,
-) -> CsrMatrix:
-    """The views' features, one row each.
+) -> FeatureMatrix:
+    """The views' features, one row each: a ``DenseMatrix`` if the rows and
+    each Φ slice's column view meet ``dense_rule``, else a ``CsrMatrix``.
 
     ``views`` is a list of views, or an iterable of such lists (chunks)
     whose rows follow one another; either gives the same matrix, registry
@@ -498,7 +576,11 @@ def extract_matrix(
     its id to a new one; a side repeated across chunks is extracted once
     per chunk.  Everything per row (row lengths, difference blocks, the
     gather) is made in ``row_blocks``, and the result is written into its
-    final arrays, its indices at ``index_dtype`` of the registry's width.
+    final arrays: the dense array, each entry at its cell, or the CSR
+    arrays, the indices at ``index_dtype`` of the registry's width.  Each
+    slice's entries are counted from the pool's segment lengths and the
+    difference blocks before the gather, so the form is picked before
+    either is written.  An extraction without rows is a ``CsrMatrix``.
     """
     chunks = iter([views] if isinstance(views, list) else views)
     chunk = next((c for c in chunks if c), [])
@@ -672,14 +754,22 @@ def extract_matrix(
                 total += seg_values[base[b] + stride[b] * np.arange(n_sides[tag])]
         return total
 
+    uses = {tag: np.bincount(ids[tag][ids[tag] >= 0], minlength=n_sides[tag]) for tag in TAGS}
+
+    def per_slice(seg_values):
+        """Per Φ slice, the sum of ``seg_values`` over every row's side segments."""
+        return {
+            model_type: sum(int(per_side(seg_values, tag, model_type) @ uses[tag]) for tag in TAGS)
+            for model_type in MODEL_TYPES
+        }
+
     if registry.frozen:
         unseen = np.concatenate(unseen)
-        for tag in TAGS:
-            uses = np.bincount(ids[tag][ids[tag] >= 0], minlength=n_sides[tag])
-            for model_type in MODEL_TYPES:
-                registry.dropped_in[model_type] += int(per_side(unseen, tag, model_type) @ uses)
+        for model_type, dropped in per_slice(unseen).items():
+            registry.dropped_in[model_type] += dropped
         seg_lens -= unseen
     del unseen
+    stored = per_slice(seg_lens)  # entries per Φ slice, the differences to come
 
     def diff_values(b, lo, hi):
         """The rows of lo:hi with a target, and their block-b differences."""
@@ -689,8 +779,9 @@ def extract_matrix(
                    - side_values[family, scope, "tgt"][ids["tgt"][lo + p]])
 
     # Row lengths: the side segments', then the diff blocks' (a frozen
-    # registry's unknown differences are dropped and counted here, and each
-    # diff column's first nonzero row is recorded).
+    # registry's unknown differences are dropped and counted here, each
+    # diff column's first nonzero row is recorded, and the kept differences
+    # are added to their slices' entries).
     row_len = per_side(seg_lens, "src")[ids["src"]]
     row_len[paired] += per_side(seg_lens, "tgt")[ids["tgt"][paired]]
     diff_len = np.zeros(n, np.intp)
@@ -709,7 +800,10 @@ def extract_matrix(
                     seen = first_row[offsets[b]:offsets[b + 1]]
                     first = np.where(nonzero, lo + p[:, None], n).min(axis=0, initial=n)
                     np.minimum(seen, first, out=seen)
-                diff_len[lo + p] += np.count_nonzero(nonzero, axis=1)
+                counts = np.count_nonzero(nonzero, axis=1)
+                diff_len[lo + p] += counts
+                for slice_type in {FA, SCOPE_TYPE[blocks[b][1]]}:
+                    stored[slice_type] += int(counts.sum())
 
     # An open registry registers the names that occur and that it lacks, in
     # order of first occurrence (row, block, place); then every kept entry
@@ -727,13 +821,19 @@ def extract_matrix(
     indptr = np.zeros(n + 1, np.intp)
     np.cumsum(row_len, out=indptr[1:])
     del row_len
+    # Dense when every Φ slice's column view meets the rule: then every
+    # model's solver rows and prediction would densify it anyway.  An
+    # extraction without rows stays sparse.
+    dense = n > 0 and all(
+        dense_rule(n, int(np.count_nonzero(registry.columns_of(model_type))), stored[model_type])
+        for model_type in MODEL_TYPES
+    )
 
     # The pool holds the pieces' columns and values side by side, then one
     # block of rows' diff segments at a time in its tail.
-    indices = np.empty(indptr[-1], index_dtype(width))
     tail = sum(len(pids) for pids, _ in pieces)
     pool_vals = np.empty(tail + room)
-    pool_cols = np.empty(tail + room, indices.dtype)
+    pool_cols = np.empty(tail + room, index_dtype(width))
     at = 0
     for pids, values in pieces:
         pool_cols[at:at + len(pids)] = colmap[pids]
@@ -742,7 +842,13 @@ def extract_matrix(
     del pieces, pids, values
     seg_starts = np.cumsum(seg_lens, dtype=np.intc if tail + room < 2**31 else np.intp)
     seg_starts -= seg_lens
-    data = np.empty(indptr[-1])
+    if dense:
+        out = np.zeros((n, width + 1))
+        out[:, width] = 1.0
+        cells = out.reshape(-1)  # a view: row i's cell j is i * (width + 1) + j
+    else:
+        indices = np.empty(indptr[-1], pool_cols.dtype)
+        data = np.empty(indptr[-1])
 
     def gather(lo, hi):
         """Write rows lo:hi: each row's slots in block order, a slot's
@@ -773,16 +879,25 @@ def extract_matrix(
         del lens, starts
         # positions lie in the pool by construction, so take need not check
         # them (and so need not buffer its output)
-        pool_vals.take(pos, out=data[indptr[lo]:indptr[hi]], mode="clip")
-        pool_cols.take(pos, out=indices[indptr[lo]:indptr[hi]], mode="clip")
+        if not dense:
+            pool_vals.take(pos, out=data[indptr[lo]:indptr[hi]], mode="clip")
+            pool_cols.take(pos, out=indices[indptr[lo]:indptr[hi]], mode="clip")
+            return
+        # each entry's cell: its row's first cell plus its column
+        cell = np.repeat(np.arange(lo, hi) * (width + 1), np.diff(indptr[lo:hi + 1]))
+        cell += pool_cols.take(pos, mode="clip")
+        cells.put(cell, pool_vals.take(pos, mode="clip"))
 
     for lo, hi in spans:
         gather(lo, hi)
+    del pool_vals, pool_cols
+    if dense:
+        return DenseMatrix(_read_only(out))
     # The kept indices are copied once the pool is freed, so that glibc's
     # malloc can place them in the heap the extraction has left resident
-    # and idle; otherwise they take new pages under the solver's dense
-    # copy (anova-g1k peak RSS 107.5 MB without the copy, 105.2 MB with it).
-    del pool_vals, pool_cols
+    # and idle; otherwise they take new pages under a later dense copy
+    # (anova-g1k peak RSS, while its matrix was kept sparse: 107.5 MB
+    # without the copy, 105.2 MB with it).
     return CsrMatrix(indptr, indices.copy(), data, width)
 
 

@@ -1,12 +1,13 @@
-"""Linear SVM training over a ``CsrMatrix``, one column per registry name;
-``_dense`` alone decides when the solver's rows and prediction densify it.
-A dense form is written row block by row block (``CsrMatrix.dense_rows``)
-into the one array it fills, so densifying adds only one block's
-temporaries to that array.  Sparse solver rows keep their own ``intp``
-copy of the matrix's narrow column indices (``features.index_dtype``): the
-solver gathers by them on every pass, numpy casts a narrow index array on
-every gather, and the bias column's index, the matrix's width, may not fit
-the narrow type.
+"""Linear SVM training over a feature matrix, one column per registry name.
+
+A ``DenseMatrix`` is already the dense solver rows, bias column included,
+and is trained and predicted on as it is.  A ``CsrMatrix`` densifies when
+it meets ``features.dense_rule`` (``CsrMatrix.to_dense``, row block by row
+block into the one array it fills), and otherwise stays sparse.  Sparse
+solver rows keep their own ``intp`` copy of the matrix's narrow column
+indices (``features.index_dtype``): the solver gathers by them on every
+pass, numpy casts a narrow index array on every gather, and the bias
+column's index, the matrix's width, may not fit the narrow type.
 
 One binary machine for 2-class tasks, one-vs-rest for 3-class, each
 minimising the L2-regularized hinge or squared-hinge loss; the bias is
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ArgdissectError, DataError, ModelFormatError
-from .features import CsrMatrix, FeatureRegistry
+from .features import CsrMatrix, FeatureMatrix, FeatureRegistry, dense_rule
 from .settings import check_choices, choice, from_text
 
 FORMAT_VERSION = 1
@@ -109,24 +110,18 @@ NEWTON_MAX_ITERATIONS = 100
 HESSIAN_BLOCK_BYTES = 1 << 19
 
 
-def _dense(X: CsrMatrix) -> bool:
-    """Whether nnz >= n(d+1)/4, the bias column counted: then one (n, d+1) array
-    takes at most twice the bytes of the sparse solver rows (8 B index + 8 B
-    value per nonzero), and a coordinate step on a dense row skips gathering
-    ``w[cols]``."""
-    n, d = X.shape
-    return 4 * (len(X.data) + n) >= n * (d + 1)
+def _sparse(X: FeatureMatrix) -> bool:
+    """Whether the solver and prediction read ``X`` in sparse form: a
+    ``CsrMatrix`` that fails ``dense_rule``."""
+    return isinstance(X, CsrMatrix) and not dense_rule(*X.shape, len(X.data))
 
 
 class _DenseRows:
-    """Solver rows as one (n, D) array, the bias column last."""
+    """Solver rows as one (n, D) array, the bias column last: the matrix's
+    ``to_dense`` array, which for a ``DenseMatrix`` is its own, not a copy."""
 
-    def __init__(self, X: CsrMatrix):
-        n, d = X.shape
-        self.X = np.zeros((n, d + 1))
-        for lo, hi in X.row_blocks():
-            X.dense_rows(lo, hi, self.X[lo:hi, :d])
-        self.X[:, d] = 1.0
+    def __init__(self, X: FeatureMatrix):
+        self.X = X.to_dense().rows
         self.shape = self.X.shape
         self.stored = self.X.size  # entries held
 
@@ -190,9 +185,9 @@ class _SparseRows:
 SolverRows = _DenseRows | _SparseRows
 
 
-def _solver_rows(X: CsrMatrix) -> SolverRows:
-    """Solver rows in the form ``_dense`` picks, with a bias column of ones appended."""
-    return _DenseRows(X) if _dense(X) else _SparseRows(X)
+def _solver_rows(X: FeatureMatrix) -> SolverRows:
+    """Solver rows in the form ``_sparse`` picks, with a bias column of ones last."""
+    return _SparseRows(X) if _sparse(X) else _DenseRows(X)
 
 
 def _update_hessian(H: np.ndarray, X: SolverRows, C_i: np.ndarray,
@@ -386,7 +381,7 @@ def _dcd_binary(X: SolverRows, y: np.ndarray, C_i: np.ndarray, loss: str, tol: f
 
 
 def train(
-    X: CsrMatrix,
+    X: FeatureMatrix,
     labels: list[str],
     config: TrainConfig,
     registry: FeatureRegistry,
@@ -467,7 +462,7 @@ def train(
     )
 
 
-def decision_values(model: LinearModel, X: CsrMatrix) -> np.ndarray:
+def decision_values(model: LinearModel, X: FeatureMatrix) -> np.ndarray:
     """X @ W + b: one row per instance, one column per class."""
     if X.shape[1] != model.n_features:
         raise ArgdissectError(
@@ -476,7 +471,7 @@ def decision_values(model: LinearModel, X: CsrMatrix) -> np.ndarray:
         )
     W = np.column_stack([model.weights[c] for c in model.classes])
     b = np.array([model.biases[c] for c in model.classes])
-    if _dense(X):
+    if not _sparse(X):
         return X.toarray() @ W + b
     rows = X.row_ids()
     return np.column_stack([
@@ -484,7 +479,7 @@ def decision_values(model: LinearModel, X: CsrMatrix) -> np.ndarray:
     ]) + b
 
 
-def predict_all(model: LinearModel, X: CsrMatrix) -> list[str]:
+def predict_all(model: LinearModel, X: FeatureMatrix) -> list[str]:
     """Argmax of the per-class decision values; ties go to the earlier class."""
     return [model.classes[k] for k in np.argmax(decision_values(model, X), axis=1).tolist()]
 

@@ -7,6 +7,11 @@ ingest -> align -> registry freeze -> extract -> train -> evaluate, writes
 each solver machine's convergence, and writes a manifest with content hashes
 so runs are reproducible.  Every model trains (``train_model``) and predicts
 (``evaluate_models``) on its Φ columns of one FA extraction per split and condition.
+That extraction is in dense form when every Φ slice meets the density rule
+(``features.extract_matrix``), and the kept training matrix is then the
+solver's array itself; the manifest names the form and shape of the FA
+training matrix (``train_matrix``), which sets the memory a training command
+holds.
 
 ``prepare`` parses no layer file and builds no side view.  A document's
 token, tree and discourse files are parsed when first read, and released
@@ -70,7 +75,8 @@ from .features import (
     MODEL_TYPES,
     ContentLayers,
     ContextLayers,
-    CsrMatrix,
+    DenseMatrix,
+    FeatureMatrix,
     FeatureRegistry,
     InstanceView,
     SideView,
@@ -516,7 +522,7 @@ class ExperimentData:
             yield build_views(self.bundle, list(run))
             self.bundle.bundles[doc_id].release()
 
-    def train_features(self, families: tuple[str, ...]) -> tuple[FeatureRegistry, CsrMatrix]:
+    def train_features(self, families: tuple[str, ...]) -> tuple[FeatureRegistry, FeatureMatrix]:
         """The training views' FA registry, frozen, and their FA rows over it.
 
         Extracted on the first call for ``families`` and kept: every model
@@ -564,7 +570,7 @@ def resolve_families(config: RunConfig, data: ExperimentData) -> tuple[str, ...]
 
 def train_model(
     config: RunConfig, data: ExperimentData, model_type: str | None = None
-) -> tuple[LinearModel, FeatureRegistry, CsrMatrix, tuple[str, ...]]:
+) -> tuple[LinearModel, FeatureRegistry, FeatureMatrix, tuple[str, ...]]:
     """Training on the model type's column view of the FA training features.
 
     Returns (model, registry, X_train, families): the CB and CI registries
@@ -628,13 +634,19 @@ def _setting_lines(config, prefix: str = ""):
             yield f"{prefix}{f.name} = {value}"
 
 
-def write_manifest(config: RunConfig, outputs: list[str], families=None) -> None:
+def write_manifest(
+    config: RunConfig, outputs: list[str], families=None, train_matrix=None
+) -> None:
     """``manifest.txt`` in the output dir: every setting, the feature families
-    used if given (``families = auto`` resolves by the corpus's layers), then
-    input and output hashes."""
+    used if given (``families = auto`` resolves by the corpus's layers) and
+    the form and shape of the FA training matrix if given, then input and
+    output hashes."""
     lines = list(_setting_lines(config))
     if families is not None:
         lines.append(f"families_used = {','.join(families)}")
+    if train_matrix is not None:
+        form = "dense" if isinstance(train_matrix, DenseMatrix) else "sparse"
+        lines.append("train_matrix = {} {}x{}".format(form, *train_matrix.shape))
     inputs = [config.split_path] + ([config.embeddings_path] if config.embeddings_path else [])
     for path_in in sorted(inputs):
         if os.path.isfile(path_in):
@@ -693,15 +705,17 @@ def write_features_tsv(path, models: list[LinearModel], registry: FeatureRegistr
 
 def write_training_outputs(
     config: RunConfig, outputs: list[str], models: list[LinearModel],
-    registry: FeatureRegistry, families: tuple[str, ...],
+    data: ExperimentData, families: tuple[str, ...],
 ) -> None:
-    """``solver.tsv`` and ``features.tsv`` of the models, then the manifest,
-    which names the feature families they were trained on."""
+    """``solver.tsv`` and ``features.tsv`` of the models, trained on the FA
+    training features of ``families`` and their column views, then the
+    manifest, which names the families and that FA matrix's form."""
+    registry, X_train = data.train_features(families)
     solver_path = os.path.join(config.output_dir, "solver.tsv")
     features_path = os.path.join(config.output_dir, "features.tsv")
     write_solver_tsv(solver_path, models)
     write_features_tsv(features_path, models, registry)
-    write_manifest(config, [*outputs, solver_path, features_path], families)
+    write_manifest(config, [*outputs, solver_path, features_path], families, X_train)
 
 
 def run_experiment(config: RunConfig) -> EvalReport:
@@ -729,5 +743,5 @@ def run_experiment(config: RunConfig) -> EvalReport:
     report_path = os.path.join(config.output_dir, "report.tsv")
     save_model(model, model_path)
     write_report_tsv(report_path, report)
-    write_training_outputs(config, [model_path, report_path], [model], registry, families)
+    write_training_outputs(config, [model_path, report_path], [model], data, families)
     return report

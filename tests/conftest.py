@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from argdissect.annotations import Token, parse_bracketed_tree
-from argdissect.features import FA, CsrMatrix, extract_all, feature_type
+from argdissect.features import FA, CsrMatrix, DenseMatrix, extract_all, feature_type
 from argdissect.synth import SynthConfig, generate_corpus
 
 # Shared fixture: "However, people should not smoke." with the EAU covering
@@ -45,6 +45,27 @@ def scatter_reference(X):
     out = np.zeros(X.shape)
     out[np.repeat(np.arange(len(X)), np.diff(X.indptr)), X.indices] = X.data
     return out
+
+
+def matrix_parts(X):
+    """The arrays that hold ``X``: a ``CsrMatrix``'s three, a ``DenseMatrix``'s one."""
+    return [X.rows] if isinstance(X, DenseMatrix) else [X.indptr, X.indices, X.data]
+
+
+def assert_same_matrix(X, Y):
+    """``X`` and ``Y`` are of one form and hold the same arrays, to their types."""
+    assert type(X) is type(Y) and X.shape == Y.shape
+    for a, b in zip(matrix_parts(X), matrix_parts(Y)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def assert_dense_form(X):
+    """``X`` is a ``DenseMatrix`` whose rows are one read-only C-ordered float
+    array, the bias column of ones last."""
+    assert isinstance(X, DenseMatrix)
+    rows = X.rows
+    assert rows.dtype == np.float64 and rows.flags.c_contiguous and not rows.flags.writeable
+    assert rows.shape == (len(X), X.n_cols + 1) and np.all(rows[:, -1] == 1.0)
 
 
 def reference_assemble(view, model_type, registry, families=None, embedding_dim=0):

@@ -582,6 +582,29 @@ def test_manifest_names_the_families_used(synth_dir, tmp_path, capsys, command):
     assert "discourse" not in (tmp_path / "stripped" / "manifest.txt").read_text()
 
 
+@pytest.mark.parametrize("command", [
+    ["run"], ["robustness", "--mode", "nocontext"], ["anova"],
+])
+def test_manifest_names_the_training_matrix_form(synth_dir, tmp_path, command):
+    """Next to ``families_used``, ``train_matrix`` gives the FA training
+    matrix's form and shape: dense over every family, sparse over lexical
+    and syntactic features, whose CB rows are sparse by the density rule."""
+    config = RunConfig(corpus_dir=synth_dir, split_path=os.path.join(synth_dir, "split.tsv"))
+    n_train = len(pipeline.prepare(config).train_instances)
+    for name, extra, form in (
+        ("every", [], "dense"), ("lexsyn", ["--families", "lexical,syntactic"], "sparse"),
+    ):
+        out_dir = tmp_path / name
+        assert main(command + base_args(synth_dir, str(out_dir)) + extra) == 0
+        lines = (out_dir / "manifest.txt").read_text().splitlines()
+        at = [k for k, line in enumerate(lines) if line.startswith("families_used = ")][0]
+        match = re.fullmatch(r"train_matrix = (dense|sparse) (\d+)x(\d+)", lines[at + 1])
+        assert match and match[1] == form and int(match[2]) == n_train
+        with open(out_dir / "features.tsv") as fh:
+            widths = dict(line.split("\t")[:2] for line in fh)
+        assert int(match[3]) == int(widths["FA"])
+
+
 def test_features_tsv_counts_test_features_dropped_as_unseen(tmp_path):
     registry = FeatureRegistry()
     registry.index("lex:eau:src:seen")

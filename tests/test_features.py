@@ -16,22 +16,32 @@ from argdissect.features import (
     ContentLayers,
     ContextLayers,
     EMPTY_CONTEXT,
+    MODEL_TYPES,
     CsrMatrix,
+    DenseMatrix,
     FeatureRegistry,
     InstanceView,
     SideView,
     assemble,
+    dense_rule,
     extract_all,
     extract_matrix,
     feature_type,
     index_dtype,
     row_blocks,
 )
-from argdissect.evaluation import randomize_contexts, strip_contexts
-from argdissect.learn import _dense, _DenseRows
+from argdissect.evaluation import anova_f_scores, randomize_contexts, strip_contexts
+from argdissect.learn import TrainConfig, _DenseRows, decision_values, train
 from argdissect.pipeline import RunConfig, prepare
 
-from conftest import csr_of_array, reference_assemble, scatter_reference
+from conftest import (
+    assert_dense_form,
+    assert_same_matrix,
+    csr_of,
+    csr_of_array,
+    reference_assemble,
+    scatter_reference,
+)
 
 
 def make_view(
@@ -427,9 +437,14 @@ def prepared(synth_dir, task):
 
 
 def assert_rows_equal(X, vectors, n_cols):
-    """``X`` holds the vectors' entries, each row's in dict order."""
-    assert isinstance(X, CsrMatrix) and X.shape == (len(vectors), n_cols)
-    assert csr_rows(X) == [list(vec.items()) for vec in vectors]
+    """``X`` holds the vectors' entries: a ``CsrMatrix`` each row's in dict
+    order, a ``DenseMatrix`` each at its column."""
+    assert X.shape == (len(vectors), n_cols)
+    if isinstance(X, CsrMatrix):
+        assert csr_rows(X) == [list(vec.items()) for vec in vectors]
+    else:
+        assert_dense_form(X)
+        assert np.array_equal(X.toarray(), scatter_reference(csr_of(vectors, n_cols)))
 
 
 def csr_rows(X):
@@ -536,10 +551,7 @@ def test_open_registry_registers_names_in_order_of_first_occurrence(held, chunke
     assert column["lex:eau:tgt:a"] < column["lex:eau:tgt:b"] or "lex:eau:tgt:b" in held
 
     registry.freeze()
-    Y = extract_matrix(views, registry, None, 2)
-    for part in ("indptr", "indices", "data"):
-        assert getattr(Y, part).dtype == getattr(X, part).dtype
-        assert np.array_equal(getattr(Y, part), getattr(X, part))
+    assert_same_matrix(extract_matrix(views, registry, None, 2), X)
     assert registry.dropped_in == dict.fromkeys((CB, CI, FA), 0)
 
 
@@ -589,7 +601,7 @@ def test_extract_matrix_in_blocks_of_a_few_rows(synth_dir, monkeypatch, model_ty
         assert_slice_equal(X, registry, model_type, expected, oracle)
         assert registry.dropped_in[model_type] == oracle.dropped_unseen > 0
         if model_type == CI and views and views[0].source.context == EMPTY_CONTEXT:
-            assert not any(csr_rows(X.columns(registry.columns_of(CI))))
+            assert not X.columns(registry.columns_of(CI)).toarray().any()
 
 
 def test_dense_row_blocks_match_a_scatter_of_every_entry(monkeypatch):
@@ -647,7 +659,8 @@ def test_extract_matrix_and_column_views_take_the_narrowest_index_dtype(width):
     registry's and a frozen registry's extraction and of every column view
     are of ``index_dtype`` of the width, with the columns of wider indices."""
     words = [f"w{k:05d}" for k in range(width)]
-    views = [lexical_view(words), lexical_view(words[::-2])]
+    # six empty rows keep the matrix below the density rule, in sparse form
+    views = [lexical_view(words), lexical_view(words[::-2])] + [lexical_view([])] * 6
     registry = FeatureRegistry()
     X = extract_matrix(views, registry, ("lexical",))
     # an open registry that already holds every name registers none
@@ -723,7 +736,8 @@ def test_sparse_rows_of_shared_sides_match_per_instance_assembly():
         oracle = FeatureRegistry()
         expected = [reference_assemble(v, model_type, oracle) for v in views]
         columns = registry.columns_of(model_type)
-        assert not _dense(X.columns(columns))
+        view = X.columns(columns)
+        assert not dense_rule(*view.shape, len(view.data))
         assert registry.subset(columns).registry_id == oracle.registry_id
         assert_slice_equal(X, registry, model_type, expected, oracle)
 
@@ -804,10 +818,8 @@ def assert_same_extraction(views, chunks, make_registry, *args):
         (extract_matrix(source, registry, *args), registry)
         for source, registry in ((views, make_registry()), (chunks, make_registry()))
     ]
-    for part in ("indptr", "indices", "data"):
-        a, b = getattr(X, part), getattr(Y, part)
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert X.shape == Y.shape == (len(views), len(one))
+    assert_same_matrix(X, Y)
+    assert X.shape == (len(views), len(one))
     assert one._names == chunked._names and one.frozen == chunked.frozen
     assert one.dropped_in == chunked.dropped_in
     return one
@@ -837,6 +849,111 @@ def test_chunked_extraction_matches_one_list(synth_dir, model_type, families):
         for chunks in (by_document(views), in_chunks(views, [3, 0, 1, 7])):
             registry = assert_same_extraction(views, chunks, make_registry, *args)
             assert (registry.dropped_in[model_type] > 0) == registry.frozen
+
+
+def dense_and_sparse_forms(views, monkeypatch, make_registry, families=None, embedding_dim=0):
+    """The views' extraction, and its sparse form: the same call with
+    ``dense_rule`` never met; each with its registry."""
+    registry = make_registry()
+    X = extract_matrix(views(), registry, families, embedding_dim)
+    sparse_registry = make_registry()
+    with monkeypatch.context() as patch:
+        patch.setattr(features, "dense_rule", lambda *args: False)
+        S = extract_matrix(views(), sparse_registry, families, embedding_dim)
+    assert isinstance(S, CsrMatrix)
+    assert registry._names == sparse_registry._names
+    assert registry.registry_id == sparse_registry.registry_id
+    assert registry.dropped_in == sparse_registry.dropped_in
+    return X, S, registry
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_dense_extraction_is_the_sparse_one_densified(synth_dir, monkeypatch, frozen, chunked):
+    """Every Φ slice dense by the rule, the extraction is a ``DenseMatrix``
+    whose rows are its sparse form's densified, with the same registry and
+    dropped counts, over an open registry and a frozen one that drops test
+    names, from one list and from chunks; and so is every column view.  The
+    gather writes a few rows at a time."""
+    data = prepared(synth_dir, "g")
+    dim = data.embedding_dim
+    monkeypatch.setattr(features, "ROW_BLOCK_BYTES", 3 * 8 * 200)
+    views = data.test_views if frozen else data.train_views
+
+    def make_registry():
+        registry = FeatureRegistry()
+        if frozen:
+            extract_matrix(data.train_views[:4], registry, None, dim)
+            registry.freeze()
+        return registry
+
+    X, S, registry = dense_and_sparse_forms(
+        lambda: by_document(views) if chunked else views, monkeypatch, make_registry, None, dim
+    )
+    assert_dense_form(X)
+    assert (registry.dropped_unseen > 0) == frozen
+    assert np.array_equal(X.toarray(), S.toarray())
+    assert np.array_equal(X.rows, S.to_dense().rows)
+    assert all(hi - lo < 8 for lo, hi in X.row_blocks())
+    for lo, hi in X.row_blocks():
+        assert np.array_equal(X.dense_rows(lo, hi), S.dense_rows(lo, hi))
+    for model_type in MODEL_TYPES:
+        columns = registry.columns_of(model_type)
+        view = X.columns(columns)
+        assert_dense_form(view)
+        assert np.array_equal(view.toarray(), S.columns(columns).toarray())
+        assert (view is X) == (model_type == FA)
+
+
+def test_dense_matrix_arrays_are_read_only(synth_dir):
+    data = prepared(synth_dir, "g")
+    registry = FeatureRegistry()
+    X = extract_matrix(data.train_views, registry, None, data.embedding_dim)
+    assert isinstance(X, DenseMatrix)
+    view = X.columns(registry.columns_of(CB))
+    for array in (X.rows, X.toarray(), X.dense_rows(0, 3), view.rows, view.toarray()):
+        with pytest.raises(ValueError):
+            array[0, 0] = 2.0
+
+
+def test_both_forms_score_train_and_predict_to_the_same_bits(synth_dir, monkeypatch):
+    """ANOVA scores, each Φ slice's model and its decision values are the
+    same to the bit from the dense form as from the sparse one."""
+    data = prepared(synth_dir, "g")
+    X, S, registry = dense_and_sparse_forms(
+        lambda: data.train_views, monkeypatch, FeatureRegistry, None, data.embedding_dim
+    )
+    registry.freeze()
+    assert isinstance(X, DenseMatrix)
+    labels = [v.instance.label for v in data.train_views]
+    assert np.array_equal(anova_f_scores(X, labels), anova_f_scores(S, labels))
+    for model_type in MODEL_TYPES:
+        columns = registry.columns_of(model_type)
+        sub = registry.subset(columns)
+        models = [
+            train(M.columns(columns), labels, TrainConfig(max_epochs=20), sub, data.classes)
+            for M in (X, S)
+        ]
+        for cls in data.classes:
+            assert np.array_equal(models[0].weights[cls], models[1].weights[cls])
+            assert models[0].biases[cls] == models[1].biases[cls]
+        assert np.array_equal(
+            decision_values(models[0], X.columns(columns)),
+            decision_values(models[0], S.columns(columns)),
+        )
+
+
+def test_extract_all_keeps_a_stored_zero():
+    """A one-row extraction registers exactly the names its row holds, a
+    stored zero's too: an EAU without tokens has a sentence ratio of 0."""
+    inst = RelationInstance("T1", None, "support", "h", "d")
+    side = SideView("T1", ContentLayers(), ContextLayers(tokens=("a",), preceding_count=1))
+    named = extract_all(InstanceView(inst, side), families=("structural",))
+    assert list(named.items()) == [
+        ("struct:ctx:src:preceding_tokens", 1.0),
+        ("struct:both:src:sentence_tokens", 1.0),
+        ("struct:both:src:eau_sentence_ratio", 0.0),
+    ]
 
 
 def test_chunks_extract_a_side_once_per_chunk(monkeypatch):

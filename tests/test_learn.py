@@ -12,7 +12,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from argdissect import learn
 from argdissect.errors import ArgdissectError, DataError, ModelFormatError
-from argdissect.features import FeatureRegistry, index_dtype
+from argdissect.features import FeatureRegistry, dense_rule, index_dtype
 from argdissect.learn import (
     NEWTON_MAX_ITERATIONS,
     Convergence,
@@ -21,7 +21,6 @@ from argdissect.learn import (
     _DenseRows,
     _SparseRows,
     _dcd_binary,
-    _dense,
     _first_hessian,
     _line_search,
     _newton_sqhinge,
@@ -44,6 +43,11 @@ def registry_of(n):
         reg.index(f"lex:eau:src:w{k}")
     reg.freeze()
     return reg
+
+
+def _dense(X):
+    """Whether the CSR matrix ``X`` meets the density rule."""
+    return dense_rule(*X.shape, len(X.data))
 
 
 def dense_to_sparse(rows):

@@ -10,7 +10,7 @@ from argdissect.annotations import Token, align_eau, load_embeddings, parse_brac
 from argdissect.corpus import build_instances, parse_standoff
 from argdissect.errors import MissingLayerError
 from argdissect.evaluation import randomize_contexts
-from argdissect.features import CB, CI, FA, FeatureRegistry
+from argdissect.features import CB, CI, FA, CsrMatrix, DenseMatrix, FeatureRegistry, dense_rule
 from argdissect.learn import TrainConfig, decision_values, predict_all, save_model, train
 from argdissect.pipeline import (
     DocBundle,
@@ -25,7 +25,9 @@ from argdissect.pipeline import (
 )
 from argdissect.synth import SynthConfig, generate_corpus
 
-from conftest import SMOKE_TOKEN_SPECS, SMOKE_TREE, csr_of, reference_assemble
+from conftest import (
+    SMOKE_TOKEN_SPECS, SMOKE_TREE, assert_same_matrix, csr_of, reference_assemble,
+)
 
 
 def smoke_bundle(with_tree=True):
@@ -213,8 +215,7 @@ def test_training_features_release_the_layers_they_read(synth_dir):
     assert views == expected_views
     assert not any(doc._held for doc in train_docs)
     for M in (X, features.extract_matrix(views, FeatureRegistry(), families)):
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(M, part), getattr(expected, part))
+        assert_same_matrix(M, expected)
     assert registry.registry_id == expected_registry.registry_id
 
 
@@ -307,6 +308,10 @@ def loop_scores(model, vectors):
     return scores, scales
 
 
+# Settings under which the CB rows are sparse by the density rule
+SPARSE_CB = {"embeddings_path": "", "families": ("lexical", "syntactic")}
+
+
 @pytest.mark.parametrize("task", ["f", "g"])
 @pytest.mark.parametrize("settings", [
     {},  # every slice dense
@@ -355,6 +360,26 @@ def test_slice_models_match_models_trained_from_typed_vectors(
             assert np.all(np.abs(values - scores) <= 1e-12 * scales)
             assert preds == [model.classes[k] for k in np.argmax(scores, axis=1)]
             assert predict_all(model, X_test) == preds
+
+
+@pytest.mark.parametrize("task", ["f", "g"])
+def test_an_extraction_whose_cb_slice_is_sparse_stays_sparse(synth_dir, task):
+    """With the "CB rows sparse" settings above, the FA rows meet the density
+    rule and the CB rows do not, so the training and test extractions stay
+    a ``CsrMatrix`` and each model reads its column view as before; with
+    every family they are dense."""
+    for settings, form in (({}, DenseMatrix), (SPARSE_CB, CsrMatrix)):
+        config = run_config(synth_dir, "unused", task=task, **settings)
+        data = prepare(config)
+        families = resolve_families(config, data)
+        registry, X = data.train_features(families)
+        test = features.extract_matrix(data.test_views, registry, families, data.embedding_dim)
+        for M in (X, test):
+            assert isinstance(M, form)
+            if form is CsrMatrix:
+                cb = M.columns(registry.columns_of(CB))
+                assert dense_rule(*M.shape, len(M.data))
+                assert not dense_rule(*cb.shape, len(cb.data))
 
 
 @pytest.mark.parametrize("command", [
