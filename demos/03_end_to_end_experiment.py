@@ -16,7 +16,7 @@ from argdissect.evaluation import randomize_contexts, strip_contexts
 from argdissect.features import CB, CI, FA
 from argdissect.learn import TrainConfig
 from argdissect.pipeline import (
-    RunConfig, evaluate_models, prepare, resolve_families, train_model,
+    RunConfig, evaluate_models, prepare, train_model,
 )
 from argdissect.synth import SynthConfig, generate_corpus
 
@@ -48,16 +48,17 @@ def run(workdir):
     randomized = randomize_contexts(data.test_views, seed=0)
     stripped = strip_contexts(data.test_views)
 
-    # the three models train on column views of one training matrix; each
-    # test condition is extracted once, and every model predicts on its view
+    # the three models train on column views of one training matrix, whose
+    # rows are then dropped; each test condition is extracted once over its
+    # registry, and every model predicts on its view
     models = [train_model(config, data, model_type)[0] for model_type in (CB, CI, FA)]
-    families = resolve_families(config, data)
-    registry = data.train_features(families)[0]
+    data.release_train_rows()
+    registry = data.train_features[0]
     macro = [
         [
             report.macro_f1
             for report, _ in evaluate_models(
-                models, registry, views, data.classes, families, data.embedding_dim
+                models, registry, views, data.classes, data.families, data.embedding_dim
             )
         ]
         for views in (data.test_views, randomized, stripped)

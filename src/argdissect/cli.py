@@ -34,7 +34,6 @@ from .pipeline import (
     make_output_dir,
     prepare,
     read_text,
-    resolve_families,
     run_experiment,
     train_model,
     write_manifest,
@@ -164,10 +163,10 @@ def cmd_robustness(args) -> int:
 
     # every model reads column views of one training and one test extraction
     models = [train_model(config, data, model_type)[0] for model_type in MODEL_TYPES]
-    families = resolve_families(config, data)
-    registry = data.train_features(families)[0]
+    data.release_train_rows()
     results = evaluate_models(
-        models, registry, transformed, data.classes, families, data.embedding_dim
+        models, data.train_features[0], transformed, data.classes, data.families,
+        data.embedding_dim,
     )
     baseline = results[MODEL_TYPES.index(CB)][0]
     lines = [
@@ -182,7 +181,7 @@ def cmd_robustness(args) -> int:
             lines.append(f"{model.model_type:<5}" + "".join(f"{d:>12.1f}" for d in deltas))
             for key, d in zip((*data.classes, "macro"), deltas):
                 fh.write(f"{model.model_type}\t{key}\t{d}\n")
-    write_training_outputs(config, [out_path], models, data, families)
+    write_training_outputs(config, [out_path], models, data)
     print("\n".join(lines))
     print(f"delta table written to {out_path}")
     return EXIT_OK
@@ -193,7 +192,7 @@ def cmd_anova(args) -> int:
     data = prepare(config)
     make_output_dir(config.output_dir)
     # FA registry exposes the CB and CI slices side by side
-    model, registry, X_train, families = train_model(config, data, FA)
+    model, registry, X_train, _ = train_model(config, data, FA)
     curve = anova_scores(X_train, data.train_labels, registry)
     out_path = os.path.join(config.output_dir, "anova.tsv")
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -201,7 +200,7 @@ def cmd_anova(args) -> int:
             at = dict(zip(curve.percentiles.tolist(), curve.curves[ftype]))
             fh.writelines(f"{ftype}\t{pct:g}\t{f_val}\n" for pct, f_val in at.items())
             print(f"{ftype}: " + ", ".join(f"p{p}={at[p]:.3g}" for p in (50, 90, 99)))
-    write_training_outputs(config, [out_path], [model], data, families)
+    write_training_outputs(config, [out_path], [model], data)
     print(f"percentile curves written to {out_path}")
     return EXIT_OK
 

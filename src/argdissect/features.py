@@ -616,9 +616,9 @@ def extract_matrix(
     # Grown chunk by chunk, per tag: each row's side number (-1 for none),
     # the pool's payload numbers, values and segment lengths, and each
     # numeric block's ``_pair_values`` rows.  ``array`` buffers grow in
-    # place; a small numpy array per chunk would leave the freed heap
-    # fragmented under the solver's dense copy (anova-g1k peak RSS about
-    # 6 MB higher).
+    # place, so that the chunks leave no trail of small freed arrays, whose
+    # heap would lie fragmented under the arrays made once every chunk is
+    # in (the pieces' columns and values, then the dense or CSR arrays).
     ids = {tag: array("i") for tag in TAGS}
     pool = {tag: (array("q"), array("d"), array("q")) for tag in TAGS}
     side_rows = {
@@ -893,12 +893,7 @@ def extract_matrix(
     del pool_vals, pool_cols
     if dense:
         return DenseMatrix(_read_only(out))
-    # The kept indices are copied once the pool is freed, so that glibc's
-    # malloc can place them in the heap the extraction has left resident
-    # and idle; otherwise they take new pages under a later dense copy
-    # (anova-g1k peak RSS, while its matrix was kept sparse: 107.5 MB
-    # without the copy, 105.2 MB with it).
-    return CsrMatrix(indptr, indices.copy(), data, width)
+    return CsrMatrix(indptr, indices, data, width)
 
 
 def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -8,23 +8,26 @@ each solver machine's convergence, and writes a manifest with content hashes
 so runs are reproducible.  Every model trains (``train_model``) and predicts
 (``evaluate_models``) on its Φ columns of one FA extraction per split and condition.
 That extraction is in dense form when every Φ slice meets the density rule
-(``features.extract_matrix``), and the kept training matrix is then the
-solver's array itself; the manifest names the form and shape of the FA
-training matrix (``train_matrix``), which sets the memory a training command
-holds.
+(``features.extract_matrix``), and the training matrix is then the solver's
+array itself, kept until the last model is trained; the manifest names the
+form and shape of the FA training matrix (``train_matrix``), which sets the
+memory a training command holds.
 
-``prepare`` parses no layer file and builds no side view.  A document's
-token, tree and discourse files are parsed when first read, and released
-once the command has built its last view from them (``DocBundle``), so every
-command checks the layer files it reads and ``ingest`` checks them all
-(``CorpusBundle.check_layers``).  A command builds only the views it reads
-(``ExperimentData``), one per distinct EAU side.  The training views are
-streamed into the extraction one document at a time and not kept; the test
-views are built once and kept.  A document's sentence regions and discourse
-spans are worked out once per parse, on first use (``DocBundle``); aligning
-an EAU and the discourse split still read the whole document.  The corpus
-layer set is worked out once, from facts each document gathers at load
-without parsing (``CorpusBundle.layers``).
+Every piece of state built lazily is a cached property, built on first read
+and dropped by its owner's release method: a document's layers and the
+lookups built on them (``DocBundle``), and a command's feature families,
+views and training features (``ExperimentData``).  ``prepare`` parses no
+layer file and builds no side view.  A document's token, tree and discourse
+files are parsed when first read, and released once the command has built
+its last view from them, so every command checks the layer files it reads
+and ``ingest`` checks them all (``CorpusBundle.check_layers``).  A command
+builds only the views it reads, one per distinct EAU side.  The training
+views are streamed into the extraction one document at a time and not kept;
+the test views are built once and kept.  A document's sentence regions and
+discourse spans are worked out once per parse; aligning an EAU and the
+discourse split still read the whole document.  The corpus layer set is
+worked out once, from facts each document gathers at load without parsing
+(``CorpusBundle.layers``).
 """
 
 from __future__ import annotations
@@ -106,66 +109,44 @@ _LAYER_FILES = {"tokens": ".tokens.tsv", "trees": ".trees", "discourse": ".disco
 class DocBundle:
     """A document's standoff parse and its token, tree and discourse layers.
 
-    Given in memory, the layers are kept as given.  Given ``base``, the path
-    of the document's layer files without their extension, each layer is
-    parsed from its file on first read, through this module's parser names,
-    and kept until ``release``; a released layer is parsed again if read
-    again.  ``layers`` names the layers the document has, known without
-    parsing: which files exist, and a label scan of the trees file.
+    ``base`` is the path of the document's layer files without their
+    extension.  Each layer, and each lookup built on the layers, is a cached
+    property: parsed from its file on first read, through this module's
+    parser names, and kept until ``release``; a released layer is parsed
+    again if read again.  ``layers`` names the layers the document has,
+    known without parsing: which files exist, and a label scan of the trees
+    file.  A layer the document lacks reads as None.
     """
 
-    def __init__(
-        self,
-        parsed: ParsedDoc,
-        tokens: Optional[list[Token]] = None,
-        trees: Optional[dict[int, ConstTree]] = None,
-        discourse: Optional[list[DiscourseRelation]] = None,
-        *,
-        base: Optional[str] = None,
-    ):
+    def __init__(self, parsed: ParsedDoc, base: str):
         self.parsed = parsed
         self._base = base
-        if base is None:
-            self._held = {"tokens": tokens, "trees": trees, "discourse": discourse}
-            layers = {name for name, layer in self._held.items() if layer is not None}
-            if trees is not None and all(t.has_sentiment for t in trees.values()):
-                layers.add("sentiment")
-        else:
-            self._held = {}
-            layers = {name for name, ext in _LAYER_FILES.items() if os.path.exists(base + ext)}
-            if "tokens" not in layers:
-                raise MissingLayerError(f"tokens ({base + _LAYER_FILES['tokens']})")
-            if "trees" in layers and trees_have_sentiment(read_text(base + _LAYER_FILES["trees"])):
-                layers.add("sentiment")
+        layers = {name for name, ext in _LAYER_FILES.items() if os.path.exists(base + ext)}
+        if "tokens" not in layers:
+            raise MissingLayerError(f"tokens ({base + _LAYER_FILES['tokens']})")
+        if "trees" in layers and trees_have_sentiment(read_text(base + _LAYER_FILES["trees"])):
+            layers.add("sentiment")
         self.layers = frozenset(layers)
 
-    @property
+    @cached_property
     def tokens(self) -> list[Token]:
-        return self._layer("tokens")
-
-    @property
-    def trees(self) -> Optional[dict[int, ConstTree]]:
-        return self._layer("trees")
-
-    @property
-    def discourse(self) -> Optional[list[DiscourseRelation]]:
-        return self._layer("discourse")
-
-    def _layer(self, name: str):
-        held = self._held
-        if name not in held:
-            held[name] = self._parse(name) if name in self.layers else None
-        return held[name]
-
-    def _parse(self, name: str):
-        """The layer parsed from its file; a malformed file is a ``DataError`` naming it."""
         doc = self.parsed.document
-        if name == "tokens":
-            parse, args = parse_token_offsets, (doc.text, doc.id)
-        elif name == "trees":
-            parse, args = parse_trees_file, (self.tokens, doc.id)
-        else:
-            parse, args = parse_discourse_file, (len(doc.text), doc.id)
+        return self._parse("tokens", parse_token_offsets, doc.text, doc.id)
+
+    @cached_property
+    def trees(self) -> Optional[dict[int, ConstTree]]:
+        return self._parse("trees", parse_trees_file, self.tokens, self.parsed.document.id)
+
+    @cached_property
+    def discourse(self) -> Optional[list[DiscourseRelation]]:
+        doc = self.parsed.document
+        return self._parse("discourse", parse_discourse_file, len(doc.text), doc.id)
+
+    def _parse(self, name: str, parse, *args):
+        """The layer parsed from its file, or None if the document lacks it;
+        a malformed file is a ``DataError`` naming it."""
+        if name not in self.layers:
+            return None
         path = self._base + _LAYER_FILES[name]
         content = read_text(path)
         try:
@@ -177,14 +158,12 @@ class DocBundle:
     def parse_layers(self) -> None:
         """Parse each layer not held; a malformed file is a ``DataError``."""
         for name in _LAYER_FILES:
-            self._layer(name)
+            getattr(self, name)
 
     def release(self) -> None:
-        """Drop the layers parsed from files, and the lookups built on them."""
-        if self._base is not None:
-            self._held.clear()
-            self.__dict__.pop("sentence_regions", None)
-            self.__dict__.pop("discourse_spans", None)
+        """Drop the parsed layers and the lookups built on them."""
+        for name in _CACHED:
+            self.__dict__.pop(name, None)
 
     # the side views' lookups, each built on first use (EAUs live on ``parsed``)
     @cached_property
@@ -201,6 +180,10 @@ class DocBundle:
     def discourse_spans(self) -> list[tuple]:
         """(arg1 span, arg2 span, (kind, sense)) of each discourse relation."""
         return [(rel.arg1, rel.arg2, (rel.kind, rel.sense)) for rel in self.discourse or ()]
+
+
+# What ``DocBundle.release`` drops: the layers and the lookups built on them.
+_CACHED = (*_LAYER_FILES, "sentence_regions", "discourse_spans")
 
 
 @dataclass
@@ -482,22 +465,30 @@ class RunConfig:
 class ExperimentData:
     """A loaded corpus and each split's instances, with their labels and views.
 
-    Views are built one document at a time, through the module's
-    ``build_views`` name, which tracing tools wrap.  No instance of another
-    document reads a document's layers, so they are released once its views
-    are built.  ``train_features`` streams the training views into the
-    extraction and keeps none of them.  ``train_views`` and ``test_views``
-    are built the first time they are read, and kept.  Of the commands only
-    ``ingest`` reads ``train_views``; ``anova`` and ``baseline`` read no
-    ``test_views``.
+    Everything built from them is a cached property, built the first time
+    it is read.  Views are built one document at a time, through the
+    module's ``build_views`` name, which tracing tools wrap.  No instance of
+    another document reads a document's layers, so they are released once
+    its views are built.  ``families`` resolves the command's feature
+    families (``resolve_families``); ``baseline`` and ``ingest`` never read
+    it.  ``train_features`` streams the training views into the extraction
+    and keeps none of them.  ``train_views`` and ``test_views`` are kept.
+    Of the commands only ``ingest`` reads ``train_views``; ``anova`` and
+    ``baseline`` read no ``test_views``.
     """
 
+    config: RunConfig
     bundle: CorpusBundle
     train_instances: list[RelationInstance]
     test_instances: list[RelationInstance]
     classes: tuple[str, ...]
     embedding_dim: int
-    _train_features: dict = field(default_factory=dict, repr=False)
+    # the FA training matrix's form and shape, recorded when it is extracted
+    train_matrix: Optional[str] = field(default=None, init=False)
+
+    @cached_property
+    def families(self) -> tuple[str, ...]:
+        return resolve_families(self.config, self)
 
     @cached_property
     def train_labels(self) -> list[str]:
@@ -522,21 +513,27 @@ class ExperimentData:
             yield build_views(self.bundle, list(run))
             self.bundle.bundles[doc_id].release()
 
-    def train_features(self, families: tuple[str, ...]) -> tuple[FeatureRegistry, FeatureMatrix]:
+    @cached_property
+    def train_features(self) -> tuple[FeatureRegistry, Optional[FeatureMatrix]]:
         """The training views' FA registry, frozen, and their FA rows over it.
 
-        Extracted on the first call for ``families`` and kept: every model
-        type trains on a column view of the same rows.  Each document's
-        views are extracted as soon as they are built, and none is kept;
-        its layers are released once they are extracted.
+        Every model type trains on a column view of the same rows, which
+        are kept until ``release_train_rows``.  Each document's views are
+        extracted as soon as they are built, and none is kept; its layers
+        are released once they are extracted.
         """
-        if families not in self._train_features:
-            registry = FeatureRegistry()
-            views = self._views_by_document(self.train_instances)
-            X = extract_matrix(views, registry, families, self.embedding_dim)
-            registry.freeze()
-            self._train_features[families] = registry, X
-        return self._train_features[families]
+        registry = FeatureRegistry()
+        views = self._views_by_document(self.train_instances)
+        X = extract_matrix(views, registry, self.families, self.embedding_dim)
+        registry.freeze()
+        form = "dense" if isinstance(X, DenseMatrix) else "sparse"
+        self.train_matrix = "{} {}x{}".format(form, *X.shape)
+        return registry, X
+
+    def release_train_rows(self) -> None:
+        """Drop the training rows and keep the registry, whose ``dropped_in``
+        the test extraction counts: no step after the last training reads them."""
+        self.train_features = self.train_features[0], None
 
 
 def prepare(config: RunConfig) -> ExperimentData:
@@ -551,6 +548,7 @@ def prepare(config: RunConfig) -> ExperimentData:
         raise DataError("empty train or test instance set")
     dim = bundle.embeddings.dimension if bundle.embeddings else 0
     return ExperimentData(
+        config=config,
         bundle=bundle,
         train_instances=train_instances,
         test_instances=test_instances,
@@ -577,8 +575,7 @@ def train_model(
     are the FA registry's names of that type, in the same order.
     """
     model_type = model_type or config.model_type
-    families = resolve_families(config, data)
-    registry, X_train = data.train_features(families)
+    registry, X_train = data.train_features
     if model_type != FA:
         columns = registry.columns_of(model_type)
         registry, X_train = registry.subset(columns), X_train.columns(columns)
@@ -591,7 +588,7 @@ def train_model(
         model_type=model_type,
         task=config.task,
     )
-    return model, registry, X_train, families
+    return model, registry, X_train, data.families
 
 
 def evaluate_models(
@@ -639,14 +636,13 @@ def write_manifest(
 ) -> None:
     """``manifest.txt`` in the output dir: every setting, the feature families
     used if given (``families = auto`` resolves by the corpus's layers) and
-    the form and shape of the FA training matrix if given, then input and
-    output hashes."""
+    the form and shape of the FA training matrix if given
+    (``ExperimentData.train_matrix``), then input and output hashes."""
     lines = list(_setting_lines(config))
     if families is not None:
         lines.append(f"families_used = {','.join(families)}")
     if train_matrix is not None:
-        form = "dense" if isinstance(train_matrix, DenseMatrix) else "sparse"
-        lines.append("train_matrix = {} {}x{}".format(form, *train_matrix.shape))
+        lines.append(f"train_matrix = {train_matrix}")
     inputs = [config.split_path] + ([config.embeddings_path] if config.embeddings_path else [])
     for path_in in sorted(inputs):
         if os.path.isfile(path_in):
@@ -704,28 +700,30 @@ def write_features_tsv(path, models: list[LinearModel], registry: FeatureRegistr
 
 
 def write_training_outputs(
-    config: RunConfig, outputs: list[str], models: list[LinearModel],
-    data: ExperimentData, families: tuple[str, ...],
+    config: RunConfig, outputs: list[str], models: list[LinearModel], data: ExperimentData
 ) -> None:
     """``solver.tsv`` and ``features.tsv`` of the models, trained on the FA
-    training features of ``families`` and their column views, then the
-    manifest, which names the families and that FA matrix's form."""
-    registry, X_train = data.train_features(families)
+    training features and their column views, then the manifest, which
+    names the families and that FA matrix's form."""
+    registry = data.train_features[0]
     solver_path = os.path.join(config.output_dir, "solver.tsv")
     features_path = os.path.join(config.output_dir, "features.tsv")
     write_solver_tsv(solver_path, models)
     write_features_tsv(features_path, models, registry)
-    write_manifest(config, [*outputs, solver_path, features_path], families, X_train)
+    write_manifest(
+        config, [*outputs, solver_path, features_path], data.families, data.train_matrix
+    )
 
 
 def run_experiment(config: RunConfig) -> EvalReport:
     """Full ingest -> train -> evaluate run with artifacts in the output dir."""
     make_output_dir(config.output_dir)
     data = prepare(config)
-    model, _, _, families = train_model(config, data)
-    registry = data.train_features(families)[0]
+    model = train_model(config, data)[0]
+    data.release_train_rows()
     [(report, preds)] = evaluate_models(
-        [model], registry, data.test_views, data.classes, families, data.embedding_dim
+        [model], data.train_features[0], data.test_views, data.classes, data.families,
+        data.embedding_dim,
     )
 
     if config.significance_n:
@@ -743,5 +741,5 @@ def run_experiment(config: RunConfig) -> EvalReport:
     report_path = os.path.join(config.output_dir, "report.tsv")
     save_model(model, model_path)
     write_report_tsv(report_path, report)
-    write_training_outputs(config, [model_path, report_path], [model], data, families)
+    write_training_outputs(config, [model_path, report_path], [model], data)
     return report

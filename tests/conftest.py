@@ -1,8 +1,13 @@
+import itertools
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from argdissect.annotations import Token, parse_bracketed_tree
 from argdissect.features import FA, CsrMatrix, DenseMatrix, extract_all, feature_type
+from argdissect.pipeline import DocBundle
 from argdissect.synth import SynthConfig, generate_corpus
 
 # Shared fixture: "However, people should not smoke." with the EAU covering
@@ -23,6 +28,23 @@ SMOKE_TREE = (
 )
 SMOKE_EAU_CHARS = (9, 32)
 SMOKE_EAU_TOKENS = (2, 6)
+
+
+# Layer files written by ``layer_bundle``, each document at a new base; the
+# directory is removed when the test session's interpreter exits.
+_LAYER_DIR = tempfile.TemporaryDirectory(prefix="argdissect-layers-")
+_layer_bases = itertools.count()
+
+
+def layer_bundle(parsed, tokens, trees=None, discourse=None):
+    """``DocBundle(parsed, base)`` over layer files holding the given texts:
+    the tokens TSV, and the trees and discourse files unless None."""
+    base = os.path.join(_LAYER_DIR.name, str(next(_layer_bases)))
+    for ext, text in ((".tokens.tsv", tokens), (".trees", trees), (".discourse", discourse)):
+        if text is not None:
+            with open(base + ext, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    return DocBundle(parsed, base)
 
 
 def csr_of(vectors, n_cols, index_dtype=np.intp):

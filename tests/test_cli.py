@@ -605,6 +605,17 @@ def test_manifest_names_the_training_matrix_form(synth_dir, tmp_path, command):
         assert int(match[3]) == int(widths["FA"])
 
 
+def test_baseline_resolves_no_feature_family(synth_dir, tmp_path):
+    """``baseline`` trains no model, so it never resolves the families: one
+    whose layer the corpus lacks fails ``run`` but not ``baseline``."""
+    args = base_args(synth_dir, str(tmp_path))
+    args[args.index("--embeddings"):args.index("--embeddings") + 2] = []
+    args += ["--families", "embedding"]
+    assert main(["run"] + args) == 2
+    assert main(["baseline"] + args) == 0
+    assert (tmp_path / "baseline.tsv").exists()
+
+
 def test_features_tsv_counts_test_features_dropped_as_unseen(tmp_path):
     registry = FeatureRegistry()
     registry.index("lex:eau:src:seen")

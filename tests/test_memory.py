@@ -146,7 +146,7 @@ def test_streamed_training_features_peak_below_built_views(config):
     it peaks below building the views and then extracting them."""
     data = prepare(config)
     families = default_families(data.bundle.layers)
-    (registry, X), streamed = added_peak(lambda: data.train_features(families))
+    (registry, X), streamed = added_peak(lambda: data.train_features)
     assert "train_views" not in data.__dict__
 
     whole_data = prepare(config)
@@ -189,7 +189,6 @@ def test_streamed_training_features_release_each_documents_layers(config, monkey
     start (as a corpus loaded whole holds them) plus half the layers of a
     prepared corpus.  Holding every training layer until the end would add
     about four fifths of those."""
-    families = default_families(prepare(config).bundle.layers)
     loaded = prepare(config)
     docs = loaded.bundle.bundles.values()
     _, layer_bytes = added_peak(lambda: [doc.parse_layers() for doc in docs])
@@ -198,11 +197,11 @@ def test_streamed_training_features_release_each_documents_layers(config, monkey
     parse_training_layers(held)
     with monkeypatch.context() as patch:
         patch.setattr(DocBundle, "release", lambda self: None)
-        _, held_peak = added_peak(lambda: held.train_features(families))
+        _, held_peak = added_peak(lambda: held.train_features)
 
     data = prepare(config)
-    (_, X), streamed = added_peak(lambda: data.train_features(families))
-    assert np.array_equal(X.rows, held.train_features(families)[1].rows)
+    (_, X), streamed = added_peak(lambda: data.train_features)
+    assert np.array_equal(X.rows, held.train_features[1].rows)
     # 200 documents: layers 4.4 MB; 11.3 MB with them held, 10.9 MB streamed
     assert streamed < held_peak + layer_bytes / 2
 

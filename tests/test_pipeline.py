@@ -1,12 +1,13 @@
 import os
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from argdissect import cli, features, pipeline
-from argdissect.annotations import Token, align_eau, load_embeddings, parse_bracketed_tree
+from argdissect.annotations import align_eau, load_embeddings
 from argdissect.corpus import build_instances, parse_standoff
 from argdissect.errors import MissingLayerError
 from argdissect.evaluation import randomize_contexts
@@ -26,22 +27,20 @@ from argdissect.pipeline import (
 from argdissect.synth import SynthConfig, generate_corpus
 
 from conftest import (
-    SMOKE_TOKEN_SPECS, SMOKE_TREE, assert_same_matrix, csr_of, reference_assemble,
+    SMOKE_TOKEN_SPECS, SMOKE_TREE, assert_same_matrix, csr_of, layer_bundle, reference_assemble,
 )
 
 
 def smoke_bundle(with_tree=True):
     text = "However, people should not smoke.\n"
     ann = "T1\tClaim 9 32\tpeople should not smoke\n"
-    parsed = parse_standoff(text, ann, "d")
-    tokens = [
-        Token("d", 0, i, start, end, surface)
+    tokens = "".join(
+        f"0\t{i}\t{start}\t{end}\t{surface}\n"
         for i, (start, end, surface) in enumerate(SMOKE_TOKEN_SPECS)
-    ]
-    trees = None
-    if with_tree:
-        trees = {0: parse_bracketed_tree(SMOKE_TREE, tokens, "d", 0)}
-    return DocBundle(parsed=parsed, tokens=tokens, trees=trees, discourse=None)
+    )
+    return layer_bundle(
+        parse_standoff(text, ann, "d"), tokens, SMOKE_TREE + "\n" if with_tree else None
+    )
 
 
 def test_side_view_tokens_and_counts():
@@ -193,6 +192,15 @@ def test_corpus_layers_are_those_of_the_parsed_trees(tmp_path, edit):
     assert layers == expected[edit]
 
 
+# A ``DocBundle``'s cached names: its layers and the lookups built on them
+DOC_CACHED = ("tokens", "trees", "discourse", "sentence_regions", "discourse_spans")
+
+
+def holds(doc):
+    """The cached names the document holds."""
+    return [name for name in DOC_CACHED if name in doc.__dict__]
+
+
 def test_training_features_release_the_layers_they_read(synth_dir):
     """After ``train_features`` no training document holds a parsed layer; a
     later ``train_views`` parses them again, to the views and matrix built
@@ -200,23 +208,68 @@ def test_training_features_release_the_layers_they_read(synth_dir):
     config = run_config(synth_dir, "unused", embeddings_path="", task="g")
     data = prepare(config)
     families = resolve_families(config, data)
-    registry, X = data.train_features(families)
+    registry, X = data.train_features
     train_docs = [data.bundle.bundles[doc_id] for doc_id in dict.fromkeys(
         inst.doc_id for inst in data.train_instances)]
-    assert not any(doc._held for doc in train_docs)
+    assert not any(holds(doc) for doc in train_docs)
 
     kept = load_corpus_dir(synth_dir)  # build_views releases nothing
     expected_views = pipeline.build_views(kept, data.train_instances)
     expected_registry = FeatureRegistry()
     expected = features.extract_matrix(expected_views, expected_registry, families)
-    assert all(kept.bundles[doc.parsed.document.id]._held for doc in train_docs)
+    assert all(holds(kept.bundles[doc.parsed.document.id]) for doc in train_docs)
 
     views = data.train_views
     assert views == expected_views
-    assert not any(doc._held for doc in train_docs)
+    assert not any(holds(doc) for doc in train_docs)
     for M in (X, features.extract_matrix(views, FeatureRegistry(), families)):
         assert_same_matrix(M, expected)
     assert registry.registry_id == expected_registry.registry_id
+
+
+def test_a_released_layer_parses_again_from_its_file(synth_dir):
+    """``release`` drops every cached name; each then reads as a new object,
+    parsed again from the document's files, equal to the one dropped."""
+    doc = load_corpus_dir(synth_dir).bundles["essay000"]
+    assert doc.layers >= {"tokens", "trees", "discourse"}
+    held = {name: getattr(doc, name) for name in DOC_CACHED}
+    assert holds(doc) == list(DOC_CACHED) and all(held.values())
+    doc.release()
+    assert not holds(doc)
+    for name, before in held.items():
+        again = getattr(doc, name)
+        assert again == before and again is not before
+
+
+@pytest.mark.parametrize("command", [["run"], ["robustness", "--mode", "randomized"]])
+def test_training_rows_are_freed_before_the_test_extraction(tmp_path, monkeypatch, command):
+    """Once ``run`` and ``robustness`` have trained their last model, nothing
+    holds the training rows when the test views are extracted; the manifest
+    still names the training matrix's form and shape."""
+    corpus = str(tmp_path / "corpus")
+    generate_corpus(corpus, SynthConfig(n_docs=40, seed=1))
+    extract = pipeline.extract_matrix
+    training_rows, alive_at_test = [], []
+
+    def recording(views, registry, *args):
+        if registry.frozen:
+            alive_at_test.append(training_rows[0]() is not None)
+            return extract(views, registry, *args)
+        X = extract(views, registry, *args)
+        training_rows.append(weakref.ref(X.rows))
+        return X
+
+    monkeypatch.setattr(pipeline, "extract_matrix", recording)
+    assert cli.main(command + [
+        "--corpus-dir", corpus,
+        "--split", os.path.join(corpus, "split.tsv"),
+        "--embeddings", os.path.join(corpus, "embeddings.txt"),
+        "--out", str(tmp_path / "out"),
+        "--task", "g",
+    ]) == 0
+    assert len(training_rows) == 1 and alive_at_test == [False]
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert "train_matrix = dense 960x178" in manifest
 
 
 def test_build_views_share_sides(synth_dir):
@@ -372,7 +425,7 @@ def test_an_extraction_whose_cb_slice_is_sparse_stays_sparse(synth_dir, task):
         config = run_config(synth_dir, "unused", task=task, **settings)
         data = prepare(config)
         families = resolve_families(config, data)
-        registry, X = data.train_features(families)
+        registry, X = data.train_features
         test = features.extract_matrix(data.test_views, registry, families, data.embedding_dim)
         for M in (X, test):
             assert isinstance(M, form)

@@ -29,9 +29,7 @@ from argdissect.annotations import (
     EmbeddingTable,
     Token,
     TreeNode,
-    parse_discourse_file,
     parse_token_offsets,
-    parse_trees_file,
 )
 from argdissect.corpus import (
     LINKED,
@@ -44,8 +42,10 @@ from argdissect.corpus import (
 )
 from argdissect.errors import AlignmentError, IntegrityError, StandoffParseError
 from argdissect.features import ContentLayers, ContextLayers, SideView, count_punct
-from argdissect.pipeline import DocBundle, build_side_view, load_corpus_dir
+from argdissect.pipeline import build_side_view, load_corpus_dir
 from argdissect.treeops import cut_tree, range_disjoint, range_inside
+
+from conftest import layer_bundle
 
 # --------------------------------------------------------------------------
 # the replaced implementations
@@ -363,12 +363,10 @@ def documents(draw):
             kind = draw(st.sampled_from(["Claim", "Premise"]))
             ann_lines.append(f"T{k + 1}\t{kind} {start} {end}\t{text[start:end]}")
     parsed = parse_standoff(text, "\n".join(ann_lines) + "\n", "d")
-    tokens = parse_token_offsets(tsv, text, "d")
 
     trees = None
     if with_trees:
-        lines = [draw(tree_line(sentences[s][0])) for s in range(n_sent)]
-        trees = parse_trees_file("\n".join(lines), tokens, "d")
+        trees = "\n".join(draw(tree_line(sentences[s][0])) for s in range(n_sent))
     discourse = None
     if draw(st.booleans()):
         spans = st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)
@@ -377,7 +375,7 @@ def documents(draw):
             (a, b), (c, d) = draw(spans), draw(spans)
             kind = draw(st.sampled_from(["Explicit", "Implicit"]))
             rels.append(f"{kind}|Sense{len(rels)}|{a}..{b}|{c}..{d}|")
-        discourse = parse_discourse_file("\n".join(rels), n, "d")
+        discourse = "\n".join(rels)
     embeddings = None
     if draw(st.booleans()):
         vectors = st.lists(st.sampled_from([-0.0, 0.0, 1.5, -2.25, 1e-300, 3.0]),
@@ -385,7 +383,8 @@ def documents(draw):
         entries = {w: np.array(draw(vectors)) for w in draw(st.sets(st.sampled_from(
             [w.lower() for w in WORDS] + [""])))}
         embeddings = EmbeddingTable(dimension=2, entries=entries)
-    bundle = DocBundle(parsed=parsed, tokens=tokens, trees=trees, discourse=discourse)
+    bundle = layer_bundle(parsed, tsv, trees, discourse)
+    bundle.parse_layers()  # a generated file the parsers reject fails here, not in a test
     return bundle, embeddings
 
 
@@ -470,8 +469,7 @@ def test_an_eau_outside_every_paragraph_fails_as_the_scan_did():
     """An EAU on a whitespace-only line between paragraphs has no position."""
     text = "a\n \nb"
     parsed = parse_standoff(text, "T1\tClaim 2 3\t \n", "d")
-    tokens = parse_token_offsets("0\t0\t0\t1\ta\n1\t0\t2\t3\t \n2\t0\t4\t5\tb\n", text, "d")
-    bundle = DocBundle(parsed=parsed, tokens=tokens)
+    bundle = layer_bundle(parsed, "0\t0\t0\t1\ta\n1\t0\t2\t3\t \n2\t0\t4\t5\tb\n")
     got = outcome(build_side_view, bundle, parsed.eaus[0], None)
     assert got == ("error", IntegrityError, "d: EAU T1 not inside any paragraph")
     assert_same_side(got, outcome(ref_build_side_view, bundle, parsed.eaus[0], None))
