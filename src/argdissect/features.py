@@ -11,13 +11,14 @@ is kept.  The registry maps names to indices and freezes after the training
 pass.
 
 ``extract_matrix`` extracts a batch of views into one FA feature matrix over
-the registry, extracting each side shared by several views once, and formats
-each feature name once per distinct payload; the CB and CI slices are its
-column views (``FeatureRegistry.columns_of``).  An open registry first
-registers the batch's new names in order of first occurrence, a frozen one
-drops its unseen names, and one gather then writes the matrix.  The batch may
-come as chunks, lists of views one after another (the training split comes
-a document at a time), and no chunk's sides are kept past it.
+the registry, extracting each side shared by several views once, whether it
+is a source, a target or both, and formats each feature name once per
+distinct payload; the CB and CI slices are its column views
+(``FeatureRegistry.columns_of``).  An open registry first registers the
+batch's new names in order of first occurrence, a frozen one drops its
+unseen names, and one gather then writes the matrix.  The batch may come as
+chunks, lists of views one after another (the training split comes a
+document at a time), and no chunk's sides are kept past it.
 
 The matrix takes one of two forms, which read alike (``len``, ``shape``,
 ``row_blocks``, ``dense_rows``, ``toarray``, ``columns``); other modules
@@ -29,9 +30,11 @@ column of ones, which ``learn`` trains and predicts on without a copy.
 Any other extraction is a ``CsrMatrix``, with ``intp`` row pointers and
 column indices of the narrowest type its width allows (``index_dtype``):
 9 B per stored entry up to 256 columns, 10 B up to 65,536, 12 B beyond;
-``learn`` densifies it by the same rule.  Apart from one pool of each
-side's entries, the extraction works in ``row_blocks`` whose temporaries
-take at most ``ROW_BLOCK_BYTES``, as does every densifying;
+``learn`` densifies it by the same rule.  Apart from one table of its
+sides (each side's named entries pooled once and its embedding and
+sentiment rows held once, whichever tags it appears under), the
+extraction works in ``row_blocks`` whose temporaries take at most
+``ROW_BLOCK_BYTES``, as does every densifying;
 ``dense_rows`` reads one block densely, and the ANOVA scores read dense
 row blocks only, never a dense copy of the matrix.
 A single view's features are also available as a name dict (``extract_all``,
@@ -558,29 +561,35 @@ def extract_matrix(
     ``views`` is a list of views, or an iterable of such lists (chunks)
     whose rows follow one another; either gives the same matrix, registry
     and dropped counts.  Row i holds view i's features in name order.
-    Each distinct side object of a chunk is extracted once by the per-side
-    extractors, whichever tags it appears under, and into one row of each
-    ``_pair_values`` array per tag.  Only the difference blocks are
-    computed per row, from those arrays.  Each name is formatted once, when
-    its payload is new to its family and scope.  Before the gather, an
-    open registry registers the names that occur and that it lacks, in
-    order of first occurrence (row by row, name order within a row); a
-    frozen one drops each occurrence of an unknown name and counts it in
-    ``dropped_in`` of each slice that holds its block's scope.  Either way
-    every kept entry then has a column, and the gather writes the matrix.
+    Each distinct side object of a chunk is numbered once in one side
+    table, whichever tags it appears under: its named entries are pooled
+    once per (family, scope) by the per-side extractors, and its
+    ``_pair_values`` row is computed once per (family, scope).  A block's
+    tag only picks the row's side; the pooled entries are read under either
+    tag, and the embedding and sentiment blocks (a side's row, or the
+    source row minus the target row) are made per row block from the side
+    rows.  Each name is formatted once, when its payload is new to its
+    family and scope.  Before the gather, an open registry registers the
+    names that occur and that it lacks, in order of first occurrence (row
+    by row, name order within a row); a frozen one drops each occurrence of
+    an unknown name, under the tag it is read under, and counts it in
+    ``dropped_in`` of each slice that holds its block's scope, once for
+    each row that uses the side.  Either way every kept entry then has a
+    column, and the gather writes the matrix.
 
     A chunk's sides are extracted when the chunk arrives and are not kept:
-    only their pool of entries, the rows' side numbers and the
-    ``_pair_values`` arrays outlive it.  Sides are told apart by object
-    identity within a chunk only, as a side freed with its chunk may leave
-    its id to a new one; a side repeated across chunks is extracted once
-    per chunk.  Everything per row (row lengths, difference blocks, the
-    gather) is made in ``row_blocks``, and the result is written into its
-    final arrays: the dense array, each entry at its cell, or the CSR
-    arrays, the indices at ``index_dtype`` of the registry's width.  Each
-    slice's entries are counted from the pool's segment lengths and the
-    difference blocks before the gather, so the form is picked before
-    either is written.  An extraction without rows is a ``CsrMatrix``.
+    only their pool of entries, the rows' side numbers and the side rows
+    outlive it.  Sides are told apart by object identity within a chunk
+    only, as a side freed with its chunk may leave its id to a new one; a
+    side repeated across chunks is extracted once per chunk.  Everything
+    per row (row lengths, numeric blocks, the gather) is made in
+    ``row_blocks``, and the result is written into its final arrays: the
+    dense array, each named entry at its cell and each numeric block's
+    rows at once, or the CSR arrays, the indices at ``index_dtype`` of the
+    registry's width.  Each slice's entries are counted from the pool's
+    segment lengths and the numeric blocks before the gather, so the form
+    is picked before either is written.  An extraction without rows is a
+    ``CsrMatrix``.
     """
     chunks = iter([views] if isinstance(views, list) else views)
     chunk = next((c for c in chunks if c), [])
@@ -588,83 +597,65 @@ def extract_matrix(
         families = default_families(chunk[0].layers) if chunk else ()
     blocks = list(_blocks_in_order(families))
 
-    # Per tag, the pool holds each side's named blocks once, as segments
-    # side by side, converted so that one side's payload dicts are alive at
-    # a time; the numeric blocks follow, block by block, made from the
-    # ``_pair_values`` arrays.  Segment 0 is empty.  Row i's segment of such
-    # a block b is base[b] + stride[b] * ids[tag][i], or 0 if the row lacks
-    # the tag's side; ids[tag][i] numbers the side among the tag's sides,
-    # chunk after chunk.  A diff block's segments are per row: they are made
-    # for each row block, into the pool's tail.  An entry holds its
-    # payload's number in ``payloads`` of the block's (family, scope), which
-    # the src, tgt and diff blocks share; a numeric block's payload number
-    # is its column.
+    # One side table: each chunk's distinct sides are numbered once, after
+    # those of earlier chunks, whichever tags they appear under, and
+    # ids[tag][i] is row i's side under the tag (-1 for none).  The pool
+    # holds each side's named entries once per (family, scope) of ``named``,
+    # as segments side by side: side s's q-th is segment 1 + s * len(named)
+    # + q, and segment 0 is empty.  ``side_rows`` holds each side's
+    # ``_pair_values`` row once per paired (family, scope).  An entry holds
+    # its payload's number in ``payloads`` of its (family, scope), which the
+    # src, tgt and diff blocks share; a numeric block's payload number is
+    # its column.  A block's tag only picks the row's side, and its entries'
+    # pids (see below) are offsets[b] plus their payload numbers.
     payloads: dict[tuple[str, str], dict[str, int]] = {
         (family, scope): {
             p: k for k, p in enumerate(_pair_payloads(family, embedding_dim))
         } if family in _PAIRED else {}
         for family, scope, _ in blocks
     }
-    named_blocks = {
-        tag: [
-            b for b, (family, _, btag) in enumerate(blocks)
-            if btag == tag and family not in _PAIRED
-        ]
-        for tag in TAGS
-    }
-    numbering = {tag: [payloads[blocks[b][:2]] for b in named_blocks[tag]] for tag in TAGS}
-    # Grown chunk by chunk, per tag: each row's side number (-1 for none),
-    # the pool's payload numbers, values and segment lengths, and each
-    # numeric block's ``_pair_values`` rows.  ``array`` buffers grow in
-    # place, so that the chunks leave no trail of small freed arrays, whose
-    # heap would lie fragmented under the arrays made once every chunk is
-    # in (the pieces' columns and values, then the dense or CSR arrays).
+    named = [(family, scope) for family, scope, tag in blocks
+             if tag == "src" and family not in _PAIRED]
+    numbering = [payloads[key] for key in named]
+    # Grown chunk by chunk: each row's side numbers, the pool's payload
+    # numbers, values and segment lengths, and the ``_pair_values`` rows.
+    # ``array`` buffers grow in place, so that the chunks leave no trail of
+    # small freed arrays, whose heap would lie fragmented under the arrays
+    # made once every chunk is in (the pool's copy, then the dense or CSR
+    # arrays).
     ids = {tag: array("i") for tag in TAGS}
-    pool = {tag: (array("q"), array("d"), array("q")) for tag in TAGS}
-    side_rows = {
-        (family, scope, tag): array("d") for family, scope, tag in blocks
-        if family in _PAIRED and tag != "diff"
-    }
-    n_sides = dict.fromkeys(TAGS, 0)
+    pool = (array("i"), array("d"), array("i"))
+    side_rows = {key: array("d") for key in payloads if key[0] in _PAIRED}
+    n_sides = 0
 
     def take(chunk):
         """Number the chunk's sides after those of earlier chunks, and pool
         their named entries and their ``_pair_values`` rows."""
+        nonlocal n_sides
         for layers in {view.layers for view in chunk}:
             for family in families:
                 if FAMILY_LAYER[family] not in layers:
                     raise MissingLayerError(FAMILY_LAYER[family])
-        # sides[tag] holds each distinct side of the chunk under the tag
-        # once, in order of first appearance
-        sides, seen = {tag: [] for tag in TAGS}, {tag: {} for tag in TAGS}
+        numbers, sides = {}, []  # each distinct side once, in order of first appearance
         for view in chunk:
             for tag, sv in zip(TAGS, (view.source, view.target)):
-                j = -1 if sv is None else seen[tag].setdefault(id(sv), n_sides[tag])
-                if j == n_sides[tag]:
-                    sides[tag].append(sv)
-                    n_sides[tag] += 1
-                ids[tag].append(j)
-        extracted = {}  # id(side) -> its segments, kept from its src to its tgt pass
-        for tag in TAGS:
-            for sv in sides[tag]:
-                segments = extracted.pop(id(sv), None)
-                if segments is None:
-                    by_block = _side_blocks(sv, families)
-                    named = [by_block[blocks[b][:2]] for b in named_blocks[tag]]
-                    segments = (
-                        [
-                            number.setdefault(p, len(number))
-                            for number, block in zip(numbering[tag], named) for p in block
-                        ],
-                        [v for block in named for v in block.values()],
-                        [len(block) for block in named],
-                    )
-                    if tag == "src" and id(sv) in seen["tgt"]:
-                        extracted[id(sv)] = segments
-                for kept, part in zip(pool[tag], segments):
-                    kept.extend(part)
-        for (family, scope, tag), rows in side_rows.items():
-            rows.frombytes(_pair_values(family, scope, sides[tag], embedding_dim).tobytes())
+                if sv is not None and id(sv) not in numbers:
+                    numbers[id(sv)] = n_sides + len(sides)
+                    sides.append(sv)
+                ids[tag].append(-1 if sv is None else numbers[id(sv)])
+        n_sides += len(sides)
+        kept_numbers, kept_values, kept_lens = pool
+        for sv in sides:
+            by_block = _side_blocks(sv, families)
+            segments = [by_block[key] for key in named]
+            kept_numbers.extend([
+                number.setdefault(p, len(number))
+                for number, segment in zip(numbering, segments) for p in segment
+            ])
+            kept_values.extend([v for segment in segments for v in segment.values()])
+            kept_lens.extend(map(len, segments))
+        for (family, scope), rows in side_rows.items():
+            rows.frombytes(_pair_values(family, scope, sides, embedding_dim).tobytes())
 
     while chunk is not None:
         take(chunk)
@@ -672,6 +663,11 @@ def extract_matrix(
     ids = {tag: np.frombuffer(ids[tag], np.intc) for tag in TAGS}
     n = len(ids["src"])
     paired = ids["tgt"] >= 0
+    side_values = {
+        key: np.frombuffer(rows).reshape(n_sides, len(payloads[key]))
+        for key, rows in side_rows.items()
+    }
+    del side_rows
 
     # pid: a name's place in ``names``, the blocks' names in block order;
     # colmap[pid] is the name's column, -1 while the registry lacks it.
@@ -684,126 +680,122 @@ def extract_matrix(
     colmap = np.fromiter((column(name, -1) for name in names), np.intc, len(names))
     # A name's first occurrence: its first row (n if it never occurs), and
     # a place that orders it among that row's entries of its block: its
-    # first entry's place in its pool piece, or its column in a diff block.
+    # entry's place in its side's segment, or its column in a numeric block.
     first_row, place = np.full(len(names), n), np.arange(len(names))
 
-    # The pool's pieces, in pool order: per tag its named entries, then the
-    # numeric blocks' nonzeros, each piece as its entries' pids (``int32``,
-    # held until the registration) and values and its segments' lengths.  A
-    # frozen registry's unknown names are dropped here, each use counted;
-    # for an open registry, a name's first entry in its piece is its first
-    # occurrence, as a piece holds its tag's sides in order of first row.
+    # A named block b's slot in row i is segment base[b] + stride[b] *
+    # (row i's side under its tag), or 0 if the row lacks that side; a
+    # numeric block's slot is segment 0 too.  seg_blocks[tag] lists the
+    # named blocks of the tag in segment order.
+    n_named = len(named)
+    seg_blocks = {tag: [blocks.index((*key, tag)) for key in named] for tag in TAGS}
     base, stride = np.zeros(len(blocks), np.intc), np.zeros(len(blocks), np.intc)
-    pieces, seg_lens, unseen = [], [np.zeros(1, np.intc)], [np.zeros(1, np.intp)]
-    n_segments = 1
-
-    def add_piece(tag, pids, values, lens):
-        if registry.frozen:
-            known = colmap[pids] >= 0
-            unseen.append(np.bincount(
-                np.repeat(np.arange(len(lens)), lens)[~known], minlength=len(lens)
-            ))
-            pids, values = pids[known], values[known]
-        elif len(pids):
-            first = np.full(len(names), len(pids))
-            np.minimum.at(first, pids, np.arange(len(pids)))
-            found = np.flatnonzero(first < len(pids))
-            first = first[found]
-            side_ends = np.cumsum(lens.reshape(n_sides[tag], -1).sum(axis=1))
-            # side k's first row: where the rows' running maximum side number reaches k
-            side_first = np.flatnonzero(np.diff(np.maximum.accumulate(ids[tag]), prepend=-1))
-            first_row[found] = side_first[np.searchsorted(side_ends, first, "right")]
-            place[found] = first
-        pieces.append((pids.astype(np.intc), values))
-        seg_lens.append(lens)
-
-    for tag in TAGS:
-        tag_blocks = named_blocks[tag]
-        base[tag_blocks] = n_segments + np.arange(len(tag_blocks))
-        stride[tag_blocks] = len(tag_blocks)
-        n_segments += len(tag_blocks) * n_sides[tag]
-        numbers, values, lens = (
-            np.frombuffer(kept, dtype)
-            for kept, dtype in zip(pool.pop(tag), (np.int64, float, np.int64))
-        )
-        add_piece(tag, numbers + np.repeat(np.tile(offsets[tag_blocks], n_sides[tag]), lens),
-                  values, lens)
-        del numbers, values, lens
-    side_values, diff_blocks = {}, []
-    for b, (family, scope, tag) in enumerate(blocks):
-        if family not in _PAIRED:
-            continue
-        if tag == "diff":
-            diff_blocks.append(b)
-            continue
-        values = side_values[family, scope, tag] = np.frombuffer(
-            side_rows.pop((family, scope, tag))
-        ).reshape(n_sides[tag], len(payloads[family, scope]))
-        base[b], stride[b] = n_segments, 1
-        n_segments += len(values)
-        rows, ks = np.nonzero(values)
-        add_piece(tag, offsets[b] + ks, values[rows, ks], np.count_nonzero(values, axis=1))
-    seg_lens = np.concatenate(seg_lens, dtype=np.intc)
+    for tag_blocks in seg_blocks.values():
+        base[tag_blocks] = 1 + np.arange(n_named)
+        stride[tag_blocks] = n_named
     block_tag = np.array([tag == "tgt" for _, _, tag in blocks])
+    numeric = [b for b, (family, _, _) in enumerate(blocks) if family in _PAIRED]
+    seg_lens = np.concatenate((np.zeros(1, np.intc), np.frombuffer(pool[2], np.intc)))
+    numbers = np.frombuffer(pool[0], np.intc)
+    entry_seg = np.repeat(np.arange(len(seg_lens)), seg_lens)
 
-    def per_side(seg_values, tag, model_type=FA):
-        """Per side under the tag, the sum of ``seg_values`` over its segments in a Φ slice."""
-        total = np.zeros(n_sides[tag], seg_values.dtype)
-        for b, (_, scope, btag) in enumerate(blocks):
-            if btag == tag and model_type in (FA, SCOPE_TYPE[scope]):
-                total += seg_values[base[b] + stride[b] * np.arange(n_sides[tag])]
-        return total
+    def pids_under(tag):
+        """The pool entries' pids when read under the tag."""
+        seg_offset = np.zeros(len(seg_lens), np.intp)
+        seg_offset[1:] = np.tile(offsets[seg_blocks[tag]], n_sides)
+        return numbers + seg_offset[entry_seg]
 
-    uses = {tag: np.bincount(ids[tag][ids[tag] >= 0], minlength=n_sides[tag]) for tag in TAGS}
-
-    def per_slice(seg_values):
-        """Per Φ slice, the sum of ``seg_values`` over every row's side segments."""
-        return {
-            model_type: sum(int(per_side(seg_values, tag, model_type) @ uses[tag]) for tag in TAGS)
-            for model_type in MODEL_TYPES
-        }
-
+    # Per tag, the entries each segment keeps: a frozen registry may know a
+    # name under one tag and not under the other, so it drops a segment's
+    # unknown entries per tag, at the gather.  An open registry keeps every
+    # entry, and a name's first occurrence under a tag is its entry of
+    # least (first row of the side under the tag, place in the segment).
     if registry.frozen:
-        unseen = np.concatenate(unseen)
-        for model_type, dropped in per_slice(unseen).items():
-            registry.dropped_in[model_type] += dropped
-        seg_lens -= unseen
-    del unseen
-    stored = per_slice(seg_lens)  # entries per Φ slice, the differences to come
+        kept_lens = {
+            tag: seg_lens - np.bincount(
+                entry_seg[colmap[pids_under(tag)] < 0], minlength=len(seg_lens)
+            )
+            for tag in TAGS
+        }
+    else:
+        kept_lens = dict.fromkeys(TAGS, seg_lens)
+        if len(entry_seg):
+            at = np.arange(len(entry_seg)) - (np.cumsum(seg_lens) - seg_lens)[entry_seg]
+            side = (entry_seg - 1) // n_named
+            span = int(seg_lens.max()) + 1
+            key = np.full(len(names), n * span)
+            for tag in TAGS:
+                has = np.flatnonzero(ids[tag] >= 0)
+                side_first = np.full(n_sides, n)
+                np.minimum.at(side_first, ids[tag][has], has)
+                np.minimum.at(key, pids_under(tag), side_first[side] * span + at)
+            found = np.flatnonzero(key < n * span)
+            first_row[found], place[found] = np.divmod(key[found], span)
+            del at, side, key
+    del entry_seg
 
-    def diff_values(b, lo, hi):
-        """The rows of lo:hi with a target, and their block-b differences."""
-        family, scope, _ = blocks[b]
+    uses = {tag: np.bincount(ids[tag][ids[tag] >= 0], minlength=n_sides) for tag in TAGS}
+
+    def per_slice(lens, tag):
+        """Per Φ slice, the sum of segment ``lens`` over every row's named
+        segments of its side under the tag."""
+        totals = uses[tag] @ lens[1:].reshape(n_sides, n_named)
+        out = dict.fromkeys(MODEL_TYPES, 0)
+        for (_, scope), total in zip(named, totals.tolist()):
+            for slice_type in {FA, SCOPE_TYPE[scope]}:
+                out[slice_type] += total
+        return out
+
+    # Entries per Φ slice, the numeric blocks' to come; every dropped entry
+    # is counted once for each row that uses its side.
+    stored = dict.fromkeys(MODEL_TYPES, 0)
+    row_len = np.zeros(n, np.intp)
+    for tag in TAGS:
+        kept, total = per_slice(kept_lens[tag], tag), per_slice(seg_lens, tag)
+        for model_type in MODEL_TYPES:
+            stored[model_type] += kept[model_type]
+            registry.dropped_in[model_type] += total[model_type] - kept[model_type]
+        has = ids[tag] >= 0
+        row_len[has] += kept_lens[tag][1:].reshape(n_sides, n_named).sum(axis=1)[ids[tag][has]]
+    del kept_lens
+
+    def numeric_values(b, lo, hi):
+        """The rows of lo:hi that have block b's side, and their block-b values:
+        a side row, or the source row minus the target row."""
+        family, scope, tag = blocks[b]
+        rows = side_values[family, scope]
+        if tag == "src":
+            return np.arange(hi - lo), rows[ids["src"][lo:hi]]
         p = np.flatnonzero(paired[lo:hi])
-        return p, (side_values[family, scope, "src"][ids["src"][lo + p]]
-                   - side_values[family, scope, "tgt"][ids["tgt"][lo + p]])
+        tgt = rows[ids["tgt"][lo + p]]
+        return p, tgt if tag == "tgt" else rows[ids["src"][lo + p]] - tgt
 
-    # Row lengths: the side segments', then the diff blocks' (a frozen
-    # registry's unknown differences are dropped and counted here, each
-    # diff column's first nonzero row is recorded, and the kept differences
-    # are added to their slices' entries).
-    row_len = per_side(seg_lens, "src")[ids["src"]]
-    row_len[paired] += per_side(seg_lens, "tgt")[ids["tgt"][paired]]
-    diff_len = np.zeros(n, np.intp)
-    if diff_blocks:
-        for lo, hi in row_blocks(n, max(np.diff(offsets)[diff_blocks])):
-            for b in diff_blocks:
-                p, values = diff_values(b, lo, hi)
-                nonzero = values != 0.0
-                if registry.frozen:
-                    unknown = colmap[offsets[b]:offsets[b + 1]] < 0
-                    dropped = int(np.count_nonzero(nonzero[:, unknown]))
-                    for slice_type in {FA, SCOPE_TYPE[blocks[b][1]]}:
-                        registry.dropped_in[slice_type] += dropped
-                    nonzero[:, unknown] = False
-                else:
-                    seen = first_row[offsets[b]:offsets[b + 1]]
-                    first = np.where(nonzero, lo + p[:, None], n).min(axis=0, initial=n)
-                    np.minimum(seen, first, out=seen)
-                counts = np.count_nonzero(nonzero, axis=1)
-                diff_len[lo + p] += counts
-                for slice_type in {FA, SCOPE_TYPE[blocks[b][1]]}:
-                    stored[slice_type] += int(counts.sum())
+    def count_numeric(b, lo, hi):
+        """Add block b's entries in rows lo:hi to their rows' and slices'
+        counts: a frozen registry drops and counts its unknown columns, an
+        open one records each column's first nonzero row."""
+        p, values = numeric_values(b, lo, hi)
+        nonzero = values != 0.0
+        if registry.frozen:
+            unknown = colmap[offsets[b]:offsets[b + 1]] < 0
+            dropped = int(np.count_nonzero(nonzero[:, unknown]))
+            for slice_type in {FA, SCOPE_TYPE[blocks[b][1]]}:
+                registry.dropped_in[slice_type] += dropped
+            nonzero[:, unknown] = False
+        else:
+            seen = first_row[offsets[b]:offsets[b + 1]]
+            first = np.where(nonzero, lo + p[:, None], n).min(axis=0, initial=n)
+            np.minimum(seen, first, out=seen)
+        counts = np.count_nonzero(nonzero, axis=1)
+        numeric_len[lo + p] += counts
+        for slice_type in {FA, SCOPE_TYPE[blocks[b][1]]}:
+            stored[slice_type] += int(counts.sum())
+
+    numeric_len = np.zeros(n, np.intp)
+    if numeric:
+        for lo, hi in row_blocks(n, max(np.diff(offsets)[numeric])):
+            for b in numeric:
+                count_numeric(b, lo, hi)
 
     # An open registry registers the names that occur and that it lacks, in
     # order of first occurrence (row, block, place); then every kept entry
@@ -814,10 +806,7 @@ def extract_matrix(
         for pid in new[np.lexsort((place[new], block, first_row[new]))].tolist():
             colmap[pid] = registry.index(names[pid])
     width = len(registry)
-    spans = row_blocks(n, max(width, len(blocks)))
-    room = max((int(diff_len[lo:hi].sum()) for lo, hi in spans), default=0)
-    row_len += diff_len
-    del diff_len
+    row_len += numeric_len
     indptr = np.zeros(n + 1, np.intp)
     np.cumsum(row_len, out=indptr[1:])
     del row_len
@@ -829,68 +818,86 @@ def extract_matrix(
         for model_type in MODEL_TYPES
     )
 
-    # The pool holds the pieces' columns and values side by side, then one
-    # block of rows' diff segments at a time in its tail.
-    tail = sum(len(pids) for pids, _ in pieces)
+    # The pool holds the named entries' payload numbers and values; for the
+    # CSR form, one block of rows' numeric entries at a time follow in its
+    # tail, while the dense form writes them straight into its array.
+    spans = row_blocks(n, max(width, len(blocks)))
+    tail = len(numbers)
+    room = 0 if dense else max((int(numeric_len[lo:hi].sum()) for lo, hi in spans), default=0)
+    del numeric_len
+    pool_numbers = np.empty(tail + room, np.intc)
+    pool_numbers[:tail] = numbers
     pool_vals = np.empty(tail + room)
-    pool_cols = np.empty(tail + room, index_dtype(width))
-    at = 0
-    for pids, values in pieces:
-        pool_cols[at:at + len(pids)] = colmap[pids]
-        pool_vals[at:at + len(pids)] = values
-        at += len(pids)
-    del pieces, pids, values
+    pool_vals[:tail] = np.frombuffer(pool[1])
+    del numbers, pool
     seg_starts = np.cumsum(seg_lens, dtype=np.intc if tail + room < 2**31 else np.intp)
     seg_starts -= seg_lens
+    block_offsets = offsets[:-1].astype(np.intc)
     if dense:
         out = np.zeros((n, width + 1))
         out[:, width] = 1.0
         cells = out.reshape(-1)  # a view: row i's cell j is i * (width + 1) + j
     else:
-        indices = np.empty(indptr[-1], pool_cols.dtype)
+        indices = np.empty(indptr[-1], index_dtype(width))
         data = np.empty(indptr[-1])
 
     def gather(lo, hi):
-        """Write rows lo:hi: each row's slots in block order, a slot's
-        entries those of its segment."""
+        """Write rows lo:hi: each row's slots in block order, a named slot's
+        entries those of its segment, each at colmap[offsets[b] + payload]."""
         seg = np.where(block_tag, ids["tgt"][lo:hi, None], ids["src"][lo:hi, None])
         missing = seg < 0
         seg *= stride
         seg += base
-        seg[missing] = 0  # and a diff block's slot is segment 0 too
+        seg[missing] = 0
         lens, starts = seg_lens[seg], seg_starts[seg]
         del seg, missing
         end = tail
-        for b in diff_blocks:
-            p, values = diff_values(b, lo, hi)
+        for b in numeric:
+            p, values = numeric_values(b, lo, hi)
             # names without a column, a frozen registry's unknown ones, are dropped
-            values[:, colmap[offsets[b]:offsets[b + 1]] < 0] = 0.0
+            cols = colmap[offsets[b]:offsets[b + 1]]
+            known = cols >= 0
+            if dense:  # + 0.0 writes a -0.0 as the 0.0 of a cell without an entry
+                out[(lo + p)[:, None], cols[known]] = values[:, known] + 0.0
+                continue
+            values[:, ~known] = 0.0
             rows, ks = np.nonzero(values)
             pool_vals[end:end + len(ks)] = values[rows, ks]
-            pool_cols[end:end + len(ks)] = colmap[offsets[b] + ks]
+            pool_numbers[end:end + len(ks)] = ks
             counts = np.bincount(rows, minlength=len(p))
             lens[p, b] = counts
             starts[p, b] = end + np.cumsum(counts) - counts
             end += len(ks)
+        if dense:  # each entry's cell: its row's first cell, its column to come
+            cell = np.repeat(np.arange(lo, hi) * (width + 1), lens.sum(axis=1))
         kept = lens > 0
+        pids = np.repeat(np.broadcast_to(block_offsets, lens.shape)[kept], lens[kept])
         lens, starts = lens[kept], starts[kept]
         del kept
         pos = _runs(starts, lens)
         del lens, starts
         # positions lie in the pool by construction, so take need not check
         # them (and so need not buffer its output)
+        pids += pool_numbers.take(pos, mode="clip")
+        cols = colmap.take(pids)
+        del pids
+        if registry.frozen:  # a shared segment's names unknown under the slot's tag
+            known = cols >= 0
+            pos, cols = pos[known], cols[known]
+            if dense:
+                cell = cell[known]
+            del known
         if not dense:
             pool_vals.take(pos, out=data[indptr[lo]:indptr[hi]], mode="clip")
-            pool_cols.take(pos, out=indices[indptr[lo]:indptr[hi]], mode="clip")
+            indices[indptr[lo]:indptr[hi]] = cols
             return
-        # each entry's cell: its row's first cell plus its column
-        cell = np.repeat(np.arange(lo, hi) * (width + 1), np.diff(indptr[lo:hi + 1]))
-        cell += pool_cols.take(pos, mode="clip")
+        cell += cols
+        del cols
         cells.put(cell, pool_vals.take(pos, mode="clip"))
 
     for lo, hi in spans:
         gather(lo, hi)
-    del pool_vals, pool_cols
+    del pool_vals, pool_numbers
     if dense:
         return DenseMatrix(_read_only(out))
     return CsrMatrix(indptr, indices, data, width)

@@ -31,9 +31,13 @@ SMOKE_EAU_TOKENS = (2, 6)
 
 
 # Layer files written by ``layer_bundle``, each document at a new base; the
-# directory is removed when the test session's interpreter exits.
+# directory is removed when the test session finishes.
 _LAYER_DIR = tempfile.TemporaryDirectory(prefix="argdissect-layers-")
 _layer_bases = itertools.count()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    _LAYER_DIR.cleanup()
 
 
 def layer_bundle(parsed, tokens, trees=None, discourse=None):

@@ -73,7 +73,7 @@ def test_run_writes_artifacts(synth_dir, tmp_path, capsys):
 
 
 def read_solver_rows(out_dir):
-    lines = open(os.path.join(out_dir, "solver.tsv")).read().splitlines()
+    lines = pathlib.Path(out_dir, "solver.tsv").read_text().splitlines()
     header = lines[0].split("\t")
     assert header == [
         "model_type", "class", "newton_iterations", "epochs", "max_epochs", "converged",
@@ -97,7 +97,7 @@ def test_run_writes_solver_convergence(synth_dir, tmp_path, capsys):
         assert float(row["max_pg"]) >= 1e-4 and float(row["dual"]) > 0.0
     err = capsys.readouterr().err
     assert err.count("warning:") == 1 and "3 of 3 solver machines" in err
-    manifest = open(os.path.join(out_dir, "manifest.txt")).read()
+    manifest = pathlib.Path(out_dir, "manifest.txt").read_text()
     assert "solver.tsv sha256=" in manifest
 
 
@@ -136,7 +136,7 @@ def test_every_trained_model_writes_solver_convergence(tall_synth_dir, tmp_path,
         assert int(row["newton_iterations"]) > 0
         assert (row["epochs"], row["converged"]) == ("1", "true")
     assert "warning" not in capsys.readouterr().err
-    manifest = open(os.path.join(out_dir, "manifest.txt")).read()
+    manifest = pathlib.Path(out_dir, "manifest.txt").read_text()
     assert "solver.tsv sha256=" in manifest
 
     # hinge stops at the one-epoch cap, and the command warns once
@@ -193,7 +193,7 @@ def test_baseline(synth_dir, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "mfs baseline" in printed
     assert os.path.exists(os.path.join(out_dir, "baseline.tsv"))
-    manifest = open(os.path.join(out_dir, "manifest.txt")).read()
+    manifest = pathlib.Path(out_dir, "manifest.txt").read_text()
     assert "baseline.tsv sha256=" in manifest
 
 
@@ -203,7 +203,7 @@ def test_anova(synth_dir, tmp_path, capsys):
     assert main(args) == 0
     path = os.path.join(out_dir, "anova.tsv")
     assert os.path.exists(path)
-    lines = [ln.split("\t") for ln in open(path).read().strip().split("\n")]
+    lines = [ln.split("\t") for ln in pathlib.Path(path).read_text().strip().split("\n")]
     types = {row[0] for row in lines}
     assert types == {"CB", "CI"}
     assert len(lines) == 2 * 101
@@ -215,7 +215,7 @@ def test_robustness_nocontext(synth_dir, tmp_path, capsys):
     assert main(args) == 0
     path = os.path.join(out_dir, "robustness_nocontext.tsv")
     assert os.path.exists(path)
-    rows = [ln.split("\t") for ln in open(path).read().strip().split("\n")]
+    rows = [ln.split("\t") for ln in pathlib.Path(path).read_text().strip().split("\n")]
     models = {r[0] for r in rows}
     assert models == {"CB", "CI", "FA"}
     # CB is its own baseline, so its deltas are zero
@@ -228,7 +228,7 @@ def test_robustness_randomized(synth_dir, tmp_path, capsys):
     args = ["robustness", "--mode", "randomized"] + base_args(synth_dir, out_dir)
     assert main(args) == 0
     assert os.path.exists(os.path.join(out_dir, "robustness_randomized.tsv"))
-    manifest = open(os.path.join(out_dir, "manifest.txt")).read()
+    manifest = pathlib.Path(out_dir, "manifest.txt").read_text()
     assert "embeddings.txt sha256=" in manifest
 
 
@@ -243,7 +243,7 @@ def test_transform(synth_dir, tmp_path, capsys):
     anns = [f for f in os.listdir(out_dir) if f.endswith(".ann")]
     assert len(anns) == 20
     assert len(txts) == 20
-    manifest = open(os.path.join(out_dir, "manifest.txt")).read()
+    manifest = pathlib.Path(out_dir, "manifest.txt").read_text()
     assert manifest.count("output ") == 40
 
 
@@ -549,9 +549,9 @@ def test_features_tsv_lists_each_model_registry(synth_dir, tmp_path, capsys, com
     assert header == ["model_type", "n_features", "dropped_unseen"]
     assert [r[0] for r in rows] == model_types
     assert all(int(r[1]) > 0 and int(r[2]) >= 0 for r in rows)
-    assert "features.tsv sha256=" in open(os.path.join(out_dir, "manifest.txt")).read()
+    assert "features.tsv sha256=" in pathlib.Path(out_dir, "manifest.txt").read_text()
     if command[0] == "run":
-        model_text = open(os.path.join(out_dir, "model.txt")).read()
+        model_text = pathlib.Path(out_dir, "model.txt").read_text()
         assert f"n_features={rows[0][1]}\n" in model_text
     if command[0] == "robustness":
         widths = {r[0]: int(r[1]) for r in rows}

@@ -1015,6 +1015,57 @@ def test_chunks_extract_a_side_once_per_chunk(monkeypatch):
         assert frozen_registry.dropped_in[model_type] == oracle.dropped_unseen > 0
 
 
+def test_frozen_registry_drops_a_shared_sides_names_per_tag(monkeypatch):
+    """A frozen registry knows side A's lexical names and sentiment columns
+    under ``src`` but only some of them under ``tgt``.  A is source and
+    target within a chunk and again in a later chunk: its pooled entries are
+    kept under one tag and dropped under the other, and each drop is counted
+    for each row that uses A.  Both forms hold per-view assembly's rows."""
+    layers = frozenset({"tokens", "sentiment"})
+    families = ("lexical", "sentiment")
+
+    def side(eau_id, tokens, context, sentiment, sentiment_ci):
+        return SideView(
+            eau_id,
+            ContentLayers(tokens=tokens, sentiment=sentiment),
+            ContextLayers(tokens=context, sentiment_ci=sentiment_ci, sentiment_fa=sentiment),
+        )
+
+    def view(source, target):
+        inst = RelationInstance(source.eau_id, target and target.eau_id, "support", "f", "d")
+        return InstanceView(inst, source, target, layers)
+
+    a = side("T1", ("w0", "w2"), ("w1", "w2"), 2, 4)
+    b = side("T2", ("w2",), ("w0", "w1"), 5, 4)
+    c = side("T3", ("w3", "w0"), ("w2",), 2, 1)
+    training = [view(a, None), view(b, None), view(c, b)]
+    chunks = [[view(a, b), view(b, a), view(a, None)], [view(c, a), view(a, c)], [], [view(b, b)]]
+    views = [v for chunk in chunks for v in chunk]
+
+    def frozen():
+        registry = FeatureRegistry()
+        extract_matrix(training, registry, families)
+        registry.freeze()
+        return registry
+
+    known = frozen()._index
+    assert "lex:eau:src:w0" in known and "lex:eau:tgt:w0" not in known
+    assert "lex:eau:tgt:w2" in known and "sent:ctx:tgt:4" in known
+    assert "sent:eau:src:2" in known and "sent:eau:tgt:2" not in known
+    X, S, registry = dense_and_sparse_forms(lambda: iter(chunks), monkeypatch, frozen, families)
+    assert_dense_form(X)
+    assert_same_extraction(views, iter(chunks), frozen, families)
+    for model_type in MODEL_TYPES:
+        oracle = FeatureRegistry()
+        for v in training:
+            reference_assemble(v, model_type, oracle, families)
+        oracle.freeze()
+        expected = [reference_assemble(v, model_type, oracle, families) for v in views]
+        for M in (X, S):
+            assert_slice_equal(M, registry, model_type, expected, oracle)
+        assert registry.dropped_in[model_type] == oracle.dropped_unseen > 0
+
+
 @pytest.mark.parametrize("families", [None, ("lexical", "embedding", "sentiment")])
 def test_extract_matrix_of_no_views_is_empty(families):
     for views in ([], iter([]), iter([[], []])):  # a list, no chunk, empty chunks

@@ -494,11 +494,11 @@ def test_each_train_side_is_extracted_once(synth_dir, tmp_path, monkeypatch, com
     assert len(train_sides) < 2 * len(data.train_instances)  # sides are shared
     # once per side object, whichever tags it appears under
     assert all(calls[sv_id] == 1 for sv_id, _ in train_sides)
-    # a side's numeric values are computed once per (family, scope, tag)
-    tags_of = Counter(sv_id for sv_id, _ in train_sides)
+    # a side's numeric values are computed once per (family, scope), whichever
+    # tags it appears under
     paired = {(family, scope) for family, scope, _ in value_calls}
     assert paired == {(f, scope) for f, scopes in features._PAIRED.items() for scope in scopes}
     assert all(
-        value_calls[family, scope, sv_id] == n_tags
-        for family, scope in paired for sv_id, n_tags in tags_of.items()
+        value_calls[family, scope, sv_id] == 1
+        for family, scope in paired for sv_id, _ in train_sides
     )
